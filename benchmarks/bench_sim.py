@@ -1,16 +1,16 @@
-"""Simulator dispatch tiers: block-compiled vs fast vs reference.
+"""Simulator dispatch tiers: block-compiled vs reference.
 
-The block compiler (``repro/sim/blockc.py``) replaced per-instruction
-closure dispatch with straight-line Python per basic block, batched trace
+The block compiler (``repro/sim/blockc.py``) replaced decode-every-step
+interpretation with straight-line Python per basic block, batched trace
 emission and compiled-program reuse across runs.  This benchmark measures
 end-to-end simulation throughput (dynamic instructions per second, with
 trace collection — the configuration every cold experiment fill pays) for
-all three tiers on suite workloads, using one ``Machine`` per workload so
-the steady state being measured is exactly what repeated experiment runs
-see: zero recompilation, per-run state bound into cached compiled code.
+both tiers on suite workloads, using one ``Machine`` per workload so the
+steady state being measured is exactly what repeated experiment runs see:
+zero recompilation, per-run state bound into cached compiled code.
 
-The ≥2x block-over-fast bar is asserted (not just tracked), mirroring how
-``bench_trace.py`` enforces the columnar-engine win; per-tier
+The block-over-reference floor is asserted (not just tracked), mirroring
+how ``bench_trace.py`` enforces the columnar-engine win; per-tier
 instructions/sec are recorded in ``extra_info`` for trend tracking.
 """
 
@@ -27,13 +27,17 @@ from repro.workloads import workload_by_name
 #: Suite workloads the tiers are timed on (sizeable loop + memory mix).
 _WORKLOADS = ("go", "ijpeg")
 
-#: The block tier must beat the fast per-instruction tier by this factor.
-_BLOCK_VS_FAST_BAR = 2.0
+#: The block tier must beat the reference loop by this factor.  Measured
+#: 9.6-11.2x on these workloads (best of five, 2-vCPU VM, Python 3.11);
+#: the floor leaves headroom for loaded shared CI runners.
+_BLOCK_VS_REFERENCE_BAR = 5.0
+
+_TIERS = ("reference", "block")
 
 
 @pytest.fixture(scope="module")
 def machines():
-    """One Machine per workload, with every tier's compiled artifacts warm."""
+    """One Machine per workload, with the block program compiled."""
     prepared = {}
     total_instructions = 0
     for name in _WORKLOADS:
@@ -41,15 +45,11 @@ def machines():
         program = workload.build()
         workload.apply_input(program, "ref")
         machine = Machine(program)
-        # Warm the caches (and verify the tiers agree) outside the timed
+        # Warm the cache (and verify the tiers agree) outside the timed
         # region: compilation happens once per Machine, not per run.
-        runs = {
-            tier: machine.run(collect_trace=True, dispatch=tier)
-            for tier in ("reference", "fast", "block")
-        }
-        for tier in ("fast", "block"):
-            assert runs[tier].trace.records == runs["reference"].trace.records, tier
-            assert runs[tier].output == runs["reference"].output, tier
+        runs = {tier: machine.run(collect_trace=True, dispatch=tier) for tier in _TIERS}
+        assert runs["block"].trace.records == runs["reference"].trace.records
+        assert runs["block"].output == runs["reference"].output
         total_instructions += runs["block"].instructions
         prepared[name] = machine
     return prepared, total_instructions
@@ -73,7 +73,7 @@ def _time_tier(prepared, tier: str) -> float:
 def _measure(prepared, rounds: int = 5) -> dict[str, float]:
     """Interleaved best-of-``rounds`` seconds per tier, so one background
     hiccup cannot skew a single side."""
-    best = {tier: float("inf") for tier in ("reference", "fast", "block")}
+    best = {tier: float("inf") for tier in _TIERS}
     for _ in range(rounds):
         for tier in best:
             best[tier] = min(best[tier], _time_tier(prepared, tier))
@@ -84,12 +84,12 @@ def test_block_tier_simulation_speedup(benchmark, machines):
     prepared, total_instructions = machines
 
     best = benchmark.pedantic(_measure, args=(prepared,), rounds=1, iterations=1)
-    ratio = best["fast"] / best["block"]
-    if ratio < _BLOCK_VS_FAST_BAR:
+    ratio = best["reference"] / best["block"]
+    if ratio < _BLOCK_VS_REFERENCE_BAR:
         # One remeasure before failing: a loaded shared runner can depress
         # a single sample set; the bar guards a property, not a scheduler.
         best = _measure(prepared)
-        ratio = max(ratio, best["fast"] / best["block"])
+        ratio = max(ratio, best["reference"] / best["block"])
 
     for tier, seconds in best.items():
         benchmark.extra_info[f"{tier}_best_s"] = round(seconds, 4)
@@ -97,15 +97,9 @@ def test_block_tier_simulation_speedup(benchmark, machines):
             total_instructions / seconds / 1e6, 2
         )
     benchmark.extra_info["instructions"] = total_instructions
-    benchmark.extra_info["speedup_block_vs_fast"] = round(best["fast"] / best["block"], 2)
-    benchmark.extra_info["speedup_block_vs_reference"] = round(
-        best["reference"] / best["block"], 2
-    )
+    benchmark.extra_info["speedup_block_vs_reference"] = round(ratio, 2)
 
-    # The block tier must also beat the reference loop by a wide margin —
-    # a sanity floor, not the headline bar.
-    assert best["reference"] / best["block"] > _BLOCK_VS_FAST_BAR
-    assert ratio >= _BLOCK_VS_FAST_BAR, (
-        f"block tier only {ratio:.2f}x over the fast tier "
-        f"(bar: {_BLOCK_VS_FAST_BAR}x)"
+    assert ratio >= _BLOCK_VS_REFERENCE_BAR, (
+        f"block tier only {ratio:.2f}x over the reference loop "
+        f"(bar: {_BLOCK_VS_REFERENCE_BAR}x)"
     )

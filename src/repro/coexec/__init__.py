@@ -1,7 +1,7 @@
 """Lockstep co-execution and first-divergence bisection.
 
-The repo's differential guarantees — three bit-identical simulator
-tiers, three timing-kernel implementations, per-policy vs fused energy
+The repo's differential guarantees — bit-identical reference and block
+simulator tiers, three timing-kernel implementations, per-policy vs fused energy
 accounting — are enforced end-to-end by summary equality.  This package
 turns a summary mismatch into an actionable report: the exact first
 diverging dynamic step, its static instruction, a per-field diff, and a

@@ -1,11 +1,11 @@
 """Lockstep co-execution of two simulator tiers with first-divergence reports.
 
-The :class:`Lockstep` driver runs any two of the machine's dispatch tiers
-(``reference``, ``fast``, ``block``) over the same program, each on its own
-private run state (registers, memory, trace, output, counters), advancing
-them in *checkpoint units* — one instruction for the per-record tiers, one
-compiled unit for the block tier — and comparing the architectural state at
-every checkpoint:
+The :class:`Lockstep` driver runs two of the machine's dispatch tiers
+(``reference``, ``block``, or one of them twice) over the same program, each
+on its own private run state (registers, memory, trace, output, counters),
+advancing them in *checkpoint units* — one instruction for the reference
+tier, one compiled unit for the block tier — and comparing the architectural
+state at every checkpoint:
 
 * the emitted trace records (operand values, results, effective addresses,
   branch outcomes — every instruction emits exactly one record, so record
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..ir import Program
-from ..sim.blockc import BlockProgram, compile_blocks
+from ..sim.blockc import BlockProgram
 from ..sim.machine import (
     DISPATCH_TIERS,
     Machine,
@@ -153,13 +153,12 @@ class Divergence:
 class _Cursor:
     """One tier's resumable execution over its own private run state.
 
-    Every tier drives the machine's *own* compiled artifacts — the
-    reference tier through the single-step generator
-    (:meth:`Machine._reference_steps`), the fast tier through its bound
-    handler closures, the block tier through a bound
-    :class:`BlockProgram` — so lockstep observes exactly the code the
-    normal ``Machine.run`` paths execute, including the block tier's
-    mid-block landing fallback onto the fast handlers.
+    Every tier drives the machine's *own* code — the reference tier
+    through the single-step generator (:meth:`Machine._reference_steps`),
+    the block tier through a bound :class:`BlockProgram` — so lockstep
+    observes exactly the code the normal ``Machine.run`` paths execute,
+    including the block tier's mid-unit landing pad, which steps the
+    reference generator up to the next unit entry.
     """
 
     def __init__(
@@ -183,44 +182,14 @@ class _Cursor:
         self.error: Optional[BaseException] = None
         self._limit = machine.max_instructions
         self._gen = None
-        self._handlers = None
         self._funcs = None
         self._lengths = None
         if tier == "reference":
-            self._gen = machine._reference_steps(
-                self.regs,
-                self.memory,
-                self.pc,
-                self.trace,
-                self.output,
-                self.block_counts,
-                self.call_counts,
-                None,
-            )
-        elif tier == "fast":
-            self._bind_fast()
+            self._gen = self._reference_steps()
         else:
-            program = block_program
-            if program is None:
-                program = machine._block_programs.get(True)
-                if program is None:
-                    program = compile_blocks(machine, True)
-                    machine._block_programs[True] = program
-            rows_extend, arena_extend, mem_append, spill = self.trace.block_emitters()
-            self._funcs = program.bind(
-                self.regs,
-                self.memory.load,
-                self.memory.store,
-                self.memory._pages.get,
-                self.memory._page,
-                self.output.append,
-                self.block_counts,
-                self.call_counts,
-                program.consts,
-                rows_extend,
-                arena_extend,
-                mem_append,
-                spill,
+            program = block_program if block_program is not None else machine._block_program(True)
+            self._funcs = program.bind_run(
+                self.regs, self.memory, self.output, self.block_counts, self.call_counts, self.trace
             )
             self._lengths = program.lengths
 
@@ -228,33 +197,33 @@ class _Cursor:
     def live(self) -> bool:
         return not self.halted and self.error is None
 
-    def _bind_fast(self) -> None:
-        self._handlers = self.machine._compile_handlers(
+    def _reference_steps(self):
+        return self.machine._reference_steps(
             self.regs,
             self.memory,
+            self.pc,
             self.trace,
             self.output,
             self.block_counts,
             self.call_counts,
             None,
+            self.executed,
         )
 
     def advance_unit(self) -> int:
         """Execute one checkpoint unit; returns instructions executed.
 
-        One instruction for the reference/fast tiers, one compiled unit
-        for the block tier (falling back to per-instruction stepping
-        after a mid-block landing, exactly like ``Machine._run_block``).
+        One instruction for the reference tier, one compiled unit for the
+        block tier (one instruction at a time from a mid-unit landing up
+        to the next unit entry, exactly like ``Machine._run_block``).
         Any tier failure is captured as this cursor's ``error`` outcome.
         """
         if not self.live:
             return 0
         try:
-            if self._funcs is not None:
-                return self._step_block()
-            if self._handlers is not None:
-                return self._step_fast()
-            return self._step_reference()
+            if self._gen is not None:
+                return self._step_reference()
+            return self._step_block()
         except Exception as exc:  # the outcome side of the comparison
             self.error = exc
             return 0
@@ -268,50 +237,34 @@ class _Cursor:
         self.executed += 1
         if self.pc < 0:
             self.halted = True
-        return 1
-
-    def _step_fast(self) -> int:
-        self.executed += 1
-        if self.executed > self._limit:
-            raise self._limit_error()
-        try:
-            handler = self._handlers[self.pc]
-        except IndexError:
-            raise _past_the_end() from None
-        self.pc = handler()
-        if self.pc < 0:
-            self.halted = True
+        elif (
+            self._funcs is not None
+            and self.pc < len(self._funcs)
+            and self._funcs[self.pc] is not None
+        ):
+            self._gen = None  # a unit entry: back on the block units
         return 1
 
     def _step_block(self) -> int:
         if not 0 <= self.pc < len(self._funcs):
-            raise _past_the_end()
+            raise SimulationError("program counter ran past the end of the program")
         unit = self._funcs[self.pc]
         if unit is None:
-            # A computed control transfer landed mid-block: the real tier
-            # finishes the run per-instruction on the fast handlers,
-            # sharing all state — mirror that permanently.
-            self._funcs = None
-            self._lengths = None
-            self._bind_fast()
-            return self._step_fast()
+            # A computed control transfer landed mid-unit: the real tier
+            # steps the reference loop on the shared state up to the next
+            # unit entry — mirror that.
+            self._gen = self._reference_steps()
+            return self._step_reference()
         count = self._lengths[self.pc]
         self.executed += count
         if self.executed > self._limit:
-            raise self._limit_error()
+            raise SimulationLimitExceeded(
+                f"exceeded the limit of {self._limit} dynamic instructions"
+            )
         self.pc = unit()
         if self.pc < 0:
             self.halted = True
         return count
-
-    def _limit_error(self) -> SimulationLimitExceeded:
-        return SimulationLimitExceeded(
-            f"exceeded the limit of {self._limit} dynamic instructions"
-        )
-
-
-def _past_the_end() -> SimulationError:
-    return SimulationError("program counter ran past the end of the program")
 
 
 class Lockstep:

@@ -734,7 +734,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_config_arguments(profile_parser, repeatable_workload=False)
     profile_parser.add_argument(
         "--dispatch",
-        choices=("block", "fast", "reference"),
+        choices=("block", "reference"),
         default=None,
         help="simulator dispatch tier (sets REPRO_SIM_DISPATCH; default: environment)",
     )
@@ -765,7 +765,7 @@ def main(argv: list[str] | None = None) -> int:
     diverge_parser.add_argument(
         "--tiers",
         nargs=2,
-        choices=("reference", "fast", "block"),
+        choices=("reference", "block"),
         default=("reference", "block"),
         metavar=("A", "B"),
         help="simulator tier pair to compare (default: reference block)",

@@ -1,15 +1,14 @@
 """Block compiler: straight-line Python per basic block.
 
-The third (and default) dispatch tier of :class:`~repro.sim.machine.Machine`.
-Where the *fast* tier compiles one Python closure per static instruction and
-pays a dispatch (list index + call), a limit check and a trace-emission call
-per *dynamic* instruction, this tier generates specialized Python **source**
-for every basic block of the program — instruction semantics inlined in
-order, register accesses hoisted into SSA locals, immediates/branch targets/
-call return addresses baked in as literals — compiles it once per
-:class:`~repro.ir.Program` with :func:`compile`/``exec``, and drives a
-block-level hot loop, so dispatch, fetch/decode and the dynamic-instruction
-limit check amortize over whole blocks.
+The default dispatch tier of :class:`~repro.sim.machine.Machine`.  Where
+the reference loop decodes every instruction on every dynamic step, this
+tier generates specialized Python **source** for every basic block of the
+program — instruction semantics inlined in order, register accesses
+hoisted into SSA locals, immediates/branch targets/call return addresses
+baked in as literals — compiles it once per :class:`~repro.ir.Program`
+with :func:`compile`/``exec``, and drives a block-level hot loop, so
+dispatch, fetch/decode and the dynamic-instruction limit check amortize
+over whole blocks.
 
 Trace emission is block-batched.  At compile time every block's packed meta
 words (``uid << 8 | flags``, the exact encoding of
@@ -22,13 +21,20 @@ same exact int64-overflow fallback the per-record emitters use.  A block
 ending in a conditional branch gets two templates (taken / not taken) that
 differ only in the final meta's flag bits.
 
+Value observers are a compile input too: for a ``watched`` uid set the
+generated code calls ``observe(uid, value)`` right after each watched
+instruction that produces a result, with the value its trace record
+carries as the result.  Each ``(collect_trace, watched)`` pair is its own
+program flavour.
+
 Compiled programs carry **no per-run state**: the generated module defines a
 single ``bind(...)`` factory taking the run's registers, memory accessors,
-output/counter sinks and trace emitters, whose nested unit functions close
-over those arguments — binding a run is pure function creation, no source
-generation and no ``compile()``.  The :class:`BlockProgram` (source, bind
-factory, constant pool, per-entry instruction counts) is cached on the
-:class:`Machine` and shared across runs.
+output/counter sinks, trace emitters and observer, whose nested unit
+functions close over those arguments — binding a run is pure function
+creation, no source generation and no ``compile()``.  The
+:class:`BlockProgram` (source, bind factory, constant pool, per-entry
+instruction counts) is cached on the :class:`Machine` and shared across
+runs.
 
 Memory traffic is specialized too: the paged little-endian layout of
 :class:`~repro.sim.memory.Memory` is inlined for accesses that stay inside
@@ -43,11 +49,12 @@ ends at the first control-flow instruction or at the next entry point
 (fallthrough).  Every unit has a fixed dynamic length, which is what lets
 the driver hoist the instruction-limit check to block granularity.
 
-Semantics, trace contents and failure behaviour are locked bit-for-bit
-against the reference and fast tiers by ``tests/test_sim_machine.py`` and
-``tests/test_trace_columnar.py``.  This module is part of the simulator-side
-code fingerprint (``repro/experiments/store.py``), so editing the compiler
-retires all stored binary trace snapshots instead of replaying stale ones.
+Semantics, trace contents, observed values and failure behaviour are
+locked bit-for-bit against the reference tier by
+``tests/test_sim_machine.py`` and ``tests/test_trace_columnar.py``.  This
+module is part of the simulator-side code fingerprint
+(``repro/experiments/store.py``), so editing the compiler retires all
+stored binary trace snapshots instead of replaying stale ones.
 """
 
 from __future__ import annotations
@@ -62,6 +69,8 @@ from .trace import FLAG_MEM, FLAG_RESULT, FLAG_TAKEN, FLAG_TAKEN_TRUE
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .machine import Machine
+    from .memory import Memory
+    from .trace import Trace
 
 __all__ = ["BlockProgram", "compile_blocks"]
 
@@ -165,6 +174,41 @@ class BlockProgram:
     source: str
     collect_trace: bool
 
+    def bind_run(
+        self,
+        regs: list[int],
+        memory: "Memory",
+        output: list[int],
+        block_counts: dict,
+        call_counts: dict,
+        trace: "Trace | None" = None,
+        observe: Callable[[int, int], None] | None = None,
+    ) -> list:
+        """Bind one run's state; returns the unit table indexed by pc.
+
+        ``None`` slots are pcs inside a unit (no unit starts there).
+        """
+        if trace is not None:
+            rows_extend, arena_extend, mem_append, spill = trace.block_emitters()
+        else:
+            rows_extend = arena_extend = mem_append = spill = None
+        return self.bind(
+            regs,
+            memory.load,
+            memory.store,
+            memory._pages.get,
+            memory._page,
+            output.append,
+            block_counts,
+            call_counts,
+            self.consts,
+            rows_extend,
+            arena_extend,
+            mem_append,
+            spill,
+            observe,
+        )
+
 
 class _UnitWriter:
     """Codegen state for one compilation unit (SSA locals, values, metas)."""
@@ -236,12 +280,14 @@ def _gen_straightline(
     inst: Instruction,
     trace: bool,
     mutate: Callable[[Instruction, str], str] | None = None,
-) -> None:
+) -> str | None:
     """Emit one non-control instruction into the unit.
 
-    Mirrors the fast tier's per-kind handlers instruction for instruction:
-    the same operand resolution, the same result normalization, the same
-    per-record meta and value tuple.
+    Mirrors the reference interpreter kind for kind: the same operand
+    resolution, the same result normalization, the same per-record meta
+    and value tuple.  Returns the expression of the value the trace
+    records as the instruction's result (what a value observer sees), or
+    None for kinds without a result.
 
     ``mutate`` is the fault-injection seam used by the lockstep
     co-execution harness (:mod:`repro.coexec`): it receives each
@@ -269,7 +315,7 @@ def _gen_straightline(
         if trace:
             unit.values += [a, b, result]
             unit.metas.append(base_meta | FLAG_RESULT | 2 << 4)
-        return
+        return result
 
     if kind is OpKind.COMPARE:
         a = unit.operand(inst.srcs[0])
@@ -282,7 +328,7 @@ def _gen_straightline(
         if trace:
             unit.values += [a, b, result]
             unit.metas.append(base_meta | FLAG_RESULT | 2 << 4)
-        return
+        return result
 
     if kind is OpKind.CMOV:
         cond = unit.operand(inst.srcs[0])
@@ -297,7 +343,7 @@ def _gen_straightline(
         if trace:
             unit.values += [cond, value, old, result]
             unit.metas.append(base_meta | FLAG_RESULT | 3 << 4)
-        return
+        return result
 
     if kind in (OpKind.MASK, OpKind.EXTEND):
         a = unit.operand(inst.srcs[0])
@@ -309,7 +355,7 @@ def _gen_straightline(
         if trace:
             unit.values += [a, result]
             unit.metas.append(base_meta | FLAG_RESULT | 1 << 4)
-        return
+        return result
 
     if kind is OpKind.MOVE:
         if op is Opcode.LI:
@@ -325,7 +371,7 @@ def _gen_straightline(
             if trace:
                 unit.values.append(result)
                 unit.metas.append(base_meta | FLAG_RESULT)
-            return
+            return result
         if op is Opcode.MOV:
             source = inst.srcs[0]
             if isinstance(source, Imm) or source.index == 31:
@@ -336,13 +382,13 @@ def _gen_straightline(
                 if trace:
                     unit.values += [f"({raw})", f"({raw})"]
                     unit.metas.append(base_meta | FLAG_RESULT | 1 << 4)
-                return
+                return f"({raw})"
             a = unit.read(source.index)
             unit.write(inst.dest, a)
             if trace:
                 unit.values += [a, a]
                 unit.metas.append(base_meta | FLAG_RESULT | 1 << 4)
-            return
+            return a
         # LDA
         a = unit.operand(inst.srcs[0])
         offset = unit.operand(inst.srcs[1])
@@ -354,7 +400,7 @@ def _gen_straightline(
         if trace:
             unit.values += [a, result]
             unit.metas.append(base_meta | FLAG_RESULT | 1 << 4)
-        return
+        return result
 
     if kind is OpKind.LOAD:
         base = unit.operand(inst.srcs[0])
@@ -389,7 +435,7 @@ def _gen_straightline(
             unit.values += [base, result]
             unit.mems.append(address)
             unit.metas.append(base_meta | FLAG_RESULT | FLAG_MEM | 1 << 4)
-        return
+        return result
 
     if kind is OpKind.STORE:
         value = unit.operand(inst.srcs[0])
@@ -417,7 +463,7 @@ def _gen_straightline(
             unit.values += [value, base]
             unit.mems.append(address)
             unit.metas.append(base_meta | FLAG_MEM | 2 << 4)
-        return
+        return None
 
     if kind is OpKind.OUTPUT:
         value = unit.operand(inst.srcs[0])
@@ -425,12 +471,12 @@ def _gen_straightline(
         if trace:
             unit.values.append(value)
             unit.metas.append(base_meta | 1 << 4)
-        return
+        return None
 
     if kind is OpKind.NOP:
         if trace:
             unit.metas.append(base_meta)
-        return
+        return None
 
     raise ValueError(f"cannot block-compile {inst}")  # pragma: no cover
 
@@ -439,12 +485,17 @@ def compile_blocks(
     machine: "Machine",
     collect_trace: bool,
     mutate_result: Callable[[Instruction, str], str] | None = None,
+    watched: frozenset[int] = frozenset(),
 ) -> BlockProgram:
     """Compile ``machine.program`` into a :class:`BlockProgram`.
 
-    Pure function of the (flattened) program and ``collect_trace`` — no
-    per-run state is consulted, so the result is cached on the machine
-    and reused by every subsequent :meth:`Machine.run`.
+    Pure function of the (flattened) program, ``collect_trace`` and
+    ``watched`` — no per-run state is consulted, so the result is cached
+    on the machine and reused by every subsequent :meth:`Machine.run`.
+
+    ``watched`` is the set of uids whose results the bound ``observe``
+    callable receives (the value-observer flavour); the empty default
+    compiles no observer calls at all.
 
     ``mutate_result`` is the fault-injection seam for the lockstep
     co-execution harness (see :func:`_gen_straightline`).  Programs
@@ -499,7 +550,10 @@ def compile_blocks(
             unit.lines.append(f"block_counts[{block_key!r}] = _bc({block_key!r}, 0) + 1")
 
         for pc in range(entry, stop - 1 if has_control else stop):
-            _gen_straightline(unit, flat[pc][2], collect_trace, mutate_result)
+            inst = flat[pc][2]
+            value = _gen_straightline(unit, inst, collect_trace, mutate_result)
+            if value is not None and inst.uid in watched:
+                unit.lines.append(f"observe({inst.uid}, {value})")
 
         tail: list[str] = []
         if not has_control:
@@ -523,7 +577,8 @@ def compile_blocks(
                 )
             elif kind is OpKind.CALL:
                 tail += _gen_call_tail(
-                    unit, machine, inst, last_pc, collect_trace, intern_template
+                    unit, machine, inst, last_pc, collect_trace, intern_template,
+                    inst.uid in watched,
                 )
             elif kind is OpKind.RETURN:
                 address = unit.operand(inst.srcs[0])
@@ -554,7 +609,7 @@ def compile_blocks(
     header = [
         "def bind(regs, load, store, pages_get, page_for, output_append,",
         "         block_counts, call_counts, consts,",
-        "         rows_extend, arena_extend, mem_append, spill):",
+        "         rows_extend, arena_extend, mem_append, spill, observe):",
         "    _bc = block_counts.get",
         "    _cc = call_counts.get",
         "    _ifb = int.from_bytes",
@@ -596,7 +651,7 @@ def _gen_branch_tail(
         # Branch to a pruned label: defer the lookup to execution so a
         # never-taken branch behaves exactly like the reference loop and
         # a taken one raises the identical KeyError (before any emission,
-        # matching the per-record tiers' observable order).
+        # matching the reference loop's observable order).
         ghost = f"_bs[({function_name!r}, {inst.target!r})]"
         if inst.op is Opcode.BR:
             tail.append(f"return {ghost}")
@@ -653,6 +708,7 @@ def _gen_call_tail(
     pc: int,
     collect_trace: bool,
     intern_template,
+    observed: bool,
 ) -> list[str]:
     """Unit tail for a call terminator (return address is a constant)."""
     base_meta = inst.uid << 8
@@ -663,7 +719,7 @@ def _gen_call_tail(
     unit.write(inst.dest, f"({return_address})")
     if target_pc is None:
         # Dead call to a removed function: the return-address write lands
-        # first (as in both per-record tiers), then the lookup raises the
+        # first (as in the reference loop), then the lookup raises the
         # identical KeyError — before any emission or call counting.
         tail += unit.writeback_lines()
         tail.append(f"return _fe[{target!r}]")
@@ -676,5 +732,7 @@ def _gen_call_tail(
         tail += unit.emission_lines()
     tail += unit.writeback_lines()
     tail.append(f"call_counts[{target!r}] = _cc({target!r}, 0) + 1")
+    if observed:
+        tail.append(f"observe({inst.uid}, {return_address})")
     tail.append(f"return {target_pc}")
     return tail

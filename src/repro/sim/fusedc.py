@@ -84,9 +84,9 @@ _MATERIALIZED_ALIASES = frozenset({"materialized", "off", "0", "false", "no", "d
 def default_pipeline() -> str:
     """Pipeline choice from ``REPRO_PIPELINE`` (``auto`` when unset).
 
-    Mirrors ``REPRO_SIM_DISPATCH``: ``fused`` forces the fused tier,
-    ``materialized`` (or any common falsy spelling) forces the trace
-    pipeline, anything else falls back to ``auto``.
+    ``fused`` forces the fused tier, ``materialized`` (or any common
+    falsy spelling) forces the trace pipeline, anything else falls back
+    to ``auto``.
     """
     value = os.environ.get("REPRO_PIPELINE", "").strip().lower()
     if value == "fused":

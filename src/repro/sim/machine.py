@@ -15,40 +15,38 @@ of the system needs:
 * value observations at watched instructions (the Calder-style value
   profiler used by VRS).
 
-Three interpreter tiers are provided (see ``docs/simulator.md``):
+Two interpreter tiers are provided (see ``docs/simulator.md``):
 
-* the **reference** loop decodes every instruction on every dynamic step
-  (attribute loads, kind dispatch, operand ``isinstance`` checks);
-* the **fast-dispatch** loop compiles each static instruction once per
-  ``Machine`` into a closure with its opcode semantics, operand slots,
-  width wrap, trace emission and successor program counter already
-  resolved, so the hot loop is a single indexed call per dynamic
-  instruction;
 * the **block** tier — the default — generates straight-line Python
   source per basic block (:mod:`repro.sim.blockc`), compiles it once per
   ``Machine`` and drives a block-level hot loop, so dispatch and the
   instruction-limit check amortize over whole blocks and trace emission
-  is batched per block.
+  is batched per block;
+* the **reference** loop decodes every instruction on every dynamic step
+  (attribute loads, kind dispatch, operand ``isinstance`` checks) and is
+  the semantic oracle the block tier is locked against.
 
-All three produce bit-identical :class:`RunResult`/:class:`Trace`
-contents; select a tier with ``Machine.run(dispatch=...)`` or
-``REPRO_SIM_DISPATCH`` (``block``/``fast``/``reference``).  Compiled
-artifacts — the fast tier's per-instruction handler makers and the block
-tier's compiled programs — are cached on the ``Machine`` keyed only by
-the static program, with per-run state (registers, memory, trace
-columns, counters) passed in as arguments, so repeated ``run()`` calls
-perform **zero** recompilation.  Consequently a ``Machine`` snapshots
-the program at its first run: mutating the :class:`~repro.ir.Program`
-afterwards requires a fresh ``Machine`` (every transformation pass in
-this repository already builds one).
+Both produce bit-identical :class:`RunResult`/:class:`Trace` contents and
+value observations; select a tier with ``Machine.run(dispatch=...)`` or
+``REPRO_SIM_DISPATCH`` (``block``/``reference``).  Compiled block programs
+are cached on the ``Machine`` keyed by ``(collect_trace, watched uids)``
+— a value observer's watched set is a compile input, so profiling runs
+execute on the block loop too — with per-run state (registers, memory,
+trace columns, counters, observer) passed in as arguments, so repeated
+``run()`` calls perform **zero** recompilation.  Consequently a
+``Machine`` snapshots the program at its first run: mutating the
+:class:`~repro.ir.Program` afterwards requires a fresh ``Machine`` (every
+transformation pass in this repository already builds one).
 
-Trace emission is columnar: the reference and fast loops write through
-the *same* pair of append closures from :meth:`Trace.emitters` — the
-reference loop encodes the per-record flag byte dynamically, the fast
-loop bakes it into each compiled handler as a constant — and the block
-tier batches whole-block meta templates through
-:meth:`Trace.block_emitters`, so every emission site shares one encoding
-and cannot drift (see ``repro/sim/trace.py``).
+A computed return that lands inside a compilation unit (an address no
+call produced) is stepped on the reference loop, sharing the run's state,
+up to the next unit entry, where the block loop takes over again.
+
+Trace emission is columnar: the reference loop writes through the append
+closures of :meth:`Trace.emitters`, encoding the per-record flag byte
+dynamically, and the block tier batches whole-block meta templates
+through :meth:`Trace.block_emitters`, so every emission site shares one
+encoding and cannot drift (see ``repro/sim/trace.py``).
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from ..isa import Imm, Instruction, Opcode, OpKind, Reg, Width, to_signed
 from ..isa.semantics import (
@@ -69,15 +67,7 @@ from ..isa.widths import wrap_to_width
 from ..ir import Program, STACK_BASE_ADDRESS
 from .blockc import BlockProgram, compile_blocks
 from .memory import Memory, load_program_data
-from .trace import (
-    FLAG_MEM,
-    FLAG_RESULT,
-    FLAG_TAKEN,
-    FLAG_TAKEN_TRUE,
-    StaticInfo,
-    Trace,
-    pack_record,
-)
+from .trace import StaticInfo, Trace, pack_record
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..uarch.config import MachineConfig
@@ -93,46 +83,18 @@ __all__ = [
 ]
 
 #: Recognized interpreter tiers, fastest first.
-DISPATCH_TIERS = ("block", "fast", "reference")
+DISPATCH_TIERS = ("block", "reference")
+
+#: ``REPRO_SIM_DISPATCH`` spellings of the reference tier; a superset of
+#: ``REPRO_RESULT_STORE``'s disabled values, so either spelling works for
+#: both variables.
+_REFERENCE_ALIASES = ("reference", "slow", "0", "off", "false", "disabled", "none")
 
 #: Base address of the (virtual) code segment; instructions are 4 bytes.
 CODE_BASE_ADDRESS = 0x1000
 
-#: Sentinel program counter returned by fast-dispatch handlers to halt.
+#: Sentinel program counter the interpreters return to halt.
 _HALT_PC = -1
-
-_UINT64 = (1 << 64) - 1
-
-_TAKEN = FLAG_TAKEN | FLAG_TAKEN_TRUE
-_NOT_TAKEN = FLAG_TAKEN
-
-
-def _operand_slot(operand) -> tuple[int, int]:
-    """Resolve an operand to ``(register_index, constant)`` at compile time.
-
-    A register index of ``-1`` means the operand is a constant: either an
-    immediate or the hardwired zero register.
-    """
-    if isinstance(operand, Imm):
-        return -1, operand.value
-    if operand.index == 31:
-        return -1, 0
-    return operand.index, 0
-
-
-def _count_block_entry(
-    block_counts: dict[tuple[str, str], int],
-    block_key: tuple[str, str],
-    inner: "Callable[[], int]",
-) -> "Callable[[], int]":
-    """Wrap the first handler of a basic block with an entry counter."""
-
-    def handler() -> int:
-        block_counts[block_key] = block_counts.get(block_key, 0) + 1
-        return inner()
-
-    return handler
-
 
 #: Budget probes run every this many dynamic instructions (amortized to
 #: block granularity, like the instruction-limit check itself).  Small
@@ -226,35 +188,27 @@ class RunResult:
 def _default_dispatch() -> str:
     """Dispatch tier selected by ``REPRO_SIM_DISPATCH`` (default: block).
 
-    The reference-loop opt-out vocabulary is a superset of
-    ``REPRO_RESULT_STORE``'s disabled values, so either spelling works
-    for both variables; ``fast`` selects the per-instruction compiled
-    tier, anything else the block-compiled tier.
+    Unset (or empty) and ``block`` select the block tier, the
+    :data:`_REFERENCE_ALIASES` the reference loop; any other value is a
+    misconfiguration and raises instead of silently running a default.
     """
     value = os.environ.get("REPRO_SIM_DISPATCH", "").lower()
-    if value in ("reference", "slow", "0", "off", "false", "disabled", "none"):
+    if value in ("", "block"):
+        return "block"
+    if value in _REFERENCE_ALIASES:
         return "reference"
-    if value == "fast":
-        return "fast"
-    return "block"
+    raise ValueError(
+        f"REPRO_SIM_DISPATCH={value!r} is not a simulator tier; expected "
+        f"{' or '.join(DISPATCH_TIERS)} (reference aliases: {', '.join(_REFERENCE_ALIASES[1:])})"
+    )
 
 
-def _resolve_tier(fast_dispatch: Optional[bool], dispatch: Optional[str], default: str) -> str:
-    """Resolve the tier from the new ``dispatch`` and legacy ``fast_dispatch``.
-
-    ``dispatch`` wins; the boolean maps onto the two tiers it predates
-    (``True`` → fast, ``False`` → reference) so existing differential
-    callers keep selecting exactly the loop they compare against.
-    """
-    if dispatch is not None:
-        if dispatch not in DISPATCH_TIERS:
-            raise ValueError(
-                f"unknown dispatch tier {dispatch!r}; expected one of {', '.join(DISPATCH_TIERS)}"
-            )
-        return dispatch
-    if fast_dispatch is not None:
-        return "fast" if fast_dispatch else "reference"
-    return default
+def _checked_tier(dispatch: str) -> str:
+    if dispatch not in DISPATCH_TIERS:
+        raise ValueError(
+            f"unknown dispatch tier {dispatch!r}; expected one of {', '.join(DISPATCH_TIERS)}"
+        )
+    return dispatch
 
 
 class Machine:
@@ -264,7 +218,6 @@ class Machine:
         self,
         program: Program,
         max_instructions: int = 20_000_000,
-        fast_dispatch: Optional[bool] = None,
         dispatch: Optional[str] = None,
         wall_time_s: Optional[float] = None,
         max_trace_bytes: Optional[int] = None,
@@ -284,12 +237,10 @@ class Machine:
             if max_trace_bytes is not None
             else _env_budget_int("REPRO_SIM_MAX_TRACE_BYTES")
         )
-        self.dispatch = _resolve_tier(fast_dispatch, dispatch, _default_dispatch())
-        # Compiled artifacts, cached per Machine and shared across runs:
-        # the fast tier's per-instruction handler makers and the block
-        # tier's compiled programs (one per collect_trace flavour).
-        self._fast_makers: Optional[list] = None
-        self._block_programs: dict[bool, BlockProgram] = {}
+        self.dispatch = _checked_tier(dispatch) if dispatch is not None else _default_dispatch()
+        # Compiled block programs, cached per Machine and shared across
+        # runs: one per (collect_trace, watched uids) flavour.
+        self._block_programs: dict[tuple[bool, frozenset[int]], BlockProgram] = {}
         # Fused simulate→time→account programs, one per (machine config,
         # probe flavour) — see repro.sim.fusedc.
         self._fused_programs: dict[tuple, "FusedProgram"] = {}
@@ -314,11 +265,6 @@ class Machine:
         #: (used when the entry function returns instead of halting).
         self._stop_address = self.address_of_index(len(self._flat) + 16)
 
-    @property
-    def fast_dispatch(self) -> bool:
-        """True when a compiled tier (``fast`` or ``block``) drives runs."""
-        return self.dispatch != "reference"
-
     # ------------------------------------------------------------------
     # Address helpers
     # ------------------------------------------------------------------
@@ -342,7 +288,6 @@ class Machine:
         collect_trace: bool = False,
         value_observer: Optional[ValueObserver] = None,
         arguments: Optional[list[int]] = None,
-        fast_dispatch: Optional[bool] = None,
         dispatch: Optional[str] = None,
         pipeline: Optional[str] = None,
         machine_config: Optional["MachineConfig"] = None,
@@ -352,13 +297,15 @@ class Machine:
         Args:
             collect_trace: record a full :class:`Trace` (needed by the
                 timing/power models; costs memory proportional to the run).
-            value_observer: optional value-profiling hook.
+            value_observer: optional value-profiling hook; it sees every
+                result of its ``watched_uids`` in program order.  When a
+                block-tier run raises :class:`SimulationLimitExceeded`, it
+                has seen a prefix of the reference loop's stream ending at
+                a unit boundary (see ``docs/simulator.md``).
             arguments: optional initial values for the argument registers of
                 the entry function (``a0``, ``a1``...).
-            fast_dispatch: legacy per-run override (``True`` selects the
-                fast per-instruction tier, ``False`` the reference loop).
-            dispatch: per-run tier override (``"block"``, ``"fast"`` or
-                ``"reference"``); wins over ``fast_dispatch``.
+            dispatch: per-run tier override (``"block"`` or
+                ``"reference"``).
             pipeline: ``"fused"`` runs the streaming simulate→time→account
                 tier (:mod:`repro.sim.fusedc`): no trace is materialized
                 and the result carries a :class:`FusedOutcome` instead.
@@ -367,7 +314,7 @@ class Machine:
                 fused tier times against (default config when omitted);
                 only meaningful with ``pipeline="fused"``.
         """
-        tier = _resolve_tier(fast_dispatch, dispatch, self.dispatch)
+        tier = _checked_tier(dispatch) if dispatch is not None else self.dispatch
         if pipeline not in (None, "materialized", "fused"):
             raise ValueError(
                 f"unknown pipeline {pipeline!r}; expected 'fused' or 'materialized'"
@@ -385,8 +332,6 @@ class Machine:
             raise ValueError("machine_config is only meaningful with pipeline='fused'")
         if tier == "block":
             return self._run_block(collect_trace, value_observer, arguments)
-        if tier == "fast":
-            return self._run_fast(collect_trace, value_observer, arguments)
         return self._run_reference(collect_trace, value_observer, arguments)
 
     def _init_run_state(self, arguments: Optional[list[int]]) -> tuple[list[int], Memory, int]:
@@ -473,6 +418,7 @@ class Machine:
         block_counts: dict[tuple[str, str], int],
         call_counts: dict[str, int],
         value_observer: Optional[ValueObserver] = None,
+        executed: int = 0,
     ):
         """Single-step generator form of the reference interpreter.
 
@@ -480,9 +426,12 @@ class Machine:
         (``_HALT_PC`` after the halting one) and returns when the program
         halts; errors (limit exceeded, invalid jumps) propagate out of
         ``next()`` exactly as they propagate out of a full run.
-        ``_run_reference`` drains it to completion; the lockstep
-        co-execution harness (:mod:`repro.coexec`) advances it one
-        instruction at a time against another tier that shares no state.
+        ``executed`` is the count of instructions already run, so the
+        limit holds across a resume.  ``_run_reference`` drains it to
+        completion, the block tier steps it across mid-unit landings, and
+        the lockstep co-execution harness (:mod:`repro.coexec`) advances
+        it one instruction at a time against another tier that shares no
+        state.
         """
         stop_address = self._stop_address
         emit = emit_mem = None
@@ -490,7 +439,6 @@ class Machine:
             emit, emit_mem = trace.emitters()
         watched = value_observer.watched_uids if value_observer is not None else frozenset()
 
-        executed = 0
         halted = False
 
         while True:
@@ -624,84 +572,6 @@ class Machine:
             yield pc
 
     # ------------------------------------------------------------------
-    # Fast dispatch
-    # ------------------------------------------------------------------
-    def _run_fast(
-        self,
-        collect_trace: bool = False,
-        value_observer: Optional[ValueObserver] = None,
-        arguments: Optional[list[int]] = None,
-    ) -> RunResult:
-        """Threaded-code interpreter: one precompiled closure per static pc.
-
-        Every closure returns the next program counter (``_HALT_PC`` to
-        stop); the hot loop is reduced to an index, a call and the dynamic
-        instruction-limit check.
-        """
-        regs, memory, pc = self._init_run_state(arguments)
-        block_counts: dict[tuple[str, str], int] = {}
-        call_counts: dict[str, int] = {}
-        trace = self._new_trace() if collect_trace else None
-        output: list[int] = []
-        return self._finish_fast(
-            pc, 0, regs, memory, trace, output, block_counts, call_counts, value_observer
-        )
-
-    def _finish_fast(
-        self,
-        pc: int,
-        executed: int,
-        regs: list[int],
-        memory: Memory,
-        trace: Optional[Trace],
-        output: list[int],
-        block_counts: dict[tuple[str, str], int],
-        call_counts: dict[str, int],
-        value_observer: Optional[ValueObserver],
-    ) -> RunResult:
-        """Bind fast-tier handlers to the given run state and drive to halt.
-
-        Shared by ``_run_fast`` (from the entry point) and the block
-        tier's mid-block landing pad (from an arbitrary resume point).
-        """
-        handlers = self._compile_handlers(
-            regs, memory, trace, output, block_counts, call_counts, value_observer
-        )
-        executed = self._drive_handlers(handlers, pc, executed)
-        return RunResult(
-            instructions=executed,
-            output=output,
-            block_counts=block_counts,
-            halted=True,
-            trace=trace,
-            call_counts=call_counts,
-        )
-
-    def _drive_handlers(self, handlers: list[Callable[[], int]], pc: int, executed: int) -> int:
-        """The fast tier's hot loop, resumable from any (pc, count) point."""
-        limit = self.max_instructions
-        deadline = self._budget_deadline()
-        next_check = executed + _BUDGET_CHECK_STRIDE if deadline is not None else None
-        try:
-            while pc >= 0:
-                executed += 1
-                if executed > limit:
-                    raise SimulationLimitExceeded(
-                        f"exceeded the limit of {self.max_instructions} dynamic instructions"
-                    )
-                if next_check is not None and executed >= next_check:
-                    next_check = executed + _BUDGET_CHECK_STRIDE
-                    self._check_budgets(deadline, None, executed)
-                pc = handlers[pc]()
-        except IndexError:
-            if 0 <= pc < len(handlers):
-                # The dispatch index was valid, so the IndexError escaped a
-                # handler body (e.g. a buggy value observer) — surface it.
-                raise
-            raise SimulationError("program counter ran past the end of the program") from None
-        return executed
-
-    # ------------------------------------------------------------------
     # Block dispatch
     # ------------------------------------------------------------------
     def _run_block(
@@ -713,49 +583,29 @@ class Machine:
         """Block-compiled interpreter: straight-line code per basic block.
 
         The program is compiled to specialized Python source once per
-        ``Machine`` (see :mod:`repro.sim.blockc`) and only *bound* to the
-        per-run state here, so repeated runs pay zero compilation.  The
-        hot loop advances one basic block per iteration: the dynamic
-        instruction-limit check is hoisted to block granularity (legal
-        because a unit's length is fixed and, with no value observer,
+        ``Machine`` and flavour (see :mod:`repro.sim.blockc`) and only
+        *bound* to the per-run state here, so repeated runs pay zero
+        compilation.  The hot loop advances one basic block per
+        iteration: the dynamic instruction-limit check is hoisted to
+        block granularity (legal because a unit's length is fixed and
         nothing a partially executed block does is observable once
-        ``SimulationLimitExceeded`` propagates).
-
-        Value-profiling runs fall back to the fast tier: the observer's
-        watched set is per-run, which is exactly what the block compiler
-        bakes out.
+        ``SimulationLimitExceeded`` propagates — except by a value
+        observer, which therefore sees a prefix ending at a unit
+        boundary).
         """
-        if value_observer is not None:
-            return self._run_fast(collect_trace, value_observer, arguments)
         regs, memory, pc = self._init_run_state(arguments)
         block_counts: dict[tuple[str, str], int] = {}
         call_counts: dict[str, int] = {}
         trace = self._new_trace() if collect_trace else None
         output: list[int] = []
 
-        program = self._block_programs.get(collect_trace)
-        if program is None:
-            program = compile_blocks(self, collect_trace)
-            self._block_programs[collect_trace] = program
-        if trace is not None:
-            rows_extend, arena_extend, mem_append, spill = trace.block_emitters()
-        else:
-            rows_extend = arena_extend = mem_append = spill = None
-        funcs = program.bind(
-            regs,
-            memory.load,
-            memory.store,
-            memory._pages.get,
-            memory._page,
-            output.append,
-            block_counts,
-            call_counts,
-            program.consts,
-            rows_extend,
-            arena_extend,
-            mem_append,
-            spill,
-        )
+        observe = None
+        watched: frozenset[int] = frozenset()
+        if value_observer is not None:
+            observe = value_observer.observe
+            watched = frozenset(value_observer.watched_uids)
+        program = self._block_program(collect_trace, watched)
+        funcs = program.bind_run(regs, memory, output, block_counts, call_counts, trace, observe)
         lengths = program.lengths
 
         executed = 0
@@ -771,13 +621,23 @@ class Machine:
             while pc >= 0:
                 unit = funcs[pc]
                 if unit is None:
-                    # A computed control transfer landed mid-block (a
-                    # return address nobody's call produced): finish the
-                    # run on the per-instruction tier, sharing all state.
-                    return self._finish_fast(
-                        pc, executed, regs, memory, trace, output,
-                        block_counts, call_counts, None,
-                    )
+                    # A computed control transfer landed mid-unit (a
+                    # return address nobody's call produced): step the
+                    # reference loop on the shared state up to the next
+                    # unit entry, then carry on block by block.  A return
+                    # that keeps re-landing mid-unit never reaches an
+                    # entry, so the budgets are probed here too.
+                    for pc in self._reference_steps(
+                        regs, memory, pc, trace, output, block_counts,
+                        call_counts, value_observer, executed,
+                    ):
+                        executed += 1
+                        if pc < 0 or funcs[pc] is not None:
+                            break
+                        if next_check is not None and executed >= next_check:
+                            next_check = executed + _BUDGET_CHECK_STRIDE
+                            self._check_budgets(deadline, trace_cap, executed)
+                    continue
                 executed += lengths[pc]
                 if executed > limit:
                     raise SimulationLimitExceeded(
@@ -800,6 +660,17 @@ class Machine:
             trace=trace,
             call_counts=call_counts,
         )
+
+    def _block_program(
+        self, collect_trace: bool, watched: frozenset[int] = frozenset()
+    ) -> BlockProgram:
+        """The cached compiled program of one flavour, compiled on first use."""
+        key = (collect_trace, watched)
+        program = self._block_programs.get(key)
+        if program is None:
+            program = compile_blocks(self, collect_trace, watched=watched)
+            self._block_programs[key] = program
+        return program
 
     # ------------------------------------------------------------------
     # Fused pipeline (simulate + time + account in one streaming pass)
@@ -917,549 +788,6 @@ class Machine:
         run.fused = outcome_from_trace(run.trace, config)
         run.trace = None
         return run
-
-    def _compile_handlers(
-        self,
-        regs: list[int],
-        memory: Memory,
-        trace: Optional[Trace],
-        output: list[int],
-        block_counts: dict[tuple[str, str], int],
-        call_counts: dict[str, int],
-        value_observer: Optional[ValueObserver],
-    ) -> list[Callable[[], int]]:
-        """Bind one handler closure per flattened instruction.
-
-        The per-instruction *makers* — everything derivable from the
-        static program: opcode semantics, operand slots, packed trace
-        metas, successor pcs — are built once per ``Machine`` and cached;
-        each run only calls them with its own state (register file,
-        memory, trace emitters), which is plain closure creation.
-        """
-        makers = self._fast_makers
-        if makers is None:
-            makers = self._fast_makers = [
-                self._instruction_maker(pc, function_name, inst)
-                for pc, (function_name, _, inst) in enumerate(self._flat)
-            ]
-        watched = value_observer.watched_uids if value_observer is not None else frozenset()
-        emit = emit_mem = None
-        if trace is not None:
-            emit, emit_mem = trace.emitters()
-        load = memory.load
-        store = memory.store
-        output_append = output.append
-        handlers: list[Callable[[], int]] = []
-        for pc, (function_name, block_label, inst) in enumerate(self._flat):
-            observe = (
-                value_observer.observe
-                if value_observer is not None and inst.uid in watched
-                else None
-            )
-            handler = makers[pc](regs, load, store, emit, emit_mem, output_append,
-                                 call_counts, observe)
-            block_key = (function_name, block_label)
-            if self._block_start[block_key] == pc:
-                handler = _count_block_entry(block_counts, block_key, handler)
-            handlers.append(handler)
-        return handlers
-
-    def _instruction_maker(self, pc: int, function_name: str, inst: Instruction):
-        """Build the cached *maker* for one static instruction.
-
-        Everything derivable from the static program — opcode semantics,
-        operand slots, width wrap, packed trace metas, successor pcs —
-        is resolved here, once per ``Machine``.  The returned maker
-        ``make(regs, load, store, emit, emit_mem, output_append,
-        call_counts, observe)`` only binds a run's state into a handler
-        closure; a second ``run()`` therefore performs zero handler
-        compilation.
-        """
-        op = inst.op
-        kind = inst.kind
-        width = inst.width
-        uid = inst.uid
-        next_pc = pc + 1
-        di = -1 if inst.dest is None or inst.dest.index == 31 else inst.dest.index
-        # Bind globals used on the hot path into closure cells: a cell load is
-        # cheaper than a global dictionary lookup on every dynamic instruction.
-        wrap = wrap_to_width
-        signed64 = to_signed
-        # The per-record flag byte is a compile-time constant per handler
-        # (the only dynamic bit, a conditional branch's direction, selects
-        # between two precomputed metas), so emission is a single call into
-        # the shared columnar append path.
-        base_meta = uid << 8
-
-        if kind is OpKind.ALU or kind is OpKind.MUL or kind is OpKind.LOGICAL or kind is OpKind.SHIFT:
-            fn = _ARITH[op]
-            ai, av = _operand_slot(inst.srcs[0])
-            bi, bv = _operand_slot(inst.srcs[1])
-            meta = base_meta | FLAG_RESULT | 2 << 4
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                if emit is None and observe is None:
-
-                    def handler() -> int:
-                        a = regs[ai] if ai >= 0 else av
-                        b = regs[bi] if bi >= 0 else bv
-                        if di >= 0:
-                            regs[di] = fn(a, b, width)
-                        return next_pc
-
-                else:
-
-                    def handler() -> int:
-                        a = regs[ai] if ai >= 0 else av
-                        b = regs[bi] if bi >= 0 else bv
-                        result = fn(a, b, width)
-                        if di >= 0:
-                            regs[di] = result
-                        if observe is not None:
-                            observe(uid, result)
-                        if emit is not None:
-                            emit(meta, (a, b, result))
-                        return next_pc
-
-                return handler
-
-            return make
-
-        if kind is OpKind.COMPARE:
-            cmp = _COMPARE[op]
-            ai, av = _operand_slot(inst.srcs[0])
-            bi, bv = _operand_slot(inst.srcs[1])
-            meta = base_meta | FLAG_RESULT | 2 << 4
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                if emit is None and observe is None:
-
-                    def handler() -> int:
-                        a = regs[ai] if ai >= 0 else av
-                        b = regs[bi] if bi >= 0 else bv
-                        if di >= 0:
-                            regs[di] = cmp(a, b)
-                        return next_pc
-
-                else:
-
-                    def handler() -> int:
-                        a = regs[ai] if ai >= 0 else av
-                        b = regs[bi] if bi >= 0 else bv
-                        result = cmp(a, b)
-                        if di >= 0:
-                            regs[di] = result
-                        if observe is not None:
-                            observe(uid, result)
-                        if emit is not None:
-                            emit(meta, (a, b, result))
-                        return next_pc
-
-                return handler
-
-            return make
-
-        if kind is OpKind.CMOV:
-            take_on_zero = op is Opcode.CMOVEQ
-            ci, cv = _operand_slot(inst.srcs[0])
-            vi, vv = _operand_slot(inst.srcs[1])
-            meta = base_meta | FLAG_RESULT | 3 << 4
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                if emit is None and observe is None:
-
-                    def handler() -> int:
-                        cond = regs[ci] if ci >= 0 else cv
-                        value = regs[vi] if vi >= 0 else vv
-                        old = regs[di] if di >= 0 else 0
-                        take = cond == 0 if take_on_zero else cond != 0
-                        if di >= 0:
-                            regs[di] = wrap(value, width) if take else old
-                        return next_pc
-
-                else:
-
-                    def handler() -> int:
-                        cond = regs[ci] if ci >= 0 else cv
-                        value = regs[vi] if vi >= 0 else vv
-                        old = regs[di] if di >= 0 else 0
-                        take = cond == 0 if take_on_zero else cond != 0
-                        result = wrap(value, width) if take else old
-                        if di >= 0:
-                            regs[di] = result
-                        if observe is not None:
-                            observe(uid, result)
-                        if emit is not None:
-                            emit(meta, (cond, value, old, result))
-                        return next_pc
-
-                return handler
-
-            return make
-
-        if kind is OpKind.MASK or kind is OpKind.EXTEND:
-            mask = _MASK[op]
-            ai, av = _operand_slot(inst.srcs[0])
-            meta = base_meta | FLAG_RESULT | 1 << 4
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                if emit is None and observe is None:
-
-                    def handler() -> int:
-                        a = regs[ai] if ai >= 0 else av
-                        if di >= 0:
-                            regs[di] = mask(a)
-                        return next_pc
-
-                else:
-
-                    def handler() -> int:
-                        a = regs[ai] if ai >= 0 else av
-                        result = mask(a)
-                        if di >= 0:
-                            regs[di] = result
-                        if observe is not None:
-                            observe(uid, result)
-                        if emit is not None:
-                            emit(meta, (a, result))
-                        return next_pc
-
-                return handler
-
-            return make
-
-        if kind is OpKind.MOVE:
-            if op is Opcode.LI:
-                ai, av = _operand_slot(inst.srcs[0])
-                meta = base_meta | FLAG_RESULT
-
-                def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                    def handler() -> int:
-                        result = signed64(regs[ai]) if ai >= 0 else signed64(av)
-                        if di >= 0:
-                            regs[di] = result
-                        if observe is not None:
-                            observe(uid, result)
-                        if emit is not None:
-                            emit(meta, (result,))
-                        return next_pc
-
-                    return handler
-
-                return make
-            if op is Opcode.MOV:
-                ai, av = _operand_slot(inst.srcs[0])
-                meta = base_meta | FLAG_RESULT | 1 << 4
-                if ai >= 0:
-                    # Register values are already signed; store as-is.
-                    def make(regs, load, store, emit, emit_mem, output_append, call_counts,
-                             observe):
-                        def handler() -> int:
-                            a = regs[ai]
-                            if di >= 0:
-                                regs[di] = a
-                            if observe is not None:
-                                observe(uid, a)
-                            if emit is not None:
-                                emit(meta, (a, a))
-                            return next_pc
-
-                        return handler
-
-                    return make
-                # Immediate source: the reference loop records the raw bit
-                # pattern but writes it through to_signed — precompute both.
-                stored = signed64(av)
-
-                def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                    def handler() -> int:
-                        if di >= 0:
-                            regs[di] = stored
-                        if observe is not None:
-                            observe(uid, av)
-                        if emit is not None:
-                            emit(meta, (av, av))
-                        return next_pc
-
-                    return handler
-
-                return make
-            # LDA
-            ai, av = _operand_slot(inst.srcs[0])
-            bi, bv = _operand_slot(inst.srcs[1])
-            meta = base_meta | FLAG_RESULT | 1 << 4
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                def handler() -> int:
-                    a = regs[ai] if ai >= 0 else av
-                    offset = regs[bi] if bi >= 0 else bv
-                    result = wrap(a + offset, Width.QUAD)
-                    if di >= 0:
-                        regs[di] = result
-                    if observe is not None:
-                        observe(uid, result)
-                    if emit is not None:
-                        emit(meta, (a, result))
-                    return next_pc
-
-                return handler
-
-            return make
-
-        if kind is OpKind.LOAD:
-            ai, av = _operand_slot(inst.srcs[0])
-            bi, bv = _operand_slot(inst.srcs[1])
-            memory_width = inst.memory_width
-            signed = op in (Opcode.LDW, Opcode.LDQ)
-            meta = base_meta | FLAG_RESULT | FLAG_MEM | 1 << 4
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                if emit is None and observe is None:
-
-                    def handler() -> int:
-                        base = regs[ai] if ai >= 0 else av
-                        offset = regs[bi] if bi >= 0 else bv
-                        if di >= 0:
-                            regs[di] = load((base + offset) & _UINT64, memory_width, signed)
-                        return next_pc
-
-                else:
-
-                    def handler() -> int:
-                        base = regs[ai] if ai >= 0 else av
-                        offset = regs[bi] if bi >= 0 else bv
-                        mem_address = (base + offset) & _UINT64
-                        result = load(mem_address, memory_width, signed)
-                        if di >= 0:
-                            regs[di] = result
-                        if observe is not None:
-                            observe(uid, result)
-                        if emit_mem is not None:
-                            emit_mem(meta, (base, result), mem_address)
-                        return next_pc
-
-                return handler
-
-            return make
-
-        if kind is OpKind.STORE:
-            vi, vv = _operand_slot(inst.srcs[0])
-            ai, av = _operand_slot(inst.srcs[1])
-            bi, bv = _operand_slot(inst.srcs[2])
-            memory_width = inst.memory_width
-            meta = base_meta | FLAG_MEM | 2 << 4
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                if emit_mem is None:
-
-                    def handler() -> int:
-                        value = regs[vi] if vi >= 0 else vv
-                        base = regs[ai] if ai >= 0 else av
-                        offset = regs[bi] if bi >= 0 else bv
-                        store((base + offset) & _UINT64, value, memory_width)
-                        return next_pc
-
-                else:
-
-                    def handler() -> int:
-                        value = regs[vi] if vi >= 0 else vv
-                        base = regs[ai] if ai >= 0 else av
-                        offset = regs[bi] if bi >= 0 else bv
-                        mem_address = (base + offset) & _UINT64
-                        store(mem_address, value, memory_width)
-                        emit_mem(meta, (value, base), mem_address)
-                        return next_pc
-
-                return handler
-
-            return make
-
-        if kind is OpKind.BRANCH:
-            taken_pc = self._block_start.get((function_name, inst.target))
-            if taken_pc is None:
-                # Malformed (or dead) branch to a pruned label: defer the
-                # lookup to execution so a never-taken branch behaves exactly
-                # like the reference loop, and a taken one fails identically.
-                block_start = self._block_start
-                target = inst.target
-                if op is Opcode.BR:
-
-                    def make(regs, load, store, emit, emit_mem, output_append, call_counts,
-                             observe):
-                        def handler() -> int:
-                            return block_start[(function_name, target)]
-
-                        return handler
-
-                    return make
-                pred = _BRANCH[op]
-                ci, cv = _operand_slot(inst.srcs[0])
-                meta_not_taken = base_meta | _NOT_TAKEN | 1 << 4
-
-                def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                    def handler() -> int:
-                        cond = regs[ci] if ci >= 0 else cv
-                        if pred(cond):
-                            return block_start[(function_name, target)]
-                        if emit is not None:
-                            emit(meta_not_taken, (cond,))
-                        return next_pc
-
-                    return handler
-
-                return make
-            if op is Opcode.BR:
-                meta = base_meta | _TAKEN
-
-                def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                    if emit is None:
-
-                        def handler() -> int:
-                            return taken_pc
-
-                    else:
-
-                        def handler() -> int:
-                            emit(meta, ())
-                            return taken_pc
-
-                    return handler
-
-                return make
-            pred = _BRANCH[op]
-            ci, cv = _operand_slot(inst.srcs[0])
-            meta_taken = base_meta | _TAKEN | 1 << 4
-            meta_not_taken = base_meta | _NOT_TAKEN | 1 << 4
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                if emit is None:
-
-                    def handler() -> int:
-                        cond = regs[ci] if ci >= 0 else cv
-                        return taken_pc if pred(cond) else next_pc
-
-                else:
-
-                    def handler() -> int:
-                        cond = regs[ci] if ci >= 0 else cv
-                        if pred(cond):
-                            emit(meta_taken, (cond,))
-                            return taken_pc
-                        emit(meta_not_taken, (cond,))
-                        return next_pc
-
-                return handler
-
-            return make
-
-        if kind is OpKind.CALL:
-            return_address = self.address_of_index(pc + 1)
-            target = inst.target
-            target_pc = self._function_entry.get(target)
-            if target_pc is None:
-                # Dead call to a removed function: resolve at execution so
-                # the failure (and its KeyError) matches the reference loop,
-                # after the return-address write exactly as the reference
-                # loop orders it.
-                function_entry = self._function_entry
-
-                def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                    def handler() -> int:
-                        if di >= 0:
-                            regs[di] = return_address
-                        return function_entry[target]
-
-                    return handler
-
-                return make
-            meta = base_meta | FLAG_RESULT | _TAKEN
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                def handler() -> int:
-                    if di >= 0:
-                        regs[di] = return_address
-                    call_counts[target] = call_counts.get(target, 0) + 1
-                    if observe is not None:
-                        observe(uid, return_address)
-                    if emit is not None:
-                        emit(meta, (return_address,))
-                    return target_pc
-
-                return handler
-
-            return make
-
-        if kind is OpKind.RETURN:
-            ai, av = _operand_slot(inst.srcs[0])
-            index_of_address = self.index_of_address
-            stop_address = self._stop_address
-            meta = base_meta | _TAKEN | 1 << 4
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                def handler() -> int:
-                    address = regs[ai] if ai >= 0 else av
-                    if address == stop_address:
-                        if emit is not None:
-                            emit(meta, (address,))
-                        return _HALT_PC
-                    return_pc = index_of_address(address)
-                    if emit is not None:
-                        emit(meta, (address,))
-                    return return_pc
-
-                return handler
-
-            return make
-
-        if kind is OpKind.HALT:
-            meta = base_meta
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                def handler() -> int:
-                    if emit is not None:
-                        emit(meta, ())
-                    return _HALT_PC
-
-                return handler
-
-            return make
-
-        if kind is OpKind.OUTPUT:
-            vi, vv = _operand_slot(inst.srcs[0])
-            meta = base_meta | 1 << 4
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                def handler() -> int:
-                    value = regs[vi] if vi >= 0 else vv
-                    output_append(value)
-                    if emit is not None:
-                        emit(meta, (value,))
-                    return next_pc
-
-                return handler
-
-            return make
-
-        if kind is OpKind.NOP:
-            meta = base_meta
-
-            def make(regs, load, store, emit, emit_mem, output_append, call_counts, observe):
-                if emit is None:
-
-                    def handler() -> int:
-                        return next_pc
-
-                else:
-
-                    def handler() -> int:
-                        emit(meta, ())
-                        return next_pc
-
-                return handler
-
-            return make
-
-        raise SimulationError(f"cannot execute {inst}")  # pragma: no cover
 
     # ------------------------------------------------------------------
     # Register access

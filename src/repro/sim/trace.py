@@ -32,6 +32,12 @@ built from explicit record lists (tests, hand-crafted inputs) keep real
 address/next columns, because hand-built records need not satisfy those
 invariants.
 
+The simulator's two dispatch tiers fill the columns through two append
+paths sharing one encoding: :meth:`Trace.emitters` appends one record at
+a time (the reference loop, which also steps the block tier's mid-unit
+landings) and :meth:`Trace.block_emitters` appends whole precomputed
+block templates (the block-compiled units).
+
 Values that do not fit a signed 64-bit slot (e.g. a raw ``Imm`` bit
 pattern injected by a transformation) are kept exactly in a tiny side
 table; consumers fall back to the per-record path for such traces, so the
@@ -264,7 +270,7 @@ class TraceRecordView:
     """Sequence view over a :class:`Trace` yielding :class:`TraceRecord`.
 
     Compares equal to a plain list of records, so differential tests like
-    ``fast.trace.records == reference.trace.records`` work unchanged
+    ``block.trace.records == reference.trace.records`` work unchanged
     without materializing either side up front.
     """
 
@@ -338,9 +344,9 @@ def pack_record(
 
     The single source of truth for the flag-byte layout, shared by every
     site that encodes records dynamically (the reference interpreter
-    loop, record-list ingestion, benchmarks); the fast-dispatch handlers
-    bake the same encoding in as compile-time constants, which the
-    loop-equivalence tests lock against this function's output.
+    loop, record-list ingestion, benchmarks); the block compiler bakes
+    the same encoding into its meta templates as compile-time constants,
+    which the tier-equivalence tests lock against this function's output.
     """
     n_src = len(srcs)
     if n_src > 7:
@@ -414,12 +420,12 @@ class Trace:
     def emitters(self):
         """The shared per-record append path: ``(emit, emit_mem)`` closures.
 
-        The reference and fast-dispatch tiers of
-        :class:`~repro.sim.machine.Machine` write trace records
-        exclusively through these two closures (the block-compiled tier
-        batches the same packed words via :meth:`block_emitters`), so the
-        columnar encoding has a single source of truth and the emission
-        sites cannot drift.
+        The reference tier of :class:`~repro.sim.machine.Machine` —
+        including the block tier's mid-unit landing pad, which steps it —
+        writes trace records exclusively through these two closures (the
+        block-compiled units batch the same packed words via
+        :meth:`block_emitters`), so the columnar encoding has a single
+        source of truth and the emission sites cannot drift.
 
         ``emit(meta, values)`` appends one record whose packed ``meta``
         the caller provides (``uid << 8 | flags``); ``values`` holds the
@@ -464,7 +470,7 @@ class Trace:
         the two append paths cannot drift.  ``append_mem`` appends one
         *signed-encoded* effective address; the block compiler bakes the
         unsigned→signed reinterpretation of :func:`_encode_u64` into its
-        generated source, exactly as the fast-dispatch tier bakes metas.
+        generated source, exactly as it bakes the packed metas.
         """
         arena = self._arena
         big = self._big

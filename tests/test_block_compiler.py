@@ -3,8 +3,8 @@
 Three properties the differential harness cannot see:
 
 1. **Compiled-program reuse** — a second ``run()`` on the same ``Machine``
-   performs *zero* handler/block compilation, in both compiled tiers
-   (the acceptance probe for the recompile-every-run fix).
+   performs *zero* block compilation, for every trace flavour and
+   watched-uid set (the acceptance probe for the recompile-every-run fix).
 2. **Deterministic generation** — the generated source is a pure function
    of the program, so it can serve as a debugging artifact and the
    simulator code fingerprint covers it through ``sim/blockc.py``.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.asm import assemble_program
-from repro.sim import Machine
+from repro.sim import Machine, ValueProfiler
 from repro.sim import blockc
 from repro.sim.blockc import compile_blocks
 
@@ -50,53 +50,58 @@ done:
 
 class TestCompiledProgramReuse:
     def test_second_run_performs_zero_compilation(self, monkeypatch):
-        """The acceptance probe: repeated runs only *bind* per-run state —
-        no instruction makers are rebuilt, no block program is recompiled,
-        for either compiled tier or trace flavour."""
+        """The acceptance probe: repeated runs only *bind* per-run state.
+        First runs compile one block program per trace flavour and one per
+        distinct watched set; repeat runs with the same flavour and watched
+        set compile nothing."""
         import repro.sim.machine as machine_module
 
         program = assemble_program(_LOOP_ASM)
         machine = Machine(program)
+        main = list(program.functions["main"].instructions())
+        watched_sets = ({main[2].uid}, {main[2].uid, main[5].uid})
 
-        calls = {"makers": 0, "blocks": 0}
-        real_maker = Machine._instruction_maker
+        calls = {"blocks": 0}
         real_compile = machine_module.compile_blocks
-
-        def counting_maker(self, *args, **kwargs):
-            calls["makers"] += 1
-            return real_maker(self, *args, **kwargs)
 
         def counting_compile(*args, **kwargs):
             calls["blocks"] += 1
             return real_compile(*args, **kwargs)
 
-        monkeypatch.setattr(Machine, "_instruction_maker", counting_maker)
         monkeypatch.setattr(machine_module, "compile_blocks", counting_compile)
 
-        first = {
-            (tier, trace): machine.run(collect_trace=trace, dispatch=tier)
-            for tier in ("block", "fast")
-            for trace in (True, False)
-        }
-        assert calls["makers"] == len(machine._flat)
-        assert calls["blocks"] == 2  # one block program per trace flavour
+        def run_all():
+            summaries = []
+            for trace in (True, False):
+                for watched in (None, *watched_sets):
+                    profiler = ValueProfiler(watched) if watched else None
+                    run = machine.run(collect_trace=trace, value_observer=profiler)
+                    summaries.append(
+                        (
+                            run.output,
+                            run.instructions,
+                            run.block_counts,
+                            run.trace.records if trace else None,
+                            profiler and {u: t.entries for u, t in profiler.tables.items()},
+                        )
+                    )
+            # The reference loop compiles nothing.
+            machine.run(dispatch="reference", value_observer=ValueProfiler(watched_sets[0]))
+            return summaries
 
-        calls["makers"] = calls["blocks"] = 0
-        for (tier, trace), cold in first.items():
-            warm = machine.run(collect_trace=trace, dispatch=tier)
-            assert warm.output == cold.output
-            assert warm.instructions == cold.instructions
-            assert warm.block_counts == cold.block_counts
-            if trace:
-                assert warm.trace.records == cold.trace.records
-        assert calls == {"makers": 0, "blocks": 0}, "second run must not compile"
+        first = run_all()
+        assert calls["blocks"] == 2 + 2 * len(watched_sets)
+
+        calls["blocks"] = 0
+        assert run_all() == first
+        assert calls["blocks"] == 0, "second run must not compile"
 
     def test_repeated_runs_share_one_block_program(self):
         machine = Machine(assemble_program(_LOOP_ASM))
         machine.run(collect_trace=True, dispatch="block")
-        program_object = machine._block_programs[True]
+        program_object = machine._block_programs[True, frozenset()]
         machine.run(collect_trace=True, dispatch="block")
-        assert machine._block_programs[True] is program_object
+        assert machine._block_programs[True, frozenset()] is program_object
 
 
 class TestGeneratedSource:

@@ -358,7 +358,7 @@ class TestPipelinePlumbing:
         program = assemble_program(TestMemoization.STEADY_LOOP)
         machine = Machine(program)
         streamed = machine.run(pipeline="fused")
-        fallback = machine.run(pipeline="fused", dispatch="fast")
+        fallback = machine.run(pipeline="fused", dispatch="reference")
         assert fallback.trace is None
         assert fallback.fused.timing == streamed.fused.timing
         assert (

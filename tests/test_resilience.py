@@ -43,6 +43,7 @@ from repro.experiments.resilience import (
 from repro.experiments.store import ResultStore
 from repro.experiments.summary import EvaluationSummary
 from repro.experiments.sweep import SweepResult, SweepSpec
+from repro.sim import ValueProfiler
 
 
 @pytest.fixture(autouse=True)
@@ -468,12 +469,43 @@ class TestMachineBudgets:
         with pytest.raises(ResourceExhausted, match="trace budget"):
             Machine(li_program, max_trace_bytes=64).run(collect_trace=True)
 
-    @pytest.mark.parametrize("run_kwargs", [{"pipeline": "fused"}, {"dispatch": "fast"}])
+    @pytest.mark.parametrize(
+        "run_kwargs", [{"pipeline": "fused"}, {"value_observer": "every uid"}]
+    )
     def test_wall_time_budget_covers_other_tiers(self, li_program, run_kwargs):
         from repro.sim.machine import Machine
 
+        if "value_observer" in run_kwargs:
+            # Value-profiling runs execute on the block loop, under its probes.
+            watched = {inst.uid for inst in li_program.instructions()}
+            run_kwargs = {"value_observer": ValueProfiler(watched)}
         with pytest.raises(ResourceExhausted):
             Machine(li_program, wall_time_s=1e-9).run(**run_kwargs)
+
+    def test_wall_time_budget_covers_mid_unit_landings(self):
+        """A return that keeps landing on itself inside a unit never
+        reaches a unit entry again; the reference-stepped landing pad
+        probes the budgets like the block loop does."""
+        from repro.asm import assemble_program
+        from repro.sim.machine import Machine
+
+        program = assemble_program(
+            """
+.func helper 0
+entry:
+    ret
+.endfunc
+.func main 0
+entry:
+    jsr helper
+    add ra, ra, 4
+    ret
+.endfunc
+"""
+        )
+        machine = Machine(program, max_instructions=200_000, wall_time_s=1e-9)
+        with pytest.raises(ResourceExhausted, match="wall-time budget"):
+            machine.run()
 
     def test_generous_budgets_change_nothing(self, li_program):
         from repro.sim.machine import Machine

@@ -1,8 +1,5 @@
 """Tests for the functional simulator: memory, execution, traces, profiling."""
 
-import gc
-import time
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -162,193 +159,66 @@ entry:
         assert profiler.table(add.uid).entries == {7: 1}
 
 
-class TestFastDispatch:
-    """The compiled-handler interpreter must be indistinguishable from the
-    reference decode-every-step loop — down to the individual trace records."""
-
-    @pytest.mark.parametrize("name", ("ijpeg", "li"))
-    def test_traces_are_bit_identical_on_workloads(self, name, assert_tiers_agree):
-        workload = workload_by_name(name)
-        program = workload.build()
-        workload.apply_input(program, "ref")
-        # Lockstep first: a bit-exactness failure reports the exact first
-        # diverging step/uid instead of a summary mismatch.
-        assert_tiers_agree(program, tiers=("reference", "fast"))
-        machine = Machine(program)
-        reference = machine.run(collect_trace=True, fast_dispatch=False)
-        fast = machine.run(collect_trace=True, fast_dispatch=True)
-        assert fast.instructions == reference.instructions
-        assert fast.output == reference.output
-        assert fast.block_counts == reference.block_counts
-        assert fast.call_counts == reference.call_counts
-        assert fast.halted == reference.halted
-        assert fast.trace.records == reference.trace.records
-
-    def test_value_observer_equivalence(self):
-        program = assemble_program(
-            """
+_HALT_ASM = """
 .func main 0
 entry:
-    li r1, 0
-loop:
-    add r1, r1, 3
-    cmplt r2, r1, 12
-    bne r2, loop
-done:
-    print r1
     halt
 .endfunc
 """
-        )
-        add = [i for i in program.functions["main"].instructions() if i.op.value == "add"][0]
-        tables = []
-        for fast in (False, True):
-            profiler = ValueProfiler({add.uid})
-            Machine(program).run(value_observer=profiler, fast_dispatch=fast)
-            tables.append(profiler.table(add.uid).entries)
-        assert tables[0] == tables[1] == {3: 1, 6: 1, 9: 1, 12: 1}
 
-    def test_mov_out_of_range_immediate_matches_reference(self):
-        program = assemble_program(
-            """
+#: A return address nobody's call produced: ``helper`` bumps its return
+#: address past the ``add r1, r1, 100`` at the call-return site, so the
+#: return lands inside that unit; the loop after it is a unit entry again.
+_MID_UNIT_RETURN_ASM = """
+.func helper 0
+entry:
+    add ra, ra, 4
+    ret
+.endfunc
 .func main 0
 entry:
-    li r1, 1
-    mov r2, r1
+    li r1, 7
+    jsr helper
+    add r1, r1, 100
+    add r2, r1, 1
+    print r1
+loop:
+    add r2, r2, r1
+    sub r1, r1, 1
+    bne r1, loop
+done:
     print r2
     halt
 .endfunc
 """
-        )
-        # Force the edge a transform could produce: a raw unsigned 64-bit
-        # bit pattern as a MOV immediate.  The register write normalizes to
-        # signed (-1) while the trace records the raw value, in both loops.
-        from repro.isa import Imm
 
-        mov = [i for i in program.functions["main"].instructions() if i.op.value == "mov"][0]
-        mov.srcs = (Imm(2**64 - 1),)
-        machine = Machine(program)
-        reference = machine.run(collect_trace=True, fast_dispatch=False)
-        fast = machine.run(collect_trace=True, fast_dispatch=True)
-        assert reference.output == fast.output == [-1]
-        assert reference.trace.records == fast.trace.records
 
-    def test_dead_branch_to_pruned_label_matches_reference(self):
-        program = assemble_program(
-            """
-.func main 0
-entry:
-    li r1, 1
-    beq r1, done
-next:
-    print r1
-    br done
-done:
-    print r1
-    halt
-.endfunc
-"""
-        )
-        # Prune the (never-taken) branch's target after validation, as a
-        # transform dropping a dead block would; compilation must not choke
-        # on it, and execution must match the reference loop.
-        beq = [i for i in program.functions["main"].instructions() if i.op.value == "beq"][0]
-        beq.target = "ghost"
-        machine = Machine(program)
-        reference = machine.run(collect_trace=True, fast_dispatch=False)
-        fast = machine.run(collect_trace=True, fast_dispatch=True)
-        assert fast.output == reference.output == [1, 1]
-        assert fast.trace.records == reference.trace.records
+def _observed_tables(profiler):
+    return {uid: (table.total, table.entries) for uid, table in profiler.tables.items()}
 
-        # Taken variant: both loops fail identically (same KeyError key).
-        li = [i for i in program.functions["main"].instructions() if i.op.value == "li"][0]
-        li.srcs = (type(li.srcs[0])(0),)  # cond == 0 -> beq taken
-        machine = Machine(program)
-        with pytest.raises(KeyError) as ref_err:
-            machine.run(fast_dispatch=False)
-        with pytest.raises(KeyError) as fast_err:
-            machine.run(fast_dispatch=True)
-        assert ref_err.value.args == fast_err.value.args
 
-    def test_instruction_limit_enforced(self):
-        program = assemble_program(
-            """
-.func main 0
-entry:
-    br entry
-.endfunc
-"""
-        )
-        with pytest.raises(SimulationLimitExceeded):
-            Machine(program, max_instructions=100).run(fast_dispatch=True)
+class _RecordingObserver:
+    """Value observer that keeps the whole ``(uid, value)`` stream."""
 
-    def test_environment_opt_out(self, monkeypatch):
-        program = assemble_program(
-            """
-.func main 0
-entry:
-    halt
-.endfunc
-"""
-        )
-        monkeypatch.setenv("REPRO_SIM_DISPATCH", "reference")
-        assert Machine(program).fast_dispatch is False
-        monkeypatch.delenv("REPRO_SIM_DISPATCH")
-        assert Machine(program).fast_dispatch is True
-        assert Machine(program, fast_dispatch=False).fast_dispatch is False
+    def __init__(self, watched_uids):
+        self.watched_uids = set(watched_uids)
+        self.seen = []
 
-    @pytest.mark.slow
-    def test_speedup_over_reference_loop(self):
-        """The acceptance bar for the rewrite: ≥2× on a trace-collecting run
-        (the configuration the headline benchmark exercises)."""
-        workload = workload_by_name("go")
-        program = workload.build()
-        workload.apply_input(program, "ref")
-        machine = Machine(program)
+    def observe(self, uid, value):
+        self.seen.append((uid, value))
 
-        def timed(**kwargs):
-            # The cyclic collector fires on allocation volume and its pauses
-            # depend on how much unrelated live heap the test session has
-            # accumulated; keep it out of the measured region (trace records
-            # are plain tuples, nothing here needs cycle collection).
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                machine.run(collect_trace=True, **kwargs)
-                return time.perf_counter() - start
-            finally:
-                gc.enable()
 
-        def measured_ratio():
-            # Interleave the two modes and keep the best of five rounds
-            # each, so one background hiccup cannot skew either side.
-            reference_seconds = []
-            fast_seconds = []
-            for _ in range(5):
-                reference_seconds.append(timed(fast_dispatch=False))
-                fast_seconds.append(timed(fast_dispatch=True))
-            return min(reference_seconds) / min(fast_seconds)
-
-        ratio = measured_ratio()
-        if ratio < 2.0:
-            # One remeasure before failing: a loaded shared runner can
-            # depress a single sample set, and this bar guards a property
-            # (typical 2.5-3.5x locally), not a scheduler.
-            ratio = max(ratio, measured_ratio())
-        assert ratio >= 2.0
+def _run_all_tiers(program, **kwargs):
+    machine = Machine(program)
+    return {
+        tier: machine.run(collect_trace=True, dispatch=tier, **kwargs)
+        for tier in ("reference", "block")
+    }
 
 
 class TestBlockDispatch:
     """The block-compiled tier must be indistinguishable from the reference
-    loop (and the fast tier) — records, counters, outputs, failure modes."""
-
-    def _run_all_tiers(self, program, **kwargs):
-        machine = Machine(program)
-        return {
-            tier: machine.run(collect_trace=True, dispatch=tier, **kwargs)
-            for tier in ("reference", "fast", "block")
-        }
+    loop — records, counters, outputs, observed values, failure modes."""
 
     @pytest.mark.parametrize("name", ("ijpeg", "li"))
     def test_traces_are_bit_identical_on_workloads(self, name, assert_tiers_agree):
@@ -358,50 +228,59 @@ class TestBlockDispatch:
         # Lockstep first: a bit-exactness failure reports the exact first
         # diverging step/uid instead of a summary mismatch.
         assert_tiers_agree(program, tiers=("reference", "block"))
-        assert_tiers_agree(program, tiers=("fast", "block"))
-        runs = self._run_all_tiers(program)
-        reference = runs["reference"]
-        for tier in ("fast", "block"):
-            other = runs[tier]
-            assert other.instructions == reference.instructions, tier
-            assert other.output == reference.output, tier
-            assert other.block_counts == reference.block_counts, tier
-            assert other.call_counts == reference.call_counts, tier
-            assert other.halted == reference.halted, tier
-            assert other.trace.records == reference.trace.records, tier
+        runs = _run_all_tiers(program)
+        reference, block = runs["reference"], runs["block"]
+        assert block.instructions == reference.instructions
+        assert block.output == reference.output
+        assert block.block_counts == reference.block_counts
+        assert block.call_counts == reference.call_counts
+        assert block.halted == reference.halted
+        assert block.trace.records == reference.trace.records
 
     def test_dispatch_tier_resolution(self, monkeypatch):
-        program = assemble_program(
-            """
-.func main 0
-entry:
-    halt
-.endfunc
-"""
-        )
+        program = assemble_program(_HALT_ASM)
         monkeypatch.delenv("REPRO_SIM_DISPATCH", raising=False)
         assert Machine(program).dispatch == "block"
-        monkeypatch.setenv("REPRO_SIM_DISPATCH", "fast")
-        assert Machine(program).dispatch == "fast"
+        # Explicit arguments beat the environment; unknown tiers fail fast.
         monkeypatch.setenv("REPRO_SIM_DISPATCH", "reference")
-        assert Machine(program).dispatch == "reference"
-        monkeypatch.setenv("REPRO_SIM_DISPATCH", "block")
-        assert Machine(program).dispatch == "block"
-        # Explicit arguments beat the environment; dispatch beats the
-        # legacy boolean; unknown tiers fail fast.
-        assert Machine(program, dispatch="fast").dispatch == "fast"
-        assert Machine(program, fast_dispatch=False).dispatch == "reference"
-        assert Machine(program, fast_dispatch=False, dispatch="block").dispatch == "block"
-        with pytest.raises(ValueError):
-            Machine(program, dispatch="turbo")
-        with pytest.raises(ValueError):
-            Machine(program).run(dispatch="turbo")
+        assert Machine(program, dispatch="block").dispatch == "block"
+        for unknown in ("turbo", "fast"):
+            with pytest.raises(ValueError):
+                Machine(program, dispatch=unknown)
+            with pytest.raises(ValueError):
+                Machine(program).run(dispatch=unknown)
+
+    @pytest.mark.parametrize(
+        "value", ("reference", "Reference", "slow", "0", "off", "false", "disabled", "none")
+    )
+    def test_environment_opt_out(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SIM_DISPATCH", value)
+        machine = Machine(assemble_program(_HALT_ASM))
+        assert machine.dispatch == "reference"
+        assert machine.run().halted
+
+    @pytest.mark.parametrize("value", ("", "block", "BLOCK"))
+    def test_environment_selects_block(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SIM_DISPATCH", value)
+        assert Machine(assemble_program(_HALT_ASM)).dispatch == "block"
+
+    @pytest.mark.parametrize("value", ("fast", "blok"))
+    def test_environment_rejects_unknown_tiers(self, monkeypatch, value):
+        """A typo or the retired per-instruction tier fails loudly instead
+        of silently running the default tier."""
+        monkeypatch.setenv("REPRO_SIM_DISPATCH", value)
+        program = assemble_program(_HALT_ASM)
+        with pytest.raises(ValueError, match="expected block or reference"):
+            Machine(program)
+        # An explicit tier never consults the environment.
+        assert Machine(program, dispatch="block").run().halted
 
     def test_limit_boundaries_exact_across_tiers(self):
         """SimulationLimitExceeded must fire at the same dynamic
-        instruction count in every tier, including limits landing in the
+        instruction count in both tiers, including limits landing in the
         middle of a basic block (the block tier hoists its limit check to
-        block granularity)."""
+        block granularity).  A value observer sees a prefix of the
+        reference's observations that ends at a unit boundary."""
         program = assemble_program(
             """
 .data buf 8 64
@@ -425,77 +304,76 @@ done:
         machine = Machine(program)
         total = machine.run(dispatch="reference").instructions
         assert total > 10
+        uids = {inst.uid for inst in program.instructions()}
+        # No calls, so the units are the basic blocks; each block that
+        # produces a result starts with one.
+        block_heads = {
+            block.instructions[0].uid for block in program.functions["main"].iter_blocks()
+        }
         for limit in range(1, total + 1):
             bounded = Machine(program, max_instructions=limit)
             outcomes = {}
-            for tier in ("reference", "fast", "block"):
+            seen = {}
+            for tier in ("reference", "block"):
+                observer = _RecordingObserver(uids)
                 try:
-                    bounded.run(dispatch=tier)
+                    bounded.run(dispatch=tier, value_observer=observer)
                     outcomes[tier] = "completed"
                 except SimulationLimitExceeded as error:
                     outcomes[tier] = str(error)
-            assert outcomes["fast"] == outcomes["reference"], limit
+                seen[tier] = observer.seen
             assert outcomes["block"] == outcomes["reference"], limit
+            prefix = seen["block"]
+            assert seen["reference"][: len(prefix)] == prefix, limit
+            if len(prefix) < len(seen["reference"]):
+                assert seen["reference"][len(prefix)][0] in block_heads, limit
         assert Machine(program, max_instructions=total).run().halted
 
-    def test_value_observer_falls_back_bit_exact(self):
-        """Profiling runs take the fast tier under block dispatch; the
-        observed value stream must match the reference loop exactly."""
-        program = assemble_program(
-            """
-.func main 0
-entry:
-    li r1, 0
-loop:
-    add r1, r1, 7
-    cmplt r2, r1, 21
-    bne r2, loop
-done:
-    print r1
-    halt
-.endfunc
-"""
-        )
-        add = [i for i in program.functions["main"].instructions() if i.op.value == "add"][0]
-        tables = {}
-        for tier in ("reference", "block"):
-            profiler = ValueProfiler({add.uid})
-            machine = Machine(program, dispatch=tier)
-            run = machine.run(collect_trace=True, value_observer=profiler)
-            tables[tier] = (profiler.table(add.uid).entries, run.output, run.trace.records)
-        assert tables["block"][0] == tables["reference"][0] == {7: 1, 14: 1, 21: 1}
-        assert tables["block"][1] == tables["reference"][1]
-        assert tables["block"][2] == tables["reference"][2]
-
     def test_computed_return_mid_block_matches_reference(self):
-        """A return address nobody's call produced lands mid-block; the
-        block tier finishes on its per-instruction landing pad with
-        identical results."""
-        program = assemble_program(
-            """
-.func helper 0
-entry:
-    add ra, ra, 4
-    ret
-.endfunc
-.func main 0
-entry:
-    li r1, 7
-    jsr helper
-    add r1, r1, 100
-    print r1
-    halt
-.endfunc
-"""
-        )
-        runs = self._run_all_tiers(program)
-        reference = runs["reference"]
-        assert reference.output == [7]  # the tampered return skips the add
-        for tier in ("fast", "block"):
-            assert runs[tier].output == reference.output, tier
-            assert runs[tier].instructions == reference.instructions, tier
-            assert runs[tier].block_counts == reference.block_counts, tier
-            assert runs[tier].trace.records == reference.trace.records, tier
+        """A return address nobody's call produced lands mid-unit; the
+        block tier steps the reference loop up to the next unit entry and
+        carries on block by block, with identical results."""
+        runs = _run_all_tiers(assemble_program(_MID_UNIT_RETURN_ASM))
+        reference, block = runs["reference"], runs["block"]
+        assert reference.output == [7, 36]  # the tampered return skips the add
+        assert block.output == reference.output
+        assert block.instructions == reference.instructions
+        assert block.block_counts == reference.block_counts
+        assert block.call_counts == reference.call_counts
+        assert block.trace.records == reference.trace.records
+
+    def test_value_observer_falls_back_bit_exact(self):
+        """An observed run whose computed return lands mid-unit falls back
+        to reference stepping up to the next unit entry.  Watched uids
+        before the landing, on that landing pad and in the block units
+        after it: tables, output, counters and trace records all match the
+        reference loop."""
+        program = assemble_program(_MID_UNIT_RETURN_ASM)
+        uids = {inst.uid for inst in program.instructions()}
+        runs = {}
+        for tier in ("reference", "block"):
+            profiler = ValueProfiler(uids)
+            run = Machine(program).run(
+                collect_trace=True, value_observer=profiler, dispatch=tier
+            )
+            runs[tier] = (
+                _observed_tables(profiler),
+                run.output,
+                run.instructions,
+                run.block_counts,
+                run.call_counts,
+                run.trace.records,
+            )
+        assert runs["block"] == runs["reference"]
+        landing = [i for i in program.functions["main"].instructions() if i.op.value == "add"]
+        tables = runs["block"][0]
+        assert landing[0].uid not in tables  # skipped by the tampered return
+        assert tables[landing[1].uid] == (1, {8: 1})  # stepped on the landing pad
+        assert tables[landing[2].uid][0] == 7  # the loop, back on block units
+
+    def test_lockstep_agrees_across_mid_unit_landing(self, assert_tiers_agree):
+        program = assemble_program(_MID_UNIT_RETURN_ASM)
+        assert_tiers_agree(program, tiers=("reference", "block"))
 
     def test_mov_out_of_range_immediate_matches_reference(self):
         """Raw 64-bit immediates overflow the batched arena extend; the
@@ -516,12 +394,14 @@ entry:
         )
         mov = [i for i in program.functions["main"].instructions() if i.op.value == "mov"][0]
         mov.srcs = (Imm(2**64 - 1),)
-        runs = self._run_all_tiers(program)
+        runs = _run_all_tiers(program)
         assert runs["block"].output == runs["reference"].output == [0]
         assert runs["block"].trace.records == runs["reference"].trace.records
         assert runs["block"].trace.has_overflow_values
 
     def test_dead_branch_and_dead_call_match_reference(self):
+        # A taken branch to a pruned label must fail identically in both
+        # tiers (same KeyError key).
         program = assemble_program(
             """
 .func main 0
@@ -537,15 +417,14 @@ next:
         beq = [i for i in program.functions["main"].instructions() if i.op.value == "beq"][0]
         beq.target = "ghost"
         errors = {}
-        for tier in ("reference", "fast", "block"):
+        for tier in ("reference", "block"):
             with pytest.raises(KeyError) as excinfo:
                 Machine(program).run(dispatch=tier)
             errors[tier] = excinfo.value.args
-        assert errors["fast"] == errors["reference"]
         assert errors["block"] == errors["reference"]
 
         # Dead call: a jsr whose callee was removed must raise the same
-        # KeyError in every tier (after the return-address write, before
+        # KeyError in both tiers (after the return-address write, before
         # any call counting or emission).
         call_program = assemble_program(
             """
@@ -567,12 +446,11 @@ entry:
         ][0]
         jsr.target = "removed"
         call_errors = {}
-        for tier in ("reference", "fast", "block"):
+        for tier in ("reference", "block"):
             with pytest.raises(KeyError) as excinfo:
                 Machine(call_program).run(dispatch=tier)
             call_errors[tier] = excinfo.value.args
-        assert call_errors["fast"] == call_errors["reference"] == ("removed",)
-        assert call_errors["block"] == call_errors["reference"]
+        assert call_errors["block"] == call_errors["reference"] == ("removed",)
 
     def test_instruction_limit_enforced(self):
         program = assemble_program(
@@ -585,3 +463,108 @@ entry:
         )
         with pytest.raises(SimulationLimitExceeded):
             Machine(program, max_instructions=100).run(dispatch="block")
+
+
+class TestFastDispatch:
+    """Transform-shaped edge cases on the fast path, the block-compiled
+    default dispatch with its observer flavour, each pinned against the
+    reference loop: observed value tables, raw 64-bit MOV immediates and
+    branches to pruned labels."""
+
+    def test_value_observer_equivalence(self):
+        """Block-tier profiling runs call the observer from the compiled
+        units; the observed value stream must match the reference loop
+        exactly, with and without a trace."""
+        program = assemble_program(
+            """
+.func main 0
+entry:
+    li r1, 0
+loop:
+    add r1, r1, 3
+    cmplt r2, r1, 12
+    bne r2, loop
+done:
+    print r1
+    halt
+.endfunc
+"""
+        )
+        add = [i for i in program.functions["main"].instructions() if i.op.value == "add"][0]
+        for collect_trace in (False, True):
+            runs = {}
+            for tier in ("reference", "block"):
+                profiler = ValueProfiler({add.uid})
+                run = Machine(program, dispatch=tier).run(
+                    collect_trace=collect_trace, value_observer=profiler
+                )
+                records = run.trace.records if collect_trace else None
+                runs[tier] = (profiler.table(add.uid).entries, run.output, records)
+            assert runs["block"] == runs["reference"]
+            assert runs["block"][0] == {3: 1, 6: 1, 9: 1, 12: 1}
+
+    def test_mov_out_of_range_immediate_matches_reference(self):
+        """The edge a transform could produce: a raw unsigned 64-bit bit
+        pattern as a MOV immediate.  The register write normalizes to
+        signed (-1) while the trace record and an observer see the raw
+        value, in both tiers."""
+        from repro.isa import Imm
+
+        program = assemble_program(
+            """
+.func main 0
+entry:
+    li r1, 1
+    mov r2, r1
+    print r2
+    halt
+.endfunc
+"""
+        )
+        mov = [i for i in program.functions["main"].instructions() if i.op.value == "mov"][0]
+        mov.srcs = (Imm(2**64 - 1),)
+        profilers = {tier: ValueProfiler({mov.uid}) for tier in ("reference", "block")}
+        machine = Machine(program)
+        runs = {
+            tier: machine.run(collect_trace=True, dispatch=tier, value_observer=profiler)
+            for tier, profiler in profilers.items()
+        }
+        assert runs["block"].output == runs["reference"].output == [-1]
+        assert runs["block"].trace.records == runs["reference"].trace.records
+        for profiler in profilers.values():
+            assert profiler.table(mov.uid).entries == {2**64 - 1: 1}
+
+    def test_dead_branch_to_pruned_label_matches_reference(self):
+        program = assemble_program(
+            """
+.func main 0
+entry:
+    li r1, 1
+    beq r1, done
+next:
+    print r1
+    br done
+done:
+    print r1
+    halt
+.endfunc
+"""
+        )
+        # Prune the (never-taken) branch's target after validation, as a
+        # transform dropping a dead block would; compilation must not choke
+        # on it, and execution must match the reference loop.
+        beq = [i for i in program.functions["main"].instructions() if i.op.value == "beq"][0]
+        beq.target = "ghost"
+        runs = _run_all_tiers(program)
+        assert runs["block"].output == runs["reference"].output == [1, 1]
+        assert runs["block"].trace.records == runs["reference"].trace.records
+
+        # Taken variant: both tiers fail identically (same KeyError key).
+        li = [i for i in program.functions["main"].instructions() if i.op.value == "li"][0]
+        li.srcs = (type(li.srcs[0])(0),)  # cond == 0 -> beq taken
+        errors = {}
+        for tier in ("reference", "block"):
+            with pytest.raises(KeyError) as excinfo:
+                Machine(program).run(dispatch=tier)
+            errors[tier] = excinfo.value.args
+        assert errors["block"] == errors["reference"]

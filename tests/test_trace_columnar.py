@@ -5,9 +5,9 @@ consumers against **verbatim record-list references** — copies of the
 walkers as they existed when the trace was a ``list[TraceRecord]`` — in
 the style of ``tests/test_power_fused.py``:
 
-1. **Emission**: all three interpreter tiers (reference, fast-dispatch,
-   block-compiled) must produce identical records through the shared
-   columnar append encoding, and a trace rebuilt from its own record view
+1. **Emission**: both interpreter tiers (reference and block-compiled)
+   must produce identical records through the shared columnar append
+   encoding, and a trace rebuilt from its own record view
    must be indistinguishable from the machine-emitted original.
 2. **Kernels, bit-exact**: cycle counts (reference timing walk), energy
    shape counts (reference per-record fold), energy breakdowns for all
@@ -381,19 +381,22 @@ def _assert_columnar_equals_reference(trace: Trace, instructions: int, output: l
     assert asdict(OutOfOrderModel().run(restored.trace)) == asdict(reference_timing)
 
 
+def _assert_runs_match(run, reference):
+    assert run.output == reference.output
+    assert run.instructions == reference.instructions
+    assert run.block_counts == reference.block_counts
+    assert run.call_counts == reference.call_counts
+    assert run.trace.records == reference.trace.records
+
+
 def _run_differential(asm: str):
     program = assemble_program(asm)
     machine = Machine(program)
     reference = machine.run(collect_trace=True, dispatch="reference")
-    # All three interpreter tiers share one emission encoding; their
-    # traces, outputs and counters must be indistinguishable.
-    for tier in ("fast", "block"):
-        run = machine.run(collect_trace=True, dispatch=tier)
-        assert run.output == reference.output, tier
-        assert run.instructions == reference.instructions, tier
-        assert run.block_counts == reference.block_counts, tier
-        assert run.call_counts == reference.call_counts, tier
-        assert run.trace.records == reference.trace.records, tier
+    # Both interpreter tiers share one emission encoding; their traces,
+    # outputs and counters must be indistinguishable.
+    run = machine.run(collect_trace=True, dispatch="block")
+    _assert_runs_match(run, reference)
     _assert_columnar_equals_reference(run.trace, run.instructions, run.output)
 
 
@@ -432,21 +435,16 @@ class TestRealWorkloads:
 @pytest.mark.slow
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_workload_columnar_equals_reference(name):
-    """Every suite workload, under all three dispatch tiers: bit-exact
-    traces, outputs and counters, and every columnar consumer equal to its
+    """Every suite workload, under both dispatch tiers: bit-exact traces,
+    outputs and counters, and every columnar consumer equal to its
     record-list reference."""
     workload = workload_by_name(name)
     program = workload.build()
     workload.apply_input(program, "ref")
     machine = Machine(program)
     reference = machine.run(collect_trace=True, dispatch="reference")
-    for tier in ("fast", "block"):
-        run = machine.run(collect_trace=True, dispatch=tier)
-        assert run.output == reference.output, tier
-        assert run.instructions == reference.instructions, tier
-        assert run.block_counts == reference.block_counts, tier
-        assert run.call_counts == reference.call_counts, tier
-        assert run.trace.records == reference.trace.records, tier
+    run = machine.run(collect_trace=True, dispatch="block")
+    _assert_runs_match(run, reference)
     _assert_columnar_equals_reference(run.trace, run.instructions, run.output)
 
 

@@ -1,5 +1,7 @@
 """Tests for VRS: energy model, candidates, specialization transform, folding."""
 
+import pytest
+
 from repro.core import (
     ALU_ENERGY_SAVINGS_NJ,
     EnergyModel,
@@ -7,7 +9,10 @@ from repro.core import (
     VRSConfig,
     ValueRange,
     alu_energy_saving_nj,
+    apply_widths,
     fold_constants_in_region,
+    identify_candidates,
+    run_vrp,
     run_vrs,
     specialize_candidate,
 )
@@ -15,6 +20,7 @@ from repro.ir import IRBuilder, Program, validate_function
 from repro.isa import Instruction, Opcode, Reg, Width
 from repro.minic import compile_source
 from repro.sim import Machine, ValueProfiler, ValueTable
+from repro.workloads import SUITE_NAMES, workload_by_name
 
 
 class TestEnergyModel:
@@ -204,3 +210,36 @@ class TestVrsPipeline:
         # Figure 4/5 bookkeeping stays consistent.
         assert result.points_specialized == len(result.records)
         assert result.static_specialized_instructions >= 0
+
+
+@pytest.mark.suite
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_candidate_value_profiles_match_reference_tier(name):
+    """VRS's profiling run — train input, the real candidate set — fills
+    the same value tables from the block tier's compiled observer calls
+    as from the reference loop."""
+    workload = workload_by_name(name)
+    program = workload.build()
+    workload.apply_input(program, "train")
+    config = VRSConfig()
+    vrp = run_vrp(program, config.vrp)
+    apply_widths(program, vrp)
+    machine = Machine(program, max_instructions=config.train_max_instructions)
+    candidates = identify_candidates(
+        program,
+        vrp,
+        machine.run().instruction_counts(program),
+        min_execution_count=config.min_execution_count,
+    )
+    assert candidates
+    tables = {}
+    for tier in ("reference", "block"):
+        profiler = ValueProfiler(
+            {candidate.uid for candidate in candidates}, capacity=config.profiler_capacity
+        )
+        machine.run(value_observer=profiler, dispatch=tier)
+        tables[tier] = {
+            uid: (table.total, table.entries) for uid, table in profiler.tables.items()
+        }
+    assert tables["block"] == tables["reference"]
+    assert tables["block"]
