@@ -1,8 +1,9 @@
 """Lockstep co-execution and first-divergence bisection.
 
 The repo's differential guarantees — bit-identical reference and block
-simulator tiers, three timing-kernel implementations, per-policy vs fused energy
-accounting — are enforced end-to-end by summary equality.  This package
+simulator tiers, reference and compiled timing kernels (the compiled one
+at one and at two lanes), per-policy vs fused energy accounting — are
+enforced end-to-end by summary equality.  This package
 turns a summary mismatch into an actionable report: the exact first
 diverging dynamic step, its static instruction, a per-field diff, and a
 minimized self-contained reproducer.  See ``docs/coexec.md``.

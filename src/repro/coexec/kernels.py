@@ -1,12 +1,13 @@
 """First-divergence bisection for the analysis kernels.
 
 The simulator tiers are one replication hazard; the analysis kernels are
-the other.  The timing model has three implementations that promise
+the other.  The timing model has two implementations that promise
 bit-identical :class:`~repro.uarch.TimingResult` streams — the readable
-reference walk (:meth:`OutOfOrderModel.run_reference`), the compiled walk
-(:func:`run_compiled`) and one lane of the multi-configuration walk
-(:func:`run_compiled_many`) — and the energy accountant has the
-per-policy and fused multi-policy walks.  When two of them disagree over
+reference walk (:meth:`OutOfOrderModel.run_reference`) and the one
+generated lane walk of :mod:`repro.uarch.tkernel`, compared here at one
+lane (:func:`run_compiled`) and at two (:func:`run_compiled_many`), each
+against the reference — and the energy accountant has the per-policy
+and fused multi-policy walks.  When two of them disagree over
 a full trace, the summary diff says nothing about *where* the streams
 split, so :func:`compare_timing` / :func:`compare_accounting` bisect over
 trace prefixes: both kernels are pure functions of the trace prefix, so
@@ -45,11 +46,11 @@ __all__ = [
     "compare_fused",
 ]
 
-#: The timing-kernel implementations the comparator can pit against each
-#: other.  ``compiled-lane`` runs the multi-configuration kernel with a
-#: companion config alongside the one under test, so the genuinely
-#: multi-lane walk executes (a single deduplicated config would fall back
-#: to ``run_compiled``).
+#: The timing kernels the comparator can pit against each other:
+#: ``reference`` is the oracle walk, ``compiled`` the generated lane walk
+#: at one lane and ``compiled-lane`` the same generator's walk at two
+#: lanes — the config under test plus a companion config, so the shared
+#: front end really feeds more than one scoreboard.
 TIMING_COMPARATORS = ("reference", "compiled", "compiled-lane")
 
 
@@ -57,8 +58,8 @@ def _companion(config: MachineConfig) -> MachineConfig:
     """A second config in the same lane-shape group as *config*.
 
     Differs only in a cycle-valued parameter, which keeps both configs in
-    one ``_lane_shape`` group of :func:`run_compiled_many` — forcing the
-    true multi-lane walk rather than the single-config fallback.
+    one ``_lane_shape`` group of :func:`run_compiled_many` — so they run
+    as two lanes of one walk rather than as two one-lane walks.
     """
     return dataclasses.replace(
         config, mispredict_redirect_penalty=config.mispredict_redirect_penalty + 1

@@ -64,6 +64,7 @@ import logging
 import sys
 import time
 
+from ..coexec.kernels import TIMING_COMPARATORS
 from ..hardware import gating
 from ..workloads import SUITE_NAMES
 from .engine import ExperimentConfig, _resolve_pipeline, default_engine
@@ -782,7 +783,7 @@ def main(argv: list[str] | None = None) -> int:
     diverge_parser.add_argument(
         "--kernels",
         nargs=2,
-        choices=("reference", "compiled", "compiled-lane"),
+        choices=TIMING_COMPARATORS,
         default=("reference", "compiled"),
         metavar=("A", "B"),
         help="timing-kernel pair for --mode timing (default: reference compiled)",

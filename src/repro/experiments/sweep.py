@@ -10,8 +10,7 @@ one engine round-trip per point:
   trace signature,
 * one multi-config timing-kernel walk per shape group of machine
   configurations (:func:`repro.uarch.tkernel.run_compiled_many` — every
-  lane bit-exact against the single-config compiled kernel and the
-  reference scoreboard walk),
+  lane bit-exact against the reference scoreboard walk),
 * one fused energy-accounting trace walk per trace, branched per
   machine configuration from shared totals
   (:meth:`repro.power.MultiPolicyEnergyAccountant.account_many`).
@@ -66,8 +65,8 @@ def default_sweep_configs() -> tuple[tuple[str, MachineConfig], ...]:
     memory latency, frontend depth).  Seven of the eight share the
     baseline cache/predictor geometry, so the multi-config timing kernel
     scores them in one batched trace walk; ``l1-16k`` changes the cache
-    shape and is timed as its own (singleton) shape group — both paths
-    stay exercised by default.
+    shape and is timed as its own (singleton) shape group, a one-lane
+    walk — so a multi-lane and a one-lane walk both run by default.
     """
     base = MachineConfig()
     return (
@@ -432,7 +431,8 @@ def _sweep_timings(
     Routes through the multi-config compiled kernel unless the process
     pinned ``REPRO_TIMING_KERNEL=reference``, in which case every config
     runs the reference scoreboard walk — the tiers are bit-identical, so
-    the choice never changes a row.
+    the choice never changes a row.  An unknown ``REPRO_TIMING_KERNEL``
+    value raises ``ValueError``.
     """
     if _default_kernel() == "reference":
         return [OutOfOrderModel(config).run_reference(trace) for config in configs]

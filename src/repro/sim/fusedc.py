@@ -253,8 +253,9 @@ class FusedProgram:
 def timing_from_counters(counters: tuple, instructions: int) -> "TimingResult":
     """Build a :class:`TimingResult` from the kernel's 11-counter tuple.
 
-    Same field mapping as :func:`repro.uarch.tkernel.run_compiled` — the
-    fused tier's ``_finalize()`` returns the identical tuple shape.
+    The one mapping of that tuple: every lane of the compiled timing
+    walk (:mod:`repro.uarch.tkernel`) and the fused tier's
+    ``_finalize()`` return the identical tuple shape.
     """
     from ..uarch.ooo import TimingResult
 
@@ -340,6 +341,14 @@ _REG_VALUE = re.compile(r"^r(\d+)$")
 _CODE_CACHE: dict[str, object] = {}
 _CODE_CACHE_LIMIT = 32
 
+#: log2 of the initial ring capacity of the issue-family slot
+#: allocators.  16384 cycles is far beyond any reachable issue-to-fetch
+#: span of the Table 2 machine (the 64-entry window bounds it to a few
+#: thousand cycles even on pathological miss chains); the rings grow on
+#: collision regardless, so this is a sizing hint, not a correctness
+#: bound.  Tests shrink it to force the growth path.
+_RING_BITS = 14
+
 _PROBE_LINE = (
     "probe_append((commit_frontier, fetch_cycle, lookups, mispredictions, "
     "i_accesses, i_misses, d_accesses, d_misses, l2_accesses, l2_misses, "
@@ -391,16 +400,16 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
 
     The unit decomposition, straight-line simulation code and control
     tails mirror :func:`repro.sim.blockc.compile_blocks` exactly; the
-    per-record timing updates mirror the compiled kernel
-    :func:`repro.uarch.tkernel.compile_kernel` generates for *config*
-    (same helpers, same literals, same state-update order).  ``probe``
+    per-record timing updates run the scoreboard arithmetic of one lane
+    of the compiled timing walk that
+    :func:`repro.uarch.tkernel._multi_walk_source` generates for
+    *config* (same ring probes, same literals, same counters).  ``probe``
     additionally emits a per-record snapshot of the timing counters into
     a caller-supplied sink — the hook ``compare_fused`` uses to bisect a
     divergence to the exact record.
     """
     from ..uarch.config import MachineConfig
     from ..uarch.tkernel import (
-        _RING_BITS,
         _div,
         _fu_probe,
         _grow_ring,

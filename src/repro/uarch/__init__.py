@@ -2,10 +2,12 @@
 
 Two bit-identical kernel tiers run the model: the reference scoreboard
 walk (:meth:`OutOfOrderModel.run_reference`) and the compiled kernel
-(:mod:`repro.uarch.tkernel`, the default — packed static table,
-ring-buffer slot allocators, inlined caches/predictor).  Select with
-``REPRO_TIMING_KERNEL`` or ``OutOfOrderModel(kernel=...)``; see
-``docs/timing.md``.
+(:mod:`repro.uarch.tkernel`, the default — one generated lane walk over
+a packed static table, ring-buffer slot allocators and inlined
+caches/predictor).  :func:`run_compiled` is that walk at one lane;
+:func:`run_compiled_many` times many configs in shared lane walks.
+Select with ``REPRO_TIMING_KERNEL`` or ``OutOfOrderModel(kernel=...)``;
+see ``docs/timing.md``.
 """
 
 from .branch_predictor import CombinedPredictor

@@ -27,17 +27,19 @@ The model comes in **two kernel tiers** (see ``docs/timing.md``):
   column with a running cursor.  The arithmetic is identical to the
   record walk, so cycle counts are bit-exact (the differential harness
   in ``tests/test_trace_columnar.py`` asserts exactly that).
-* ``compiled`` (the default) — the specialized kernel in
-  :mod:`repro.uarch.tkernel`: the same scoreboard arithmetic over a
-  packed per-uid static table, ring-buffer slot allocators and inlined
-  cache/predictor state.  Bit-exact against the reference tier on every
-  :class:`TimingResult` field (``tests/test_uarch_timing.py``), ~3-4x
-  faster (``benchmarks/bench_timing.py`` enforces ≥2x in CI).
+* ``compiled`` (the default) — the generated lane walk in
+  :mod:`repro.uarch.tkernel` at one lane: the same scoreboard
+  arithmetic over a packed per-uid static table, ring-buffer slot
+  allocators and inlined cache/predictor state.  Bit-exact against the
+  reference tier on every :class:`TimingResult` field
+  (``tests/test_uarch_timing.py``), ~2-2.5x faster
+  (``benchmarks/bench_timing.py`` enforces ≥2x in CI).
 
 Select a tier per model (``OutOfOrderModel(kernel=...)``), per run
 (``run(kernel=...)``) or process-wide with ``REPRO_TIMING_KERNEL``
-(``compiled`` — the default — or ``reference``/``slow``/``off``),
-mirroring the functional simulator's ``REPRO_SIM_DISPATCH`` tiers.
+(``compiled`` — the default — or ``reference``/``slow``/``off``; any
+other value raises ``ValueError``), mirroring the functional
+simulator's ``REPRO_SIM_DISPATCH`` tiers.
 """
 
 from __future__ import annotations
@@ -59,18 +61,27 @@ _UINT64 = (1 << 64) - 1
 #: The two timing-kernel tiers; both produce bit-identical results.
 TIMING_KERNELS = ("reference", "compiled")
 
+#: ``REPRO_TIMING_KERNEL`` spellings of the reference tier (the
+#: simulator's ``REPRO_SIM_DISPATCH`` reference spellings plus ``ref``).
+_REFERENCE_ALIASES = ("reference", "ref", "slow", "0", "off", "false", "disabled", "none")
+
 
 def _default_kernel() -> str:
     """Kernel tier selected by ``REPRO_TIMING_KERNEL`` (default: compiled).
 
-    The opt-out vocabulary mirrors ``REPRO_SIM_DISPATCH``'s reference
-    spellings, so either variable understands the same words; anything
-    else selects the compiled kernel.
+    Unset (or empty) and ``compiled`` select the compiled kernel, the
+    :data:`_REFERENCE_ALIASES` the reference walk; any other value is a
+    misconfiguration and raises instead of silently running a default.
     """
     value = os.environ.get("REPRO_TIMING_KERNEL", "").lower()
-    if value in ("reference", "ref", "slow", "0", "off", "false", "disabled", "none"):
+    if value in ("", "compiled"):
+        return "compiled"
+    if value in _REFERENCE_ALIASES:
         return "reference"
-    return "compiled"
+    raise ValueError(
+        f"REPRO_TIMING_KERNEL={value!r} is not a timing kernel; expected "
+        f"{' or '.join(TIMING_KERNELS)} (reference aliases: {', '.join(_REFERENCE_ALIASES[1:])})"
+    )
 
 
 class _Slots:

@@ -3,11 +3,12 @@
 The out-of-order model now has two kernel tiers: the reference
 scoreboard walk (`OutOfOrderModel.run_reference`, locked against a
 verbatim record-list copy by ``tests/test_trace_columnar.py``) and the
-compiled kernel (`repro/uarch/tkernel.py`: generated per-config source,
-packed static table, ring-buffer slot allocators, inlined caches and
-predictor).  This suite locks the compiled tier against the reference
-tier **field-for-field on every TimingResult member** — cycles,
-predictor counters, cache/L2 counters, loads/stores — over:
+compiled kernel (`repro/uarch/tkernel.py`: one generated lane walk over
+a packed static table, ring-buffer slot allocators, inlined caches and
+predictor; a single config is one lane).  This suite locks the compiled
+tier, at one lane and batched, against the reference tier
+**field-for-field on every TimingResult member** — cycles, predictor
+counters, cache/L2 counters, loads/stores — over:
 
 1. hypothesis-generated programs (arithmetic, multiplies, memory
    traffic, calls, data-dependent branches) in *both* address modes
@@ -16,9 +17,10 @@ predictor counters, cache/L2 counters, loads/stores — over:
 3. non-default machine configurations (narrow widths, non-2-way and
    non-power-of-two caches, tiny predictors) that force the generic
    codegen variants,
-4. adversarial probes: forced ring growth, the missing-static-uid
-   ``KeyError`` equivalence, and mem-flagged records on non-memory
-   instructions (sparse-column cursor alignment).
+4. adversarial probes: forced ring growth (one-lane, batched and fused
+   walks), the missing-static-uid ``KeyError`` equivalence, and
+   mem-flagged records on non-memory instructions (sparse-column cursor
+   alignment).
 
 Plus direct unit tests for the pieces the kernels inline: the combined
 branch predictor (selector crossover, history wraparound), the cache
@@ -35,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asm import assemble_program
-from repro.sim import Machine, Trace
+from repro.sim import Machine, Trace, fusedc
 from repro.sim.trace import StaticInfo
 from repro.uarch import (
     Cache,
@@ -384,6 +386,9 @@ class TestMultiConfigKernel:
         batched = tkernel.run_compiled_many(rebuilt, configs)
         for lane, config in zip(batched, configs):
             assert asdict(lane) == asdict(tkernel.run_compiled(rebuilt, config))
+            # run_compiled is the same generator at one lane, so the
+            # reference walk is the independent oracle here.
+            assert asdict(lane) == asdict(OutOfOrderModel(config).run_reference(rebuilt))
 
     def test_duplicate_lanes_share_work_but_not_objects(self):
         base = MachineConfig()
@@ -394,15 +399,16 @@ class TestMultiConfigKernel:
         # not alias another.
         assert batched[0] is not batched[1]
 
-    def test_max_lanes_chunking_is_invisible(self):
-        """Chunking a shape group (including down to singleton chunks,
-        the run_compiled fallback) never changes any field."""
+    def test_lane_chunking_is_invisible(self, monkeypatch):
+        """Chunking a shape group (including down to one-lane chunks)
+        never changes any field."""
         base = MachineConfig()
         configs = [replace(base, max_in_flight=window) for window in (16, 32, 48, 64, 128)]
         trace = _machine_trace(_SMOKE_ASM)
         full = tkernel.run_compiled_many(trace, configs)
-        for max_lanes in (1, 2, 8):
-            chunked = tkernel.run_compiled_many(trace, configs, max_lanes=max_lanes)
+        for lane_cap in (1, 2, 8):
+            monkeypatch.setattr(tkernel, "MULTI_KERNEL_MAX_LANES", lane_cap)
+            chunked = tkernel.run_compiled_many(trace, configs)
             assert [asdict(result) for result in chunked] == [
                 asdict(result) for result in full
             ]
@@ -411,8 +417,8 @@ class TestMultiConfigKernel:
         assert tkernel.run_compiled_many(_machine_trace(_SMOKE_ASM), []) == []
 
     def test_missing_static_uid_raises_keyerror(self):
-        """Same contract as the single-config kernels: unknown uid is a
-        KeyError naming the uid, not a wrong-entry walk."""
+        """Same contract as run_compiled and the reference walk: unknown
+        uid is a KeyError naming the uid, not a wrong-entry walk."""
         trace = _machine_trace(_SMOKE_ASM)
         records = list(trace)
         bogus_uid = trace.static.uid_base + len(trace.static.entries) + 7
@@ -440,7 +446,7 @@ def test_suite_workload_multi_config_batch(name):
     for lane, config in zip(batched, configs):
         assert asdict(lane) == asdict(tkernel.run_compiled(trace, config))
     # Reference spot-checks: lane 0 (the shared default-geometry group)
-    # and lane 5 ("l1-16k", the singleton shape group).
+    # and lane 5 ("l1-16k", alone in its shape group: a one-lane walk).
     for index in (0, 5):
         reference = OutOfOrderModel(configs[index]).run_reference(trace)
         assert asdict(batched[index]) == asdict(reference)
@@ -464,14 +470,50 @@ class TestAdversarialProbes:
                 model.run(broken, kernel=kernel)
             assert exc.value.args[0] == bogus_uid
 
-    def test_forced_ring_growth_stays_bit_exact(self, monkeypatch):
+    @pytest.mark.parametrize("walk", ("one-lane", "batch", "fused"))
+    def test_forced_ring_growth_stays_bit_exact(self, monkeypatch, walk):
         """An 8-entry ring collides constantly; growth must preserve
-        exact equivalence with the dict allocator."""
-        trace = _machine_trace(_SMOKE_ASM)
-        reference = asdict(OutOfOrderModel().run(trace, kernel="reference"))
-        monkeypatch.setattr(tkernel, "_RING_BITS", 3)
-        monkeypatch.setattr(tkernel, "_WALK_CACHE", {})
-        assert asdict(OutOfOrderModel().run(trace, kernel="compiled")) == reference
+        exact equivalence with the dict allocator in every compiled
+        walk: the lane walk at one lane, a batch of lanes whose FU
+        counts and windows differ, and the fused tier's inline walk."""
+        grown = []
+        real_grow = tkernel._grow_ring
+
+        def counting_grow(*args):
+            grown.append(args)
+            return real_grow(*args)
+
+        # Both generators bind _grow_ring from tkernel when they compile,
+        # so each walk is rebuilt from an emptied cache.
+        monkeypatch.setattr(tkernel, "_grow_ring", counting_grow)
+        if walk == "fused":
+            monkeypatch.setattr(fusedc, "_RING_BITS", 3)
+            monkeypatch.setattr(fusedc, "_CODE_CACHE", {})
+            monkeypatch.setattr(fusedc, "_PROGRAM_CACHE", {})
+        else:
+            monkeypatch.setattr(tkernel, "_MULTI_RING_BITS", 3)
+            monkeypatch.setattr(tkernel, "_MULTI_WALK_CACHE", {})
+        # A narrow issue stage keeps the rings saturated, so the tenants
+        # a growth rehashes are probed again: losing one changes timing.
+        narrow = replace(MachineConfig(), issue_width=2, int_alus=1, lsq_ports=1)
+        configs = [narrow]
+        if walk == "batch":
+            configs += [
+                replace(narrow, int_muls=2, max_in_flight=16),
+                replace(MachineConfig(), int_alus=2, lsq_ports=2, max_in_flight=128),
+            ]
+        program = assemble_program(_SMOKE_ASM)
+        trace = Machine(program).run(collect_trace=True).trace
+        if walk == "one-lane":
+            results = [tkernel.run_compiled(trace, narrow)]
+        elif walk == "batch":
+            results = tkernel.run_compiled_many(trace, configs)
+        else:
+            run = Machine(program).run(pipeline="fused", machine_config=narrow)
+            results = [run.fused.timing]
+        assert grown, f"the {walk} walk never grew a ring"
+        for result, config in zip(results, configs, strict=True):
+            assert asdict(result) == asdict(OutOfOrderModel(config).run_reference(trace))
 
     def test_mem_flag_on_non_memory_record_keeps_cursor_aligned(self):
         """A hand-built ALU record carrying a mem address must consume
@@ -542,9 +584,17 @@ class TestKernelSelection:
         for value in ("reference", "REF", "slow", "off", "0", "none"):
             monkeypatch.setenv("REPRO_TIMING_KERNEL", value)
             assert _default_kernel() == "reference"
-        for value in ("compiled", "", "anything-else"):
+        for value in ("compiled", "COMPILED", ""):
             monkeypatch.setenv("REPRO_TIMING_KERNEL", value)
             assert _default_kernel() == "compiled"
+        # A misspelled or unknown tier must fail loudly, not silently
+        # run the compiled kernel when the oracle was asked for.
+        for value in ("anything-else", "refrence", "fast"):
+            monkeypatch.setenv("REPRO_TIMING_KERNEL", value)
+            with pytest.raises(ValueError, match="compiled"):
+                _default_kernel()
+            with pytest.raises(ValueError, match="REPRO_TIMING_KERNEL"):
+                OutOfOrderModel().run(Trace(records=[], static=StaticInfo()))
 
     def test_env_selects_kernel_end_to_end(self, monkeypatch):
         trace = _machine_trace(_SMOKE_ASM)
