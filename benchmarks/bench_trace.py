@@ -31,8 +31,8 @@ import time
 
 import pytest
 
-from repro.experiments import POLICY_NAMES, policy_for
 from repro.experiments.summary import COUNTED_KINDS, aggregate_trace
+from repro.hardware import gating
 from repro.isa import OpKind, Width, significant_bytes
 from repro.isa.opcodes import OPERATION_TYPE
 from repro.power import MultiPolicyEnergyAccountant
@@ -55,7 +55,7 @@ def trace_fixture():
     run = Machine(program).run(collect_trace=True)
     trace = run.trace
     timing = OutOfOrderModel().run(trace)
-    policies = {name: policy_for(name) for name in POLICY_NAMES}
+    policies = gating.registry()
     emission = []
     record_stream = []
     for record in trace:

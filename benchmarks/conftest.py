@@ -18,13 +18,13 @@ import pytest
 def _warm_result_store():
     """Pre-simulate the baseline configuration once for the whole session.
 
-    ``evaluate_suite`` fans cold configurations out across the engine's
+    ``map_suite`` fans cold configurations out across the engine's
     worker pool and fills the persistent store; on warm stores this is a
     handful of JSON reads.
     """
-    from repro.experiments import evaluate_suite
+    from repro.experiments import default_engine
 
-    evaluate_suite(mechanism="none")
+    default_engine().map_suite(mechanism="none")
     yield
 
 

@@ -6,9 +6,13 @@ Run with::
 """
 
 from repro.core import VRPConfig, apply_widths, run_vrp
-from repro.experiments import evaluate_program, policy_for
-from repro.ir import format_program
+from repro.experiments import SimulationOutcome
+from repro.hardware import gating
+from repro.ir import Program, format_program
 from repro.minic import compile_source
+from repro.power import EnergyAccountant
+from repro.sim import Machine
+from repro.uarch import OutOfOrderModel
 
 SOURCE = """
 char message[64];
@@ -35,6 +39,14 @@ int main() {
 """
 
 
+def simulate(program: Program, policy: str) -> SimulationOutcome:
+    """Simulate ``program`` once and account its energy under one gating policy."""
+    run = Machine(program).run(collect_trace=True)
+    timing = OutOfOrderModel().run(run.trace)
+    energy = EnergyAccountant(gating.get(policy)).account(run.trace, timing)
+    return SimulationOutcome(policy=policy, run=run, timing=timing, energy=energy)
+
+
 def main() -> None:
     # 1. Compile the mini-C program to the Alpha-like binary IR.
     program = compile_source(SOURCE)
@@ -42,7 +54,7 @@ def main() -> None:
     print(format_program(program))
 
     # 2. Baseline simulation: no operand gating.
-    baseline = evaluate_program(program, policy_for("baseline"))
+    baseline = simulate(program, "baseline")
     print(f"baseline: {baseline.timing.instructions} instructions, "
           f"{baseline.timing.cycles} cycles, energy {baseline.energy.total:.1f}")
 
@@ -53,7 +65,7 @@ def main() -> None:
           f"({result.narrowed_instructions()} narrowed) in {result.analysis_seconds * 1000:.1f} ms")
 
     # 4. Simulate again with software operand gating.
-    gated = evaluate_program(program, policy_for("software"))
+    gated = simulate(program, "software")
     print(f"with VRP: energy {gated.energy.total:.1f} "
           f"({(1 - gated.energy.total / baseline.energy.total) * 100:.1f}% saved), "
           f"output unchanged: {gated.run.output == baseline.run.output}")

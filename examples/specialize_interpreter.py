@@ -11,9 +11,21 @@ Run with::
 """
 
 from repro.core import VRSConfig, run_vrs
-from repro.experiments import evaluate_program, policy_for
+from repro.experiments import SimulationOutcome
+from repro.hardware import gating
+from repro.ir import Program
+from repro.power import EnergyAccountant
 from repro.sim import Machine
+from repro.uarch import OutOfOrderModel
 from repro.workloads import workload_by_name
+
+
+def simulate(program: Program, policy: str) -> SimulationOutcome:
+    """Simulate ``program`` once and account its energy under one gating policy."""
+    run = Machine(program).run(collect_trace=True)
+    timing = OutOfOrderModel().run(run.trace)
+    energy = EnergyAccountant(gating.get(policy)).account(run.trace, timing)
+    return SimulationOutcome(policy=policy, run=run, timing=timing, energy=energy)
 
 
 def main() -> None:
@@ -22,7 +34,7 @@ def main() -> None:
     # Reference behaviour of the untouched binary.
     baseline_program = workload.build()
     workload.apply_input(baseline_program, "ref")
-    baseline = evaluate_program(baseline_program, policy_for("baseline"))
+    baseline = simulate(baseline_program, "baseline")
     print(f"baseline: {baseline.timing.instructions} instructions, "
           f"{baseline.timing.cycles} cycles, ED2 {baseline.ed2:.3e}")
 
@@ -39,7 +51,7 @@ def main() -> None:
 
     # Evaluate the specialized binary on the *reference* input.
     workload.apply_input(program, "ref")
-    specialized = evaluate_program(program, policy_for("software"))
+    specialized = simulate(program, "software")
     assert specialized.run.output == Machine(baseline_program).run().output
     energy_saving = 1 - specialized.energy.total / baseline.energy.total
     ed2_saving = 1 - specialized.ed2 / baseline.ed2

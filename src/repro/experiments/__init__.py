@@ -20,9 +20,10 @@ error-carrying summaries/rows instead of aborted sweeps,
 and the :mod:`~repro.experiments.chaos` harness injects deterministic
 faults for testing (``REPRO_CHAOS``).
 
-The legacy free functions (``evaluate_program``, ``evaluate_workload``,
-``evaluate_suite``, ``compute_evaluation``) are deprecated shims over the
-default engine, kept for compatibility.
+A hand-built :class:`~repro.ir.Program` (no registered workload) is
+evaluated by composing the pieces directly: :class:`~repro.sim.Machine` →
+:class:`~repro.uarch.OutOfOrderModel` → :class:`~repro.power.EnergyAccountant`
+under a policy from :func:`repro.hardware.gating.get`.
 
 | Paper artefact | Function |
 |---|---|
@@ -77,17 +78,7 @@ from .resilience import (
     classify_failure,
     supervised_map,
 )
-from .runner import (
-    POLICY_NAMES,
-    SimulationOutcome,
-    WorkloadEvaluation,
-    clear_cache,
-    compute_evaluation,
-    evaluate_program,
-    evaluate_suite,
-    evaluate_workload,
-    policy_for,
-)
+from .runner import POLICY_NAMES, SimulationOutcome, WorkloadEvaluation
 from .store import FsckReport, ResultStore, StoreEntry, config_key, default_store_root
 from .summary import EvaluationSummary
 from .sweep import (
@@ -158,12 +149,6 @@ __all__ = [
     "POLICY_NAMES",
     "SimulationOutcome",
     "WorkloadEvaluation",
-    "clear_cache",
-    "compute_evaluation",
-    "evaluate_program",
-    "evaluate_suite",
-    "evaluate_workload",
-    "policy_for",
     "figure04_profiled_point_distribution",
     "figure05_static_specialized_instructions",
     "figure06_runtime_specialized_instructions",

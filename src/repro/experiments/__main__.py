@@ -66,6 +66,7 @@ import time
 
 from ..coexec.kernels import TIMING_COMPARATORS
 from ..hardware import gating
+from ..sim.fusedc import PIPELINES
 from ..workloads import SUITE_NAMES
 from .engine import ExperimentConfig, _resolve_pipeline, default_engine
 from .report import format_percent, format_table
@@ -677,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_parser.add_argument(
         "--pipeline",
-        choices=("auto", "fused", "materialized"),
+        choices=PIPELINES,
         default="auto",
         help=(
             "cold-compute path: 'fused' streams simulate->time->account without "
@@ -713,7 +714,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sweep_parser.add_argument(
         "--pipeline",
-        choices=("auto", "fused", "materialized"),
+        choices=PIPELINES,
         default="auto",
         help=(
             "cold-group path: 'fused' streams every cold trace signature, "

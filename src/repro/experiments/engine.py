@@ -17,10 +17,14 @@ The engine resolves every requested configuration through four layers:
    fallback when only one CPU is available, ``REPRO_JOBS=1`` is set, or
    pool creation fails (restricted sandboxes).
 
-Workers return plain JSON-serializable summaries; the parent persists them
-and hands out *restored* :class:`WorkloadEvaluation` objects, so parallel
-and serial evaluation are observationally equivalent for every figure and
-table of the paper.
+Every miss of the memo — in :meth:`ExperimentEngine.evaluate`, in the
+serial loop of :meth:`ExperimentEngine.map` and in a pool worker — goes
+through one resolver, :func:`_resolve_miss`, which runs layers 2 and 3
+and the live compute under the store's cross-process single-flight lock
+and publishes what it computed before releasing it.  Workers return
+plain JSON-serializable summaries and the parent hands out *restored*
+:class:`WorkloadEvaluation` objects, so parallel and serial evaluation
+are observationally equivalent for every figure and table of the paper.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 from typing import TYPE_CHECKING
 
-from ..sim.fusedc import PIPELINES, default_pipeline
+from ..sim.fusedc import _checked_pipeline, default_pipeline
 from ..uarch import MachineConfig
 from ..workloads import Workload, load_suite, workload_by_name
 from .chaos import chaos_probe
@@ -78,16 +82,21 @@ class ExperimentConfig:
 
 
 def _resolve_jobs(jobs: Optional[int]) -> int:
-    """Worker-process count: explicit argument > ``REPRO_JOBS`` > CPU count."""
+    """Worker-process count: explicit argument > ``REPRO_JOBS`` > CPU count.
+
+    A malformed ``REPRO_JOBS`` raises instead of silently using every CPU.
+    """
     if jobs is not None:
         return max(1, jobs)
     configured = os.environ.get("REPRO_JOBS", "")
-    if configured:
-        try:
-            return max(1, int(configured))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    if not configured:
+        return max(1, os.cpu_count() or 1)
+    try:
+        return max(1, int(configured))
+    except ValueError:
+        raise ValueError(
+            f"REPRO_JOBS={configured!r} is not a worker count; expected an integer"
+        ) from None
 
 
 def _resolve_pipeline(pipeline: str, store: Optional[ResultStore]) -> str:
@@ -100,28 +109,31 @@ def _resolve_pipeline(pipeline: str, store: Optional[ResultStore]) -> str:
     runs when the store's snapshot layer is enabled — and the fused
     pipeline (one streaming pass, **no trace ever built**) runs for
     summary-only evaluations (store disabled or ``REPRO_TRACE_STORE=off``).
+    Anything outside :data:`repro.sim.fusedc.PIPELINES` raises.
     """
     if pipeline == "auto":
         pipeline = default_pipeline()
     if pipeline == "auto":
-        snapshots = store is not None and store.enabled and store.trace_enabled
+        snapshots = store is not None and store.trace_enabled
         return "materialized" if snapshots else "fused"
-    if pipeline not in PIPELINES:
-        raise ValueError(
-            f"unknown pipeline {pipeline!r}; expected one of {', '.join(PIPELINES)}"
-        )
-    return pipeline
+    return _checked_pipeline(pipeline)
 
 
 def _task_timeout_s() -> Optional[float]:
-    """Per-task deadline for the pool fan-out (``REPRO_TASK_TIMEOUT_S``)."""
+    """Per-task deadline for the pool fan-out (``REPRO_TASK_TIMEOUT_S``).
+
+    Unset or ``<= 0`` means no deadline; a value that is not a number
+    raises instead of silently turning hung-worker reaping off.
+    """
     value = os.environ.get("REPRO_TASK_TIMEOUT_S", "")
     if not value:
         return None
     try:
         parsed = float(value)
     except ValueError:
-        return None
+        raise ValueError(
+            f"REPRO_TASK_TIMEOUT_S={value!r} is not a deadline; expected a number of seconds"
+        ) from None
     return parsed if parsed > 0 else None
 
 
@@ -145,81 +157,8 @@ def _failure_evaluation(
     return WorkloadEvaluation.from_summary(workload, summary)
 
 
-def _compute_summary_for(
-    config: ExperimentConfig,
-    store_root: Optional[str] = None,
-    pipeline: str = "auto",
-) -> tuple[str, dict, str]:
-    """Worker entry point: resolve one configuration, return its summary.
-
-    Returns ``(store key, JSON-ready summary dict, provenance)`` — plain
-    data, so the result crosses the process boundary cheaply.  Provenance
-    is ``"computed"`` (this worker simulated), ``"replayed"`` (rebuilt
-    from a trace snapshot, zero simulator steps) or ``"shared"`` (another
-    process held the single-flight lock for the same key and this worker
-    served its published entry).  ``summarize()`` materializes the energy
-    breakdowns of *all* gating policies from one fused trace walk
-    (:class:`~repro.power.MultiPolicyEnergyAccountant`), so the
-    restored-outcome completeness costs one accounting pass per worker,
-    not one per policy.
-
-    When the parent's store is enabled its root is passed through, and the
-    worker resolves the key under the store's cross-process single-flight
-    lock: concurrent identical evaluations — other sweeps, other service
-    replicas, other CI shards on a shared cache — collapse to one
-    simulation, with every loser reading the winner's published entry.
-    The worker publishes the summary (and snapshot) itself, *inside* the
-    flight, so waiters are released only once the entry is readable.
-
-    Workers inherit the simulator dispatch tier (``REPRO_SIM_DISPATCH``)
-    through the process environment.  The tier is deliberately **not**
-    part of any store key: all tiers produce bit-identical traces and
-    summaries (enforced by the differential tests), so results computed
-    under different tiers are interchangeable.
-    """
-    chaos_probe("worker-task")
-    workload = workload_by_name(config.workload)
-    key = config_key(
-        workload,
-        config.mechanism,
-        config.threshold_nj,
-        config.conventional_vrp,
-        config.machine_config,
-    )
-    store = ResultStore(store_root) if store_root is not None else None
-    if store is None:
-        evaluation = _compute_evaluation(
-            workload,
-            mechanism=config.mechanism,
-            threshold_nj=config.threshold_nj,
-            conventional_vrp=config.conventional_vrp,
-            machine_config=config.machine_config,
-            pipeline=_resolve_pipeline(pipeline, None),
-        )
-        return key, evaluation.summarize().to_json_dict(), "computed"
-    with store.single_flight(key) as flight:
-        if flight.summary is not None:
-            return key, flight.summary.to_json_dict(), "shared"
-        summary = _replay_from_snapshot(store, config, workload)
-        if summary is not None:
-            store.save(key, summary)
-            return key, summary.to_json_dict(), "replayed"
-        evaluation = _compute_evaluation(
-            workload,
-            mechanism=config.mechanism,
-            threshold_nj=config.threshold_nj,
-            conventional_vrp=config.conventional_vrp,
-            machine_config=config.machine_config,
-            pipeline=_resolve_pipeline(pipeline, store),
-        )
-        _save_snapshot(store, config, workload, evaluation)
-        summary = evaluation.summarize()
-        store.save(key, summary)
-        return key, summary.to_json_dict(), "computed"
-
-
 # ----------------------------------------------------------------------
-# Trace-snapshot resolution, shared by the engine and the pool workers
+# Cache-miss resolution, shared by the engine and the pool workers
 # ----------------------------------------------------------------------
 def _snapshot_key(config: ExperimentConfig, workload: Workload) -> str:
     return trace_key(
@@ -228,7 +167,7 @@ def _snapshot_key(config: ExperimentConfig, workload: Workload) -> str:
 
 
 def _replay_from_snapshot(
-    store: Optional[ResultStore], config: ExperimentConfig, workload: Workload
+    store: ResultStore, config: ExperimentConfig, workload: Workload
 ) -> Optional[EvaluationSummary]:
     """Rebuild a summary from a stored trace snapshot, or None on miss.
 
@@ -237,7 +176,7 @@ def _replay_from_snapshot(
     the simulator-side snapshot key still hits, and the evaluation is
     rebuilt without a single simulator step.
     """
-    if store is None or not store.trace_enabled:
+    if not store.trace_enabled:
         return None
     key = _snapshot_key(config, workload)
     artifact = store.load_trace(key)
@@ -269,23 +208,77 @@ def _replay_from_snapshot(
         return None
 
 
-def _save_snapshot(
-    store: Optional[ResultStore],
+def _resolve_miss(
+    store: ResultStore,
+    key: str,
     config: ExperimentConfig,
     workload: Workload,
-    evaluation: WorkloadEvaluation,
-) -> None:
-    # A fused evaluation has no trace to snapshot — its ``trace`` slot
-    # holds the streaming shape aggregate (see docs/fused.md).
-    if (
-        store is not None
-        and store.trace_enabled
-        and evaluation.trace is not None
-        and evaluation.pipeline != "fused"
-    ):
-        store.save_trace(
-            _snapshot_key(config, workload), artifact_from_evaluation(evaluation)
+    pipeline: str,
+) -> tuple[WorkloadEvaluation, str]:
+    """Resolve one memo miss under the store's single-flight lock.
+
+    Returns the evaluation and its provenance: ``"shared"`` (the entry
+    was already published, possibly by a concurrent flight this call
+    waited on), ``"replayed"`` (rebuilt from a trace snapshot, zero
+    simulator steps) or ``"computed"`` (simulated here, with ``pipeline``
+    resolved by :func:`_resolve_pipeline`).  Only a computed evaluation
+    is live.  Replays and computes publish their summary — and a
+    materialized compute its trace snapshot — *inside* the flight, so
+    waiters are released only once the entry is readable: two processes
+    (or threads) racing on the same key cost one simulation.  With the
+    store disabled the flight is an unlocked owner and every save a
+    no-op.
+    """
+    with store.single_flight(key) as flight:
+        if flight.summary is not None:
+            return WorkloadEvaluation.from_summary(workload, flight.summary), "shared"
+        summary = _replay_from_snapshot(store, config, workload)
+        if summary is not None:
+            store.save(key, summary)
+            return WorkloadEvaluation.from_summary(workload, summary), "replayed"
+        evaluation = _compute_evaluation(
+            workload,
+            mechanism=config.mechanism,
+            threshold_nj=config.threshold_nj,
+            conventional_vrp=config.conventional_vrp,
+            machine_config=config.machine_config,
+            pipeline=_resolve_pipeline(pipeline, store),
         )
+        store.save(key, evaluation.summarize())
+        # A fused evaluation has no trace to snapshot — its ``trace`` slot
+        # holds the streaming shape aggregate (see docs/fused.md).
+        if evaluation.pipeline != "fused":
+            store.save_trace(
+                _snapshot_key(config, workload), artifact_from_evaluation(evaluation)
+            )
+        return evaluation, "computed"
+
+
+def _compute_summary_for(
+    store: ResultStore, key: str, config: ExperimentConfig, pipeline: str
+) -> tuple[dict, str]:
+    """Worker entry point: resolve one configuration, return its summary.
+
+    Returns ``(JSON-ready summary dict, provenance)`` — plain data, so the
+    result crosses the process boundary cheaply; provenance is that of
+    :func:`_resolve_miss`, which publishes the summary (and snapshot) to
+    the parent's ``store`` itself, inside the single-flight lock.
+    ``summarize()`` materializes the energy breakdowns of *all* gating
+    policies from one fused trace walk
+    (:class:`~repro.power.MultiPolicyEnergyAccountant`), so the
+    restored-outcome completeness costs one accounting pass per worker,
+    not one per policy.
+
+    Workers inherit the simulator dispatch tier (``REPRO_SIM_DISPATCH``)
+    through the process environment.  The tier is deliberately **not**
+    part of any store key: all tiers produce bit-identical traces and
+    summaries (enforced by the differential tests), so results computed
+    under different tiers are interchangeable.
+    """
+    chaos_probe("worker-task")
+    workload = workload_by_name(config.workload)
+    evaluation, provenance = _resolve_miss(store, key, config, workload, pipeline)
+    return evaluation.summarize().to_json_dict(), provenance
 
 
 class ExperimentEngine:
@@ -312,20 +305,6 @@ class ExperimentEngine:
             config.conventional_vrp,
             config.machine_config,
         )
-
-    # ------------------------------------------------------------------
-    # Trace-snapshot replay (delegates to the shared module helpers so
-    # the pool workers resolve snapshots identically)
-    # ------------------------------------------------------------------
-    def _replay_summary(
-        self, config: ExperimentConfig, workload: Workload
-    ) -> Optional[EvaluationSummary]:
-        return _replay_from_snapshot(self.store, config, workload)
-
-    def _save_snapshot(
-        self, config: ExperimentConfig, workload: Workload, evaluation: WorkloadEvaluation
-    ) -> None:
-        _save_snapshot(self.store, config, workload, evaluation)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -370,48 +349,21 @@ class ExperimentEngine:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        summary = self.store.load(key)
-        if summary is not None:
-            evaluation = WorkloadEvaluation.from_summary(workload, summary)
-        else:
-            # Cold path: resolve under the store's cross-process
-            # single-flight lock, so two processes (or threads) racing on
-            # the same content key cost one simulation — the loser blocks
-            # briefly and reads the winner's published entry.
-            with self.store.single_flight(key) as flight:
-                if flight.summary is not None:
-                    evaluation = WorkloadEvaluation.from_summary(workload, flight.summary)
-                else:
-                    replayed = self._replay_summary(config, workload)
-                    if replayed is not None:
-                        self.store.save(key, replayed)
-                        evaluation = WorkloadEvaluation.from_summary(workload, replayed)
-                        evaluation.replayed_from_store = True
-                    else:
-                        try:
-                            evaluation = _compute_evaluation(
-                                workload,
-                                mechanism=config.mechanism,
-                                threshold_nj=config.threshold_nj,
-                                conventional_vrp=config.conventional_vrp,
-                                machine_config=config.machine_config,
-                                pipeline=_resolve_pipeline(pipeline, self.store),
-                            )
-                        except Exception as exc:
-                            failure = classify_failure(exc)
-                            if on_error == "raise":
-                                raise failure from exc
-                            _log.warning(
-                                "evaluate(%s/%s): keeping failure %s",
-                                config.workload,
-                                config.mechanism,
-                                failure.describe(),
-                            )
-                            return _failure_evaluation(config, workload, failure)
-                        if self.store.enabled:
-                            self.store.save(key, evaluation.summarize())
-                            self._save_snapshot(config, workload, evaluation)
-                        evaluation.freshly_computed = True
+        try:
+            evaluation, provenance = _resolve_miss(self.store, key, config, workload, pipeline)
+        except Exception as exc:
+            failure = classify_failure(exc)
+            if on_error == "raise":
+                raise failure from exc
+            _log.warning(
+                "evaluate(%s/%s): keeping failure %s",
+                config.workload,
+                config.mechanism,
+                failure.describe(),
+            )
+            return _failure_evaluation(config, workload, failure)
+        evaluation.freshly_computed = provenance == "computed"
+        evaluation.replayed_from_store = provenance == "replayed"
         self._memo[key] = evaluation
         return evaluation
 
@@ -426,12 +378,15 @@ class ExperimentEngine:
         Always builds, transforms and simulates, and always returns a
         *live* evaluation — the one entry point for callers that genuinely
         need the trace, so the pipeline defaults to ``"materialized"``
-        (the environment is not consulted).  An explicit
-        ``pipeline="fused"`` returns a live evaluation whose ``trace``
-        slot holds the streaming shape aggregate instead of a trace.
-        Nothing is memoized or persisted; use :meth:`evaluate` for
-        cached, store-backed resolution.
+        (the environment is not consulted, and ``"auto"`` means
+        materialized too).  An explicit ``pipeline="fused"`` returns a
+        live evaluation whose ``trace`` slot holds the streaming shape
+        aggregate instead of a trace; anything outside
+        :data:`repro.sim.fusedc.PIPELINES` raises.  Nothing is memoized
+        or persisted; use :meth:`evaluate` for cached, store-backed
+        resolution.
         """
+        pipeline = _checked_pipeline(pipeline)
         if workload is None:
             workload = workload_by_name(config.workload)
         return _compute_evaluation(
@@ -525,113 +480,63 @@ class ExperimentEngine:
             missing[key] = (config, workload)
             missing_indices[key] = [index]
 
-        if missing:
-            resolved_pipeline = _resolve_pipeline(pipeline, self.store)
-            order = list(missing.items())
-            delivered: set[str] = set()
+        if not missing:
+            return results  # type: ignore[return-value]
+        resolved_pipeline = _resolve_pipeline(pipeline, self.store)
+        order = list(missing.items())
+        delivered: set[str] = set()
 
-            def ready(key: str, summary: EvaluationSummary, fresh: bool, replayed: bool) -> None:
-                """Memoize + stream one resolved miss (pool or serial)."""
-                _, miss_workload = missing[key]
-                evaluation = WorkloadEvaluation.from_summary(miss_workload, summary)
-                evaluation.freshly_computed = fresh
-                evaluation.replayed_from_store = replayed
-                self._memo[key] = evaluation
-                delivered.add(key)
-                for index in missing_indices[key]:
-                    deliver(index, evaluation)
+        def ready(key: str, summary: EvaluationSummary, provenance: str) -> None:
+            """Memoize + stream one resolved miss (pool or serial)."""
+            evaluation = WorkloadEvaluation.from_summary(missing[key][1], summary)
+            evaluation.freshly_computed = provenance == "computed"
+            evaluation.replayed_from_store = provenance == "replayed"
+            self._memo[key] = evaluation
+            delivered.add(key)
+            for index in missing_indices[key]:
+                deliver(index, evaluation)
 
-            worker_count = min(_resolve_jobs(jobs) if jobs is not None else self.jobs, len(order))
-            produced = (
-                self._map_parallel(
-                    [config for _, (config, _) in order],
-                    worker_count,
-                    resolved_pipeline,
-                    on_ready=lambda position, summary, fresh, replayed: ready(
-                        order[position][0], summary, fresh, replayed
-                    ),
-                )
-                if worker_count > 1
-                else None
-            )
-            if produced is None:
-                produced = []
-                for key, (config, workload) in order:
-                    if key in delivered:
-                        # Streamed by a pool attempt that later collapsed;
-                        # the memoized result is already in place.
-                        produced.append(
-                            (key, self._memo[key].summarize(), False, False, None)
-                        )
-                        continue
-                    # A failed pool attempt may have persisted some results
-                    # before dying; serve those instead of recomputing.
-                    summary = self.store.load(key)
-                    if summary is not None:
-                        ready(key, summary, False, False)
-                        produced.append((key, summary, False, False, None))
-                        continue
-                    error: Optional[EvaluationError] = None
-                    fresh = replayed_flag = False
-                    # Same cross-process dedup as the pool workers: the
-                    # serial fallback competes for the single-flight lock
-                    # and publishes inside it.
-                    with self.store.single_flight(key) as flight:
-                        if flight.summary is not None:
-                            summary = flight.summary
-                        else:
-                            replayed = self._replay_summary(config, workload)
-                            if replayed is not None:
-                                self.store.save(key, replayed)
-                                summary, replayed_flag = replayed, True
-                            else:
-                                try:
-                                    live = _compute_evaluation(
-                                        workload,
-                                        mechanism=config.mechanism,
-                                        threshold_nj=config.threshold_nj,
-                                        conventional_vrp=config.conventional_vrp,
-                                        machine_config=config.machine_config,
-                                        pipeline=resolved_pipeline,
-                                    )
-                                except Exception as exc:
-                                    error = classify_failure(exc)
-                                else:
-                                    summary = live.summarize()
-                                    self.store.save(key, summary)
-                                    self._save_snapshot(config, workload, live)
-                                    fresh = True
-                    if error is not None:
-                        produced.append((key, None, False, False, error))
-                        continue
-                    ready(key, summary, fresh, replayed_flag)
-                    produced.append((key, summary, fresh, replayed_flag, None))
-            for (key, (config, workload)), (worker_key, summary, fresh, replayed, error) in zip(
-                order, produced
-            ):
-                if error is not None:
-                    if on_error == "raise":
-                        raise error
-                    _log.warning(
-                        "map(%s/%s): keeping failure %s",
-                        config.workload,
-                        config.mechanism,
-                        error.describe(),
-                    )
-                    evaluation = _failure_evaluation(config, workload, error)
-                    # Failed points are never memoized: a later request
-                    # must get a fresh chance at a healthy evaluation.
-                    for index in missing_indices[key]:
-                        deliver(index, evaluation)
-                    continue
+        worker_count = min(_resolve_jobs(jobs) if jobs is not None else self.jobs, len(order))
+        errors = (
+            self._map_parallel(order, worker_count, resolved_pipeline, ready)
+            if worker_count > 1
+            else None
+        )
+        if errors is None:
+            errors = {}
+            for key, (config, workload) in order:
                 if key in delivered:
-                    continue  # streamed on arrival (pool persist / serial loop)
-                evaluation = WorkloadEvaluation.from_summary(workload, summary)
-                evaluation.freshly_computed = fresh
-                evaluation.replayed_from_store = replayed
-                self._memo[worker_key] = evaluation
-                for index in missing_indices[key]:
-                    deliver(index, evaluation)
+                    # Streamed by a pool attempt that later collapsed.
+                    continue
+                try:
+                    evaluation, provenance = _resolve_miss(
+                        self.store, key, config, workload, resolved_pipeline
+                    )
+                except Exception as exc:
+                    errors[key] = classify_failure(exc)
+                    continue
+                summary = evaluation.summarize()
+                # Free a live evaluation (and its trace) before the next
+                # point builds and simulates.
+                del evaluation
+                ready(key, summary, provenance)
+        for key, (config, workload) in order:
+            error = errors.get(key)
+            if error is None:
+                continue
+            if on_error == "raise":
+                raise error
+            _log.warning(
+                "map(%s/%s): keeping failure %s",
+                config.workload,
+                config.mechanism,
+                error.describe(),
+            )
+            # Failed points are never memoized: a later request must get a
+            # fresh chance at a healthy evaluation.
+            evaluation = _failure_evaluation(config, workload, error)
+            for index in missing_indices[key]:
+                deliver(index, evaluation)
         return results  # type: ignore[return-value]
 
     def map_suite(
@@ -689,17 +594,16 @@ class ExperimentEngine:
 
     def _map_parallel(
         self,
-        configs: Sequence[ExperimentConfig],
+        order: Sequence[tuple[str, tuple[ExperimentConfig, Workload]]],
         worker_count: int,
-        pipeline: str = "auto",
-        on_ready: Optional[Callable[[int, "EvaluationSummary", bool, bool], None]] = None,
-    ) -> Optional[
-        list[tuple[str, Optional["EvaluationSummary"], bool, bool, Optional[EvaluationError]]]
-    ]:
+        pipeline: str,
+        ready: Callable[[str, EvaluationSummary, str], None],
+    ) -> Optional[dict[str, EvaluationError]]:
         """Fan the missing configurations out under supervision.
 
-        Every worker publishes its summary (and snapshot) to the store
-        *inside its single-flight lock* before returning, so an
+        Every worker resolves its point through :func:`_resolve_miss`
+        against this engine's store, publishing the summary (and
+        snapshot) *inside its single-flight lock* before returning, so an
         interrupted sweep loses at most the configurations still in
         flight — and concurrent processes racing on the same keys wait
         instead of duplicating the simulation.  Transient worker failures
@@ -709,35 +613,27 @@ class ExperimentEngine:
         serial), each logged — see
         :func:`repro.experiments.resilience.supervised_map`.
 
-        ``on_ready(position, summary, fresh, replayed)`` fires in the
-        calling thread as each result arrives (the supervisor's
-        ``on_result`` hook), letting :meth:`map` stream completions.
-
-        Returns None only when the pool infrastructure cannot be created
-        at all (restricted sandboxes); the caller's serial fallback then
-        picks up any partial progress from the store.  Permanent per-task
-        failures come back as the fifth tuple element instead of raising,
-        so ``map`` can apply its ``on_error`` semantics.
+        ``ready(key, summary, provenance)`` fires in the calling thread as
+        each result arrives (the supervisor's ``on_result`` hook), letting
+        :meth:`map` stream completions.  Returns the permanent per-task
+        failures by key (so ``map`` can apply its ``on_error``
+        semantics), or None only when the pool infrastructure cannot be
+        created at all (restricted sandboxes); the caller's serial
+        fallback then finishes the points that have not arrived.
         """
-        store_root = str(self.store.root) if self.store.enabled else None
-        tasks = [(config, store_root, pipeline) for config in configs]
-        arrived: dict[int, tuple[str, EvaluationSummary, str]] = {}
+        tasks = [(self.store, key, config, pipeline) for key, (config, _) in order]
 
-        def collect(position: int, value) -> None:
-            worker_key, summary_dict, provenance = value
-            summary = EvaluationSummary.from_json_dict(summary_dict)
-            arrived[position] = (worker_key, summary, provenance)
-            if on_ready is not None:
-                on_ready(
-                    position, summary, provenance == "computed", provenance == "replayed"
-                )
+        def collect(position: int, value: tuple[dict, str]) -> None:
+            summary_dict, provenance = value
+            ready(order[position][0], EvaluationSummary.from_json_dict(summary_dict), provenance)
 
+        task_timeout_s = _task_timeout_s()
         try:
             outcomes = supervised_map(
                 _compute_summary_for,
                 tasks,
                 worker_count,
-                task_timeout_s=_task_timeout_s(),
+                task_timeout_s=task_timeout_s,
                 retry=RetryPolicy(),
                 on_result=collect,
                 logger=_log,
@@ -751,38 +647,14 @@ class ExperimentEngine:
                 "degradation stage 'serial': evaluating %d configuration(s) in-process",
                 type(exc).__name__,
                 exc,
-                len(configs),
+                len(order),
             )
             return None
-
-        produced: list[
-            tuple[str, Optional[EvaluationSummary], bool, bool, Optional[EvaluationError]]
-        ] = []
-        for position, (config, outcome) in enumerate(zip(configs, outcomes)):
-            if outcome.ok:
-                worker_key, summary, provenance = arrived[position]
-                produced.append(
-                    (
-                        worker_key,
-                        summary,
-                        provenance == "computed",
-                        provenance == "replayed",
-                        None,
-                    )
-                )
-            else:
-                workload = workload_by_name(config.workload)
-                produced.append(
-                    (self.key_for(config, workload), None, False, False, outcome.error)
-                )
-        return produced
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def clear_memory(self) -> None:
-        """Drop the in-process memo (the on-disk store is untouched)."""
-        self._memo.clear()
+        return {
+            key: outcome.error
+            for (key, _), outcome in zip(order, outcomes)
+            if not outcome.ok
+        }
 
 
 # ----------------------------------------------------------------------
@@ -794,8 +666,8 @@ _DEFAULT_ENGINE: Optional[ExperimentEngine] = None
 def default_engine() -> ExperimentEngine:
     """The process-wide engine: the session the blessed API acts on.
 
-    The CLI, the figure/table modules and the deprecated free-function
-    shims all share this engine (and therefore its memo and store).
+    The CLI and the figure/table modules share this engine (and
+    therefore its memo and store).
     """
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:

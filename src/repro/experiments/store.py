@@ -225,8 +225,8 @@ def _code_fingerprint() -> str:
 _SIM_PACKAGES = ("asm", "core", "ir", "isa", "minic", "sim", "workloads")
 
 #: Individual analysis-layer files that nevertheless orchestrate the
-#: simulation itself (``compute_evaluation``: mechanism dispatch, input
-#: selection, transform order).  Included in the fingerprint so an edited
+#: simulation itself (``runner._compute_evaluation``: mechanism dispatch,
+#: input selection, transform order).  Included in the fingerprint so an edited
 #: pipeline can never silently replay traces produced by the old one —
 #: at the acceptable cost that unrelated edits to the same file also
 #: retire the snapshot generation.

@@ -474,7 +474,7 @@ def _compute_artifact(
     ``engine.evaluate`` would), so the next sweep over the same signature
     is a zero-simulation replay.
     """
-    from .engine import ExperimentConfig, _save_snapshot
+    from .engine import ExperimentConfig, _snapshot_key
     from .runner import _compute_evaluation, artifact_from_evaluation
 
     config = ExperimentConfig(
@@ -490,10 +490,10 @@ def _compute_artifact(
         threshold_nj=threshold_nj,
         conventional_vrp=conventional_vrp,
     )
-    if store.enabled:
-        store.save(engine.key_for(config, workload), evaluation.summarize())
-        _save_snapshot(store, config, workload, evaluation)
-    return artifact_from_evaluation(evaluation)
+    artifact = artifact_from_evaluation(evaluation)
+    store.save(engine.key_for(config, workload), evaluation.summarize())
+    store.save_trace(_snapshot_key(config, workload), artifact)
+    return artifact
 
 
 def _score_group(
@@ -581,16 +581,11 @@ def run_sweep(
     failure.  Spec errors (an unknown machine-config name) always raise —
     they are caller bugs, not runtime faults.
     """
-    from ..sim.fusedc import PIPELINES, default_pipeline
+    from ..sim.fusedc import _checked_pipeline, default_pipeline
     from .chaos import chaos_probe
     from .resilience import classify_failure
 
-    if pipeline == "auto":
-        pipeline = default_pipeline()
-    if pipeline != "auto" and pipeline not in PIPELINES:
-        raise ValueError(
-            f"unknown pipeline {pipeline!r}; expected one of {', '.join(PIPELINES)}"
-        )
+    pipeline = default_pipeline() if pipeline == "auto" else _checked_pipeline(pipeline)
     if on_error not in ("raise", "keep"):
         raise ValueError(f"unknown on_error mode {on_error!r}; expected 'raise' or 'keep'")
 

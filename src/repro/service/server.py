@@ -49,6 +49,7 @@ from ..experiments.engine import ExperimentConfig, ExperimentEngine
 from ..experiments.runner import POLICY_NAMES
 from ..experiments.store import config_key
 from ..experiments.sweep import SweepSpec, default_sweep_configs
+from ..sim.fusedc import _checked_pipeline
 from ..workloads import SUITE_NAMES, workload_by_name
 from .jobs import Job, JobQueue, new_job_id
 
@@ -75,8 +76,6 @@ _STATUS_TEXT = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
-
-_PIPELINES = ("auto", "fused", "materialized")
 
 #: Shape of a result key: a lowercase hex content hash.  Enforced at the
 #: HTTP boundary (400 before any store lookup) so a request path like
@@ -192,12 +191,10 @@ def _require_priority(payload: dict) -> int:
 
 
 def _require_pipeline(payload: dict) -> str:
-    pipeline = payload.get("pipeline", "auto")
-    if pipeline not in _PIPELINES:
-        raise ServiceError(
-            400, f"unknown pipeline {pipeline!r}; expected one of {', '.join(_PIPELINES)}"
-        )
-    return pipeline
+    try:
+        return _checked_pipeline(payload.get("pipeline", "auto"))
+    except ValueError as error:
+        raise ServiceError(400, str(error)) from None
 
 
 class EvaluationService:

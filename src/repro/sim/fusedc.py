@@ -73,27 +73,43 @@ __all__ = [
     "timing_from_probe",
 ]
 
-#: The pipeline vocabulary accepted by :meth:`Machine.run`, the
-#: experiment engine and the CLI.  ``auto`` means "fused unless something
-#: needs the records" (snapshot persistence, value observers, …).
+#: The pipeline vocabulary accepted by the experiment engine, sweeps, the
+#: CLI and the service.  ``auto`` means "fused unless something needs the
+#: records" (snapshot persistence, value observers, …).
 PIPELINES = ("auto", "fused", "materialized")
 
-_MATERIALIZED_ALIASES = frozenset({"materialized", "off", "0", "false", "no", "disabled"})
+#: ``REPRO_PIPELINE`` spellings of the materialized pipeline.
+_MATERIALIZED_ALIASES = ("materialized", "off", "0", "false", "no", "disabled")
+
+
+def _checked_pipeline(pipeline: str) -> str:
+    """``pipeline`` itself if it is in :data:`PIPELINES`, else ValueError."""
+    if pipeline not in PIPELINES:
+        raise ValueError(
+            f"unknown pipeline {pipeline!r}; expected one of {', '.join(PIPELINES)}"
+        )
+    return pipeline
 
 
 def default_pipeline() -> str:
     """Pipeline choice from ``REPRO_PIPELINE`` (``auto`` when unset).
 
-    ``fused`` forces the fused tier, ``materialized`` (or any common
-    falsy spelling) forces the trace pipeline, anything else falls back
-    to ``auto``.
+    Unset (or empty) and ``auto`` select ``auto``, ``fused`` the fused
+    tier and the :data:`_MATERIALIZED_ALIASES` the trace pipeline; any
+    other value is a misconfiguration and raises instead of silently
+    running a default.
     """
     value = os.environ.get("REPRO_PIPELINE", "").strip().lower()
+    if value in ("", "auto"):
+        return "auto"
     if value == "fused":
         return "fused"
-    if value in _MATERIALIZED_ALIASES and value:
+    if value in _MATERIALIZED_ALIASES:
         return "materialized"
-    return "auto"
+    raise ValueError(
+        f"REPRO_PIPELINE={value!r} is not a pipeline; expected one of "
+        f"{', '.join(PIPELINES)} (materialized aliases: {', '.join(_MATERIALIZED_ALIASES[1:])})"
+    )
 
 
 # ----------------------------------------------------------------------

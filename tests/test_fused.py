@@ -298,14 +298,27 @@ class TestPipelinePlumbing:
     def test_default_pipeline_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_PIPELINE", raising=False)
         assert default_pipeline() == "auto"
-        monkeypatch.setenv("REPRO_PIPELINE", "fused")
-        assert default_pipeline() == "fused"
-        monkeypatch.setenv("REPRO_PIPELINE", "materialized")
-        assert default_pipeline() == "materialized"
-        monkeypatch.setenv("REPRO_PIPELINE", "off")
-        assert default_pipeline() == "materialized"
-        monkeypatch.setenv("REPRO_PIPELINE", "bogus")
-        assert default_pipeline() == "auto"
+        accepted = {
+            "": "auto",
+            "auto": "auto",
+            "AUTO": "auto",
+            "fused": "fused",
+            " Fused ": "fused",
+            "materialized": "materialized",
+            "off": "materialized",
+            "0": "materialized",
+            "false": "materialized",
+            "no": "materialized",
+            "disabled": "materialized",
+        }
+        for value, expected in accepted.items():
+            monkeypatch.setenv("REPRO_PIPELINE", value)
+            assert default_pipeline() == expected, value
+        # A typo must fail loudly rather than silently run another pipeline.
+        for value in ("bogus", "fussed", "fuse", "materialised"):
+            monkeypatch.setenv("REPRO_PIPELINE", value)
+            with pytest.raises(ValueError, match=f"REPRO_PIPELINE='{value}'"):
+                default_pipeline()
 
     def test_resolution_auto_follows_snapshot_layer(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_PIPELINE", raising=False)
@@ -321,6 +334,19 @@ class TestPipelinePlumbing:
         assert _resolve_pipeline("fused", store) == "fused"
         with pytest.raises(ValueError):
             _resolve_pipeline("turbo", store)
+
+    def test_unknown_pipeline_is_rejected_everywhere(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
+        engine = ExperimentEngine(store=ResultStore(tmp_path), jobs=1)
+        config = ExperimentConfig(workload="li")
+        with pytest.raises(ValueError, match="unknown pipeline 'fuse'"):
+            engine.compute(config, pipeline="fuse")
+        with pytest.raises(ValueError, match="unknown pipeline 'fuse'"):
+            list(engine.sweep(SweepSpec.cartesian(workloads=["li"]), pipeline="fuse"))
+        with pytest.raises(ValueError, match="unknown pipeline 'fuse'"):
+            engine.map([config], pipeline="fuse")
+        # compute() keeps its materialized default for "auto".
+        assert engine.compute(config, pipeline="auto").pipeline == "materialized"
 
     def test_env_forces_fused_in_engine(self, tmp_path, monkeypatch):
         """REPRO_PIPELINE=fused streams even when snapshots are enabled."""

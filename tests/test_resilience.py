@@ -370,6 +370,62 @@ class TestEngineResilience:
         )
         assert not healthy.failed
 
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("", "cpus"),
+            ("1", 1),
+            ("3", 3),
+            (" 2 ", 2),
+            ("0", 1),
+            ("-4", 1),
+            ("two", ValueError),
+            ("2.5", ValueError),
+            ("4 workers", ValueError),
+        ],
+    )
+    def test_repro_jobs_accepts_integers_only(self, value, expected, tmp_path, monkeypatch):
+        from repro.experiments.engine import _resolve_jobs
+
+        monkeypatch.setenv("REPRO_JOBS", value)
+        if expected is ValueError:
+            with pytest.raises(ValueError, match=f"REPRO_JOBS={value!r}"):
+                ExperimentEngine(store=ResultStore(tmp_path / "store"))
+            # An explicit worker count never consults the environment.
+            assert _resolve_jobs(2) == 2
+            return
+        if expected == "cpus":
+            expected = max(1, os.cpu_count() or 1)
+        assert ExperimentEngine(store=ResultStore(tmp_path / "store")).jobs == expected
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("", None),
+            ("30", 30.0),
+            ("0.5", 0.5),
+            ("0", None),
+            ("-1", None),
+            ("30s", ValueError),
+            ("never", ValueError),
+            ("1 min", ValueError),
+        ],
+    )
+    def test_task_timeout_accepts_seconds_only(self, value, expected, tmp_path, monkeypatch):
+        from repro.experiments.engine import _task_timeout_s
+
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT_S", value)
+        if expected is not ValueError:
+            assert _task_timeout_s() == expected
+            return
+        with pytest.raises(ValueError, match=f"REPRO_TASK_TIMEOUT_S={value!r}"):
+            _task_timeout_s()
+        # A pool fan-out raises too, instead of degrading to serial.
+        engine = ExperimentEngine(store=ResultStore(tmp_path / "store"), jobs=2)
+        configs = [ExperimentConfig(workload="li"), ExperimentConfig(workload="ijpeg")]
+        with pytest.raises(ValueError, match="REPRO_TASK_TIMEOUT_S"):
+            engine.map(configs)
+
     def test_chaos_worker_kill_is_deterministic(self, tmp_path, monkeypatch):
         # The acceptance property: a seeded SIGKILL'd worker is retried
         # and the final summaries are bit-identical to an uninjected run.

@@ -107,6 +107,13 @@ class TestSubmitValidation:
             self._submit(service, {"kind": "sweep", "workloads": ["li"], "configs": ["nope"]})
         assert excinfo.value.status == 400
 
+    def test_unknown_pipeline_is_400(self, service):
+        for kind in ("run", "sweep"):
+            with pytest.raises(ServiceError) as excinfo:
+                self._submit(service, {"kind": kind, "workloads": ["li"], "pipeline": "fuse"})
+            assert excinfo.value.status == 400
+            assert "unknown pipeline 'fuse'" in str(excinfo.value)
+
     def test_draining_is_503(self, service):
         service.draining = True
         with pytest.raises(ServiceError) as excinfo:

@@ -310,6 +310,34 @@ class TestEngine:
         assert results[0] is results[1]
         assert len(store.entries()) == 1
 
+    def test_serial_map_frees_each_live_evaluation(self, store, monkeypatch):
+        """The serial loop drops each point's live evaluation (trace
+        included) before the next point builds, analyses and simulates,
+        so peak memory holds one trace, not two."""
+        import weakref
+
+        from repro.experiments import engine as engine_module
+
+        original = engine_module._compute_evaluation
+        computed: list[weakref.ref] = []
+        alive_at_call: list[int] = []
+
+        def tracked(*args, **kwargs):
+            alive_at_call.append(sum(ref() is not None for ref in computed))
+            evaluation = original(*args, **kwargs)
+            computed.append(weakref.ref(evaluation))
+            return evaluation
+
+        monkeypatch.setattr(engine_module, "_compute_evaluation", tracked)
+        configs = [
+            ExperimentConfig(workload="li"),
+            ExperimentConfig(workload="li", mechanism="vrp"),
+            ExperimentConfig(workload="ijpeg"),
+        ]
+        results = ExperimentEngine(store=store, jobs=1).map(configs, jobs=1)
+        assert all(evaluation.freshly_computed for evaluation in results)
+        assert alive_at_call == [0, 0, 0]
+
     def test_parallel_and_serial_summaries_are_identical(self, tmp_path):
         """Pool-computed evaluations are observationally equal to serial ones.
 
@@ -412,7 +440,7 @@ def test_cli_profile_prints_cumulative_top(capsys):
     assert "profile: workload=ijpeg" in out
     assert "dynamic instructions" in out
     assert "cumulative" in out  # pstats ordering header
-    assert "compute_evaluation" in out
+    assert "_compute_evaluation" in out
 
 
 def test_cli_profile_rejects_unknown_workload(capsys):

@@ -32,8 +32,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asm import assemble_program
-from repro.experiments import POLICY_NAMES, policy_for
+from repro.experiments import POLICY_NAMES
 from repro.experiments.summary import COUNTED_KINDS, aggregate_trace
+from repro.hardware import gating
 from repro.isa import OpKind, Width, significant_bytes
 from repro.isa.opcodes import OPERATION_TYPE
 from repro.power import MultiPolicyEnergyAccountant
@@ -239,7 +240,7 @@ def _canonical_shapes(legacy_counts):
 
 
 def _all_policies():
-    return {name: policy_for(name) for name in POLICY_NAMES}
+    return gating.registry()
 
 
 # ----------------------------------------------------------------------
@@ -535,6 +536,10 @@ class TestDenseStaticInfo:
 # ----------------------------------------------------------------------
 # Replay from the snapshot store: zero simulator calls
 # ----------------------------------------------------------------------
+#: A machine config that keys different summaries but the same snapshots.
+NARROW_FETCH = replace(MachineConfig(), fetch_width=2, issue_width=2)
+
+
 class TestSnapshotReplay:
     @pytest.fixture
     def engine_env(self, tmp_path, monkeypatch):
@@ -599,15 +604,65 @@ class TestSnapshotReplay:
         assert calls["count"] > 0
 
         calls["count"] = 0
-        modified = replace(MachineConfig(), fetch_width=2, issue_width=2)
         warm = ExperimentEngine(store=ResultStore(tmp_path), jobs=1).evaluate(
-            ExperimentConfig(workload="ijpeg", machine_config=modified)
+            ExperimentConfig(workload="ijpeg", machine_config=NARROW_FETCH)
         )
         assert calls["count"] == 0
         assert warm.replayed_from_store
         # The replayed evaluation really used the modified machine model.
         baseline = engine_env.evaluate(ExperimentConfig(workload="ijpeg"))
         assert warm.timing.cycles > baseline.timing.cycles
+
+    @pytest.fixture(scope="class")
+    def warm_snapshots(self, tmp_path_factory):
+        """A store holding li's and ijpeg's trace snapshots, plus the
+        summaries a live compute yields for both under ``NARROW_FETCH``."""
+        from repro.experiments.engine import ExperimentConfig, ExperimentEngine
+        from repro.experiments.store import ResultStore
+
+        root = tmp_path_factory.mktemp("warm-snapshots")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv("REPRO_TRACE_STORE", raising=False)
+            engine = ExperimentEngine(store=ResultStore(root), jobs=1)
+            engine.map([ExperimentConfig(workload=name) for name in ("li", "ijpeg")])
+            expected = [
+                engine.compute(ExperimentConfig(workload=name, machine_config=NARROW_FETCH))
+                .summarize()
+                .to_json_dict()
+                for name in ("li", "ijpeg")
+            ]
+        return root, expected
+
+    @pytest.mark.parametrize("caller", ["evaluate", "map-serial", "map-pool"])
+    def test_every_resolver_caller_replays(self, caller, warm_snapshots, tmp_path, monkeypatch):
+        """``evaluate``, the serial ``map`` loop and the pool workers all
+        resolve a changed machine config by replaying the stored snapshot:
+        zero simulations (counted by probe markers, since pool workers
+        simulate in child processes) and the live compute's summary."""
+        import shutil
+
+        from repro.experiments.engine import ExperimentConfig, ExperimentEngine
+        from repro.experiments.store import ResultStore
+
+        source, expected = warm_snapshots
+        root = tmp_path / "store"
+        shutil.copytree(source, root)
+        probes = tmp_path / "probes"
+        monkeypatch.setenv("REPRO_SIM_PROBE_DIR", str(probes))
+        monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
+        engine = ExperimentEngine(store=ResultStore(root), jobs=1)
+        # Two points: map() falls back to serial for a single miss.
+        configs = [
+            ExperimentConfig(workload=name, machine_config=NARROW_FETCH)
+            for name in ("li", "ijpeg")
+        ]
+        if caller == "evaluate":
+            evaluations = [engine.evaluate(config) for config in configs]
+        else:
+            evaluations = engine.map(configs, jobs=2 if caller == "map-pool" else 1)
+        assert all(evaluation.replayed_from_store for evaluation in evaluations)
+        assert not probes.exists() or not any(probes.iterdir())
+        assert [evaluation.summarize().to_json_dict() for evaluation in evaluations] == expected
 
     def test_snapshot_layer_can_be_disabled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path))
