@@ -18,7 +18,7 @@ from .energy_model import (
     alu_energy_saving_nj,
     class_energy_saving_nj,
 )
-from .propagation import FunctionAnalysis, FunctionVRP, VRPConfig
+from .propagation import FunctionAnalysis, FunctionFacts, FunctionVRP, VRPConfig
 from .refinement import BranchConstraints, compute_branch_constraints
 from .specialize import SpecializationRecord, specialize_candidate
 from .transfer import forward_transfer
@@ -49,6 +49,7 @@ __all__ = [
     "VRSResult",
     "run_vrs",
     "FunctionAnalysis",
+    "FunctionFacts",
     "FunctionVRP",
     "VRPConfig",
     "forward_transfer",

@@ -1,14 +1,32 @@
 """Per-function value range propagation engine (§2.2).
 
-The engine alternates forward sweeps over the data-dependence graph until
+The engine sweeps the function's instructions in reverse postorder until
 the ranges stabilise (or an iteration budget is reached, in which case the
-still-changing definitions are conservatively widened).  It integrates:
+still-changing definitions are conservatively widened).  A sweep visits
+only *marked* instructions: every instruction in the first pass, and after
+that the readers of a definition whose range changed and the instructions
+whose loop-iterator pin changed.  A reader placed after the changed
+definition is visited later in the same pass and one placed before it (over
+a loop back edge) in the next pass, which is exactly when the dense
+Gauss-Seidel sweep that visits everything would first see the new value.
+An unmarked instruction still has the inputs it was last visited with, so
+visiting it could change nothing: the pass count, each pass's ``changed``
+flag and every widened range are those of the dense sweep.  The order is
+kept, rather than replaced by an SCCP-style worklist, because a function
+that hits the iteration cap widens whatever is still in flux, and which
+definitions those are depends on the order.
+
+It integrates:
 
 * the forward transfer functions (:mod:`repro.core.transfer`),
 * branch-condition refinement (:mod:`repro.core.refinement`),
 * loop trip-count pinning (:mod:`repro.core.trip_count`),
 * the backward useful-bits pass (:mod:`repro.core.useful`), and
 * interprocedural parameter / return-value ranges supplied by the driver.
+
+None of the graph, loop, constraint or useful-bits facts depends on a
+range; :class:`FunctionFacts` holds them so :func:`repro.core.vrp.run_vrp`
+computes them once per function and reuses them in every global round.
 """
 
 from __future__ import annotations
@@ -21,6 +39,7 @@ from ..ir import (
     Definition,
     DependenceGraph,
     Function,
+    Loop,
     Program,
     build_dependence_graph,
     compute_dominators,
@@ -33,7 +52,7 @@ from .trip_count import LoopPins, analyze_loop_iterators
 from .useful import UsefulBitsConfig, compute_useful_bits
 from .value_range import FULL_RANGE, ValueRange
 
-__all__ = ["VRPConfig", "FunctionAnalysis", "FunctionVRP"]
+__all__ = ["VRPConfig", "FunctionAnalysis", "FunctionFacts", "FunctionVRP"]
 
 
 @dataclass(frozen=True)
@@ -99,37 +118,87 @@ class FunctionAnalysis:
         return bits if bits > 0 else 64
 
 
+@dataclass
+class FunctionFacts:
+    """What the engine needs about one function before any range is known."""
+
+    function: Function
+    config: VRPConfig
+    graph: DependenceGraph
+    loops: list[Loop]
+    constraints: Optional[BranchConstraints]
+    #: (instruction, block label, registers it reads) in reverse postorder.
+    visits: list[tuple[Instruction, str, tuple[Reg, ...]]]
+    #: Instruction uid -> its position in ``visits``.
+    positions: dict[int, int]
+    #: Instruction definition -> positions in ``visits`` of its readers.
+    readers: dict[Definition, tuple[int, ...]]
+    useful_bits: dict[Definition, int]
+
+    @classmethod
+    def build(cls, function: Function, program: Program, config: VRPConfig) -> "FunctionFacts":
+        graph = build_dependence_graph(function, program)
+        dom = compute_dominators(function)
+        constraints = None
+        if config.branch_refinement:
+            constraints = compute_branch_constraints(function, dom, graph)
+        reads: dict[int, list[Reg]] = {}
+        for uid, reg in graph.use_def:
+            reads.setdefault(uid, []).append(reg)
+        visits = [
+            (inst, label, tuple(reads.get(inst.uid, ())))
+            for label in reverse_postorder(function)
+            for inst in function.blocks[label].instructions
+        ]
+        positions = {inst.uid: position for position, (inst, _, _) in enumerate(visits)}
+        readers = {
+            definition: tuple(positions[uid] for uid, _ in uses if uid in positions)
+            for definition, uses in graph.def_use.items()
+            if definition.kind == "inst"
+        }
+        useful: dict[Definition, int] = {}
+        if config.useful_propagation:
+            useful = compute_useful_bits(
+                function,
+                graph,
+                UsefulBitsConfig(through_arithmetic=config.useful_through_arithmetic),
+            )
+        return cls(
+            function=function,
+            config=config,
+            graph=graph,
+            loops=find_loops(function, dom),
+            constraints=constraints,
+            visits=visits,
+            positions=positions,
+            readers=readers,
+            useful_bits=useful,
+        )
+
+
 class FunctionVRP:
     """Runs value range propagation over a single function."""
 
     def __init__(
         self,
-        function: Function,
-        program: Program,
-        config: VRPConfig,
+        facts: FunctionFacts,
         param_ranges: Optional[dict[Reg, ValueRange]] = None,
         return_ranges: Optional[dict[str, ValueRange]] = None,
     ) -> None:
-        self.function = function
-        self.program = program
-        self.config = config
+        self.facts = facts
+        self.function = facts.function
+        self.config = facts.config
+        self.graph = facts.graph
+        self.constraints = facts.constraints
         self.param_ranges = dict(param_ranges or {})
         self.return_ranges = dict(return_ranges or {})
-
-        self.graph = build_dependence_graph(function, program)
-        self.dom = compute_dominators(function)
-        self.loops = find_loops(function, self.dom)
-        self.constraints: Optional[BranchConstraints] = None
-        if config.branch_refinement:
-            self.constraints = compute_branch_constraints(function, self.dom, self.graph)
 
         self._def_range: dict[Definition, ValueRange] = {}
         self._use_range: dict[tuple[int, Reg], ValueRange] = {}
         self._pins = LoopPins()
-        self._order = reverse_postorder(function)
-        self._uses_by_inst: dict[int, list[Reg]] = {}
-        for (uid, reg) in self.graph.use_def:
-            self._uses_by_inst.setdefault(uid, []).append(reg)
+        #: One flag per position of ``facts.visits``: visit it when the
+        #: sweep reaches it.  The first pass visits everything.
+        self._marked = bytearray(b"\x01") * len(facts.visits)
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -148,24 +217,15 @@ class FunctionVRP:
                 if not self._forward_pass(widen=True):
                     break
 
-        useful = {}
-        if self.config.useful_propagation:
-            useful = compute_useful_bits(
-                self.function,
-                self.graph,
-                UsefulBitsConfig(through_arithmetic=self.config.useful_through_arithmetic),
-            )
-
-        analysis = FunctionAnalysis(
+        return FunctionAnalysis(
             function=self.function,
             graph=self.graph,
             def_range=self._def_range,
             use_range=self._use_range,
-            useful_bits=useful,
+            useful_bits=self.facts.useful_bits,
             return_range=self._return_range(),
             pins=self._pins,
         )
-        return analysis
 
     # ------------------------------------------------------------------
     # Seeding
@@ -195,22 +255,41 @@ class FunctionVRP:
     # Forward sweeps
     # ------------------------------------------------------------------
     def _forward_pass(self, widen: bool) -> bool:
-        changed = False
+        """Visit the marked instructions in order; True if any range changed."""
         if self.config.loop_trip_count:
-            self._pins = analyze_loop_iterators(
-                self.function, self.loops, self.graph, self._def_range.get
+            pins = analyze_loop_iterators(
+                self.function, self.facts.loops, self.graph, self._def_range.get
             )
-        for label in self._order:
-            block = self.function.blocks[label]
-            for inst in block.instructions:
-                changed |= self._visit(inst, label, widen)
+            self._mark_repinned(pins)
+            self._pins = pins
+        changed = False
+        visits = self.facts.visits
+        marked = self._marked
+        position = marked.find(1)
+        while position >= 0:
+            marked[position] = 0
+            inst, label, reads = visits[position]
+            changed |= self._visit(inst, label, reads, widen)
+            position = marked.find(1, position + 1)
         return changed
 
-    def _visit(self, inst: Instruction, block_label: str, widen: bool) -> bool:
+    def _mark_repinned(self, pins: LoopPins) -> None:
+        """Mark the instructions whose loop pins differ from the last pass's."""
+        old = self._pins
+        uids = {uid for uid, _ in old.def_ranges.items() ^ pins.def_ranges.items()}
+        uids.update(uid for (uid, _), _ in old.use_ranges.items() ^ pins.use_ranges.items())
+        for uid in uids:
+            position = self.facts.positions.get(uid)
+            if position is not None:
+                self._marked[position] = 1
+
+    def _visit(
+        self, inst: Instruction, block_label: str, reads: tuple[Reg, ...], widen: bool
+    ) -> bool:
         changed = False
         # 1. Ranges of every register this instruction reads.
         reg_ranges: dict[Reg, ValueRange] = {}
-        for reg in self._uses_by_inst.get(inst.uid, ()):
+        for reg in reads:
             value = self._join_reaching(inst, reg)
             if value is None:
                 continue
@@ -243,6 +322,8 @@ class FunctionVRP:
             result = self._worst_case(inst)
         if previous != result:
             self._def_range[definition] = result
+            for reader in self.facts.readers.get(definition, ()):
+                self._marked[reader] = 1
             return True
         return changed
 

@@ -122,7 +122,8 @@ def _branch_constraints(
             return [(sources[0], ValueRange.constant(0))]
         return []
     if condition_def.kind.value == "compare":
-        derived = _derive(_substitute_constants(graph, condition_def), predicate_holds)
+        operands = _constant_operands(graph, condition_def)
+        derived = _derive(condition_def.op, operands, predicate_holds)
         return [derived] if derived is not None else []
     if condition_def.op is Opcode.AND and predicate_holds:
         results: list[tuple[Reg, ValueRange]] = []
@@ -130,7 +131,7 @@ def _branch_constraints(
             compare = _single_def(graph, condition_def, operand)
             if compare is None or compare.kind.value != "compare":
                 return []
-            derived = _derive(_substitute_constants(graph, compare), True)
+            derived = _derive(compare.op, _constant_operands(graph, compare), True)
             if derived is not None:
                 results.append(derived)
         return results
@@ -147,15 +148,16 @@ def _single_def(graph: DependenceGraph, inst: Instruction, reg: Reg) -> Instruct
     return graph.definition_instruction(next(iter(defs)))
 
 
-def _substitute_constants(graph: DependenceGraph, compare: Instruction) -> Instruction:
-    """Fold constant-register operands of a comparison into immediates.
+def _constant_operands(graph: DependenceGraph, compare: Instruction) -> tuple:
+    """The operands of a comparison, constant registers folded into immediates.
 
     The code generator materialises the constant of swapped comparisons
     (``a > 5`` becomes ``li t, 5; cmplt t2, t, a``), so constraint derivation
-    must look through such ``li`` definitions to see the constant.
+    must look through such ``li`` definitions to see the constant.  Only the
+    operands are rewritten; no instruction is built, so the analysis draws
+    no uids.
     """
-    new_srcs = []
-    changed = False
+    operands = []
     for operand in compare.srcs:
         if isinstance(operand, Reg) and not operand.is_zero:
             producer = _single_def(graph, compare, operand)
@@ -164,26 +166,22 @@ def _substitute_constants(graph: DependenceGraph, compare: Instruction) -> Instr
                 and producer.op is Opcode.LI
                 and isinstance(producer.srcs[0], Imm)
             ):
-                new_srcs.append(producer.srcs[0])
-                changed = True
+                operands.append(producer.srcs[0])
                 continue
         if isinstance(operand, Reg) and operand.is_zero:
-            new_srcs.append(Imm(0))
-            changed = True
+            operands.append(Imm(0))
             continue
-        new_srcs.append(operand)
-    if not changed:
-        return compare
-    return Instruction(op=compare.op, dest=compare.dest, srcs=tuple(new_srcs), width=compare.width)
+        operands.append(operand)
+    return tuple(operands)
 
 
-def _derive(compare: Instruction, predicate_holds: bool) -> tuple[Reg, ValueRange] | None:
+def _derive(op: Opcode, operands: tuple, predicate_holds: bool) -> tuple[Reg, ValueRange] | None:
     """Derive a (register, range) constraint from a comparison outcome."""
-    left, right = compare.srcs
+    left, right = operands
     if isinstance(left, Reg) and isinstance(right, Imm):
-        return _constrain(compare.op, left, right.value, register_on_left=True, holds=predicate_holds)
+        return _constrain(op, left, right.value, register_on_left=True, holds=predicate_holds)
     if isinstance(left, Imm) and isinstance(right, Reg):
-        return _constrain(compare.op, right, left.value, register_on_left=False, holds=predicate_holds)
+        return _constrain(op, right, left.value, register_on_left=False, holds=predicate_holds)
     return None
 
 

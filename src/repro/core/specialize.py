@@ -56,15 +56,6 @@ class SpecializationRecord:
     fold_stats: FoldStats = field(default_factory=FoldStats)
 
 
-_counter = 0
-
-
-def _next_id() -> int:
-    global _counter
-    _counter += 1
-    return _counter
-
-
 def specialize_candidate(
     function: Function,
     candidate_uid: int,
@@ -85,7 +76,7 @@ def specialize_candidate(
     if candidate.dest is None or candidate.dest.is_zero or candidate.is_control:
         return None
 
-    spec_id = _next_id()
+    spec_id = _free_spec_id(function)
     tail_label = _split_block(function, block, index, spec_id)
     if tail_label is None:
         return None
@@ -123,6 +114,18 @@ def specialize_candidate(
 # ----------------------------------------------------------------------
 # Block surgery
 # ----------------------------------------------------------------------
+def _free_spec_id(function: Function) -> int:
+    """The lowest N for which no block of ``function`` is labelled ``spec<N>_…``.
+
+    Numbering from the function's own labels, not from a process-wide
+    counter, gives every rebuild of a program the same clone labels.
+    """
+    spec_id = 1
+    while any(label.startswith(f"spec{spec_id}_") for label in function.blocks):
+        spec_id += 1
+    return spec_id
+
+
 def _split_block(function: Function, block: BasicBlock, index: int, spec_id: int) -> Optional[str]:
     """Split ``block`` after position ``index``; return the tail block label."""
     tail_instructions = block.instructions[index + 1 :]

@@ -6,6 +6,13 @@ callees to callers and argument ranges flow from call sites to callee
 parameters (§2.4, interprocedural analysis).  The result maps every
 instruction to its assigned operand width; :func:`apply_widths` re-encodes
 the program in place.
+
+A round changes only the parameter and return ranges the functions see,
+never the program, so each function's range-independent facts are built
+once per run and shared by every round (:class:`FunctionFacts`): its
+dependence graph, dominator tree, loops and branch constraints, its
+instruction visit order with the readers of every definition, and its
+useful bits.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Optional
 
 from ..isa import ARG_REGISTERS, Reg, Width
 from ..ir import Program, build_call_graph
-from .propagation import FunctionAnalysis, FunctionVRP, VRPConfig
+from .propagation import FunctionAnalysis, FunctionFacts, FunctionVRP, VRPConfig
 from .value_range import FULL_RANGE, ValueRange
 from .width_assignment import assign_function_widths
 
@@ -76,6 +83,9 @@ def run_vrp(program: Program, config: Optional[VRPConfig] = None) -> VRPResult:
     result = VRPResult(program=program, config=config)
     result.original_widths = {inst.uid: inst.width for inst in program.instructions()}
 
+    facts = {
+        name: FunctionFacts.build(program.functions[name], program, config) for name in order
+    }
     param_ranges: dict[str, dict[Reg, ValueRange]] = {name: {} for name in order}
     return_ranges: dict[str, ValueRange] = {}
 
@@ -84,11 +94,8 @@ def run_vrp(program: Program, config: Optional[VRPConfig] = None) -> VRPResult:
         result.global_rounds = round_index + 1
         observed_args: dict[str, dict[Reg, ValueRange]] = {name: {} for name in order}
         for name in order:
-            function = program.functions[name]
             engine = FunctionVRP(
-                function,
-                program,
-                config,
+                facts[name],
                 param_ranges=param_ranges.get(name, {}),
                 return_ranges=return_ranges,
             )

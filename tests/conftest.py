@@ -18,6 +18,15 @@ from __future__ import annotations
 import pytest
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden",
+        action="store_true",
+        default=False,
+        help="rewrite the files under tests/golden/ from the current code",
+    )
+
+
 @pytest.fixture
 def assert_tiers_agree():
     """Fail with a first-divergence report if two simulator tiers disagree.

@@ -1,9 +1,13 @@
 """Tests for value range propagation: ranges, loops, useful bits, widths."""
 
+import pytest
+
 from repro.core import VRPConfig, apply_widths, run_vrp
 from repro.isa import Opcode, Width
+from repro.isa.instruction import _UID_COUNTER
 from repro.minic import compile_source
 from repro.sim import Machine
+from repro.workloads import SUITE_NAMES, workload_by_name
 
 
 def _analyse(source: str, config: VRPConfig | None = None):
@@ -164,3 +168,15 @@ class TestWidthAssignmentAndCorrectness:
         assert result.narrowed_instructions() > 0
         distribution = result.static_width_distribution()
         assert sum(distribution.values()) == len(result.widths)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_run_vrp_draws_no_uids(name):
+    """The analysis creates no instructions, so it leaves the uid counter
+    alone: the uids of later builds and VRS clones do not depend on how
+    often branch constraints were derived."""
+    program = workload_by_name(name).build()
+    for config in (VRPConfig(), VRPConfig().conventional()):
+        start = next(_UID_COUNTER)
+        run_vrp(program, config)
+        assert next(_UID_COUNTER) == start + 1

@@ -19,7 +19,7 @@ from repro.core import (
 from repro.ir import IRBuilder, Program, validate_function
 from repro.isa import Instruction, Opcode, Reg, Width
 from repro.minic import compile_source
-from repro.sim import Machine, ValueProfiler, ValueTable
+from repro.sim import Machine, ValueProfiler, ValueTable, fusedc
 from repro.workloads import SUITE_NAMES, workload_by_name
 
 
@@ -243,3 +243,27 @@ def test_candidate_value_profiles_match_reference_tier(name):
         }
     assert tables["block"] == tables["reference"]
     assert tables["block"]
+
+
+def test_vrs_clone_labels_repeat_across_rebuilds(monkeypatch):
+    """Two builds of li through VRS lay out the same blocks under the same
+    labels, so the second machine is served the first one's fused program
+    from the cache instead of compiling its own."""
+    workload = workload_by_name("li")
+    layouts, machines = [], []
+    for _ in range(2):
+        program = workload.build()
+        workload.apply_input(program, "train")
+        assert run_vrs(program, VRSConfig()).records
+        workload.apply_input(program, "ref")
+        layouts.append({name: function.layout() for name, function in program.functions.items()})
+        machines.append(Machine(program))
+    assert layouts[0] == layouts[1]
+
+    first = fusedc.fused_program_for(machines[0])
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compile_fused called for an identical rebuild")
+
+    monkeypatch.setattr(fusedc, "compile_fused", no_compile)
+    assert fusedc.fused_program_for(machines[1]) is first
