@@ -38,11 +38,10 @@ from repro.experiments.runner import (
     artifact_from_evaluation,
     replay_summary,
 )
-from repro.experiments.sweep import _sweep_timings
 from repro.hardware import gating
 from repro.power import MultiPolicyEnergyAccountant
 from repro.sim.snapshot import decode_artifact, encode_artifact
-from repro.uarch import MachineConfig, OutOfOrderModel
+from repro.uarch import MachineConfig, OutOfOrderModel, run_compiled_many
 from repro.workloads import workload_by_name
 
 #: Suite workloads the per-point costs are measured on.
@@ -98,7 +97,7 @@ def _batched_cells(blob, configs):
     timing pass, one branched accounting walk."""
     artifact = decode_artifact(blob)
     trace = artifact.trace
-    timings = _sweep_timings(trace, configs)
+    timings = run_compiled_many(trace, configs)
     accountant = MultiPolicyEnergyAccountant(
         {policy: gating.get(policy) for policy in POLICY_NAMES}
     )
@@ -185,10 +184,8 @@ def test_batched_sweep_per_point_speedup(benchmark, snapshots):
     # multi-config walk vs N single-config compiled walks, warm trace.
     workload, blob = next(iter(prepared.values()))
     trace = decode_artifact(blob).trace
-    batch_s = _timed(_sweep_timings, trace, configs)
-    singles_s = _timed(
-        lambda: [OutOfOrderModel(config).run(trace, kernel="compiled") for config in configs]
-    )
+    batch_s = _timed(run_compiled_many, trace, configs)
+    singles_s = _timed(lambda: [OutOfOrderModel(config).run(trace) for config in configs])
     benchmark.extra_info["kernel_batch_ratio"] = round(singles_s / batch_s, 2)
 
     assert ratio >= _BATCH_VS_SEQUENTIAL_BAR, (

@@ -40,6 +40,10 @@ _COMPILED_VS_REFERENCE_BAR = 2.0
 #: The design target recorded for trend tracking.
 _SPEEDUP_TARGET = 3.0
 
+#: Each kernel's entry point: the compiled kernel is
+#: ``OutOfOrderModel.run``, the reference walk its oracle ``run_reference``.
+_KERNELS = {"reference": OutOfOrderModel.run_reference, "compiled": OutOfOrderModel.run}
+
 
 @pytest.fixture(scope="module")
 def traces():
@@ -53,10 +57,7 @@ def traces():
         trace = Machine(program).run(collect_trace=True).trace
         # Warm the caches (address column, packed table, compiled walk)
         # and verify the tiers agree outside the timed region.
-        results = {
-            kernel: model.run(trace, kernel=kernel)
-            for kernel in ("reference", "compiled")
-        }
+        results = {kernel: run(model, trace) for kernel, run in _KERNELS.items()}
         assert asdict(results["compiled"]) == asdict(results["reference"]), name
         prepared[name] = trace
     return prepared
@@ -71,7 +72,7 @@ def _time_kernel(prepared, kernel: str) -> dict[str, float]:
         gc.disable()
         try:
             start = time.perf_counter()
-            model.run(trace, kernel=kernel)
+            _KERNELS[kernel](model, trace)
             seconds[name] = time.perf_counter() - start
         finally:
             gc.enable()
@@ -81,10 +82,7 @@ def _time_kernel(prepared, kernel: str) -> dict[str, float]:
 def _measure(prepared, rounds: int = 5) -> dict[str, dict[str, float]]:
     """Interleaved best-of-``rounds`` seconds per (kernel, workload), so
     one background hiccup cannot skew a single side."""
-    best = {
-        kernel: {name: float("inf") for name in prepared}
-        for kernel in ("reference", "compiled")
-    }
+    best = {kernel: {name: float("inf") for name in prepared} for kernel in _KERNELS}
     for _ in range(rounds):
         for kernel, per_workload in best.items():
             for name, seconds in _time_kernel(prepared, kernel).items():

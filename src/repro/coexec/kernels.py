@@ -268,7 +268,7 @@ def compare_fused(
     oracle_timing = run_compiled(trace, config)
 
     probes: list[tuple] = []
-    fused_run = machine._run_fused(config, None, "block", probe_sink=probes)
+    fused_run = machine._run_fused(config, None, probe_sink=probes)
     fused = fused_run.fused
 
     names = ("materialized", "fused")

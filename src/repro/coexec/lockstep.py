@@ -37,16 +37,15 @@ from typing import Optional
 
 from ..ir import Program
 from ..sim.blockc import BlockProgram
-from ..sim.machine import (
-    DISPATCH_TIERS,
-    Machine,
-    SimulationError,
-    SimulationLimitExceeded,
-)
+from ..sim.machine import Machine, SimulationError, SimulationLimitExceeded
 from ..sim.trace import FLAG_MEM, FLAG_RESULT, Trace, _SRC_SHIFT
 from .inject import Fault, compile_faulty_block_program, resolve_fault_uid
 
-__all__ = ["Divergence", "Lockstep", "first_divergence"]
+__all__ = ["DISPATCH_TIERS", "Divergence", "Lockstep", "first_divergence"]
+
+#: The simulator tiers lockstep can pit against each other: the block
+#: tier of :meth:`Machine.run` and the loop of :meth:`Machine.run_reference`.
+DISPATCH_TIERS = ("block", "reference")
 
 #: TraceRecord fields, in the order they appear in the named tuple.
 _RECORD_FIELDS = (
@@ -272,7 +271,7 @@ class Lockstep:
 
     Args:
         program: the program to run (both tiers share its static form).
-        tiers: an ordered pair from :data:`~repro.sim.machine.DISPATCH_TIERS`;
+        tiers: an ordered pair from :data:`DISPATCH_TIERS`;
             the first tier is reported as *expected*, the second as
             *actual*.  The same tier may appear twice (useful with a
             seeded fault).

@@ -11,7 +11,7 @@ Usage::
                                       [--threshold NJ] [--conventional-vrp]
                                       [--pipeline auto|fused|materialized] [--json]
     python -m repro.experiments profile [--workload NAME] [--mechanism M]
-                                        [--dispatch TIER] [--top N]
+                                        [--top N]
     python -m repro.experiments diverge [--workload NAME | --program FILE]
                                         [--tiers A B] [--mode sim|timing|energy]
                                         [--kernels A B] [--inject SPEC|auto]
@@ -54,6 +54,10 @@ account pipeline under ``cProfile`` (bypassing every cache layer) and
 prints the top-N functions by cumulative time — the standard
 before/after evidence for performance work.  ``ls`` and ``clear``
 inspect and empty the content-addressed result store.
+
+Every subcommand first validates the ``REPRO_*`` environment
+(:func:`repro.settings.check`): a malformed value or an undeclared name
+exits 2 with the variable named on stderr.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ import logging
 import sys
 import time
 
+from .. import settings
 from ..coexec.kernels import TIMING_COMPARATORS
 from ..hardware import gating
 from ..sim.fusedc import PIPELINES
@@ -335,52 +340,36 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """cProfile one workload's cold evaluation pipeline (no cache layers)."""
     import cProfile
     import io
-    import os
     import pstats
 
-    from ..sim.machine import _default_dispatch
     from ..workloads import workload_by_name
 
     status = _check_workloads([args.workload])
     if status:
         return status
-    previous_dispatch = os.environ.get("REPRO_SIM_DISPATCH")
-    if args.dispatch is not None:
-        os.environ["REPRO_SIM_DISPATCH"] = args.dispatch
-    # Resolve through the machine's own vocabulary so the printed label
-    # matches the tier that actually ran (e.g. "off" means reference).
-    dispatch = _default_dispatch()
-
     workload = workload_by_name(args.workload)
     engine = default_engine()
     profiler = cProfile.Profile()
     start = time.perf_counter()
-    try:
-        profiler.enable()
-        evaluation = engine.compute(
-            ExperimentConfig(
-                workload=args.workload,
-                mechanism=args.mechanism,
-                threshold_nj=args.threshold,
-                conventional_vrp=args.conventional_vrp,
-            ),
-            workload=workload,
-        )
-        evaluation.summarize()
-        profiler.disable()
-    finally:
-        if args.dispatch is not None:
-            if previous_dispatch is None:
-                os.environ.pop("REPRO_SIM_DISPATCH", None)
-            else:
-                os.environ["REPRO_SIM_DISPATCH"] = previous_dispatch
+    profiler.enable()
+    evaluation = engine.compute(
+        ExperimentConfig(
+            workload=args.workload,
+            mechanism=args.mechanism,
+            threshold_nj=args.threshold,
+            conventional_vrp=args.conventional_vrp,
+        ),
+        workload=workload,
+    )
+    evaluation.summarize()
+    profiler.disable()
     elapsed = time.perf_counter() - start
 
     stream = io.StringIO()
     pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(args.top)
     print(
         f"profile: workload={args.workload} mechanism={args.mechanism} "
-        f"dispatch={dispatch} ({elapsed:.2f}s, "
+        f"({elapsed:.2f}s, "
         f"{evaluation.total_dynamic_instructions} dynamic instructions)"
     )
     print(stream.getvalue().rstrip())
@@ -735,12 +724,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_config_arguments(profile_parser, repeatable_workload=False)
     profile_parser.add_argument(
-        "--dispatch",
-        choices=("block", "reference"),
-        default=None,
-        help="simulator dispatch tier (sets REPRO_SIM_DISPATCH; default: environment)",
-    )
-    profile_parser.add_argument(
         "--top",
         type=int,
         default=25,
@@ -877,6 +860,11 @@ def main(argv: list[str] | None = None) -> int:
     serve_parser.set_defaults(func=_cmd_serve)
 
     args = parser.parse_args(argv)
+    try:
+        settings.check()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -46,6 +46,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from .. import settings
+
 __all__ = [
     "ChaosConfig",
     "ChaosInjectedError",
@@ -224,12 +226,12 @@ def active_chaos() -> Optional[ChaosConfig]:
     module state; firing state is preserved while the spec is stable.
     """
     global _ACTIVE, _ACTIVE_SPEC
-    spec = os.environ.get("REPRO_CHAOS", "")
-    if not spec:
+    spec = settings.get("REPRO_CHAOS")
+    if spec is None:
         _ACTIVE = _ACTIVE_SPEC = None
         return None
     if spec != _ACTIVE_SPEC:
-        _ACTIVE = parse_chaos_spec(spec, state_dir=os.environ.get("REPRO_CHAOS_STATE") or None)
+        _ACTIVE = parse_chaos_spec(spec, state_dir=settings.get("REPRO_CHAOS_STATE"))
         _ACTIVE_SPEC = spec
     return _ACTIVE
 

@@ -36,7 +36,8 @@ from typing import Callable, Optional, Sequence
 
 from typing import TYPE_CHECKING
 
-from ..sim.fusedc import _checked_pipeline, default_pipeline
+from .. import settings
+from ..sim.fusedc import _checked_pipeline
 from ..uarch import MachineConfig
 from ..workloads import Workload, load_suite, workload_by_name
 from .chaos import chaos_probe
@@ -82,59 +83,29 @@ class ExperimentConfig:
 
 
 def _resolve_jobs(jobs: Optional[int]) -> int:
-    """Worker-process count: explicit argument > ``REPRO_JOBS`` > CPU count.
-
-    A malformed ``REPRO_JOBS`` raises instead of silently using every CPU.
-    """
-    if jobs is not None:
-        return max(1, jobs)
-    configured = os.environ.get("REPRO_JOBS", "")
-    if not configured:
-        return max(1, os.cpu_count() or 1)
-    try:
-        return max(1, int(configured))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_JOBS={configured!r} is not a worker count; expected an integer"
-        ) from None
+    """Worker-process count: explicit argument > ``REPRO_JOBS`` > CPU count."""
+    if jobs is None:
+        jobs = settings.get("REPRO_JOBS")
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    return max(1, jobs)
 
 
 def _resolve_pipeline(pipeline: str, store: Optional[ResultStore]) -> str:
     """Resolve a pipeline request to ``"fused"`` or ``"materialized"``.
 
-    Explicit requests win; ``"auto"`` consults ``REPRO_PIPELINE`` (via
-    :func:`repro.sim.fusedc.default_pipeline`) and, when that is also
-    ``auto``, picks by what the evaluation needs: trace snapshots can only
-    be persisted from a materialized trace, so the materialized pipeline
-    runs when the store's snapshot layer is enabled — and the fused
-    pipeline (one streaming pass, **no trace ever built**) runs for
-    summary-only evaluations (store disabled or ``REPRO_TRACE_STORE=off``).
-    Anything outside :data:`repro.sim.fusedc.PIPELINES` raises.
+    Explicit requests win; ``"auto"`` picks by what the evaluation needs:
+    trace snapshots can only be persisted from a materialized trace, so
+    the materialized pipeline runs when the store's snapshot layer is
+    enabled — and the fused pipeline (one streaming pass, **no trace ever
+    built**) runs for summary-only evaluations (store disabled or
+    ``REPRO_TRACE_STORE=off``).  Anything outside
+    :data:`repro.sim.fusedc.PIPELINES` raises.
     """
-    if pipeline == "auto":
-        pipeline = default_pipeline()
     if pipeline == "auto":
         snapshots = store is not None and store.trace_enabled
         return "materialized" if snapshots else "fused"
     return _checked_pipeline(pipeline)
-
-
-def _task_timeout_s() -> Optional[float]:
-    """Per-task deadline for the pool fan-out (``REPRO_TASK_TIMEOUT_S``).
-
-    Unset or ``<= 0`` means no deadline; a value that is not a number
-    raises instead of silently turning hung-worker reaping off.
-    """
-    value = os.environ.get("REPRO_TASK_TIMEOUT_S", "")
-    if not value:
-        return None
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_TASK_TIMEOUT_S={value!r} is not a deadline; expected a number of seconds"
-        ) from None
-    return parsed if parsed > 0 else None
 
 
 def _failure_evaluation(
@@ -268,12 +239,6 @@ def _compute_summary_for(
     (:class:`~repro.power.MultiPolicyEnergyAccountant`), so the
     restored-outcome completeness costs one accounting pass per worker,
     not one per policy.
-
-    Workers inherit the simulator dispatch tier (``REPRO_SIM_DISPATCH``)
-    through the process environment.  The tier is deliberately **not**
-    part of any store key: all tiers produce bit-identical traces and
-    summaries (enforced by the differential tests), so results computed
-    under different tiers are interchangeable.
     """
     chaos_probe("worker-task")
     workload = workload_by_name(config.workload)
@@ -627,7 +592,7 @@ class ExperimentEngine:
             summary_dict, provenance = value
             ready(order[position][0], EvaluationSummary.from_json_dict(summary_dict), provenance)
 
-        task_timeout_s = _task_timeout_s()
+        task_timeout_s = settings.get("REPRO_TASK_TIMEOUT_S")
         try:
             outcomes = supervised_map(
                 _compute_summary_for,

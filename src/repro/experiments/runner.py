@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from .. import settings
 from ..core import VRPConfig, VRSConfig, VRSResult, apply_widths, run_vrp, run_vrs
 from ..core.vrp import VRPResult
 from ..hardware import gating
@@ -306,8 +307,8 @@ def _touch_sim_probe(workload: Workload, mechanism: str) -> None:
     when many workers probe concurrently.  No-op unless the variable is
     set; always best-effort.
     """
-    probe_dir = os.environ.get("REPRO_SIM_PROBE_DIR", "")
-    if not probe_dir:
+    probe_dir = settings.get("REPRO_SIM_PROBE_DIR")
+    if probe_dir is None:
         return
     name = (
         f"{workload.name}-{mechanism}-{os.getpid()}-"
@@ -342,11 +343,6 @@ def _compute_evaluation(
     bit-identical in every figure the evaluation can answer; only a fused
     evaluation cannot feed the binary trace-snapshot store.
 
-    The simulator runs under the dispatch tier selected by
-    ``REPRO_SIM_DISPATCH`` (block-compiled by default) and the timing
-    model under the kernel tier selected by ``REPRO_TIMING_KERNEL``
-    (compiled by default; see ``docs/timing.md``); tiers are
-    bit-identical, so the choices never affect results or store keys.
     Note the per-mechanism ordering: the ``Machine`` is built only
     *after* the VRP/VRS transformation mutated the program, because
     machines snapshot the program into their compiled artifacts.
@@ -430,11 +426,6 @@ def replay_summary(
     instruction count, program output, VRP/VRS statistics) come from the
     artifact.  Because trace, kernels and accumulation order are
     identical, the replayed summary is bit-identical to a fresh one.
-
-    The timing walk dominates a replay's cost, so it routes through the
-    compiled timing kernel by default (``REPRO_TIMING_KERNEL`` selects;
-    both kernel tiers are bit-exact, keeping replayed summaries
-    identical to cold ones).
     """
     trace = artifact.trace
     timing = OutOfOrderModel(machine_config).run(trace)

@@ -8,25 +8,13 @@ JSON files holding an :class:`~repro.experiments.summary.EvaluationSummary`,
 so a fresh process (a new pytest session, a benchmark run, the CLI) can
 serve repeated configurations without a single simulator step.
 
-Environment variables:
-
-``REPRO_RESULT_STORE``
-    Relocates the store root, or disables persistence entirely when set to
-    ``off``/``0``/``disabled``/``none``.  The default root is
-    ``$XDG_CACHE_HOME/repro/results`` (``~/.cache/repro/results``).
-``REPRO_TRACE_STORE``
-    Disables the binary trace-snapshot layer (same disabled vocabulary)
-    without touching the summary store.  Snapshots live under
-    ``<root>/traces/`` and are keyed by a *simulator-side* code
-    fingerprint, so analysis-layer edits (power model, timing model,
-    experiment code) replay stored traces instead of re-simulating.
-``REPRO_TRACE_STORE_MAX_BYTES``
-    LRU byte cap on the trace-snapshot subtree (see
-    :meth:`ResultStore.evict_traces`); unset means unbounded.
-``REPRO_STORE_TMP_TTL`` / ``REPRO_STORE_LOCK_TTL``
-    Age thresholds (seconds) for reaping orphaned temp files and breaking
-    dead single-flight locks; both are clamped to safe floors so a live
-    concurrent writer can never be swept.
+The store reads ``REPRO_RESULT_STORE`` (root, or an off word to disable
+persistence), ``REPRO_TRACE_STORE`` (the binary trace-snapshot layer
+under ``<root>/traces/``, keyed by a *simulator-side* code fingerprint so
+analysis-layer edits replay stored traces instead of re-simulating),
+``REPRO_TRACE_STORE_MAX_BYTES``, ``REPRO_STORE_TMP_TTL``,
+``REPRO_STORE_LOCK_TTL`` and ``REPRO_STORE_FSYNC`` through
+:mod:`repro.settings`; ``docs/experiments.md`` tabulates them.
 """
 
 from __future__ import annotations
@@ -46,7 +34,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .. import __version__
+from .. import __version__, settings
 from ..core import VRPConfig, VRSConfig
 from ..sim.snapshot import (
     TRACE_SNAPSHOT_VERSION,
@@ -69,8 +57,6 @@ __all__ = [
     "trace_key",
 ]
 
-_DISABLED_VALUES = ("off", "0", "disabled", "none", "false")
-
 _log = logging.getLogger(__name__)
 
 #: Shape of a generation directory name (12-hex source-fingerprint prefix).
@@ -82,11 +68,6 @@ _GENERATION_DIR_RE = re.compile(r"^[0-9a-f]{12}$")
 #: resolve outside the store root.
 _KEY_RE = re.compile(r"^[0-9a-f]{16,64}$")
 
-#: Temp files older than this are considered orphans of a dead writer and
-#: reaped at store open (override in seconds via ``REPRO_STORE_TMP_TTL``;
-#: a live concurrent writer finishes in milliseconds, not an hour).
-_TMP_TTL_S = 3600.0
-
 #: Hard floor on the reap TTL.  A ``REPRO_STORE_TMP_TTL`` below this (or a
 #: caller-supplied ``max_age_s``, including fsck's aggressive pass) would
 #: let the reaper unlink the temp file of a *live* concurrent writer in the
@@ -94,48 +75,6 @@ _TMP_TTL_S = 3600.0
 #: takes anywhere near a minute, so files younger than the floor are
 #: always presumed live.
 _TMP_TTL_FLOOR_S = 60.0
-
-#: A single-flight lock unclaimable for this long is presumed dead and
-#: broken (override in seconds via ``REPRO_STORE_LOCK_TTL``).  Locks held
-#: by a live process on the same host are never broken by age alone.
-_LOCK_TTL_S = 300.0
-
-
-def _tmp_ttl() -> float:
-    configured = os.environ.get("REPRO_STORE_TMP_TTL", "")
-    if configured:
-        try:
-            return max(_TMP_TTL_FLOOR_S, float(configured))
-        except ValueError:
-            pass
-    return _TMP_TTL_S
-
-
-def _lock_ttl() -> float:
-    configured = os.environ.get("REPRO_STORE_LOCK_TTL", "")
-    if configured:
-        try:
-            return max(1.0, float(configured))
-        except ValueError:
-            pass
-    return _LOCK_TTL_S
-
-
-def _trace_budget_bytes() -> Optional[int]:
-    """Byte cap on the trace-snapshot subtree (``REPRO_TRACE_STORE_MAX_BYTES``).
-
-    None (the default) means unbounded; snapshots then grow with the
-    design space, which is fine for a workstation cache but not for a
-    long-running service host.
-    """
-    configured = os.environ.get("REPRO_TRACE_STORE_MAX_BYTES", "")
-    if not configured:
-        return None
-    try:
-        value = int(float(configured))
-    except ValueError:
-        return None
-    return value if value >= 0 else None
 
 
 def _require_key(key: str) -> str:
@@ -158,17 +97,6 @@ def _hostname() -> str:
         return "unknown-host"
 
 
-def _fsync_enabled() -> bool:
-    """True when ``REPRO_STORE_FSYNC`` requests durable publishes.
-
-    Off by default: the store is a cache, and a lost entry after a power
-    cut is recomputed — but a *service* deployment can opt into
-    fsync-before-rename so a published entry is never torn.
-    """
-    configured = os.environ.get("REPRO_STORE_FSYNC", "").lower()
-    return bool(configured) and configured not in _DISABLED_VALUES
-
-
 def _summary_checksum(summary_dict: dict) -> str:
     """Content hash of the summary payload (verified by :meth:`fsck`).
 
@@ -183,19 +111,8 @@ def _summary_checksum(summary_dict: dict) -> str:
 
 
 def default_store_root() -> Optional[Path]:
-    """Resolve the store root from the environment (None = disabled)."""
-    configured = os.environ.get("REPRO_RESULT_STORE", "")
-    if configured.lower() in _DISABLED_VALUES and configured:
-        return None
-    if configured:
-        return Path(configured).expanduser()
-    cache_home = os.environ.get("XDG_CACHE_HOME", "")
-    if not cache_home:
-        try:
-            cache_home = str(Path.home() / ".cache")
-        except RuntimeError:  # no resolvable home (bare container): disable
-            return None
-    return Path(cache_home).expanduser() / "repro" / "results"
+    """The store root ``REPRO_RESULT_STORE`` configures (None = disabled)."""
+    return settings.get("REPRO_RESULT_STORE")
 
 
 @lru_cache(maxsize=1)
@@ -353,7 +270,6 @@ class FsckReport:
     ok_traces: int = 0
     quarantined: list = field(default_factory=list)  # (path str, reason)
     reaped_tmp: int = 0
-    migrated: int = 0
     repaired: bool = True
 
     @property
@@ -370,7 +286,6 @@ class FsckReport:
                 {"path": path, "reason": reason} for path, reason in self.quarantined
             ],
             "reaped_tmp": self.reaped_tmp,
-            "migrated": self.migrated,
             "repaired": self.repaired,
             "clean": self.clean,
         }
@@ -427,56 +342,6 @@ class ResultStore:
         # file and os.replace leaks the temp forever; reap orphans at
         # open so the store never accretes dead bytes.
         self.reap_stale_tmp()
-        # Layout compatibility: entries written by the same code
-        # generation under the older single-level shard layout must stay
-        # visible, so every open sweeps them into the two-level layout.
-        self._migrate_legacy_layout()
-
-    def _migrate_legacy_layout(self) -> int:
-        """Relocate single-level-shard files into the two-level layout.
-
-        Earlier revisions sharded entries and trace snapshots one level
-        deep (``<gen>/<k01>/<key>.json``); the current layout adds a
-        second level (``<gen>/<k01>/<k23>/<key>.json``).  Same-generation
-        files left at the old depth would otherwise be invisible to
-        :meth:`load`, :meth:`entries` and :meth:`fsck` — silently
-        recomputed, never scanned, quarantined or pruned — so they are
-        moved into place (``os.replace``: atomic, idempotent, same shard
-        directory so never cross-device).  Returns the number of files
-        moved; best-effort like every other maintenance pass.
-        """
-        if self.root is None:
-            return 0
-        moved = 0
-        sweeps = (
-            (self.generation_root, "*/*.json", self.path_for),
-            (self.trace_generation_root, "*/*.trace", self.trace_path_for),
-        )
-        for sweep_root, pattern, path_for in sweeps:
-            try:
-                legacy = [
-                    path
-                    for path in sweep_root.glob(pattern)
-                    if _KEY_RE.fullmatch(path.stem)
-                ]
-            except OSError:
-                continue
-            for path in legacy:
-                target = path_for(path.stem)
-                try:
-                    target.parent.mkdir(parents=True, exist_ok=True)
-                    os.replace(path, target)
-                    moved += 1
-                except OSError:
-                    continue
-        if moved:
-            _log.warning(
-                "migrated %d legacy single-level store file(s) under %s "
-                "into the sharded layout",
-                moved,
-                self.root,
-            )
-        return moved
 
     def reap_stale_tmp(self, max_age_s: Optional[float] = None) -> int:
         """Delete orphaned ``*.tmp`` files older than the TTL; returns count.
@@ -492,7 +357,9 @@ class ResultStore:
         """
         if self.root is None:
             return 0
-        ttl = max(_TMP_TTL_FLOOR_S, max_age_s if max_age_s is not None else _tmp_ttl())
+        if max_age_s is None:
+            max_age_s = settings.get("REPRO_STORE_TMP_TTL")
+        ttl = max(_TMP_TTL_FLOOR_S, max_age_s)
         cutoff = time.time() - ttl
         reaped = 0
         try:
@@ -519,10 +386,7 @@ class ResultStore:
     @property
     def trace_enabled(self) -> bool:
         """True when binary trace snapshots are persisted too."""
-        if self.root is None:
-            return False
-        configured = os.environ.get("REPRO_TRACE_STORE", "")
-        return not (configured and configured.lower() in _DISABLED_VALUES)
+        return self.root is not None and settings.get("REPRO_TRACE_STORE")
 
     # ------------------------------------------------------------------
     # Paths
@@ -708,7 +572,7 @@ class ResultStore:
             suffix=".tmp",
             delete=False,
         )
-        fsync = _fsync_enabled()
+        fsync = settings.get("REPRO_STORE_FSYNC")
         try:
             with handle:
                 handle.write(blob)
@@ -778,7 +642,7 @@ class ResultStore:
             except OSError:
                 return False  # EPERM and friends: the pid exists, owner lives
             return False  # probe succeeded: live owner, never age out
-        return time.time() - stat.st_mtime > _lock_ttl()
+        return time.time() - stat.st_mtime > settings.get("REPRO_STORE_LOCK_TTL")
 
     @staticmethod
     def _break_lock(path: Path) -> None:
@@ -829,7 +693,7 @@ class ResultStore:
             return
         lock_path = self.lock_path_for(key)
         deadline = time.monotonic() + (
-            timeout_s if timeout_s is not None else 2.0 * _lock_ttl()
+            timeout_s if timeout_s is not None else 2.0 * settings.get("REPRO_STORE_LOCK_TTL")
         )
         while True:
             fd = None
@@ -988,7 +852,9 @@ class ResultStore:
         """
         if self.root is None:
             return 0
-        budget = budget_bytes if budget_bytes is not None else _trace_budget_bytes()
+        budget = budget_bytes
+        if budget is None:
+            budget = settings.get("REPRO_TRACE_STORE_MAX_BYTES")
         if budget is None:
             return 0
         traces_root = self.root / "traces"
@@ -1130,10 +996,6 @@ class ResultStore:
            safety floor that protects a live concurrent writer's young
            temp file (see :meth:`reap_stale_tmp`).
 
-        Before scanning, legacy single-level-shard files are migrated
-        into the current two-level layout (counted in ``migrated``) so
-        the passes above cover them instead of globbing past them.
-
         With ``repair=True`` (default) bad files are quarantined with a
         reason manifest; with ``repair=False`` the report only lists
         them.  Entries written before checksums existed verify by decode
@@ -1142,9 +1004,6 @@ class ResultStore:
         report = FsckReport(repaired=repair)
         if self.root is None:
             return report
-        # Sweep any legacy single-level-shard files into the current
-        # layout first, so the scans below actually see them.
-        report.migrated = self._migrate_legacy_layout()
 
         def condemn(path: Path, reason: str) -> None:
             report.quarantined.append((str(path), reason))

@@ -34,8 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequenc
 
 from ..hardware import gating
 from ..power import MultiPolicyEnergyAccountant
-from ..uarch import CacheConfig, MachineConfig, OutOfOrderModel, TimingResult
-from ..uarch.ooo import _default_kernel
+from ..uarch import CacheConfig, MachineConfig
 from ..uarch.tkernel import run_compiled_many
 from ..workloads import SUITE_NAMES, Workload, workload_by_name
 
@@ -423,22 +422,6 @@ class SweepResult:
 # ----------------------------------------------------------------------
 # Execution (driven by ExperimentEngine.sweep)
 # ----------------------------------------------------------------------
-def _sweep_timings(
-    trace, configs: Sequence[MachineConfig]
-) -> list[TimingResult]:
-    """Batched timing of one trace under many configs.
-
-    Routes through the multi-config compiled kernel unless the process
-    pinned ``REPRO_TIMING_KERNEL=reference``, in which case every config
-    runs the reference scoreboard walk — the tiers are bit-identical, so
-    the choice never changes a row.  An unknown ``REPRO_TIMING_KERNEL``
-    value raises ``ValueError``.
-    """
-    if _default_kernel() == "reference":
-        return [OutOfOrderModel(config).run_reference(trace) for config in configs]
-    return run_compiled_many(trace, list(configs))
-
-
 def _load_snapshot_artifact(
     engine: "ExperimentEngine",
     workload: Workload,
@@ -537,7 +520,7 @@ def _score_group(
             )
         trace = artifact.trace
         instructions = artifact.instructions
-        timings = _sweep_timings(trace, configs)
+        timings = run_compiled_many(trace, list(configs))
 
     energies = accountant.account_many(trace, timings)
     return source, timings, instructions, energies
@@ -568,10 +551,10 @@ def run_sweep(
     aggregation taken from the first (shapes are config-independent),
     and nothing is persisted because no trace ever exists.
     ``"materialized"`` forces the classic simulate-then-snapshot path.
-    ``"auto"`` (after consulting ``REPRO_PIPELINE``) streams cold
-    *single-config* groups — where fused is a strict win — and
-    materializes multi-config groups, where one simulation plus a
-    batched timing walk beats one fused simulation per config.
+    ``"auto"`` streams cold *single-config* groups — where fused is a
+    strict win — and materializes multi-config groups, where one
+    simulation plus a batched timing walk beats one fused simulation per
+    config.
 
     ``on_error`` selects the partial-failure semantics per trace-signature
     group: ``"keep"`` (the default) yields one error-carrying row
@@ -581,11 +564,11 @@ def run_sweep(
     failure.  Spec errors (an unknown machine-config name) always raise —
     they are caller bugs, not runtime faults.
     """
-    from ..sim.fusedc import _checked_pipeline, default_pipeline
+    from ..sim.fusedc import _checked_pipeline
     from .chaos import chaos_probe
     from .resilience import classify_failure
 
-    pipeline = default_pipeline() if pipeline == "auto" else _checked_pipeline(pipeline)
+    pipeline = _checked_pipeline(pipeline)
     if on_error not in ("raise", "keep"):
         raise ValueError(f"unknown on_error mode {on_error!r}; expected 'raise' or 'keep'")
 

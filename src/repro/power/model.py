@@ -254,24 +254,8 @@ class MultiPolicyEnergyAccountant:
 
     # ------------------------------------------------------------------
     def account(self, trace: Trace, timing: TimingResult) -> dict[str, EnergyBreakdown]:
-        structure_names = list(STRUCTURES)
-        lanes = [_PolicyLane(policy, len(structure_names)) for policy in self._named.values()]
-        if lanes:
-            if all(lane.mode is not None for lane in lanes):
-                self._account_aggregated(trace, lanes)
-            else:
-                self._account_direct(trace, lanes)
-            self._account_timing(timing, lanes)
-        results: dict[str, EnergyBreakdown] = {}
-        for key, lane in zip(self._named, lanes):
-            breakdown = EnergyBreakdown(
-                policy=lane.policy.name, cycles=timing.cycles, instructions=len(trace)
-            )
-            breakdown.by_structure = dict(zip(structure_names, lane.totals))
-            results[key] = breakdown
-        return results
+        return self._account(trace, [timing])[0]
 
-    # ------------------------------------------------------------------
     def account_many(
         self, trace: Trace, timings: Sequence[TimingResult]
     ) -> list[dict[str, EnergyBreakdown]]:
@@ -283,16 +267,22 @@ class MultiPolicyEnergyAccountant:
         (cache/predictor/clock activity counters) and the breakdown's
         ``cycles`` vary with the timing.  ``account_many`` therefore runs
         the trace walk once, then branches per timing result from a copy
-        of the shared lane totals, applying the timing additions in the
-        exact order :meth:`account` uses.  Every returned breakdown is
-        bit-identical to a separate ``account(trace, timing)`` call: the
-        shared base totals see the same float additions in the same
-        order, and the per-timing additions start from that same base.
+        of the shared lane totals.  Every returned breakdown is
+        bit-identical to a separate ``account(trace, timing)`` call: both
+        run :meth:`_account`, so the shared base totals see the same float
+        additions in the same order, and the per-timing additions start
+        from that same base.
 
         This is what makes a design-space sweep's energy side O(1) trace
         walks per (workload, policy-set) instead of one walk per machine
         configuration (see ``docs/sweeps.md``).
         """
+        return self._account(trace, timings)
+
+    def _account(
+        self, trace: Trace, timings: Sequence[TimingResult]
+    ) -> list[dict[str, EnergyBreakdown]]:
+        """One trace walk, then one breakdown per policy for each timing."""
         structure_names = list(STRUCTURES)
         lanes = [_PolicyLane(policy, len(structure_names)) for policy in self._named.values()]
         if lanes:

@@ -44,7 +44,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from .. import __version__
+from .. import __version__, settings
 from ..experiments.engine import ExperimentConfig, ExperimentEngine
 from ..experiments.runner import POLICY_NAMES
 from ..experiments.store import config_key
@@ -83,38 +83,6 @@ _STATUS_TEXT = {
 #: store's own path builders reject malformed keys too, but an
 #: unauthenticated input deserves its own front-line check.
 _RESULT_KEY_RE = re.compile(r"^[0-9a-f]{16,64}$")
-
-#: Terminal jobs linger this long (seconds) in the in-memory job map for
-#: `GET /v1/jobs/<id>` polling, then are evicted — results stay servable
-#: from the store via ``GET /v1/results/<key>``.  Without eviction a
-#: long-running service retains every result row and event list it ever
-#: produced.  Override via ``REPRO_SERVICE_JOB_TTL_S``.
-_JOB_TTL_S = 900.0
-
-#: Hard cap on retained terminal jobs regardless of age (a traffic burst
-#: must not hold a TTL's worth of rows in memory).  Override via
-#: ``REPRO_SERVICE_JOB_CAP``.
-_JOB_CAP = 1024
-
-
-def _job_ttl_s() -> float:
-    configured = os.environ.get("REPRO_SERVICE_JOB_TTL_S", "")
-    if configured:
-        try:
-            return max(0.0, float(configured))
-        except ValueError:
-            pass
-    return _JOB_TTL_S
-
-
-def _job_cap() -> int:
-    configured = os.environ.get("REPRO_SERVICE_JOB_CAP", "")
-    if configured:
-        try:
-            return max(0, int(float(configured)))
-        except ValueError:
-            pass
-    return _JOB_CAP
 
 
 class ServiceError(Exception):
@@ -214,9 +182,12 @@ class EvaluationService:
         self.engine = engine if engine is not None else ExperimentEngine(jobs=jobs)
         self.queue = JobQueue()
         self.jobs: dict[str, Job] = {}
-        #: Retention of *terminal* jobs in ``self.jobs`` (see _prune_jobs).
-        self.job_ttl_s = _job_ttl_s()
-        self.job_cap = _job_cap()
+        #: Retention of *terminal* jobs in ``self.jobs`` (see _prune_jobs):
+        #: they stay pollable via ``GET /v1/jobs/<id>`` for the TTL, at most
+        #: the cap of them, so a long-running service does not retain every
+        #: result row it produced (results stay servable from the store).
+        self.job_ttl_s = settings.get("REPRO_SERVICE_JOB_TTL_S")
+        self.job_cap = settings.get("REPRO_SERVICE_JOB_CAP")
         #: Job-level single-flight registry: dedup key -> live job.
         self.inflight: dict[str, Job] = {}
         self.draining = False

@@ -1,14 +1,8 @@
 """Functional simulation: interpreter, memory, traces and value profiling."""
 
-from .fusedc import (
-    PIPELINES,
-    FusedOutcome,
-    ShapeAggregate,
-    default_pipeline,
-)
+from .fusedc import PIPELINES, FusedOutcome, ShapeAggregate
 from .machine import (
     CODE_BASE_ADDRESS,
-    DISPATCH_TIERS,
     Machine,
     RunResult,
     SimulationError,
@@ -20,7 +14,6 @@ from .trace import StaticEntry, StaticInfo, Trace, TraceRecord
 
 __all__ = [
     "CODE_BASE_ADDRESS",
-    "DISPATCH_TIERS",
     "PIPELINES",
     "Machine",
     "RunResult",
@@ -28,7 +21,6 @@ __all__ = [
     "SimulationLimitExceeded",
     "FusedOutcome",
     "ShapeAggregate",
-    "default_pipeline",
     "Memory",
     "load_program_data",
     "ValueProfiler",

@@ -1,6 +1,6 @@
 """Block compiler: straight-line Python per basic block.
 
-The default dispatch tier of :class:`~repro.sim.machine.Machine`.  Where
+The tier :meth:`Machine.run <repro.sim.machine.Machine.run>` runs.  Where
 the reference loop decodes every instruction on every dynamic step, this
 tier generates specialized Python **source** for every basic block of the
 program — instruction semantics inlined in order, register accesses

@@ -40,7 +40,6 @@ invariants.
 
 from __future__ import annotations
 
-import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -66,7 +65,6 @@ __all__ = [
     "FusedProgram",
     "ShapeAggregate",
     "compile_fused",
-    "default_pipeline",
     "fused_program_for",
     "outcome_from_trace",
     "timing_from_counters",
@@ -78,9 +76,6 @@ __all__ = [
 #: records" (snapshot persistence, value observers, …).
 PIPELINES = ("auto", "fused", "materialized")
 
-#: ``REPRO_PIPELINE`` spellings of the materialized pipeline.
-_MATERIALIZED_ALIASES = ("materialized", "off", "0", "false", "no", "disabled")
-
 
 def _checked_pipeline(pipeline: str) -> str:
     """``pipeline`` itself if it is in :data:`PIPELINES`, else ValueError."""
@@ -89,27 +84,6 @@ def _checked_pipeline(pipeline: str) -> str:
             f"unknown pipeline {pipeline!r}; expected one of {', '.join(PIPELINES)}"
         )
     return pipeline
-
-
-def default_pipeline() -> str:
-    """Pipeline choice from ``REPRO_PIPELINE`` (``auto`` when unset).
-
-    Unset (or empty) and ``auto`` select ``auto``, ``fused`` the fused
-    tier and the :data:`_MATERIALIZED_ALIASES` the trace pipeline; any
-    other value is a misconfiguration and raises instead of silently
-    running a default.
-    """
-    value = os.environ.get("REPRO_PIPELINE", "").strip().lower()
-    if value in ("", "auto"):
-        return "auto"
-    if value == "fused":
-        return "fused"
-    if value in _MATERIALIZED_ALIASES:
-        return "materialized"
-    raise ValueError(
-        f"REPRO_PIPELINE={value!r} is not a pipeline; expected one of "
-        f"{', '.join(PIPELINES)} (materialized aliases: {', '.join(_MATERIALIZED_ALIASES[1:])})"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +297,7 @@ def outcome_from_trace(trace, config: "MachineConfig") -> FusedOutcome:
     """Materialized-path :class:`FusedOutcome` (the fallback/oracle).
 
     Used when the fused tier cannot run (mid-unit entry via a computed
-    return address, non-``block`` dispatch tier) and by the differential
+    return address) and by the differential
     suite: the timing comes from the compiled kernel over the real trace
     and the shapes from the trace's own aggregation, so the result is
     bit-identical to what the streaming tier produces on the same run.

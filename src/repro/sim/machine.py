@@ -15,23 +15,22 @@ of the system needs:
 * value observations at watched instructions (the Calder-style value
   profiler used by VRS).
 
-Two interpreter tiers are provided (see ``docs/simulator.md``):
+Two interpreters run a program (see ``docs/simulator.md``):
 
-* the **block** tier — the default — generates straight-line Python
-  source per basic block (:mod:`repro.sim.blockc`), compiles it once per
-  ``Machine`` and drives a block-level hot loop, so dispatch and the
-  instruction-limit check amortize over whole blocks and trace emission
-  is batched per block;
-* the **reference** loop decodes every instruction on every dynamic step
-  (attribute loads, kind dispatch, operand ``isinstance`` checks) and is
-  the semantic oracle the block tier is locked against.
+* :meth:`Machine.run` — the **block** tier — generates straight-line
+  Python source per basic block (:mod:`repro.sim.blockc`), compiles it
+  once per ``Machine`` and drives a block-level hot loop, so dispatch and
+  the instruction-limit check amortize over whole blocks and trace
+  emission is batched per block;
+* :meth:`Machine.run_reference` decodes every instruction on every
+  dynamic step (attribute loads, kind dispatch, operand ``isinstance``
+  checks) and is the semantic oracle the block tier is locked against.
 
 Both produce bit-identical :class:`RunResult`/:class:`Trace` contents and
-value observations; select a tier with ``Machine.run(dispatch=...)`` or
-``REPRO_SIM_DISPATCH`` (``block``/``reference``).  Compiled block programs
-are cached on the ``Machine`` keyed by ``(collect_trace, watched uids)``
-— a value observer's watched set is a compile input, so profiling runs
-execute on the block loop too — with per-run state (registers, memory,
+value observations.  Compiled block programs are cached on the
+``Machine`` keyed by ``(collect_trace, watched uids)`` — a value
+observer's watched set is a compile input, so profiling runs execute on
+the block loop too — with per-run state (registers, memory,
 trace columns, counters, observer) passed in as arguments, so repeated
 ``run()`` calls perform **zero** recompilation.  Consequently a
 ``Machine`` snapshots the program at its first run: mutating the
@@ -51,11 +50,11 @@ encoding and cannot drift (see ``repro/sim/trace.py``).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Protocol
 
+from .. import settings
 from ..isa import Imm, Instruction, Opcode, OpKind, Reg, Width, to_signed
 from ..isa.semantics import (
     ARITHMETIC_SEMANTICS as _ARITH,
@@ -74,21 +73,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .fusedc import FusedOutcome, FusedProgram
 
 __all__ = [
-    "DISPATCH_TIERS",
     "Machine",
     "RunResult",
     "SimulationError",
     "SimulationLimitExceeded",
     "ValueObserver",
 ]
-
-#: Recognized interpreter tiers, fastest first.
-DISPATCH_TIERS = ("block", "reference")
-
-#: ``REPRO_SIM_DISPATCH`` spellings of the reference tier; a superset of
-#: ``REPRO_RESULT_STORE``'s disabled values, so either spelling works for
-#: both variables.
-_REFERENCE_ALIASES = ("reference", "slow", "0", "off", "false", "disabled", "none")
 
 #: Base address of the (virtual) code segment; instructions are 4 bytes.
 CODE_BASE_ADDRESS = 0x1000
@@ -103,28 +93,6 @@ _HALT_PC = -1
 #: one ``time.monotonic()`` call per stride and an unbudgeted run pays a
 #: single comparison per block.
 _BUDGET_CHECK_STRIDE = 8192
-
-
-def _env_budget_float(name: str) -> Optional[float]:
-    value = os.environ.get(name, "")
-    if not value:
-        return None
-    try:
-        parsed = float(value)
-    except ValueError:
-        return None
-    return parsed if parsed > 0 else None
-
-
-def _env_budget_int(name: str) -> Optional[int]:
-    value = os.environ.get(name, "")
-    if not value:
-        return None
-    try:
-        parsed = int(value)
-    except ValueError:
-        return None
-    return parsed if parsed > 0 else None
 
 
 def _resource_exhausted(message: str) -> Exception:
@@ -185,32 +153,6 @@ class RunResult:
         return counts
 
 
-def _default_dispatch() -> str:
-    """Dispatch tier selected by ``REPRO_SIM_DISPATCH`` (default: block).
-
-    Unset (or empty) and ``block`` select the block tier, the
-    :data:`_REFERENCE_ALIASES` the reference loop; any other value is a
-    misconfiguration and raises instead of silently running a default.
-    """
-    value = os.environ.get("REPRO_SIM_DISPATCH", "").lower()
-    if value in ("", "block"):
-        return "block"
-    if value in _REFERENCE_ALIASES:
-        return "reference"
-    raise ValueError(
-        f"REPRO_SIM_DISPATCH={value!r} is not a simulator tier; expected "
-        f"{' or '.join(DISPATCH_TIERS)} (reference aliases: {', '.join(_REFERENCE_ALIASES[1:])})"
-    )
-
-
-def _checked_tier(dispatch: str) -> str:
-    if dispatch not in DISPATCH_TIERS:
-        raise ValueError(
-            f"unknown dispatch tier {dispatch!r}; expected one of {', '.join(DISPATCH_TIERS)}"
-        )
-    return dispatch
-
-
 class Machine:
     """Functional simulator."""
 
@@ -218,7 +160,6 @@ class Machine:
         self,
         program: Program,
         max_instructions: int = 20_000_000,
-        dispatch: Optional[str] = None,
         wall_time_s: Optional[float] = None,
         max_trace_bytes: Optional[int] = None,
     ) -> None:
@@ -229,15 +170,14 @@ class Machine:
         # ResourceExhausted instead of hanging a worker (wall time) or
         # OOM-ing it (trace arena bytes).  None disables a budget; the
         # environment supplies service-wide defaults.
-        self.wall_time_s = wall_time_s if wall_time_s is not None else _env_budget_float(
-            "REPRO_SIM_WALL_TIME_S"
+        self.wall_time_s = (
+            wall_time_s if wall_time_s is not None else settings.get("REPRO_SIM_WALL_TIME_S")
         )
         self.max_trace_bytes = (
             max_trace_bytes
             if max_trace_bytes is not None
-            else _env_budget_int("REPRO_SIM_MAX_TRACE_BYTES")
+            else settings.get("REPRO_SIM_MAX_TRACE_BYTES")
         )
-        self.dispatch = _checked_tier(dispatch) if dispatch is not None else _default_dispatch()
         # Compiled block programs, cached per Machine and shared across
         # runs: one per (collect_trace, watched uids) flavour.
         self._block_programs: dict[tuple[bool, frozenset[int]], BlockProgram] = {}
@@ -288,11 +228,12 @@ class Machine:
         collect_trace: bool = False,
         value_observer: Optional[ValueObserver] = None,
         arguments: Optional[list[int]] = None,
-        dispatch: Optional[str] = None,
         pipeline: Optional[str] = None,
         machine_config: Optional["MachineConfig"] = None,
     ) -> RunResult:
         """Execute the program from its entry function until HALT.
+
+        Runs on the block tier; :meth:`run_reference` is its oracle.
 
         Args:
             collect_trace: record a full :class:`Trace` (needed by the
@@ -304,8 +245,6 @@ class Machine:
                 a unit boundary (see ``docs/simulator.md``).
             arguments: optional initial values for the argument registers of
                 the entry function (``a0``, ``a1``...).
-            dispatch: per-run tier override (``"block"`` or
-                ``"reference"``).
             pipeline: ``"fused"`` runs the streaming simulate→time→account
                 tier (:mod:`repro.sim.fusedc`): no trace is materialized
                 and the result carries a :class:`FusedOutcome` instead.
@@ -314,7 +253,6 @@ class Machine:
                 fused tier times against (default config when omitted);
                 only meaningful with ``pipeline="fused"``.
         """
-        tier = _checked_tier(dispatch) if dispatch is not None else self.dispatch
         if pipeline not in (None, "materialized", "fused"):
             raise ValueError(
                 f"unknown pipeline {pipeline!r}; expected 'fused' or 'materialized'"
@@ -327,12 +265,10 @@ class Machine:
                 )
             if value_observer is not None:
                 raise ValueError("pipeline='fused' does not support value observers")
-            return self._run_fused(machine_config, arguments, tier)
+            return self._run_fused(machine_config, arguments)
         if machine_config is not None:
             raise ValueError("machine_config is only meaningful with pipeline='fused'")
-        if tier == "block":
-            return self._run_block(collect_trace, value_observer, arguments)
-        return self._run_reference(collect_trace, value_observer, arguments)
+        return self._run_block(collect_trace, value_observer, arguments)
 
     def _init_run_state(self, arguments: Optional[list[int]]) -> tuple[list[int], Memory, int]:
         """Fresh per-run architectural state: ``(regs, memory, entry pc)``."""
@@ -380,13 +316,13 @@ class Machine:
                     f"({held} bytes held after {executed} dynamic instructions)"
                 )
 
-    def _run_reference(
+    def run_reference(
         self,
         collect_trace: bool = False,
         value_observer: Optional[ValueObserver] = None,
         arguments: Optional[list[int]] = None,
     ) -> RunResult:
-        """The original decode-every-step interpreter loop."""
+        """:meth:`run` on the decode-every-step reference loop, its oracle."""
         regs, memory, pc = self._init_run_state(arguments)
         block_counts: dict[tuple[str, str], int] = {}
         call_counts: dict[str, int] = {}
@@ -427,7 +363,7 @@ class Machine:
         halts; errors (limit exceeded, invalid jumps) propagate out of
         ``next()`` exactly as they propagate out of a full run.
         ``executed`` is the count of instructions already run, so the
-        limit holds across a resume.  ``_run_reference`` drains it to
+        limit holds across a resume.  :meth:`run_reference` drains it to
         completion, the block tier steps it across mid-unit landings, and
         the lockstep co-execution harness (:mod:`repro.coexec`) advances
         it one instruction at a time against another tier that shares no
@@ -679,16 +615,15 @@ class Machine:
         self,
         machine_config: Optional["MachineConfig"] = None,
         arguments: Optional[list[int]] = None,
-        tier: str = "block",
         probe_sink: Optional[list] = None,
     ) -> RunResult:
         """Drive the fused tier (see :mod:`repro.sim.fusedc`).
 
         The hot loop is the block tier's, but the compiled units update
         the timing-kernel state and per-unit width-signature counts
-        inline instead of emitting trace rows.  Non-``block`` tiers and
-        mid-unit landings fall back to :meth:`_fused_fallback`, which is
-        bit-identical by construction (compiled timing kernel + trace
+        inline instead of emitting trace rows.  A mid-unit landing falls
+        back to :meth:`_fused_fallback`, which is bit-identical by
+        construction (compiled timing kernel + trace
         shape aggregation over a materialized run).  ``probe_sink``
         additionally collects one timing-counter snapshot per record —
         the hook ``repro.coexec.compare_fused`` bisects with.
@@ -697,10 +632,6 @@ class Machine:
         from .fusedc import FusedOutcome, fused_program_for, timing_from_counters
 
         config = machine_config if machine_config is not None else MachineConfig()
-        if tier != "block":
-            if probe_sink is not None:
-                raise RuntimeError("the fused per-record probe requires the block tier")
-            return self._fused_fallback(config, arguments, tier)
         probe = probe_sink is not None
         program = self._fused_programs.get((config, probe))
         if program is None:
@@ -755,7 +686,7 @@ class Machine:
             # A computed control transfer landed mid-block.  The run is
             # deterministic, so rerunning it materialized from scratch
             # produces the identical outcome.
-            return self._fused_fallback(config, arguments, tier)
+            return self._fused_fallback(config, arguments)
         except IndexError:
             if 0 <= pc < len(funcs):
                 raise
@@ -776,15 +707,12 @@ class Machine:
         )
 
     def _fused_fallback(
-        self,
-        config: "MachineConfig",
-        arguments: Optional[list[int]],
-        tier: str,
+        self, config: "MachineConfig", arguments: Optional[list[int]]
     ) -> RunResult:
         """Materialized-oracle rerun presenting a fused result surface."""
         from .fusedc import outcome_from_trace
 
-        run = self.run(collect_trace=True, arguments=arguments, dispatch=tier)
+        run = self.run(collect_trace=True, arguments=arguments)
         run.fused = outcome_from_trace(run.trace, config)
         run.trace = None
         return run

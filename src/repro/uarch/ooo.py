@@ -17,36 +17,28 @@ orders of magnitude faster in Python while preserving the first-order
 behaviour (dependence chains, window fill, structural hazards, memory
 latency, branch redirects) that the paper's execution-time results rest on.
 
-The model comes in **two kernel tiers** (see ``docs/timing.md``):
+The model comes in **two bit-identical kernels** (see ``docs/timing.md``):
 
-* ``reference`` — the columnar walk in :meth:`OutOfOrderModel.run_reference`:
-  one pass over the trace's packed meta column zipped with its address
+* :meth:`OutOfOrderModel.run` — the generated lane walk in
+  :mod:`repro.uarch.tkernel` at one lane: the scoreboard arithmetic over
+  a packed per-uid static table, ring-buffer slot allocators and inlined
+  cache/predictor state, ~2-2.5x faster than the reference walk
+  (``benchmarks/bench_timing.py`` enforces ≥2x in CI);
+* :meth:`OutOfOrderModel.run_reference` — the columnar oracle walk: one
+  pass over the trace's packed meta column zipped with its address
   column.  The per-record flag byte replaces the ``None`` checks of the
   old record walk, static facts come from the dense uid-indexed entry
   list, and effective addresses are consumed from the sparse memory
-  column with a running cursor.  The arithmetic is identical to the
-  record walk, so cycle counts are bit-exact (the differential harness
-  in ``tests/test_trace_columnar.py`` asserts exactly that).
-* ``compiled`` (the default) — the generated lane walk in
-  :mod:`repro.uarch.tkernel` at one lane: the same scoreboard
-  arithmetic over a packed per-uid static table, ring-buffer slot
-  allocators and inlined cache/predictor state.  Bit-exact against the
-  reference tier on every :class:`TimingResult` field
-  (``tests/test_uarch_timing.py``), ~2-2.5x faster
-  (``benchmarks/bench_timing.py`` enforces ≥2x in CI).
+  column with a running cursor.
 
-Select a tier per model (``OutOfOrderModel(kernel=...)``), per run
-(``run(kernel=...)``) or process-wide with ``REPRO_TIMING_KERNEL``
-(``compiled`` — the default — or ``reference``/``slow``/``off``; any
-other value raises ``ValueError``), mirroring the functional
-simulator's ``REPRO_SIM_DISPATCH`` tiers.
+The two agree on every :class:`TimingResult` field
+(``tests/test_uarch_timing.py`` and ``tests/test_trace_columnar.py``
+assert exactly that).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..sim import Trace
 from ..sim.trace import FLAG_MEM, FLAG_TAKEN, FLAG_TAKEN_TRUE
@@ -54,35 +46,9 @@ from .branch_predictor import CombinedPredictor
 from .caches import Cache, CacheHierarchy
 from .config import MachineConfig
 
-__all__ = ["TIMING_KERNELS", "TimingResult", "OutOfOrderModel"]
+__all__ = ["TimingResult", "OutOfOrderModel"]
 
 _UINT64 = (1 << 64) - 1
-
-#: The two timing-kernel tiers; both produce bit-identical results.
-TIMING_KERNELS = ("reference", "compiled")
-
-#: ``REPRO_TIMING_KERNEL`` spellings of the reference tier (the
-#: simulator's ``REPRO_SIM_DISPATCH`` reference spellings plus ``ref``).
-_REFERENCE_ALIASES = ("reference", "ref", "slow", "0", "off", "false", "disabled", "none")
-
-
-def _default_kernel() -> str:
-    """Kernel tier selected by ``REPRO_TIMING_KERNEL`` (default: compiled).
-
-    Unset (or empty) and ``compiled`` select the compiled kernel, the
-    :data:`_REFERENCE_ALIASES` the reference walk; any other value is a
-    misconfiguration and raises instead of silently running a default.
-    """
-    value = os.environ.get("REPRO_TIMING_KERNEL", "").lower()
-    if value in ("", "compiled"):
-        return "compiled"
-    if value in _REFERENCE_ALIASES:
-        return "reference"
-    raise ValueError(
-        f"REPRO_TIMING_KERNEL={value!r} is not a timing kernel; expected "
-        f"{' or '.join(TIMING_KERNELS)} (reference aliases: {', '.join(_REFERENCE_ALIASES[1:])})"
-    )
-
 
 class _Slots:
     """Bounded number of events per cycle (issue ports, FUs, retire slots).
@@ -146,38 +112,16 @@ class TimingResult:
 
 
 class OutOfOrderModel:
-    """Runs the timing model over one trace.
+    """Runs the timing model over one trace."""
 
-    ``kernel`` pins the kernel tier for this model (``"reference"`` or
-    ``"compiled"``); when ``None`` each :meth:`run` resolves the tier
-    from ``REPRO_TIMING_KERNEL`` (compiled by default).  The tiers are
-    bit-identical, so the choice never affects results — only speed.
-    """
-
-    def __init__(
-        self, config: MachineConfig | None = None, kernel: Optional[str] = None
-    ) -> None:
+    def __init__(self, config: MachineConfig | None = None) -> None:
         self.config = config or MachineConfig()
-        if kernel is not None and kernel not in TIMING_KERNELS:
-            raise ValueError(
-                f"unknown timing kernel {kernel!r}; expected one of {', '.join(TIMING_KERNELS)}"
-            )
-        self.kernel = kernel
 
-    def run(self, trace: Trace, kernel: Optional[str] = None) -> TimingResult:
-        """Time ``trace`` under the resolved kernel tier."""
-        tier = kernel if kernel is not None else self.kernel
-        if tier is None:
-            tier = _default_kernel()
-        elif tier not in TIMING_KERNELS:
-            raise ValueError(
-                f"unknown timing kernel {tier!r}; expected one of {', '.join(TIMING_KERNELS)}"
-            )
-        if tier == "compiled":
-            from .tkernel import run_compiled
+    def run(self, trace: Trace) -> TimingResult:
+        """Time ``trace`` with the compiled kernel."""
+        from .tkernel import run_compiled
 
-            return run_compiled(trace, self.config)
-        return self.run_reference(trace)
+        return run_compiled(trace, self.config)
 
     def run_reference(self, trace: Trace) -> TimingResult:
         """The reference scoreboard walk — the compiled kernel's oracle."""

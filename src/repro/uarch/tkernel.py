@@ -59,9 +59,8 @@ stores) and every cycle of every lane is bit-exact against the
 reference walk — the differential harness in
 ``tests/test_uarch_timing.py`` asserts field-for-field
 :class:`TimingResult` equality on hypothesis-generated programs and
-configs and on every suite workload.  Select the kernel with
-``REPRO_TIMING_KERNEL=reference|compiled`` (compiled is the default);
-see ``docs/timing.md``.
+configs and on every suite workload.  :meth:`OutOfOrderModel.run` runs
+this kernel; see ``docs/timing.md``.
 """
 
 from __future__ import annotations

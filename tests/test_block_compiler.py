@@ -86,7 +86,7 @@ class TestCompiledProgramReuse:
                         )
                     )
             # The reference loop compiles nothing.
-            machine.run(dispatch="reference", value_observer=ValueProfiler(watched_sets[0]))
+            machine.run_reference(value_observer=ValueProfiler(watched_sets[0]))
             return summaries
 
         first = run_all()
@@ -98,9 +98,9 @@ class TestCompiledProgramReuse:
 
     def test_repeated_runs_share_one_block_program(self):
         machine = Machine(assemble_program(_LOOP_ASM))
-        machine.run(collect_trace=True, dispatch="block")
+        machine.run(collect_trace=True)
         program_object = machine._block_programs[True, frozenset()]
-        machine.run(collect_trace=True, dispatch="block")
+        machine.run(collect_trace=True)
         assert machine._block_programs[True, frozenset()] is program_object
 
 

@@ -36,8 +36,8 @@ from repro.sim.fusedc import (
     PIPELINES,
     FusedOutcome,
     ShapeAggregate,
-    default_pipeline,
     fused_program_for,
+    outcome_from_trace,
 )
 from repro.uarch import MachineConfig, OutOfOrderModel
 from repro.workloads import workload_by_name
@@ -292,36 +292,10 @@ done:
 
 
 # ----------------------------------------------------------------------
-# Pipeline plumbing: env knob, engine resolution, validation
+# Pipeline plumbing: engine resolution, validation
 # ----------------------------------------------------------------------
 class TestPipelinePlumbing:
-    def test_default_pipeline_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
-        assert default_pipeline() == "auto"
-        accepted = {
-            "": "auto",
-            "auto": "auto",
-            "AUTO": "auto",
-            "fused": "fused",
-            " Fused ": "fused",
-            "materialized": "materialized",
-            "off": "materialized",
-            "0": "materialized",
-            "false": "materialized",
-            "no": "materialized",
-            "disabled": "materialized",
-        }
-        for value, expected in accepted.items():
-            monkeypatch.setenv("REPRO_PIPELINE", value)
-            assert default_pipeline() == expected, value
-        # A typo must fail loudly rather than silently run another pipeline.
-        for value in ("bogus", "fussed", "fuse", "materialised"):
-            monkeypatch.setenv("REPRO_PIPELINE", value)
-            with pytest.raises(ValueError, match=f"REPRO_PIPELINE='{value}'"):
-                default_pipeline()
-
     def test_resolution_auto_follows_snapshot_layer(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
         monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
         store = ResultStore(tmp_path)
         assert _resolve_pipeline("auto", store) == "materialized"
@@ -330,13 +304,11 @@ class TestPipelinePlumbing:
         assert _resolve_pipeline("auto", None) == "fused"
         # Explicit choices win over everything.
         assert _resolve_pipeline("materialized", None) == "materialized"
-        monkeypatch.setenv("REPRO_PIPELINE", "materialized")
         assert _resolve_pipeline("fused", store) == "fused"
         with pytest.raises(ValueError):
             _resolve_pipeline("turbo", store)
 
-    def test_unknown_pipeline_is_rejected_everywhere(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
+    def test_unknown_pipeline_is_rejected_everywhere(self, tmp_path):
         engine = ExperimentEngine(store=ResultStore(tmp_path), jobs=1)
         config = ExperimentConfig(workload="li")
         with pytest.raises(ValueError, match="unknown pipeline 'fuse'"):
@@ -347,14 +319,6 @@ class TestPipelinePlumbing:
             engine.map([config], pipeline="fuse")
         # compute() keeps its materialized default for "auto".
         assert engine.compute(config, pipeline="auto").pipeline == "materialized"
-
-    def test_env_forces_fused_in_engine(self, tmp_path, monkeypatch):
-        """REPRO_PIPELINE=fused streams even when snapshots are enabled."""
-        monkeypatch.setenv("REPRO_PIPELINE", "fused")
-        engine = ExperimentEngine(store=ResultStore(tmp_path))
-        evaluation = engine.evaluate(ExperimentConfig(workload="li"))
-        assert evaluation.freshly_computed
-        assert evaluation.pipeline == "fused"
 
     def test_machine_run_validation(self):
         machine = Machine(assemble_program(TestMemoization.STEADY_LOOP))
@@ -378,19 +342,27 @@ class TestPipelinePlumbing:
     def test_pipeline_vocabulary(self):
         assert PIPELINES == ("auto", "fused", "materialized")
 
-    def test_fallback_on_non_block_tier(self):
-        """Non-block dispatch tiers fall back to the materialized oracle
-        but still present the fused result surface, bit-exact."""
-        program = assemble_program(TestMemoization.STEADY_LOOP)
-        machine = Machine(program)
-        streamed = machine.run(pipeline="fused")
-        fallback = machine.run(pipeline="fused", dispatch="reference")
-        assert fallback.trace is None
-        assert fallback.fused.timing == streamed.fused.timing
-        assert (
-            fallback.fused.shapes.shape_counts() == streamed.fused.shapes.shape_counts()
+    def test_mid_unit_landing_falls_back_to_materialized(self, monkeypatch):
+        """A computed return that lands mid-unit stops the fused stream;
+        the run falls back to the materialized oracle exactly once and
+        still presents the fused result surface, bit-exact."""
+        from test_sim_machine import _MID_UNIT_RETURN_ASM
+
+        machine = Machine(assemble_program(_MID_UNIT_RETURN_ASM))
+        calls = []
+        fallback = Machine._fused_fallback
+        monkeypatch.setattr(
+            Machine,
+            "_fused_fallback",
+            lambda self, *args: calls.append(args) or fallback(self, *args),
         )
-        assert fallback.output == streamed.output
+        run = machine.run(pipeline="fused")
+        assert len(calls) == 1
+        assert run.trace is None
+        assert run.output == [7, 36]
+        oracle = outcome_from_trace(machine.run(collect_trace=True).trace, MachineConfig())
+        assert run.fused.timing == oracle.timing
+        assert run.fused.shapes.shape_counts() == oracle.shapes.shape_counts()
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +375,6 @@ class TestNoTraceForSummaryOnly:
         """With ``REPRO_TRACE_STORE=off`` a cold ``engine.evaluate`` must
         resolve through the fused pipeline — the trace must not even be
         *constructed*, not merely dropped after the fact."""
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
         monkeypatch.setenv("REPRO_TRACE_STORE", "off")
 
         def explode(self):
@@ -422,7 +393,6 @@ class TestNoTraceForSummaryOnly:
         assert restored.summarize().to_json_dict() == evaluation.summarize().to_json_dict()
 
     def test_snapshots_enabled_keeps_materialized_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
         monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
         engine = ExperimentEngine(store=ResultStore(tmp_path))
         evaluation = engine.evaluate(ExperimentConfig(workload="li"))
@@ -469,7 +439,6 @@ class TestSweepPipeline:
         assert warm.simulations == 0
 
     def test_auto_streams_single_config_groups(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
         monkeypatch.setenv("REPRO_TRACE_STORE", "off")
         spec = SweepSpec.cartesian(
             workloads=("li",),

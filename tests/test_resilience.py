@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro import settings
 from repro.experiments.chaos import (
     ChaosInjectedError,
     chaos_blob,
@@ -412,14 +413,12 @@ class TestEngineResilience:
         ],
     )
     def test_task_timeout_accepts_seconds_only(self, value, expected, tmp_path, monkeypatch):
-        from repro.experiments.engine import _task_timeout_s
-
         monkeypatch.setenv("REPRO_TASK_TIMEOUT_S", value)
         if expected is not ValueError:
-            assert _task_timeout_s() == expected
+            assert settings.get("REPRO_TASK_TIMEOUT_S") == expected
             return
         with pytest.raises(ValueError, match=f"REPRO_TASK_TIMEOUT_S={value!r}"):
-            _task_timeout_s()
+            settings.get("REPRO_TASK_TIMEOUT_S")
         # A pool fan-out raises too, instead of degrading to serial.
         engine = ExperimentEngine(store=ResultStore(tmp_path / "store"), jobs=2)
         configs = [ExperimentConfig(workload="li"), ExperimentConfig(workload="ijpeg")]

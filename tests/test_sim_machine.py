@@ -159,13 +159,6 @@ entry:
         assert profiler.table(add.uid).entries == {7: 1}
 
 
-_HALT_ASM = """
-.func main 0
-entry:
-    halt
-.endfunc
-"""
-
 #: A return address nobody's call produced: ``helper`` bumps its return
 #: address past the ``add r1, r1, 100`` at the call-return site, so the
 #: return lands inside that unit; the loop after it is a unit entry again.
@@ -208,10 +201,16 @@ class _RecordingObserver:
         self.seen.append((uid, value))
 
 
+def _run_tier(machine, tier, **kwargs):
+    """``Machine.run`` for the block tier, its oracle ``run_reference`` else."""
+    run = machine.run_reference if tier == "reference" else machine.run
+    return run(**kwargs)
+
+
 def _run_all_tiers(program, **kwargs):
     machine = Machine(program)
     return {
-        tier: machine.run(collect_trace=True, dispatch=tier, **kwargs)
+        tier: _run_tier(machine, tier, collect_trace=True, **kwargs)
         for tier in ("reference", "block")
     }
 
@@ -236,44 +235,6 @@ class TestBlockDispatch:
         assert block.call_counts == reference.call_counts
         assert block.halted == reference.halted
         assert block.trace.records == reference.trace.records
-
-    def test_dispatch_tier_resolution(self, monkeypatch):
-        program = assemble_program(_HALT_ASM)
-        monkeypatch.delenv("REPRO_SIM_DISPATCH", raising=False)
-        assert Machine(program).dispatch == "block"
-        # Explicit arguments beat the environment; unknown tiers fail fast.
-        monkeypatch.setenv("REPRO_SIM_DISPATCH", "reference")
-        assert Machine(program, dispatch="block").dispatch == "block"
-        for unknown in ("turbo", "fast"):
-            with pytest.raises(ValueError):
-                Machine(program, dispatch=unknown)
-            with pytest.raises(ValueError):
-                Machine(program).run(dispatch=unknown)
-
-    @pytest.mark.parametrize(
-        "value", ("reference", "Reference", "slow", "0", "off", "false", "disabled", "none")
-    )
-    def test_environment_opt_out(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SIM_DISPATCH", value)
-        machine = Machine(assemble_program(_HALT_ASM))
-        assert machine.dispatch == "reference"
-        assert machine.run().halted
-
-    @pytest.mark.parametrize("value", ("", "block", "BLOCK"))
-    def test_environment_selects_block(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SIM_DISPATCH", value)
-        assert Machine(assemble_program(_HALT_ASM)).dispatch == "block"
-
-    @pytest.mark.parametrize("value", ("fast", "blok"))
-    def test_environment_rejects_unknown_tiers(self, monkeypatch, value):
-        """A typo or the retired per-instruction tier fails loudly instead
-        of silently running the default tier."""
-        monkeypatch.setenv("REPRO_SIM_DISPATCH", value)
-        program = assemble_program(_HALT_ASM)
-        with pytest.raises(ValueError, match="expected block or reference"):
-            Machine(program)
-        # An explicit tier never consults the environment.
-        assert Machine(program, dispatch="block").run().halted
 
     def test_limit_boundaries_exact_across_tiers(self):
         """SimulationLimitExceeded must fire at the same dynamic
@@ -302,7 +263,7 @@ done:
 """
         )
         machine = Machine(program)
-        total = machine.run(dispatch="reference").instructions
+        total = machine.run_reference().instructions
         assert total > 10
         uids = {inst.uid for inst in program.instructions()}
         # No calls, so the units are the basic blocks; each block that
@@ -317,7 +278,7 @@ done:
             for tier in ("reference", "block"):
                 observer = _RecordingObserver(uids)
                 try:
-                    bounded.run(dispatch=tier, value_observer=observer)
+                    _run_tier(bounded, tier, value_observer=observer)
                     outcomes[tier] = "completed"
                 except SimulationLimitExceeded as error:
                     outcomes[tier] = str(error)
@@ -353,8 +314,8 @@ done:
         runs = {}
         for tier in ("reference", "block"):
             profiler = ValueProfiler(uids)
-            run = Machine(program).run(
-                collect_trace=True, value_observer=profiler, dispatch=tier
+            run = _run_tier(
+                Machine(program), tier, collect_trace=True, value_observer=profiler
             )
             runs[tier] = (
                 _observed_tables(profiler),
@@ -419,7 +380,7 @@ next:
         errors = {}
         for tier in ("reference", "block"):
             with pytest.raises(KeyError) as excinfo:
-                Machine(program).run(dispatch=tier)
+                _run_tier(Machine(program), tier)
             errors[tier] = excinfo.value.args
         assert errors["block"] == errors["reference"]
 
@@ -448,7 +409,7 @@ entry:
         call_errors = {}
         for tier in ("reference", "block"):
             with pytest.raises(KeyError) as excinfo:
-                Machine(call_program).run(dispatch=tier)
+                _run_tier(Machine(call_program), tier)
             call_errors[tier] = excinfo.value.args
         assert call_errors["block"] == call_errors["reference"] == ("removed",)
 
@@ -462,7 +423,7 @@ entry:
 """
         )
         with pytest.raises(SimulationLimitExceeded):
-            Machine(program, max_instructions=100).run(dispatch="block")
+            Machine(program, max_instructions=100).run()
 
 
 class TestFastDispatch:
@@ -495,8 +456,8 @@ done:
             runs = {}
             for tier in ("reference", "block"):
                 profiler = ValueProfiler({add.uid})
-                run = Machine(program, dispatch=tier).run(
-                    collect_trace=collect_trace, value_observer=profiler
+                run = _run_tier(
+                    Machine(program), tier, collect_trace=collect_trace, value_observer=profiler
                 )
                 records = run.trace.records if collect_trace else None
                 runs[tier] = (profiler.table(add.uid).entries, run.output, records)
@@ -526,7 +487,7 @@ entry:
         profilers = {tier: ValueProfiler({mov.uid}) for tier in ("reference", "block")}
         machine = Machine(program)
         runs = {
-            tier: machine.run(collect_trace=True, dispatch=tier, value_observer=profiler)
+            tier: _run_tier(machine, tier, collect_trace=True, value_observer=profiler)
             for tier, profiler in profilers.items()
         }
         assert runs["block"].output == runs["reference"].output == [-1]
@@ -565,6 +526,6 @@ done:
         errors = {}
         for tier in ("reference", "block"):
             with pytest.raises(KeyError) as excinfo:
-                Machine(program).run(dispatch=tier)
+                _run_tier(Machine(program), tier)
             errors[tier] = excinfo.value.args
         assert errors["block"] == errors["reference"]

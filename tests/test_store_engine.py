@@ -233,55 +233,6 @@ class TestKeyValidation:
         assert store.path_for(key).name == f"{key}.json"
 
 
-class TestLegacyLayoutMigration:
-    """Single-level-shard files written by earlier revisions are swept
-    into the two-level layout instead of becoming invisible orphans."""
-
-    def test_open_migrates_legacy_entries(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
-        root = tmp_path / "store"
-        store = ResultStore(root)
-        workload = make_tiny()
-        engine = ExperimentEngine(store=store, jobs=1)
-        config = ExperimentConfig(workload="tiny")
-        engine.evaluate(config, workload=workload)
-        key = engine.key_for(config, workload)
-        sharded = store.path_for(key)
-        legacy = store.generation_root / key[:2] / f"{key}.json"
-        os.replace(sharded, legacy)
-        assert store.load(key) is None  # invisible at the legacy depth
-
-        reopened = ResultStore(root)
-        assert not legacy.exists()
-        assert sharded.exists()
-        assert reopened.load(key) is not None
-        assert [entry.key for entry in reopened.entries()] == [key]
-
-    def test_fsck_migrates_legacy_traces_and_entries(self, store):
-        workload = make_tiny()
-        engine = ExperimentEngine(store=store, jobs=1)
-        config = ExperimentConfig(workload="tiny")
-        engine.evaluate(config, workload=workload, pipeline="materialized")
-        key = engine.key_for(config, workload)
-        entry = store.path_for(key)
-        os.replace(entry, store.generation_root / key[:2] / f"{key}.json")
-        traces = list(store.trace_generation_root.glob("*/*/*.trace"))
-        assert traces
-        trace = traces[0]
-        trace_key = trace.stem
-        os.replace(
-            trace, store.trace_generation_root / trace_key[:2] / f"{trace_key}.trace"
-        )
-
-        report = store.fsck()
-        assert report.migrated == 2
-        assert report.clean
-        assert report.scanned_entries == 1
-        assert report.scanned_traces >= 1
-        assert entry.exists()
-        assert trace.exists()
-
-
 class TestEngine:
     def test_memo_returns_same_object(self, store):
         engine = ExperimentEngine(store=store, jobs=1)

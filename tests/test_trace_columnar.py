@@ -393,10 +393,10 @@ def _assert_runs_match(run, reference):
 def _run_differential(asm: str):
     program = assemble_program(asm)
     machine = Machine(program)
-    reference = machine.run(collect_trace=True, dispatch="reference")
+    reference = machine.run_reference(collect_trace=True)
     # Both interpreter tiers share one emission encoding; their traces,
     # outputs and counters must be indistinguishable.
-    run = machine.run(collect_trace=True, dispatch="block")
+    run = machine.run(collect_trace=True)
     _assert_runs_match(run, reference)
     _assert_columnar_equals_reference(run.trace, run.instructions, run.output)
 
@@ -443,8 +443,8 @@ def test_suite_workload_columnar_equals_reference(name):
     program = workload.build()
     workload.apply_input(program, "ref")
     machine = Machine(program)
-    reference = machine.run(collect_trace=True, dispatch="reference")
-    run = machine.run(collect_trace=True, dispatch="block")
+    reference = machine.run_reference(collect_trace=True)
+    run = machine.run(collect_trace=True)
     _assert_runs_match(run, reference)
     _assert_columnar_equals_reference(run.trace, run.instructions, run.output)
 

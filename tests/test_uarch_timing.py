@@ -47,11 +47,10 @@ from repro.uarch import (
     MachineConfig,
     OutOfOrderModel,
     PredictorConfig,
-    TIMING_KERNELS,
     bake_static_table,
 )
 from repro.uarch import tkernel
-from repro.uarch.ooo import _Slots, _default_kernel
+from repro.uarch.ooo import _Slots
 from repro.workloads import SUITE_NAMES, workload_by_name
 
 
@@ -63,8 +62,8 @@ def _assert_kernels_agree(trace, config=None):
     summary fields.
     """
     model = OutOfOrderModel(config)
-    reference = asdict(model.run(trace, kernel="reference"))
-    if asdict(model.run(trace, kernel="compiled")) != reference:
+    reference = asdict(model.run_reference(trace))
+    if asdict(model.run(trace)) != reference:
         from repro.coexec import compare_timing
 
         divergence = compare_timing(trace, config)
@@ -73,7 +72,7 @@ def _assert_kernels_agree(trace, config=None):
     # the compiled kernel's explicit-address variant.
     rebuilt = Trace(records=list(trace), static=trace.static)
     assert not rebuilt.has_derived_addresses
-    if asdict(model.run(rebuilt, kernel="compiled")) != reference:
+    if asdict(model.run(rebuilt)) != reference:
         from repro.coexec import compare_timing
 
         divergence = compare_timing(rebuilt, config)
@@ -279,7 +278,7 @@ class TestRealWorkloads:
     def test_machine_traces_take_the_derived_address_mode(self, ijpeg_trace):
         assert ijpeg_trace.has_derived_addresses
         assert ijpeg_trace.address_map is not None
-        OutOfOrderModel().run(ijpeg_trace, kernel="compiled")
+        OutOfOrderModel().run(ijpeg_trace)
         modes = tkernel._STATIC_OF_CACHE.get(ijpeg_trace.static)
         assert modes is not None
         assert any(key[0] == "derived" for key in modes)
@@ -373,7 +372,7 @@ class TestMultiConfigKernel:
         assert len(batched) == len(configs)
         for lane, config in zip(batched, configs):
             model = OutOfOrderModel(config)
-            assert asdict(lane) == asdict(model.run(trace, kernel="compiled"))
+            assert asdict(lane) == asdict(model.run(trace))
             assert asdict(lane) == asdict(model.run_reference(trace))
 
     def test_explicit_address_trace_batch(self):
@@ -465,9 +464,9 @@ class TestAdversarialProbes:
         records[3] = records[3]._replace(uid=bogus_uid)
         broken = Trace(records=records, static=trace.static)
         model = OutOfOrderModel()
-        for kernel in TIMING_KERNELS:
+        for run in (model.run, model.run_reference):
             with pytest.raises(KeyError) as exc:
-                model.run(broken, kernel=kernel)
+                run(broken)
             assert exc.value.args[0] == bogus_uid
 
     @pytest.mark.parametrize("walk", ("one-lane", "batch", "fused"))
@@ -531,9 +530,7 @@ class TestAdversarialProbes:
                 break
         weird = Trace(records=records, static=trace.static)
         model = OutOfOrderModel()
-        assert asdict(model.run(weird, kernel="compiled")) == asdict(
-            model.run(weird, kernel="reference")
-        )
+        assert asdict(model.run(weird)) == asdict(model.run_reference(weird))
 
     def test_negative_instruction_addresses_stay_bit_exact(self):
         """Hand-built traces may carry negative addresses; negative
@@ -544,9 +541,7 @@ class TestAdversarialProbes:
         records = [r._replace(address=r.address - (1 << 20)) for r in trace]
         shifted = Trace(records=records, static=trace.static)
         model = OutOfOrderModel()
-        assert asdict(model.run(shifted, kernel="compiled")) == asdict(
-            model.run(shifted, kernel="reference")
-        )
+        assert asdict(model.run(shifted)) == asdict(model.run_reference(shifted))
 
     def test_in_place_entry_replacement_rebakes_the_table(self):
         """StaticInfo.add_entry over an existing uid changes no shape
@@ -555,79 +550,23 @@ class TestAdversarialProbes:
         trace = _machine_trace(_SMOKE_ASM)
         static = trace.static
         model = OutOfOrderModel()
-        before = asdict(model.run(trace, kernel="compiled"))
+        before = asdict(model.run(trace))
         hot_uid = max(trace.uid_counts(), key=trace.uid_counts().get)
         version = static.version
         static.add_entry(replace(static[hot_uid], latency=9))
         assert static.version > version
-        after_reference = asdict(model.run(trace, kernel="reference"))
-        after_compiled = asdict(model.run(trace, kernel="compiled"))
+        after_reference = asdict(model.run_reference(trace))
+        after_compiled = asdict(model.run(trace))
         assert after_compiled == after_reference
         assert after_compiled["cycles"] != before["cycles"]
 
     def test_empty_trace(self):
         trace = Trace(records=[], static=StaticInfo())
         model = OutOfOrderModel()
-        for kernel in TIMING_KERNELS:
-            timing = model.run(trace, kernel=kernel)
+        for run in (model.run, model.run_reference):
+            timing = run(trace)
             assert timing.cycles == 1
             assert timing.instructions == 0
-
-
-# ----------------------------------------------------------------------
-# Kernel selection
-# ----------------------------------------------------------------------
-class TestKernelSelection:
-    def test_env_vocabulary(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIMING_KERNEL", raising=False)
-        assert _default_kernel() == "compiled"
-        for value in ("reference", "REF", "slow", "off", "0", "none"):
-            monkeypatch.setenv("REPRO_TIMING_KERNEL", value)
-            assert _default_kernel() == "reference"
-        for value in ("compiled", "COMPILED", ""):
-            monkeypatch.setenv("REPRO_TIMING_KERNEL", value)
-            assert _default_kernel() == "compiled"
-        # A misspelled or unknown tier must fail loudly, not silently
-        # run the compiled kernel when the oracle was asked for.
-        for value in ("anything-else", "refrence", "fast"):
-            monkeypatch.setenv("REPRO_TIMING_KERNEL", value)
-            with pytest.raises(ValueError, match="compiled"):
-                _default_kernel()
-            with pytest.raises(ValueError, match="REPRO_TIMING_KERNEL"):
-                OutOfOrderModel().run(Trace(records=[], static=StaticInfo()))
-
-    def test_env_selects_kernel_end_to_end(self, monkeypatch):
-        trace = _machine_trace(_SMOKE_ASM)
-        calls = []
-        real = tkernel.run_compiled
-        monkeypatch.setattr(
-            tkernel, "run_compiled", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", "reference")
-        OutOfOrderModel().run(trace)
-        assert not calls
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", "compiled")
-        OutOfOrderModel().run(trace)
-        assert len(calls) == 1
-
-    def test_explicit_kernel_beats_env(self, monkeypatch):
-        trace = _machine_trace(_SMOKE_ASM)
-        calls = []
-        real = tkernel.run_compiled
-        monkeypatch.setattr(
-            tkernel, "run_compiled", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
-        monkeypatch.setenv("REPRO_TIMING_KERNEL", "reference")
-        OutOfOrderModel(kernel="compiled").run(trace)
-        assert len(calls) == 1
-        OutOfOrderModel().run(trace, kernel="compiled")
-        assert len(calls) == 2
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            OutOfOrderModel(kernel="bogus")
-        with pytest.raises(ValueError):
-            OutOfOrderModel().run(Trace(records=[], static=StaticInfo()), kernel="bogus")
 
 
 # ----------------------------------------------------------------------
@@ -838,7 +777,7 @@ class TestSlotAllocators:
         monkeypatch.setattr(_Slots, "PRUNE_THRESHOLD", 64)
         monkeypatch.setattr(_Slots, "release_below", spying)
         trace = _machine_trace(_SMOKE_ASM)
-        OutOfOrderModel().run(trace, kernel="reference")
+        OutOfOrderModel().run_reference(trace)
         assert observed, "the walk never released exhausted cycles"
         assert max(observed) <= 64 + 128
 

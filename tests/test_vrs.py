@@ -237,7 +237,8 @@ def test_candidate_value_profiles_match_reference_tier(name):
         profiler = ValueProfiler(
             {candidate.uid for candidate in candidates}, capacity=config.profiler_capacity
         )
-        machine.run(value_observer=profiler, dispatch=tier)
+        run = machine.run_reference if tier == "reference" else machine.run
+        run(value_observer=profiler)
         tables[tier] = {
             uid: (table.total, table.entries) for uid, table in profiler.tables.items()
         }
