@@ -15,6 +15,11 @@ kernel.  The sequential side here therefore invalidates the trace's
 aggregation caches before each pass — measuring what six independent
 accounting walks genuinely cost — and the warm-sequential time is
 recorded alongside for the trajectory.
+
+A trace from ``Machine.run`` arrives with the shapes its block units
+counted, so dropping those caches makes both cold sides measure the
+columnar fallback — the aggregation that decoded snapshots, hand-built
+traces and ``run_reference`` traces still take.
 """
 
 from __future__ import annotations

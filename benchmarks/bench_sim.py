@@ -28,7 +28,8 @@ from repro.workloads import workload_by_name
 _WORKLOADS = ("go", "ijpeg")
 
 #: The block tier must beat the reference loop by this factor.  Measured
-#: 9.6-11.2x on these workloads (best of five, 2-vCPU VM, Python 3.11);
+#: 6.8-7.6x on these workloads with the traced units counting record
+#: shapes, 10.0x before they did (best of five, 2-vCPU VM, Python 3.11);
 #: the floor leaves headroom for loaded shared CI runners.
 _BLOCK_VS_REFERENCE_BAR = 5.0
 

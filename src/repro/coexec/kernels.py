@@ -307,6 +307,10 @@ def compare_fused(
             fields=_timing_fields(oracle_timing, fused.timing),
         )
 
+    # The block run counted the trace's shapes with the signature emitter
+    # the fused tier shares; recount them from the columns so the oracle
+    # stays independent of that emitter.
+    trace.invalidate_aggregation_caches()
     oracle_shapes = dict(trace.shape_counts())
     fused_shapes = fused.shapes.shape_counts()
     if fused_shapes != oracle_shapes:

@@ -187,7 +187,9 @@ class _Cursor:
             self._gen = self._reference_steps()
         else:
             program = block_program if block_program is not None else machine._block_program(True)
-            self._funcs = program.bind_run(
+            # Lockstep compares trace columns, never shapes: the signature
+            # counts a counting program returns are left unread.
+            self._funcs, _counts = program.bind_run(
                 self.regs, self.memory, self.output, self.block_counts, self.call_counts, self.trace
             )
             self._lengths = program.lengths

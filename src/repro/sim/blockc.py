@@ -27,11 +27,19 @@ instruction that produces a result, with the value its trace record
 carries as the result.  Each ``(collect_trace, watched)`` pair is its own
 program flavour.
 
+The traced flavour also counts record **shapes** as it runs, so the
+trace's consumers never walk its columns.  Each executed unit packs the
+significant-byte count of every value it emitted into one int signature
+(:func:`_sig_count_lines`, the emitter the fused tier shares) and bumps
+that signature's count in a per-unit dict; :func:`expand_signatures`
+turns the counts into the per-record ``(uid, source sigs, result sig)``
+keys of :meth:`Trace.shape_counts <repro.sim.trace.Trace.shape_counts>`.
+
 Compiled programs carry **no per-run state**: the generated module defines a
 single ``bind(...)`` factory taking the run's registers, memory accessors,
-output/counter sinks, trace emitters and observer, whose nested unit
-functions close over those arguments — binding a run is pure function
-creation, no source generation and no ``compile()``.  The
+output/counter sinks, trace emitters, observer and signature-count dicts,
+whose nested unit functions close over those arguments — binding a run is
+pure function creation, no source generation and no ``compile()``.  The
 :class:`BlockProgram` (source, bind factory, constant pool, per-entry
 instruction counts) is cached on the :class:`Machine` and shared across
 runs.
@@ -59,20 +67,21 @@ stored binary trace snapshots instead of replaying stale ones.
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from ..isa import Imm, Instruction, Opcode, OpKind, Width, to_signed
+from ..isa import Imm, Instruction, Opcode, OpKind, Width, significant_bytes, to_signed
 from .memory import _PAGE_MASK, _PAGE_SHIFT, _PAGE_SIZE
-from .trace import FLAG_MEM, FLAG_RESULT, FLAG_TAKEN, FLAG_TAKEN_TRUE
+from .trace import _SRC_SHIFT, FLAG_MEM, FLAG_RESULT, FLAG_TAKEN, FLAG_TAKEN_TRUE, _SigCache
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .machine import Machine
     from .memory import Memory
     from .trace import Trace
 
-__all__ = ["BlockProgram", "compile_blocks"]
+__all__ = ["BlockProgram", "compile_blocks", "expand_signatures"]
 
 _TAKEN = FLAG_TAKEN | FLAG_TAKEN_TRUE
 _NOT_TAKEN = FLAG_TAKEN
@@ -154,6 +163,16 @@ _PRED_EXPR: dict[Opcode, Callable[[str], str]] = {
 #: Inline form of ``Trace``'s unsigned→signed address reinterpretation.
 _ENCODE_MEM = f"({{m}} - {1 << 64} if {{m}} > {_INT64_MAX} else {{m}})"
 
+#: Matches value expressions that are compile-time integer literals —
+#: immediates ``(42)``, folded raw constants ``(-5)`` and the hardwired
+#: zero register ``0`` — whose significant-byte size folds at codegen.
+_CONST_VALUE = re.compile(r"^\(?(-?\d+)\)?$")
+
+#: Matches a register-entry value name emitted by the unit writer
+#: (``rN`` is only ever the value ``regs[N]`` held at unit entry), whose
+#: significance is already cached in the ``rsig`` list.
+_REG_VALUE = re.compile(r"^r(\d+)$")
+
 
 @dataclass
 class BlockProgram:
@@ -165,6 +184,8 @@ class BlockProgram:
     dynamic instruction count (0 for non-entry pcs); ``source`` the
     generated Python text (deterministic, useful for debugging and
     covered by the simulator code fingerprint via this module's source).
+    ``counts_shapes`` marks the signature-counting flavour, whose
+    ``unit_specs`` and ``key_caches`` feed :func:`expand_signatures`.
     """
 
     bind: Callable
@@ -173,6 +194,9 @@ class BlockProgram:
     entry_points: tuple[int, ...]
     source: str
     collect_trace: bool
+    counts_shapes: bool = False
+    unit_specs: tuple = ()
+    key_caches: tuple = ()
 
     def bind_run(
         self,
@@ -183,16 +207,23 @@ class BlockProgram:
         call_counts: dict,
         trace: "Trace | None" = None,
         observe: Callable[[int, int], None] | None = None,
-    ) -> list:
-        """Bind one run's state; returns the unit table indexed by pc.
+    ) -> tuple[list, list[dict] | None]:
+        """Bind one run's state; returns ``(funcs, counts)``.
 
-        ``None`` slots are pcs inside a unit (no unit starts there).
+        ``funcs`` is the unit table indexed by pc (``None`` slots are pcs
+        inside a unit, where no unit starts); ``counts`` holds one
+        signature-count dict per counted unit, filled as the run goes
+        (None unless the program counts shapes).
         """
         if trace is not None:
             rows_extend, arena_extend, mem_append, spill = trace.block_emitters()
         else:
             rows_extend = arena_extend = mem_append = spill = None
-        return self.bind(
+        counts = sig_get = None
+        if self.counts_shapes:
+            counts = [{} for _ in self.unit_specs]
+            sig_get = _SigCache().__getitem__
+        funcs = self.bind(
             regs,
             memory.load,
             memory.store,
@@ -207,19 +238,29 @@ class BlockProgram:
             mem_append,
             spill,
             observe,
+            counts,
+            sig_get,
         )
+        return funcs, counts
 
 
 class _UnitWriter:
-    """Codegen state for one compilation unit (SSA locals, values, metas)."""
+    """Codegen state for one compilation unit (SSA locals, values, metas).
 
-    def __init__(self) -> None:
+    ``bump`` is the signature-count update of a shape-counting unit
+    (None otherwise); ``finished`` is set once :meth:`epilogue_lines`
+    emitted the end of a unit execution that survives.
+    """
+
+    def __init__(self, bump: list[str] | None = None) -> None:
         self.lines: list[str] = []
         self.current: dict[int, str] = {}
         self.written: dict[int, str] = {}
         self.values: list[str] = []
         self.mems: list[str] = []
         self.metas: list[int] = []
+        self.bump = bump
+        self.finished = False
         self._temp = 0
 
     # -- registers ------------------------------------------------------
@@ -273,6 +314,144 @@ class _UnitWriter:
         for name in self.mems:
             lines.append(f"mem_append({_ENCODE_MEM.format(m=name)})")
         return lines
+
+    def epilogue_lines(self) -> list[str]:
+        """Arena/memory appends, then the register write-backs — with the
+        signature pack and ``bump`` between them in a counting unit."""
+        self.finished = True
+        if self.bump is None:
+            return self.emission_lines() + self.writeback_lines()
+        return self.emission_lines() + _sig_count_lines(self, self.bump)
+
+
+def _sig_count_lines(unit: _UnitWriter, bump: list[str]) -> list[str]:
+    """Signature pack, ``bump``, then the unit's register write-backs.
+
+    The shape-signature emitter of both counting tiers (the traced block
+    flavour and :mod:`repro.sim.fusedc`); ``bump`` is the tier's count
+    update and reads the packed signature from ``_s``.
+    """
+    # Pack the unit's value signature into ONE int: value i's
+    # significant-byte count (1..8, so it fits a nibble) lands at
+    # bit 4*i.  Constant values fold into a single literal; a value
+    # expression appearing at several positions costs one lookup,
+    # multiplied onto all of its nibbles at once (no carries: every
+    # nibble holds at most 8).  An int signature hashes and compares
+    # much faster than a tuple.
+    #
+    # Register write-backs ride along so the per-register sig cache
+    # ``rsig`` stays exact: a value read from ``regs[n]`` costs a
+    # list index (``rsig[n]``) instead of a dict lookup, and every
+    # write-back refreshes ``rsig`` with the sig its own result
+    # already needed for the signature pack.
+    written = sorted(unit.written.items())
+    pre: list[str] = []
+    cache: dict[str, str] = {}
+
+    def base_expr(value):
+        reg = _REG_VALUE.match(value)
+        if reg is not None:
+            return f"rsig[{reg.group(1)}]"
+        return f"sig_get({value})"
+
+    def hoisted_expr(value):
+        # Snapshot into a local: shared between the pack and the
+        # write-backs, and — for ``rsig[n]`` reads where register n
+        # is itself rewritten below — safe against the refresh.
+        expr = cache.get(value)
+        if expr is None or not expr.startswith("_sg"):
+            local = f"_sg{len(pre)}"
+            pre.append(f"{local} = {base_expr(value)}")
+            cache[value] = expr = local
+        return expr
+
+    wb_sigs = []
+    for _index, name in written:
+        match = _CONST_VALUE.match(name)
+        if match is not None:
+            wb_sigs.append(str(significant_bytes(int(match.group(1)))))
+        else:
+            wb_sigs.append(hoisted_expr(name))
+    const_bits = 0
+    positions: dict[str, list[int]] = {}
+    for index, value in enumerate(unit.values):
+        match = _CONST_VALUE.match(value)
+        if match is not None:
+            const_bits |= significant_bytes(int(match.group(1))) << (4 * index)
+            continue
+        expr = cache.get(value)
+        if expr is None:
+            # The pack runs before any write-back, so an inline
+            # ``rsig[n]`` read here is safe even when n is written.
+            cache[value] = expr = base_expr(value)
+        positions.setdefault(expr, []).append(4 * index)
+    parts = []
+    for expr, shifts in positions.items():
+        if len(shifts) == 1:
+            shift = shifts[0]
+            parts.append(expr if shift == 0 else f"{expr} << {shift}")
+        else:
+            parts.append(f"{expr} * {sum(1 << s for s in shifts)}")
+    if const_bits or not parts:
+        parts.append(str(const_bits))
+    lines = pre + [f"_s = {' | '.join(parts)}"] + bump
+    for (index, name), sig in zip(written, wb_sigs):
+        lines.append(f"regs[{index}] = {name}; rsig[{index}] = {sig}")
+    return lines
+
+
+def _record_specs(metas: list[int]) -> tuple:
+    """``(uid, start, end, has_result)`` per record of a unit's metas:
+    the nibbles of the unit's packed signature that hold its values."""
+    specs = []
+    start = 0
+    for meta in metas:
+        has_result = bool(meta & FLAG_RESULT)
+        end = start + (meta >> _SRC_SHIFT & 7) + has_result
+        specs.append((meta >> 8, start, end, has_result))
+        start = end
+    return tuple(specs)
+
+
+def expand_signatures(
+    unit_counts, unit_specs: tuple, key_caches: tuple, uid_delta: int = 0
+) -> dict[tuple[int, bytes, int], int]:
+    """Expand per-unit signature counts into per-record shape counts.
+
+    The key format of :meth:`Trace.shape_counts
+    <repro.sim.trace.Trace.shape_counts>`.  Each unit's record specs
+    carve a signature's nibbles back into ``(uid, srcs, result)`` shape
+    keys, memoized per distinct signature in that unit's ``key_caches``
+    dict.  ``uid_delta`` shifts the keys' uids (a fused program served
+    from the module cache to an identical rebuild of its IR).
+    """
+    shapes: dict[tuple[int, bytes, int], int] = {}
+    get = shapes.get
+    for counts, specs, cache in zip(unit_counts, unit_specs, key_caches):
+        cache_get = cache.get
+        for sig, count in counts.items():
+            keys = cache_get(sig)
+            if keys is None:
+                keys = tuple(
+                    (
+                        uid,
+                        bytes((sig >> (4 * i)) & 15 for i in range(start, end - 1)),
+                        (sig >> (4 * (end - 1))) & 15,
+                    )
+                    if has_result
+                    else (
+                        uid,
+                        bytes((sig >> (4 * i)) & 15 for i in range(start, end)),
+                        -1,
+                    )
+                    for uid, start, end, has_result in specs
+                )
+                cache[sig] = keys
+            if uid_delta:
+                keys = [(uid + uid_delta, sigs, rsig) for uid, sigs, rsig in keys]
+            for key in keys:
+                shapes[key] = get(key, 0) + count
+    return shapes
 
 
 def _gen_straightline(
@@ -502,6 +681,11 @@ def compile_blocks(
     compiled with a mutator are **never** cached on the machine — the
     caller (``repro.coexec``) holds them privately and binds them to its
     own run state.
+
+    A traced program without a mutator counts record shapes: every unit
+    that can run to its end packs and counts its width signature
+    (:func:`_sig_count_lines`) and keeps the ``rsig`` per-register cache
+    exact at write-back.
     """
     flat = machine._flat
     total = len(flat)
@@ -532,6 +716,9 @@ def compile_blocks(
 
     lengths = [0] * total
     unit_lines: list[str] = []
+    counting = collect_trace and mutate_result is None
+    counted_entries: list[int] = []
+    unit_specs: list[tuple] = []
 
     for position, entry in enumerate(entry_points):
         end = entry_points[position + 1] if position + 1 < len(entry_points) else total
@@ -545,7 +732,7 @@ def compile_blocks(
 
         function_name, block_label, _ = flat[entry]
         block_key = (function_name, block_label)
-        unit = _UnitWriter()
+        unit = _UnitWriter([f"_k{entry}[_s] = _kg{entry}(_s, 0) + 1"] if counting else None)
         if block_start[block_key] == entry:
             unit.lines.append(f"block_counts[{block_key!r}] = _bc({block_key!r}, 0) + 1")
 
@@ -561,10 +748,8 @@ def compile_blocks(
             # end, which the driver surfaces exactly like the reference
             # loop's past-the-end error).
             if collect_trace:
-                template = intern_template(f"_t{entry}", unit.metas)
-                tail += [f"rows_extend({template})"]
-                tail += unit.emission_lines()
-            tail += unit.writeback_lines()
+                tail.append(f"rows_extend({intern_template(f'_t{entry}', unit.metas)})")
+            tail += unit.epilogue_lines()
             tail.append(f"return {stop}")
         else:
             last_pc = stop - 1
@@ -585,22 +770,21 @@ def compile_blocks(
                 if collect_trace:
                     unit.values.append(address)
                     unit.metas.append(base_meta | _TAKEN | 1 << 4)
-                    template = intern_template(f"_t{last_pc}", unit.metas)
-                    tail += [f"rows_extend({template})"]
-                    tail += unit.emission_lines()
-                tail += unit.writeback_lines()
+                    tail.append(f"rows_extend({intern_template(f'_t{last_pc}', unit.metas)})")
+                tail += unit.epilogue_lines()
                 tail.append(f"if {address} == {machine._stop_address}:")
                 tail.append("    return -1")
                 tail.append(f"return _ioa({address})")
             else:  # HALT
                 if collect_trace:
                     unit.metas.append(base_meta)
-                    template = intern_template(f"_t{last_pc}", unit.metas)
-                    tail += [f"rows_extend({template})"]
-                    tail += unit.emission_lines()
-                tail += unit.writeback_lines()
+                    tail.append(f"rows_extend({intern_template(f'_t{last_pc}', unit.metas)})")
+                tail += unit.epilogue_lines()
                 tail.append("return -1")
 
+        if counting and unit.finished:
+            counted_entries.append(entry)
+            unit_specs.append(_record_specs(unit.metas))
         unit_lines.append(f"    def _u{entry}():")
         for line in unit.lines + tail:
             unit_lines.append(f"        {line}")
@@ -609,13 +793,20 @@ def compile_blocks(
     header = [
         "def bind(regs, load, store, pages_get, page_for, output_append,",
         "         block_counts, call_counts, consts,",
-        "         rows_extend, arena_extend, mem_append, spill, observe):",
+        "         rows_extend, arena_extend, mem_append, spill, observe,",
+        "         counts, sig_get):",
         "    _bc = block_counts.get",
         "    _cc = call_counts.get",
         "    _ifb = int.from_bytes",
         f"    ({', '.join(const_names)},) = consts",
-        "",
     ]
+    if counting:
+        # Per-register significance cache, refreshed by every counting
+        # write-back; per counted unit, its signature-count dict.
+        header.append("    rsig = list(map(sig_get, regs))")
+        for index, entry in enumerate(counted_entries):
+            header.append(f"    _k{entry} = counts[{index}]; _kg{entry} = _k{entry}.get")
+    header.append("")
     footer = [f"    _funcs = [None] * {total}"]
     footer += [f"    _funcs[{entry}] = _u{entry}" for entry in entry_points]
     footer.append("    return _funcs")
@@ -630,6 +821,9 @@ def compile_blocks(
         entry_points=entry_points,
         source=source,
         collect_trace=collect_trace,
+        counts_shapes=counting,
+        unit_specs=tuple(unit_specs),
+        key_caches=tuple({} for _ in unit_specs),
     )
 
 
@@ -661,40 +855,35 @@ def _gen_branch_tail(
         tail.append(f"    return {ghost}")
         if collect_trace:
             unit.values.append(cond)
-            template = intern_template(
-                f"_tN{pc}", unit.metas + [base_meta | _NOT_TAKEN | 1 << 4]
-            )
-            tail.append(f"rows_extend({template})")
-            tail += unit.emission_lines()
-        tail += unit.writeback_lines()
+            unit.metas.append(base_meta | _NOT_TAKEN | 1 << 4)
+            tail.append(f"rows_extend({intern_template(f'_tN{pc}', unit.metas)})")
+        tail += unit.epilogue_lines()
         tail.append(f"return {next_pc}")
         return tail
     if inst.op is Opcode.BR:
         if collect_trace:
             unit.metas.append(base_meta | _TAKEN)
-            template = intern_template(f"_t{pc}", unit.metas)
-            tail.append(f"rows_extend({template})")
-            tail += unit.emission_lines()
-        tail += unit.writeback_lines()
+            tail.append(f"rows_extend({intern_template(f'_t{pc}', unit.metas)})")
+        tail += unit.epilogue_lines()
         tail.append(f"return {taken_pc}")
         return tail
     cond = unit.operand(inst.srcs[0])
     predicate = _PRED_EXPR[inst.op](cond)
     if collect_trace:
+        # The two arms' templates differ only in the taken bits, which
+        # shapes ignore: the not-taken metas stand for both.
         unit.values.append(cond)
         taken_template = intern_template(f"_tT{pc}", unit.metas + [base_meta | _TAKEN | 1 << 4])
-        fall_template = intern_template(
-            f"_tN{pc}", unit.metas + [base_meta | _NOT_TAKEN | 1 << 4]
-        )
-        tail += unit.emission_lines()
-        tail += unit.writeback_lines()
+        unit.metas.append(base_meta | _NOT_TAKEN | 1 << 4)
+        fall_template = intern_template(f"_tN{pc}", unit.metas)
+        tail += unit.epilogue_lines()
         tail.append(f"if {predicate}:")
         tail.append(f"    rows_extend({taken_template})")
         tail.append(f"    return {taken_pc}")
         tail.append(f"rows_extend({fall_template})")
         tail.append(f"return {next_pc}")
     else:
-        tail += unit.writeback_lines()
+        tail += unit.epilogue_lines()
         tail.append(f"if {predicate}:")
         tail.append(f"    return {taken_pc}")
         tail.append(f"return {next_pc}")
@@ -727,10 +916,8 @@ def _gen_call_tail(
     if collect_trace:
         unit.values.append(f"({return_address})")
         unit.metas.append(base_meta | FLAG_RESULT | _TAKEN)
-        template = intern_template(f"_t{pc}", unit.metas)
-        tail.append(f"rows_extend({template})")
-        tail += unit.emission_lines()
-    tail += unit.writeback_lines()
+        tail.append(f"rows_extend({intern_template(f'_t{pc}', unit.metas)})")
+    tail += unit.epilogue_lines()
     tail.append(f"call_counts[{target!r}] = _cc({target!r}, 0) + 1")
     if observed:
         tail.append(f"observe({inst.uid}, {return_address})")

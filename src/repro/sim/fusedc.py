@@ -20,15 +20,17 @@ it walks a materialized trace.
 
 Accounting does not need the records at all, only the multiset of record
 shapes ``(uid, per-value significant-byte signature)``.  The fused tier
-therefore counts *block-level width signatures*: each executed unit folds
-the significant-byte sizes of every value it produced into one tuple and
-bumps ``counts[sig_tuple] += 1`` in a per-unit dict.  A block re-entered
-with an identical operand-width signature is a single dict hit — the
-memoization the ROADMAP asks for — and the expansion from signature
-tuples to per-record shape keys runs once per *distinct* signature
-(cached on the compiled program, so it also persists across runs).  The
-expanded :class:`ShapeAggregate` reproduces ``shape_counts`` /
-``uid_counts`` / ``width_distribution`` bit-exactly, so the existing
+therefore counts *block-level width signatures* with the block compiler's
+signature emitter (:func:`repro.sim.blockc._sig_count_lines`): each
+executed unit packs the significant-byte sizes of every value it produced
+into one int, and a run-length memo around that pack makes a block
+re-entered with the previous iteration's signature a compare and an
+increment.  The expansion from signatures to per-record shape keys
+(:func:`repro.sim.blockc.expand_signatures`, shared with the traced block
+flavour) runs once per *distinct* signature, cached on the compiled
+program, so it also persists across runs.  The expanded
+:class:`ShapeAggregate` reproduces ``shape_counts`` / ``uid_counts`` /
+``width_distribution`` bit-exactly, so the existing
 :class:`~repro.power.MultiPolicyEnergyAccountant` and the experiment
 summaries consume it unchanged.
 
@@ -45,12 +47,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..isa import Opcode, OpKind, Width, significant_bytes
+from ..isa import Opcode, OpKind, Width
 from .blockc import (
     _CONTROL_KINDS,
     _PRED_EXPR,
     _UnitWriter,
     _gen_straightline,
+    _sig_count_lines,
 )
 from .trace import FLAG_RESULT, StaticInfo, _SigCache
 
@@ -165,10 +168,10 @@ class FusedProgram:
     flushes the pending run-length counters and returns one
     signature-count dict per *counted* unit (in ``unit_specs`` order)
     and ``finalize()`` snapshots the timing state into the compiled
-    kernel's 11-tuple.  ``expand`` turns the signature counts back into
-    per-record shape keys, memoized per distinct signature in
-    ``key_caches`` (persistent across runs of the same compiled
-    program).
+    kernel's 11-tuple.  :func:`~repro.sim.blockc.expand_signatures` turns
+    the signature counts back into per-record shape keys, memoized per
+    distinct signature in ``key_caches`` (persistent across runs of the
+    same compiled program).
     """
 
     bind: Callable
@@ -184,60 +187,12 @@ class FusedProgram:
     #: Per counted unit: dict mapping a packed signature to its expanded
     #: tuple of shape keys.
     key_caches: tuple
-    static: StaticInfo
     sig_cache: _SigCache
     #: ``static.uid_base`` of the machine that compiled this program.
     #: A machine from an *identical rebuild* of the same IR (the module
-    #: cache serves those) has uids shifted by a uniform offset;
-    #: ``expand`` translates.
+    #: cache serves those) has uids shifted by a uniform offset, which the
+    #: expansion translates.
     uid_base: int = 0
-
-    def expand(
-        self,
-        unit_counts,
-        length: int,
-        static: Optional[StaticInfo] = None,
-        uid_base: Optional[int] = None,
-    ) -> ShapeAggregate:
-        """Expand per-unit signature counts into per-record shape counts.
-
-        A signature is one int packing each value's significant-byte
-        count (1..8) into its own nibble; the record specs carve the
-        nibbles back into per-record ``(uid, srcs, result)`` shape keys.
-        Pass the running machine's ``static``/``uid_base`` when this
-        compiled program came out of the module cache: uids in the
-        cached specs are uniformly shifted to the running build's.
-        """
-        if static is None:
-            static = self.static
-        delta = 0 if uid_base is None else uid_base - self.uid_base
-        shapes: dict[tuple[int, bytes, int], int] = {}
-        get = shapes.get
-        for counts, specs, cache in zip(unit_counts, self.unit_specs, self.key_caches):
-            cache_get = cache.get
-            for sig, count in counts.items():
-                keys = cache_get(sig)
-                if keys is None:
-                    keys = tuple(
-                        (
-                            uid,
-                            bytes((sig >> (4 * i)) & 15 for i in range(start, end - 1)),
-                            (sig >> (4 * (end - 1))) & 15,
-                        )
-                        if has_result
-                        else (
-                            uid,
-                            bytes((sig >> (4 * i)) & 15 for i in range(start, end)),
-                            -1,
-                        )
-                        for uid, start, end, has_result in specs
-                    )
-                    cache[sig] = keys
-                if delta:
-                    keys = [(uid + delta, sigs, rsig) for uid, sigs, rsig in keys]
-                for key in keys:
-                    shapes[key] = get(key, 0) + count
-        return ShapeAggregate(static, shapes, length)
 
 
 def timing_from_counters(counters: tuple, instructions: int) -> "TimingResult":
@@ -312,16 +267,6 @@ def outcome_from_trace(trace, config: "MachineConfig") -> FusedOutcome:
 # ----------------------------------------------------------------------
 # Source generation
 # ----------------------------------------------------------------------
-#: Matches value expressions that are compile-time integer literals —
-#: immediates ``(42)``, folded raw constants ``(-5)`` and the hardwired
-#: zero register ``0`` — whose significant-byte size folds at codegen.
-_CONST_VALUE = re.compile(r"^\(?(-?\d+)\)?$")
-
-#: Matches a register-entry value name emitted by the unit writer
-#: (``rN`` is only ever the value ``regs[N]`` held at unit entry), whose
-#: significance is already cached in the ``rsig`` list.
-_REG_VALUE = re.compile(r"^r(\d+)$")
-
 #: Process-wide source→code-object cache.  ``compile()`` of a fused
 #: source dominates cold compile cost (~0.13 s for a suite workload);
 #: the generated text is a complete fingerprint of everything that
@@ -706,88 +651,23 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
             out.append(ind + "    current_fetch_line = -1")
 
     def bump_writeback_lines(entry, unit):
-        # Pack the unit's value signature into ONE int: value i's
-        # significant-byte count (1..8, so it fits a nibble) lands at
-        # bit 4*i.  Constant values fold into a single literal; a value
-        # expression appearing at several positions costs one lookup,
-        # multiplied onto all of its nibbles at once (no carries: every
-        # nibble holds at most 8).  An int signature hashes and compares
-        # much faster than the tuple it replaces.
-        #
-        # Register write-backs ride along so the per-register sig cache
-        # ``rsig`` stays exact: a value read from ``regs[n]`` costs a
-        # list index (``rsig[n]``) instead of a dict lookup, and every
-        # write-back refreshes ``rsig`` with the sig its own result
-        # already needed for the signature pack.
-        values = unit.values
-        written = sorted(unit.written.items())
-        written_regs = {index for index, _ in written}
-        pre: list[str] = []
-        cache: dict[str, str] = {}
-
-        def base_expr(value):
-            reg = _REG_VALUE.match(value)
-            if reg is not None:
-                return f"rsig[{reg.group(1)}]"
-            return f"sig_get({value})"
-
-        def hoisted_expr(value):
-            # Snapshot into a local: shared between the pack and the
-            # write-backs, and — for ``rsig[n]`` reads where register n
-            # is itself rewritten below — safe against the refresh.
-            expr = cache.get(value)
-            if expr is None or not expr.startswith("_sg"):
-                local = f"_sg{len(pre)}"
-                pre.append(f"{local} = {base_expr(value)}")
-                cache[value] = expr = local
-            return expr
-
-        wb_sigs = []
-        for _index, name in written:
-            match = _CONST_VALUE.match(name)
-            if match is not None:
-                wb_sigs.append(str(significant_bytes(int(match.group(1)))))
-            else:
-                wb_sigs.append(hoisted_expr(name))
-        const_bits = 0
-        positions: dict[str, list[int]] = {}
-        for index, value in enumerate(values):
-            match = _CONST_VALUE.match(value)
-            if match is not None:
-                const_bits |= significant_bytes(int(match.group(1))) << (4 * index)
-                continue
-            expr = cache.get(value)
-            if expr is None:
-                # The pack runs before any write-back, so an inline
-                # ``rsig[n]`` read here is safe even when n is written.
-                cache[value] = expr = base_expr(value)
-            positions.setdefault(expr, []).append(4 * index)
-        parts = []
-        for expr, shifts in positions.items():
-            if len(shifts) == 1:
-                shift = shifts[0]
-                parts.append(expr if shift == 0 else f"{expr} << {shift}")
-            else:
-                parts.append(f"{expr} * {sum(1 << s for s in shifts)}")
-        if const_bits or not parts:
-            parts.append(str(const_bits))
-        # Run-length memo: loops overwhelmingly re-enter a block with the
-        # signature of the previous iteration, so the hot path is one
-        # compare + increment; the dict is touched only when the
-        # signature changes (and once more at collection time).
-        lines = pre + [
-            f"_s = {' | '.join(parts)}",
-            f"if _s == _p{entry}:",
-            f"    _n{entry} += 1",
-            "else:",
-            f"    if _n{entry}:",
-            f"        _k{entry}[_p{entry}] = _kg{entry}(_p{entry}, 0) + _n{entry}",
-            f"    _p{entry} = _s",
-            f"    _n{entry} = 1",
-        ]
-        for (index, _name), sig in zip(written, wb_sigs):
-            lines.append(f"regs[{index}] = {_name}; rsig[{index}] = {sig}")
-        return lines
+        # Run-length memo around the shared signature pack: loops
+        # overwhelmingly re-enter a block with the signature of the
+        # previous iteration, so the hot path is one compare + increment;
+        # the dict is touched only when the signature changes (and once
+        # more at collection time).
+        return _sig_count_lines(
+            unit,
+            [
+                f"if _s == _p{entry}:",
+                f"    _n{entry} += 1",
+                "else:",
+                f"    if _n{entry}:",
+                f"        _k{entry}[_p{entry}] = _kg{entry}(_p{entry}, 0) + _n{entry}",
+                f"    _p{entry} = _s",
+                f"    _n{entry} = 1",
+            ],
+        )
 
     # -- unit decomposition (identical to compile_blocks) -------------
     entries = set(block_start.values())
@@ -1132,7 +1012,6 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
         probe=probe,
         unit_specs=tuple(unit_specs),
         key_caches=tuple({} for _ in unit_specs),
-        static=static,
         sig_cache=_SigCache(),
         uid_base=uid_base,
     )
@@ -1180,8 +1059,8 @@ def fused_program_for(machine: "Machine", config=None, probe: bool = False) -> F
     """Compiled fused program for *machine*, served from the module cache.
 
     Bit-exact under reuse: the generated source depends only on the
-    fingerprinted content, and the consumers translate the uid shift
-    (:meth:`FusedProgram.expand`).
+    fingerprinted content, and the expansion translates the uid shift
+    (:attr:`FusedProgram.uid_base`).
     """
     from ..uarch.config import MachineConfig
 

@@ -45,7 +45,10 @@ Trace emission is columnar: the reference loop writes through the append
 closures of :meth:`Trace.emitters`, encoding the per-record flag byte
 dynamically, and the block tier batches whole-block meta templates
 through :meth:`Trace.block_emitters`, so every emission site shares one
-encoding and cannot drift (see ``repro/sim/trace.py``).
+encoding and cannot drift (see ``repro/sim/trace.py``).  The block units
+also count the trace's record shapes as they run, so a block-tier trace
+arrives with :meth:`Trace.shape_counts` filled — unless a mid-unit landing
+stepped the reference loop, which counts nothing.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from ..isa.semantics import (
 )
 from ..isa.widths import wrap_to_width
 from ..ir import Program, STACK_BASE_ADDRESS
-from .blockc import BlockProgram, compile_blocks
+from .blockc import BlockProgram, compile_blocks, expand_signatures
 from .memory import Memory, load_program_data
 from .trace import StaticInfo, Trace, pack_record
 
@@ -541,7 +544,9 @@ class Machine:
             observe = value_observer.observe
             watched = frozenset(value_observer.watched_uids)
         program = self._block_program(collect_trace, watched)
-        funcs = program.bind_run(regs, memory, output, block_counts, call_counts, trace, observe)
+        funcs, counts = program.bind_run(
+            regs, memory, output, block_counts, call_counts, trace, observe
+        )
         lengths = program.lengths
 
         executed = 0
@@ -562,7 +567,10 @@ class Machine:
                     # reference loop on the shared state up to the next
                     # unit entry, then carry on block by block.  A return
                     # that keeps re-landing mid-unit never reaches an
-                    # entry, so the budgets are probed here too.
+                    # entry, so the budgets are probed here too.  The
+                    # loop neither counts signatures nor refreshes
+                    # ``rsig``, so the shape counts are void.
+                    counts = None
                     for pc in self._reference_steps(
                         regs, memory, pc, trace, output, block_counts,
                         call_counts, value_observer, executed,
@@ -588,6 +596,10 @@ class Machine:
                 raise
             raise SimulationError("program counter ran past the end of the program") from None
 
+        if counts is not None:
+            trace.adopt_shape_counts(
+                expand_signatures(counts, program.unit_specs, program.key_caches)
+            )
         return RunResult(
             instructions=executed,
             output=output,
@@ -629,7 +641,7 @@ class Machine:
         the hook ``repro.coexec.compare_fused`` bisects with.
         """
         from ..uarch.config import MachineConfig
-        from .fusedc import FusedOutcome, fused_program_for, timing_from_counters
+        from .fusedc import FusedOutcome, ShapeAggregate, fused_program_for, timing_from_counters
 
         config = machine_config if machine_config is not None else MachineConfig()
         probe = probe_sink is not None
@@ -693,8 +705,13 @@ class Machine:
             raise SimulationError("program counter ran past the end of the program") from None
 
         timing = timing_from_counters(finalize(), executed)
-        shapes = program.expand(
-            collect(), executed, self.static_info, self.static_info.uid_base
+        # A program from the module cache may serve an identical rebuild,
+        # whose uids are uniformly shifted from the compiling build's.
+        uid_delta = self.static_info.uid_base - program.uid_base
+        shapes = ShapeAggregate(
+            self.static_info,
+            expand_signatures(collect(), program.unit_specs, program.key_caches, uid_delta),
+            executed,
         )
         return RunResult(
             instructions=executed,

@@ -36,7 +36,10 @@ The simulator's two dispatch tiers fill the columns through two append
 paths sharing one encoding: :meth:`Trace.emitters` appends one record at
 a time (the reference loop, which also steps the block tier's mid-unit
 landings) and :meth:`Trace.block_emitters` appends whole precomputed
-block templates (the block-compiled units).
+block templates (the block-compiled units).  The block units also count
+the records' accounting shapes as they run and hand them over through
+:meth:`Trace.adopt_shape_counts`, so the columnar aggregation of
+:meth:`Trace.shape_counts` runs only for traces they did not emit whole.
 
 Values that do not fit a signed 64-bit slot (e.g. a raw ``Imm`` bit
 pattern injected by a transformation) are kept exactly in a tiny side
@@ -746,10 +749,16 @@ class Trace:
         per-distinct-shape work.
 
         Traces carrying overflow values take an exact per-record fold
-        through the record view instead.
+        through the record view instead.  A block-tier run fills the
+        cache itself (:meth:`adopt_shape_counts`), so this columnar pass
+        serves only traces the block units did not emit whole.
         """
-        if self._shape_counts_cache is not None:
-            return self._shape_counts_cache
+        if self._shape_counts_cache is None:
+            self._shape_counts_cache = self._columnar_shape_counts()
+        return self._shape_counts_cache
+
+    def _columnar_shape_counts(self) -> dict:
+        """The aggregation behind :meth:`shape_counts`, over the columns."""
         counts: dict = {}
         get = counts.get
         if self._big:
@@ -760,7 +769,6 @@ class Trace:
                 rsig = -1 if result is None else sig_cache[result]
                 key = (record.uid, sigs, rsig)
                 counts[key] = get(key, 0) + 1
-            self._shape_counts_cache = counts
             return counts
         offsets = self.value_offsets
         arena_sigs = bytes(map(_SigCache().__getitem__, self._arena))
@@ -776,8 +784,15 @@ class Trace:
             else:
                 key = (meta >> 8, chunk, -1)
             counts[key] = get(key, 0) + count
-        self._shape_counts_cache = counts
         return counts
+
+    def adopt_shape_counts(self, shapes: dict) -> None:
+        """Fill the :meth:`shape_counts` cache with counts the producer
+        already aggregated (the block tier's signature counts, expanded by
+        :func:`repro.sim.blockc.expand_signatures`); :meth:`uid_counts`
+        then derives from them.  Neither walks the columns."""
+        self._shape_counts_cache = shapes
+        self._uid_counts_cache = None
 
     def width_distribution(self) -> dict[Width, int]:
         """Dynamic instruction counts per encoded (software) width.

@@ -66,6 +66,9 @@ def _assert_fused_exact(program, config=None):
     machine = Machine(program)
     reference = machine.run(collect_trace=True)
     trace = reference.trace
+    # The block run's shapes come from the signature emitter the fused
+    # tier shares; the oracle recounts them from the trace columns.
+    trace.invalidate_aggregation_caches()
     timing = OutOfOrderModel(config).run(trace)
     fused_run = machine.run(pipeline="fused", machine_config=config)
     fused = fused_run.fused

@@ -17,7 +17,10 @@ the style of ``tests/test_power_fused.py``:
    share the canonical sorted-shape kernel).
 3. **Coverage**: hypothesis-generated programs (random arithmetic,
    logic, memory traffic, loops, calls) plus every real suite workload.
-4. **Snapshots**: a trace survives the binary snapshot round trip
+4. **Both aggregation paths**: a block-tier trace arrives with the shape
+   counts its units counted; every check runs on it and on the columnar
+   aggregation of the same run, and the two must agree.
+5. **Snapshots**: a trace survives the binary snapshot round trip
    exactly, and an analysis-only re-run replays from the snapshot store
    with **zero** simulator calls while producing a bit-identical summary.
 """
@@ -390,6 +393,32 @@ def _assert_runs_match(run, reference):
     assert run.trace.records == reference.trace.records
 
 
+def _shapes_filled(trace: Trace) -> bool:
+    """True when the trace's shape counts came with it (no columnar pass)."""
+    return trace._shape_counts_cache is not None
+
+
+def _assert_both_paths(run, columnar: Trace | None = None):
+    """Both aggregation paths pass every check and agree on the counts.
+
+    ``run`` is a block-tier run, whose trace arrives with the shapes its
+    units counted.  The columnar path runs over ``columnar`` (the
+    ``run_reference`` trace of the same run) or, when None, over
+    ``run.trace`` itself once its cached aggregations are dropped.
+    """
+    filled = run.trace
+    assert _shapes_filled(filled)
+    _assert_columnar_equals_reference(filled, run.instructions, run.output)
+    shapes, uids = dict(filled.shape_counts()), Counter(filled.uid_counts())
+    if columnar is None:
+        filled.invalidate_aggregation_caches()
+        columnar = filled
+    assert not _shapes_filled(columnar)
+    _assert_columnar_equals_reference(columnar, run.instructions, run.output)
+    assert columnar.shape_counts() == shapes
+    assert columnar.uid_counts() == uids
+
+
 def _run_differential(asm: str):
     program = assemble_program(asm)
     machine = Machine(program)
@@ -398,7 +427,7 @@ def _run_differential(asm: str):
     # outputs and counters must be indistinguishable.
     run = machine.run(collect_trace=True)
     _assert_runs_match(run, reference)
-    _assert_columnar_equals_reference(run.trace, run.instructions, run.output)
+    _assert_both_paths(run, reference.trace)
 
 
 class TestGeneratedPrograms:
@@ -421,9 +450,7 @@ def ijpeg_run():
 
 class TestRealWorkloads:
     def test_ijpeg_columnar_equals_reference(self, ijpeg_run):
-        _assert_columnar_equals_reference(
-            ijpeg_run.trace, ijpeg_run.instructions, ijpeg_run.output
-        )
+        _assert_both_paths(ijpeg_run)
 
     def test_ijpeg_memory_footprint_beats_record_list(self, ijpeg_run):
         """The point of the columnar layout: bytes per record must be far
@@ -446,7 +473,60 @@ def test_suite_workload_columnar_equals_reference(name):
     reference = machine.run_reference(collect_trace=True)
     run = machine.run(collect_trace=True)
     _assert_runs_match(run, reference)
-    _assert_columnar_equals_reference(run.trace, run.instructions, run.output)
+    _assert_both_paths(run, reference.trace)
+
+
+# ----------------------------------------------------------------------
+# Which traces arrive with their shapes, and who aggregates the rest
+# ----------------------------------------------------------------------
+def _li_program():
+    workload = workload_by_name("li")
+    program = workload.build()
+    workload.apply_input(program, "ref")
+    return program
+
+
+def _analyse(trace: Trace):
+    """What a materialized evaluation derives from its trace."""
+    timing = OutOfOrderModel().run(trace)
+    energy = MultiPolicyEnergyAccountant(gating.registry()).account(trace, timing)
+    return timing, energy, aggregate_trace(trace)
+
+
+class TestShapeCountPaths:
+    def test_mid_unit_landing_leaves_the_trace_unfilled(self):
+        """The reference loop that steps a mid-unit landing neither counts
+        signatures nor refreshes the per-register sig cache: the block
+        run's trace must come back unfilled, its columnar shapes equal
+        to the reference loop's."""
+        from test_sim_machine import _MID_UNIT_RETURN_ASM
+
+        machine = Machine(assemble_program(_MID_UNIT_RETURN_ASM))
+        run = machine.run(collect_trace=True)
+        reference = machine.run_reference(collect_trace=True)
+        assert not _shapes_filled(run.trace)
+        _assert_runs_match(run, reference)
+        assert run.trace.shape_counts() == reference.trace.shape_counts()
+        assert run.trace.uid_counts() == reference.trace.uid_counts()
+        _assert_columnar_equals_reference(run.trace, run.instructions, run.output)
+
+    def test_traced_run_is_analysed_without_columnar_aggregation(self, monkeypatch):
+        """Timing, multi-policy accounting and the summary aggregation of
+        a traced ``Machine.run`` never reach the columnar shape pass, and
+        give what the columnar path gives; a ``run_reference`` trace
+        reaches it, so the patch point is the live one."""
+        machine = Machine(_li_program())
+        unfilled = machine.run(collect_trace=True).trace
+        unfilled.invalidate_aggregation_caches()
+        expected = _analyse(unfilled)
+
+        def refuse(self):
+            raise AssertionError("columnar shape aggregation ran")
+
+        monkeypatch.setattr(Trace, "_columnar_shape_counts", refuse)
+        assert _analyse(machine.run(collect_trace=True).trace) == expected
+        with pytest.raises(AssertionError, match="columnar shape aggregation ran"):
+            _analyse(machine.run_reference(collect_trace=True).trace)
 
 
 # ----------------------------------------------------------------------
@@ -480,9 +560,10 @@ entry:
         mov_record = records[1]
         assert mov_record.srcs == (2**64 - 1,)
         assert mov_record.result == 2**64 - 1
-        # Kernels take the exact per-record fallback and still match the
+        # The block units count the exact values, the columnar path takes
+        # the exact per-record fallback, and both still match the
         # verbatim references bit-for-bit.
-        _assert_columnar_equals_reference(trace, run.instructions, run.output)
+        _assert_both_paths(run)
 
     def test_overflow_survives_record_round_trip_and_snapshot(self):
         run = self._overflow_trace()
