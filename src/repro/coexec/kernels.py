@@ -257,8 +257,8 @@ def compare_fused(
     carrying one.  The differential suite routes its failures through
     this function so a red assertion names a record, not two summaries.
     """
-    from ..sim.fusedc import timing_from_probe
     from ..sim.machine import Machine
+    from ..uarch.tkernel import timing_from_probe
 
     if config is None:
         config = MachineConfig()

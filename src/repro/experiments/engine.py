@@ -137,36 +137,22 @@ def _snapshot_key(config: ExperimentConfig, workload: Workload) -> str:
     )
 
 
-def _replay_from_snapshot(
-    store: ResultStore, config: ExperimentConfig, workload: Workload
-) -> Optional[EvaluationSummary]:
-    """Rebuild a summary from a stored trace snapshot, or None on miss.
+def _guarded_replay(store: ResultStore, key: str, replay: Callable) -> Optional[object]:
+    """``replay(artifact)`` over the trace snapshot stored under ``key``.
 
-    When only the *analysis* side changed (a gating policy, an energy
-    coefficient, the machine configuration), the summary key misses but
-    the simulator-side snapshot key still hits, and the evaluation is
-    rebuilt without a single simulator step.
+    None on a miss, and None when the snapshot decodes but its contents
+    don't replay — e.g. a truncated-then-padded file whose trace is
+    internally inconsistent.  A broken cache entry must never fail an
+    evaluation or a sweep: it is quarantined, and the caller simulates.
     """
     if not store.trace_enabled:
         return None
-    key = _snapshot_key(config, workload)
     artifact = store.load_trace(key)
     if artifact is None:
         return None
     try:
-        return replay_summary(
-            workload,
-            artifact,
-            mechanism=config.mechanism,
-            threshold_nj=config.threshold_nj,
-            conventional_vrp=config.conventional_vrp,
-            machine_config=config.machine_config,
-        )
+        return replay(artifact)
     except Exception as exc:
-        # The snapshot decoded but its contents don't replay — e.g. a
-        # truncated-then-padded file whose trace is internally
-        # inconsistent.  A broken cache entry must never fail an
-        # evaluate(): drop it and fall back to simulation.
         _log.warning(
             "evicting unreplayable trace snapshot %s (%s: %s)",
             store.trace_path_for(key),
@@ -177,6 +163,30 @@ def _replay_from_snapshot(
             store.trace_path_for(key), f"unreplayable: {type(exc).__name__}: {exc}"
         )
         return None
+
+
+def _replay_from_snapshot(
+    store: ResultStore, config: ExperimentConfig, workload: Workload
+) -> Optional[EvaluationSummary]:
+    """Rebuild a summary from a stored trace snapshot, or None on miss.
+
+    When only the *analysis* side changed (a gating policy, an energy
+    coefficient, the machine configuration), the summary key misses but
+    the simulator-side snapshot key still hits, and the evaluation is
+    rebuilt without a single simulator step.
+    """
+    return _guarded_replay(
+        store,
+        _snapshot_key(config, workload),
+        lambda artifact: replay_summary(
+            workload,
+            artifact,
+            mechanism=config.mechanism,
+            threshold_nj=config.threshold_nj,
+            conventional_vrp=config.conventional_vrp,
+            machine_config=config.machine_config,
+        ),
+    )
 
 
 def _resolve_miss(

@@ -422,28 +422,6 @@ class SweepResult:
 # ----------------------------------------------------------------------
 # Execution (driven by ExperimentEngine.sweep)
 # ----------------------------------------------------------------------
-def _load_snapshot_artifact(
-    engine: "ExperimentEngine",
-    workload: Workload,
-    mechanism: str,
-    threshold_nj: float,
-    conventional_vrp: bool,
-) -> Optional["SimulationArtifact"]:
-    """The stored binary snapshot for one trace signature, if warm."""
-    from .engine import ExperimentConfig, _snapshot_key
-
-    store = engine.store
-    if not store.trace_enabled:
-        return None
-    config = ExperimentConfig(
-        workload=workload.name,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
-    )
-    return store.load_trace(_snapshot_key(config, workload))
-
-
 def _compute_artifact(
     engine: "ExperimentEngine",
     workload: Workload,
@@ -493,37 +471,44 @@ def _score_group(
 
     Returns ``(source, timings, instructions, energies)`` — the shared
     per-group work that :func:`run_sweep` fans out into rows.  Isolated
-    in a helper so a fault anywhere in the resolution (simulate, replay,
-    time, account) is attributable to exactly one group.  ``policies``
-    is pre-resolved by the caller: an unknown policy name is a spec
-    error and must raise rather than degrade into error rows.
+    in a helper so a fault anywhere in the resolution (simulate, time,
+    account) is attributable to exactly one group.  A stored snapshot
+    replays through the guard ``engine.evaluate`` uses: one that does
+    not replay is quarantined, and the group computes like a cold one.
+    ``policies`` is pre-resolved by the caller: an unknown policy name
+    is a spec error and must raise rather than degrade into error rows.
     """
+    from .engine import ExperimentConfig, _guarded_replay, _snapshot_key
+
     accountant = MultiPolicyEnergyAccountant(dict(policies))
 
-    artifact = _load_snapshot_artifact(
-        engine, workload, mechanism, threshold_nj, conventional_vrp
+    def score(source, artifact):
+        timings = run_compiled_many(artifact.trace, list(configs))
+        energies = accountant.account_many(artifact.trace, timings)
+        return source, timings, artifact.instructions, energies
+
+    config = ExperimentConfig(
+        workload=workload.name,
+        mechanism=mechanism,
+        threshold_nj=threshold_nj,
+        conventional_vrp=conventional_vrp,
     )
-    if artifact is None and (
-        pipeline == "fused" or (pipeline == "auto" and len(configs) == 1)
-    ):
-        source = "fused"
+    replayed = _guarded_replay(
+        engine.store,
+        _snapshot_key(config, workload),
+        lambda artifact: score("replayed", artifact),
+    )
+    if replayed is not None:
+        return replayed
+    if pipeline == "fused" or (pipeline == "auto" and len(configs) == 1):
         trace, timings, instructions = _fused_group(
             workload, mechanism, threshold_nj, conventional_vrp, configs
         )
-    else:
-        if artifact is not None:
-            source = "replayed"
-        else:
-            source = "computed"
-            artifact = _compute_artifact(
-                engine, workload, mechanism, threshold_nj, conventional_vrp
-            )
-        trace = artifact.trace
-        instructions = artifact.instructions
-        timings = run_compiled_many(trace, list(configs))
-
-    energies = accountant.account_many(trace, timings)
-    return source, timings, instructions, energies
+        return "fused", timings, instructions, accountant.account_many(trace, timings)
+    return score(
+        "computed",
+        _compute_artifact(engine, workload, mechanism, threshold_nj, conventional_vrp),
+    )
 
 
 def run_sweep(

@@ -11,12 +11,15 @@ full walks, all to carry information that is consumed exactly once.
 This module generates a third source tier that merges all three passes.
 For every basic-block unit the block compiler would emit, it emits the
 same straight-line simulation code and then, *inline at each
-trace-emission point*, the per-record update of the timing kernel
+trace-emission point*, the per-record update of the timing model
 (fetch/dispatch/issue/execute/commit plus caches and the branch
-predictor) — with the record's static facts (code address, fetch line,
-cache set/tag, latency, functional unit, destination register) folded
-into literals at generation time, exactly as ``tkernel`` folds them when
-it walks a materialized trace.
+predictor).  That update is not written here: the timing emitter of
+:mod:`repro.uarch.tkernel`, which also writes the trace walk, emits it
+at one lane with the record's static facts (fetch line, cache set/tag,
+latency, functional unit, source and destination registers, branch pc
+and outcome) folded into literals.  This module keeps only what is
+specific to the fused tier: the unit walker, the run-length signature
+memo, the probe hook and the bind scaffolding.
 
 Accounting does not need the records at all, only the multiset of record
 shapes ``(uid, per-value significant-byte signature)``.  The fused tier
@@ -70,8 +73,6 @@ __all__ = [
     "compile_fused",
     "fused_program_for",
     "outcome_from_trace",
-    "timing_from_counters",
-    "timing_from_probe",
 ]
 
 #: The pipeline vocabulary accepted by the experiment engine, sweeps, the
@@ -195,59 +196,6 @@ class FusedProgram:
     uid_base: int = 0
 
 
-def timing_from_counters(counters: tuple, instructions: int) -> "TimingResult":
-    """Build a :class:`TimingResult` from the kernel's 11-counter tuple.
-
-    The one mapping of that tuple: every lane of the compiled timing
-    walk (:mod:`repro.uarch.tkernel`) and the fused tier's
-    ``_finalize()`` return the identical tuple shape.
-    """
-    from ..uarch.ooo import TimingResult
-
-    (
-        cycles,
-        lookups,
-        mispredictions,
-        i_accesses,
-        i_misses,
-        d_accesses,
-        d_misses,
-        l2_accesses,
-        l2_misses,
-        loads,
-        stores,
-    ) = counters
-    return TimingResult(
-        cycles=cycles,
-        instructions=instructions,
-        branch_lookups=lookups,
-        branch_mispredictions=mispredictions,
-        icache_accesses=i_accesses,
-        icache_misses=i_misses,
-        dcache_accesses=d_accesses,
-        dcache_misses=d_misses,
-        l2_accesses=l2_accesses,
-        l2_misses=l2_misses,
-        loads=loads,
-        stores=stores,
-    )
-
-
-def timing_from_probe(snapshot: tuple, instructions: int) -> "TimingResult":
-    """Project a per-record probe snapshot onto a prefix TimingResult.
-
-    A probe snapshot is ``(commit_frontier, fetch_cycle, <9 counters>)``
-    taken immediately after one record's full update.  Finalizing from it
-    reproduces what the compiled kernel returns for the trace prefix that
-    ends at that record: a redirect the final record posts is never
-    consumed, so it doesn't enter the cycle count on either side.
-    """
-    commit_frontier, fetch_cycle = snapshot[0], snapshot[1]
-    last_commit = commit_frontier if commit_frontier >= 0 else 0
-    cycles = (last_commit if last_commit > fetch_cycle else fetch_cycle) + 1
-    return timing_from_counters((cycles,) + tuple(snapshot[2:]), instructions)
-
-
 def outcome_from_trace(trace, config: "MachineConfig") -> FusedOutcome:
     """Materialized-path :class:`FusedOutcome` (the fallback/oracle).
 
@@ -267,15 +215,6 @@ def outcome_from_trace(trace, config: "MachineConfig") -> FusedOutcome:
 # ----------------------------------------------------------------------
 # Source generation
 # ----------------------------------------------------------------------
-#: Process-wide source→code-object cache.  ``compile()`` of a fused
-#: source dominates cold compile cost (~0.13 s for a suite workload);
-#: the generated text is a complete fingerprint of everything that
-#: matters (program layout, config literals, probe mode), so identical
-#: rebuilds of the same workload hit even across Machine instances —
-#: the engine builds a fresh Machine per evaluation.
-_CODE_CACHE: dict[str, object] = {}
-_CODE_CACHE_LIMIT = 32
-
 #: log2 of the initial ring capacity of the issue-family slot
 #: allocators.  16384 cycles is far beyond any reachable issue-to-fetch
 #: span of the Table 2 machine (the 64-entry window bounds it to a few
@@ -284,37 +223,6 @@ _CODE_CACHE_LIMIT = 32
 #: bound.  Tests shrink it to force the growth path.
 _RING_BITS = 14
 
-_PROBE_LINE = (
-    "probe_append((commit_frontier, fetch_cycle, lookups, mispredictions, "
-    "i_accesses, i_misses, d_accesses, d_misses, l2_accesses, l2_misses, "
-    "loads, stores))"
-)
-
-#: Timing-state scalars a counted unit may reassign.  They live in the
-#: bind scope; each unit declares ``nonlocal`` for exactly the ones its
-#: tail mentions (cell access costs the same as a local on CPython
-#: 3.11+, so no load/write-back hoisting).
-_SCALARS = (
-    "fetch_cycle",
-    "fic",
-    "current_fetch_line",
-    "redirect_cycle",
-    "floor",
-    "commit_frontier",
-    "commit_used",
-    "window_index",
-    "history",
-    "lookups",
-    "mispredictions",
-    "i_accesses",
-    "i_misses",
-    "d_accesses",
-    "d_misses",
-    "l2_accesses",
-    "l2_misses",
-    "loads",
-    "stores",
-)
 
 class _Rec:
     """Codegen-time facts for one record a unit emits."""
@@ -334,24 +242,19 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
     """Generate the fused simulate→time→account tier for *machine*.
 
     The unit decomposition, straight-line simulation code and control
-    tails mirror :func:`repro.sim.blockc.compile_blocks` exactly; the
-    per-record timing updates run the scoreboard arithmetic of one lane
-    of the compiled timing walk that
-    :func:`repro.uarch.tkernel._multi_walk_source` generates for
-    *config* (same ring probes, same literals, same counters).  ``probe``
-    additionally emits a per-record snapshot of the timing counters into
-    a caller-supplied sink — the hook ``compare_fused`` uses to bisect a
-    divergence to the exact record.
+    tails mirror :func:`repro.sim.blockc.compile_blocks` exactly.  The
+    timing side — every record site's update, the bind-scope timing
+    state, the ``nonlocal`` names and ``_finalize()`` — comes from the
+    timing emitter of :mod:`repro.uarch.tkernel` at one lane for
+    *config*, with each record's static facts (its uid's derived-walk
+    tuple, its D-cache address expression, its branch outcome and its
+    place in the unit) folded in.  ``probe`` additionally emits a
+    per-record snapshot of the timing counters into a caller-supplied
+    sink — the hook ``compare_fused`` uses to bisect a divergence to the
+    exact record.
     """
+    from ..uarch import tkernel
     from ..uarch.config import MachineConfig
-    from ..uarch.tkernel import (
-        _div,
-        _fu_probe,
-        _grow_ring,
-        _mod,
-        _ring_probe,
-        _table_for,
-    )
 
     if config is None:
         config = MachineConfig()
@@ -361,294 +264,53 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
     function_entry = machine._function_entry
     total = len(flat)
     static = machine.static_info
-    table = _table_for(static)
+    table = tkernel._table_for(static)
     uid_base = table.uid_base
-    hot_words = table.hot_word
-    src_tuples = table.src_tuples()
-
-    icfg = config.icache
-    dcfg = config.dcache
-    l2cfg = config.l2cache
-    predictor = config.predictor
-    memory_latency = (
-        config.memory_first_chunk_cycles + 3 * config.memory_interchunk_cycles
+    static_of = tkernel._static_of_for(
+        static, table, machine.address_by_uid, config.icache.line_bytes
     )
-    l2_extra = l2cfg.miss_penalty_cycles + memory_latency
-    frontend = config.frontend_depth
-    ring_capacity = 1 << _RING_BITS
+    timing = tkernel._TimingEmitter((config,), _RING_BITS)
+    rebound = timing.rebound_names()
+    probe_line = f"probe_append({timing.snapshot()})"
 
-    gshare_mask = predictor.gshare_entries - 1
-    bimodal_mask = predictor.bimodal_entries - 1
-    selector_mask = predictor.selector_entries - 1
-    history_mask = (1 << predictor.history_bits) - 1
+    def record_sites(tail, recs, control):
+        """Every record's timing update, each straight-line record's
+        followed by its probe.  The control record's update stops before
+        its branch section, which ``outcome`` adds; returns its facts."""
+        previous_line = None
+        for rec in recs:
+            facts = static_of[rec.uid - uid_base]
+            timing.site(0, facts, rec.mem, previous_line)
+            if probe:
+                timing.emit(0, probe_line)
+            previous_line = facts[1]
+        facts = None
+        if control is not None:
+            facts = static_of[control.uid - uid_base]
+            timing.site(0, facts, None, previous_line)
+        tail.extend(timing.take())
+        return facts
 
-    # Rings that can actually bind (a functional-unit probe is elided
-    # when its width covers the whole issue width).
-    rings = ["iss"]
-    if config.int_alus < config.issue_width:
-        rings.append("alu")
-    if config.int_muls < config.issue_width:
-        rings.append("mul")
-    if config.lsq_ports < config.issue_width:
-        rings.append("lsq")
+    def outcome(tail, depth, facts, taken):
+        """The control record's branch section for one outcome, then its probe."""
+        hot, _line, pc, _srcs = facts
+        timing.branch(depth, hot, pc, taken)
+        if probe:
+            timing.emit(depth, probe_line)
+        tail.extend(timing.take())
 
-    # -- per-record timing snippets (relative indentation; the writer
-    # -- prepends the unit-body indent) -------------------------------
-    def width_block(out, ind):
-        out.append(ind + f"if fic >= {config.fetch_width}:")
-        out.append(ind + "    fetch_cycle += 1")
-        out.append(ind + "    fic = 1")
-        out.append(ind + "    floor += 1")
-        out.append(ind + "else:")
-        out.append(ind + "    fic += 1")
-
-    def bump_block(out, ind, bump):
-        # Mirrors the compiled kernel's ``latency > I_HIT`` split: a
-        # zero bump is plain fetch-width accounting.
-        if bump == 0:
-            width_block(out, ind)
-        else:
-            out.append(ind + f"fetch_cycle += {bump}")
-            out.append(ind + "fic = 1")
-            out.append(ind + f"floor = fetch_cycle + {frontend}")
-
-    def i_l2_block(out, ind, address):
-        l2_line = address // l2cfg.line_bytes
-        l2_set = l2_line % l2cfg.num_sets
-        l2_tag = l2_line // l2cfg.num_sets
-        out.append(ind + "l2_accesses += 1")
-        out.append(ind + f"_w2 = l2_ways[{l2_set}]")
-        out.append(ind + f"if {l2_tag} in _w2:")
-        out.append(ind + f"    _w2.remove({l2_tag})")
-        out.append(ind + f"    _w2.append({l2_tag})")
-        bump_block(out, ind + "    ", icfg.miss_penalty_cycles)
-        out.append(ind + "else:")
-        out.append(ind + "    l2_misses += 1")
-        out.append(ind + f"    _w2.append({l2_tag})")
-        out.append(ind + f"    if len(_w2) > {l2cfg.associativity}:")
-        out.append(ind + "        _w2.pop(0)")
-        bump_block(out, ind + "    ", icfg.miss_penalty_cycles + l2_extra)
-
-    def icache_block(out, ind, address):
-        line = address // icfg.line_bytes
-        set_ = line % icfg.num_sets
-        tag = line // icfg.num_sets
-        out.append(ind + "i_accesses += 1")
-        if icfg.associativity == 2:
-            out.append(ind + f"if {tag} == i_mru[{set_}]:")
-            width_block(out, ind + "    ")
-            out.append(ind + f"elif {tag} == i_lru[{set_}]:")
-            out.append(ind + f"    i_lru[{set_}] = i_mru[{set_}]")
-            out.append(ind + f"    i_mru[{set_}] = {tag}")
-            width_block(out, ind + "    ")
-            out.append(ind + "else:")
-            out.append(ind + "    i_misses += 1")
-            out.append(ind + f"    i_lru[{set_}] = i_mru[{set_}]")
-            out.append(ind + f"    i_mru[{set_}] = {tag}")
-            i_l2_block(out, ind + "    ", address)
-        else:
-            out.append(ind + f"_w = i_ways[{set_}]")
-            out.append(ind + f"if {tag} in _w:")
-            out.append(ind + f"    _w.remove({tag})")
-            out.append(ind + f"    _w.append({tag})")
-            width_block(out, ind + "    ")
-            out.append(ind + "else:")
-            out.append(ind + "    i_misses += 1")
-            out.append(ind + f"    _w.append({tag})")
-            out.append(ind + f"    if len(_w) > {icfg.associativity}:")
-            out.append(ind + "        _w.pop(0)")
-            i_l2_block(out, ind + "    ", address)
-
-    def fetch_section(out, address, first, prev_address):
-        line = address // icfg.line_bytes
-        if first:
-            # The only records that post a redirect or invalidate the
-            # fetch line are unit-final control records, so the dynamic
-            # checks are needed on the unit's first record only.
-            out.append("if redirect_cycle:")
-            out.append("    if redirect_cycle > fetch_cycle:")
-            out.append("        fetch_cycle = redirect_cycle")
-            out.append("        fic = 0")
-            out.append(f"        floor = fetch_cycle + {frontend}")
-            out.append("    redirect_cycle = 0")
-            out.append(f"if current_fetch_line != {line}:")
-            out.append(f"    current_fetch_line = {line}")
-            icache_block(out, "    ", address)
-            out.append("else:")
-            width_block(out, "    ")
-        elif line == prev_address // icfg.line_bytes:
-            width_block(out, "")
-        else:
-            out.append(f"current_fetch_line = {line}")
-            icache_block(out, "", address)
-
-    def dcache_l2_block(out, ind, mem, complete):
-        out.append(ind + "l2_accesses += 1")
-        out.append(ind + f"_l2 = {_div(mem, l2cfg.line_bytes)}")
-        out.append(ind + f"_w2 = l2_ways[{_mod('_l2', l2cfg.num_sets)}]")
-        out.append(ind + f"_l2t = {_div('_l2', l2cfg.num_sets)}")
-        out.append(ind + "if _l2t in _w2:")
-        out.append(ind + "    _w2.remove(_l2t)")
-        out.append(ind + "    _w2.append(_l2t)")
-        complete(out, ind + "    ", 1)
-        out.append(ind + "else:")
-        out.append(ind + "    l2_misses += 1")
-        out.append(ind + "    _w2.append(_l2t)")
-        out.append(ind + f"    if len(_w2) > {l2cfg.associativity}:")
-        out.append(ind + "        _w2.pop(0)")
-        complete(out, ind + "    ", 2)
-
-    def dcache_block(out, hot, mem):
-        is_store = bool(hot & 2048)
-
-        def complete(lines, ind, level):
-            if is_store:
-                lines.append(ind + "_cp = _cy + 1")
-            else:
-                latency = dcfg.hit_cycles
-                if level >= 1:
-                    latency += dcfg.miss_penalty_cycles
-                if level == 2:
-                    latency += l2_extra
-                lines.append(ind + f"_cp = _cy + {latency}")
-
-        out.append("d_accesses += 1")
-        out.append(f"_dl = {_div(mem, dcfg.line_bytes)}")
-        out.append(f"_ds = {_mod('_dl', dcfg.num_sets)}")
-        out.append(f"_dt = {_div('_dl', dcfg.num_sets)}")
-        if dcfg.associativity == 2:
-            out.append("if _dt == d_mru[_ds]:")
-            complete(out, "    ", 0)
-            out.append("elif _dt == d_lru[_ds]:")
-            out.append("    d_lru[_ds] = d_mru[_ds]")
-            out.append("    d_mru[_ds] = _dt")
-            complete(out, "    ", 0)
-            out.append("else:")
-            out.append("    d_misses += 1")
-            out.append("    d_lru[_ds] = d_mru[_ds]")
-            out.append("    d_mru[_ds] = _dt")
-            dcache_l2_block(out, "    ", mem, complete)
-        else:
-            out.append("_w = d_ways[_ds]")
-            out.append("if _dt in _w:")
-            out.append("    _w.remove(_dt)")
-            out.append("    _w.append(_dt)")
-            complete(out, "    ", 0)
-            out.append("else:")
-            out.append("    d_misses += 1")
-            out.append("    _w.append(_dt)")
-            out.append(f"    if len(_w) > {dcfg.associativity}:")
-            out.append("        _w.pop(0)")
-            dcache_l2_block(out, "    ", mem, complete)
-
-    def record_shared(out, rec, first, prev_address):
-        """Fetch → dispatch → issue → FU → execute → commit → dest."""
-        address = machine.address_of_index(rec.pc)
-        hot = hot_words[rec.uid - uid_base]
-        fetch_section(out, address, first, prev_address)
-        # Dispatch: window slot + source-operand readiness.
-        out.append("_cy = window_commits[window_index]")
-        out.append("if _cy < floor:")
-        out.append("    _cy = floor")
-        for reg in src_tuples[rec.uid - uid_base]:
-            out.append(f"_r = reg_ready[{reg}]")
-            out.append("if _r > _cy:")
-            out.append("    _cy = _r")
-        out.extend(_ring_probe("iss", config.issue_width, "", cycle_var="_cy").split("\n"))
-        if hot & 768:
-            if hot & 512:
-                fu = _fu_probe("lsq", config.lsq_ports, config.issue_width, "", cycle_var="_cy")
-            else:
-                fu = _fu_probe("mul", config.int_muls, config.issue_width, "", cycle_var="_cy")
-        else:
-            fu = _fu_probe("alu", config.int_alus, config.issue_width, "", cycle_var="_cy")
-        if fu is not None:
-            out.extend(fu.split("\n"))
-        # Execute: the simulator always tags LOAD/STORE records with
-        # their memory address, so the data-cache path is static.
-        if hot & 3072:
-            if hot & 1024:
-                out.append("loads += 1")
-            else:
-                out.append("stores += 1")
-            dcache_block(out, hot, rec.mem)
-        else:
-            out.append(f"_cp = _cy + {hot & 255}")
-        # Commit.
-        out.append("if _cp > commit_frontier:")
-        out.append("    commit_frontier = _cp")
-        out.append("    commit_used = 1")
-        out.append(f"elif commit_used >= {config.retire_width}:")
-        out.append("    commit_frontier += 1")
-        out.append("    commit_used = 1")
-        out.append("else:")
-        out.append("    commit_used += 1")
-        out.append("window_commits[window_index] = commit_frontier")
-        window = config.max_in_flight
-        if window & (window - 1) == 0:
-            out.append(f"window_index = (window_index + 1) & {window - 1}")
-        else:
-            out.append("window_index += 1")
-            out.append(f"if window_index == {window}:")
-            out.append("    window_index = 0")
-        dest = hot >> 16
-        if dest:
-            out.append(f"reg_ready[{dest - 1}] = _cp")
-
-    def predictor_arm(out, ind, pc_value, taken):
-        """Gshare/bimodal/selector update with the outcome baked in."""
-        bkey = pc_value & bimodal_mask
-        skey = pc_value & selector_mask
-        out.append(ind + f"_gk = ({pc_value} ^ history) & {gshare_mask}")
-        out.append(ind + "_gp = gshare[_gk] >= 2")
-        out.append(ind + f"_bp = bimodal[{bkey}] >= 2")
-        out.append(ind + f"if selector[{skey}] >= 2:")
-        out.append(ind + "    _pr = _gp")
-        out.append(ind + "else:")
-        out.append(ind + "    _pr = _bp")
-        out.append(ind + "lookups += 1")
-        if taken:
-            out.append(ind + "if _gp != _bp:")
-            out.append(ind + f"    _ct = selector[{skey}]")
-            out.append(ind + "    if _gp:")
-            out.append(ind + "        if _ct < 3:")
-            out.append(ind + f"            selector[{skey}] = _ct + 1")
-            out.append(ind + "    elif _ct > 0:")
-            out.append(ind + f"        selector[{skey}] = _ct - 1")
-            out.append(ind + "_ct = gshare[_gk]")
-            out.append(ind + "if _ct < 3:")
-            out.append(ind + "    gshare[_gk] = _ct + 1")
-            out.append(ind + f"_ct = bimodal[{bkey}]")
-            out.append(ind + "if _ct < 3:")
-            out.append(ind + f"    bimodal[{bkey}] = _ct + 1")
-            out.append(ind + f"history = ((history << 1) | 1) & {history_mask}")
-            out.append(ind + "if not _pr:")
-            out.append(ind + "    mispredictions += 1")
-            out.append(
-                ind + f"    redirect_cycle = _cp + {config.mispredict_redirect_penalty}"
-            )
-            out.append(ind + "    current_fetch_line = -1")
-        else:
-            out.append(ind + "if _gp != _bp:")
-            out.append(ind + f"    _ct = selector[{skey}]")
-            out.append(ind + "    if _gp:")
-            out.append(ind + "        if _ct > 0:")
-            out.append(ind + f"            selector[{skey}] = _ct - 1")
-            out.append(ind + "    elif _ct < 3:")
-            out.append(ind + f"        selector[{skey}] = _ct + 1")
-            out.append(ind + "_ct = gshare[_gk]")
-            out.append(ind + "if _ct > 0:")
-            out.append(ind + "    gshare[_gk] = _ct - 1")
-            out.append(ind + f"_ct = bimodal[{bkey}]")
-            out.append(ind + "if _ct > 0:")
-            out.append(ind + f"    bimodal[{bkey}] = _ct - 1")
-            out.append(ind + f"history = (history << 1) & {history_mask}")
-            out.append(ind + "if _pr:")
-            out.append(ind + "    mispredictions += 1")
-            out.append(
-                ind + f"    redirect_cycle = _cp + {config.mispredict_redirect_penalty}"
-            )
-            out.append(ind + "    current_fetch_line = -1")
+    def nonlocal_lines(lines, indent):
+        # Declare exactly the timing names these lines mention.  A
+        # per-unit load-into-locals/write-back scheme was measured
+        # against this and lost slightly on CPython 3.11 — cell access
+        # costs about the same as a local, so the transfer code is pure
+        # overhead for short units.
+        words = set(re.findall(r"\w+", "\n".join(lines)))
+        names = [name for name in rebound if name in words]
+        return [
+            f"{indent}nonlocal {', '.join(names[start : start + 6])}"
+            for start in range(0, len(names), 6)
+        ]
 
     def bump_writeback_lines(entry, unit):
         # Run-length memo around the shared signature pack: loops
@@ -725,24 +387,14 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
         counted = True
         control: Optional[_Rec] = None
 
-        def emit_records(records, out=tail):
-            prev_address = None
-            for index, rec in enumerate(records):
-                record_shared(out, rec, index == 0 and prev_address is None, prev_address)
-                if probe:
-                    out.append(_PROBE_LINE)
-                prev_address = machine.address_of_index(rec.pc)
-            return prev_address
-
         if not has_control:
-            emit_records(recs)
+            record_sites(tail, recs, None)
             tail.extend(bump_writeback_lines(entry, unit))
             tail.append(f"return {stop}")
         else:
             pc = stop - 1
             inst = flat[pc][2]
             kind = inst.kind
-            address = machine.address_of_index(pc)
             if kind is OpKind.BRANCH:
                 if inst.op is Opcode.BR:
                     taken_pc = block_start.get((function_name, inst.target))
@@ -753,12 +405,8 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
                         tail.append(f"return _bs[({function_name!r}, {inst.target!r})]")
                     else:
                         control = _Rec(pc, inst.uid, len(unit.values), len(unit.values), False, None)
-                        prev_address = emit_records(recs)
-                        record_shared(tail, control, not recs, prev_address)
-                        # Unconditional branches reach the kernel's
-                        # branch section but take no predictor action.
-                        if probe:
-                            tail.append(_PROBE_LINE)
+                        facts = record_sites(tail, recs, control)
+                        outcome(tail, 0, facts, True)
                         tail.extend(bump_writeback_lines(entry, unit))
                         tail.append(f"return {taken_pc}")
                 else:
@@ -768,35 +416,26 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
                     v0 = len(unit.values)
                     unit.values.append(condition)
                     control = _Rec(pc, inst.uid, v0, v0 + 1, False, None)
-                    pc_value = address >> 2
                     if taken_pc is None:
                         # Ghost conditional: blockc emits the unit's
                         # records only on the fall-through path, so all
                         # timing/accounting sits behind the ghost check.
                         tail.append(f"if {predicate}:")
                         tail.append(f"    return _bs[({function_name!r}, {inst.target!r})]")
-                        prev_address = emit_records(recs)
-                        record_shared(tail, control, not recs, prev_address)
-                        predictor_arm(tail, "", pc_value, False)
-                        if probe:
-                            tail.append(_PROBE_LINE)
+                        facts = record_sites(tail, recs, control)
+                        outcome(tail, 0, facts, False)
                         tail.extend(bump_writeback_lines(entry, unit))
                         tail.append(f"return {stop}")
                     else:
-                        prev_address = emit_records(recs)
-                        record_shared(tail, control, not recs, prev_address)
+                        facts = record_sites(tail, recs, control)
                         # The shape signature is outcome-independent
                         # (shape keys ignore the taken bits), so the
                         # bump and writebacks stay outside the split.
                         tail.extend(bump_writeback_lines(entry, unit))
                         tail.append(f"if {predicate}:")
-                        predictor_arm(tail, "    ", pc_value, True)
-                        if probe:
-                            tail.append("    " + _PROBE_LINE)
+                        outcome(tail, 1, facts, True)
                         tail.append(f"    return {taken_pc}")
-                        predictor_arm(tail, "", pc_value, False)
-                        if probe:
-                            tail.append(_PROBE_LINE)
+                        outcome(tail, 0, facts, False)
                         tail.append(f"return {stop}")
             elif kind is OpKind.CALL:
                 return_address = machine.address_of_index(pc + 1)
@@ -814,12 +453,8 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
                     v0 = len(unit.values)
                     unit.values.append(f"({return_address})")
                     control = _Rec(pc, inst.uid, v0, v0 + 1, True, None)
-                    prev_address = emit_records(recs)
-                    record_shared(tail, control, not recs, prev_address)
-                    tail.append("redirect_cycle = fetch_cycle + 1")
-                    tail.append("current_fetch_line = -1")
-                    if probe:
-                        tail.append(_PROBE_LINE)
+                    facts = record_sites(tail, recs, control)
+                    outcome(tail, 0, facts, True)
                     tail.extend(bump_writeback_lines(entry, unit))
                     call_flush.append((entry, inst.target))
                     tail.append(f"return {target_pc}")
@@ -828,22 +463,16 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
                 v0 = len(unit.values)
                 unit.values.append(return_value)
                 control = _Rec(pc, inst.uid, v0, v0 + 1, False, None)
-                prev_address = emit_records(recs)
-                record_shared(tail, control, not recs, prev_address)
-                tail.append("redirect_cycle = fetch_cycle + 1")
-                tail.append("current_fetch_line = -1")
-                if probe:
-                    tail.append(_PROBE_LINE)
+                facts = record_sites(tail, recs, control)
+                outcome(tail, 0, facts, True)
                 tail.extend(bump_writeback_lines(entry, unit))
                 tail.append(f"if {return_value} == {machine._stop_address}:")
                 tail.append("    return -1")
                 tail.append(f"return _ioa({return_value})")
             else:  # HALT
                 control = _Rec(pc, inst.uid, len(unit.values), len(unit.values), False, None)
-                prev_address = emit_records(recs)
-                record_shared(tail, control, not recs, prev_address)
-                if probe:
-                    tail.append(_PROBE_LINE)
+                facts = record_sites(tail, recs, control)
+                outcome(tail, 0, facts, True)
                 tail.extend(bump_writeback_lines(entry, unit))
                 tail.append("return -1")
 
@@ -861,26 +490,7 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
 
         body.append(f"    def _u{entry}():")
         if counted:
-            # Declare exactly the timing scalars (and grow-reassignable
-            # ring names) this unit's tail touches.  A per-unit
-            # load-into-locals/write-back scheme was measured against
-            # this and lost slightly on CPython 3.11 — cell access costs
-            # about the same as a local, so the transfer code is pure
-            # overhead for short units.
-            words = set(re.findall(r"\w+", "\n".join(tail)))
-            mutated = [n for n in _SCALARS if n in words]
-            for ring in rings:
-                if f"{ring}_cycle_at" in words:
-                    mutated += (
-                        f"{ring}_cycle_at",
-                        f"{ring}_count",
-                        f"{ring}_mask",
-                        f"{ring}_skip_from",
-                        f"{ring}_skip_to",
-                    )
-            for start in range(0, len(mutated), 6):
-                chunk = ", ".join(mutated[start : start + 6])
-                body.append(f"        nonlocal {chunk}")
+            body.extend(nonlocal_lines(tail, "        "))
             body.append(f"        nonlocal _p{entry}, _n{entry}")
         for line in unit.lines:
             body.append(f"        {line}")
@@ -899,43 +509,9 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
         "    rsig = list(map(sig_get, regs))",
         "    (_ioa, _bs, _fe, _W8, _W16, _W32, _W64, _grow_ring,) = consts",
     ]
-    if icfg.associativity == 2:
-        lines.append(
-            f"    i_mru, i_lru = [None] * {icfg.num_sets}, [None] * {icfg.num_sets}"
-        )
-    else:
-        lines.append(f"    i_ways = [[] for _ in range({icfg.num_sets})]")
-    if dcfg.associativity == 2:
-        lines.append(
-            f"    d_mru, d_lru = [None] * {dcfg.num_sets}, [None] * {dcfg.num_sets}"
-        )
-    else:
-        lines.append(f"    d_ways = [[] for _ in range({dcfg.num_sets})]")
-    lines.append(f"    l2_ways = [[] for _ in range({l2cfg.num_sets})]")
-    lines.append("    i_accesses = i_misses = d_accesses = d_misses = 0")
-    lines.append("    l2_accesses = l2_misses = 0")
-    lines.append(f"    gshare = [1] * {predictor.gshare_entries}")
-    lines.append(f"    bimodal = [1] * {predictor.bimodal_entries}")
-    lines.append(f"    selector = [2] * {predictor.selector_entries}")
-    lines.append("    history = 0")
-    lines.append("    lookups = mispredictions = 0")
-    for ring in rings:
-        lines.append(
-            f"    {ring}_cycle_at, {ring}_count, {ring}_mask = "
-            f"[-1] * {ring_capacity}, [0] * {ring_capacity}, {ring_capacity - 1}"
-        )
-        lines.append(f"    {ring}_skip_from = {ring}_skip_to = -1")
-    lines.append("    commit_frontier = -1")
-    lines.append("    commit_used = 0")
-    lines.append(f"    reg_ready = [0] * {table.num_regs}")
-    lines.append(f"    window_commits = [0] * {config.max_in_flight}")
-    lines.append("    window_index = 0")
-    lines.append("    fetch_cycle = 0")
-    lines.append("    fic = 0")
-    lines.append("    current_fetch_line = -1")
-    lines.append("    redirect_cycle = 0")
-    lines.append(f"    floor = {frontend}")
-    lines.append("    loads = stores = 0")
+    timing.front_state(1)
+    timing.lane_state(1, table.num_regs)
+    lines.extend(timing.take())
     for entry in counted_entries:
         lines.append(f"    _k{entry} = {{}}")
         lines.append(f"    _kg{entry} = _k{entry}.get")
@@ -943,15 +519,10 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
         lines.append(f"    _n{entry} = 0")
     lines.extend(body)
     lines.append("    def _finalize():")
-    lines.append("        _lc = commit_frontier if commit_frontier >= 0 else 0")
-    lines.append("        return (")
-    lines.append("            (_lc if _lc > fetch_cycle else fetch_cycle) + 1,")
-    lines.append("            lookups, mispredictions,")
-    lines.append("            i_accesses, i_misses,")
-    lines.append("            d_accesses, d_misses,")
-    lines.append("            l2_accesses, l2_misses,")
-    lines.append("            loads, stores,")
-    lines.append("        )")
+    timing.finalize(2)
+    finalize = timing.take()
+    lines.extend(nonlocal_lines(finalize, "        "))
+    lines.extend(finalize)
     lines.append("    def _collect():")
     if counted_entries:
         for start in range(0, len(counted_entries), 8):
@@ -985,13 +556,7 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
     source = "\n".join(lines) + "\n"
 
     namespace: dict = {}
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
-            _CODE_CACHE.pop(next(iter(_CODE_CACHE)))
-        code = compile(source, "<repro.sim.fusedc>", "exec")
-        _CODE_CACHE[source] = code
-    exec(code, namespace)  # noqa: S102
+    exec(compile(source, "<repro.sim.fusedc>", "exec"), namespace)  # noqa: S102
     consts = (
         machine.index_of_address,
         block_start,
@@ -1000,7 +565,7 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
         Width.HALF,
         Width.WORD,
         Width.QUAD,
-        _grow_ring,
+        tkernel._grow_ring,
     )
     return FusedProgram(
         bind=namespace["bind"],

@@ -641,7 +641,8 @@ class Machine:
         the hook ``repro.coexec.compare_fused`` bisects with.
         """
         from ..uarch.config import MachineConfig
-        from .fusedc import FusedOutcome, ShapeAggregate, fused_program_for, timing_from_counters
+        from ..uarch.tkernel import timing_from_counters
+        from .fusedc import FusedOutcome, ShapeAggregate, fused_program_for
 
         config = machine_config if machine_config is not None else MachineConfig()
         probe = probe_sink is not None

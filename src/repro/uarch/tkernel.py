@@ -1,23 +1,33 @@
-"""Compiled out-of-order timing kernel: one generated lane walk.
+"""Compiled out-of-order timing kernel: one timing emitter, two specializations.
 
 Runs the *same scoreboard arithmetic* as the reference walk in
 :meth:`repro.uarch.ooo.OutOfOrderModel.run_reference`, but as
 **generated Python source** (the same technique the simulator's block
-compiler uses) driven off precomputed packed data.  One generator,
-:func:`_multi_walk_source`, emits every compiled timing walk:
-:func:`run_compiled` is its walk at one lane, and
-:func:`run_compiled_many` packs many configs into lanes.
+compiler uses).  One emitter, :class:`_TimingEmitter`, writes the
+model's per-record update section by section, over one or more
+*lanes*, and is specialized twice:
 
-* **Lane walk**: configs that share cache geometries, predictor tables
-  and address mode (one :func:`_lane_shape` group) share one trace
-  walk.  The fetch line, every cache access and the predictor stream
-  are the same for all of them, so they are simulated once per record;
-  each config gets its own scoreboard *lane* (suffixed locals, its own
-  slot allocators) with its cycle-valued parameters baked in as
-  literals.  Power-of-two cache/line/window arithmetic compiles to
-  shifts and masks, and only the configured cache-associativity variant
-  is emitted.  Compiled once per (lane configs, address mode) and
-  cached for the process.
+* **The lane walk** (:func:`_multi_walk_source`) walks a materialized
+  trace, reading every per-record fact at run time from packed data.
+  :func:`run_compiled` is its walk at one lane, and
+  :func:`run_compiled_many` packs many configs into lanes.
+* **Record sites** of the fused tier (:mod:`repro.sim.fusedc`) inline
+  the update at each point where the simulator would emit a record, at
+  one lane, with that record's static facts folded in as literals.
+
+Both share every cache, predictor, ring and scoreboard line; a timing
+model change is a change here only.
+
+* **Lanes**: configs that share cache geometries, predictor tables and
+  address mode (one :func:`_lane_shape` group) share one trace walk.
+  The fetch line, every cache access and the predictor stream are the
+  same for all of them, so they are simulated once per record; each
+  config gets its own scoreboard *lane* (suffixed locals, its own slot
+  allocators) with its cycle-valued parameters baked in as literals.
+  Power-of-two cache/line/window arithmetic compiles to shifts and
+  masks, and only the configured cache-associativity variant is
+  emitted.  A walk is compiled once per (lane configs, address mode)
+  and cached for the process.
 
 * **Packed static table** (:class:`StaticTable`): the per-uid facts the
   walk needs (latency, functional-unit class, class bits, destination
@@ -29,7 +39,8 @@ compiler uses) driven off precomputed packed data.  One generator,
   of a dataclass attribute walk.  Simulator traces derive instruction
   addresses from the uid, so the *derived* address mode also bakes the
   fetch-line number and branch pc per uid and iterates the meta column
-  alone; hand-built traces take the explicit two-column variant.
+  alone; hand-built traces take the explicit two-column variant.  A
+  fused record site folds its uid's derived tuple.
 
 * **Ring-buffer slot allocators**: the reference model's ``_Slots``
   (a per-cycle usage dict) becomes a pair of flat lists per allocator —
@@ -42,9 +53,9 @@ compiler uses) driven off precomputed packed data.  One generator,
   (:func:`_grow_ring`); stale tenants are below every future probe, so
   overwriting them is exactly the dict allocator's garbage.  A
   known-full interval memo collapses the re-walk of saturated cycles
-  (see :func:`_ring_probe`), and the retire allocator's probes are
-  monotone (``max(complete, last_commit)``), so it collapses further,
-  to a frontier ``(cycle, used)`` scalar pair.
+  (see :meth:`_TimingEmitter._ring_probe`), and the retire allocator's
+  probes are monotone (``max(complete, last_commit)``), so it collapses
+  further, to a frontier ``(cycle, used)`` scalar pair.
 
 * **Inlined caches and predictor**: L1 set/tag math runs on flat
   MRU/LRU tag lists when the cache is 2-way (the Table 2 shape), with a
@@ -70,15 +81,17 @@ from array import array
 from dataclasses import dataclass
 
 from ..sim import Trace
-from ..sim.fusedc import timing_from_counters
 from ..sim.trace import StaticInfo
 from .config import MachineConfig
+from .ooo import TimingResult
 
 __all__ = [
     "StaticTable",
     "bake_static_table",
     "run_compiled",
     "run_compiled_many",
+    "timing_from_counters",
+    "timing_from_probe",
     "MULTI_KERNEL_MAX_LANES",
 ]
 
@@ -280,88 +293,6 @@ def _mod(value_expr: str, divisor: int) -> str:
     return f"({value_expr} % {divisor})"
 
 
-def _ring_probe(
-    name: str,
-    width: int,
-    indent: str,
-    cycle_var: str,
-    floor_var: str = "floor",
-) -> str:
-    """Source for one inlined ring-allocator probe from ``cycle_var``.
-
-    A slot write may only clobber a stale tenant (``old < floor``:
-    below every future probe); a live collision grows the ring and
-    re-probes, so dict-allocator equivalence is unconditional.
-
-    Saturated-prefix memoization: per-cycle usage only ever grows, so a
-    cycle once seen full stays full.  Each allocator remembers one
-    known-full interval ``[skip_from, skip_to)``; hitting a full cycle
-    inside it jumps straight past the interval instead of re-walking it
-    (the dominant cost at IPC near the issue width — several full
-    cycles re-probed per record).  The memo is consulted and maintained
-    exclusively on the full-cycle path, so unconstrained allocations
-    pay nothing.
-
-    ``cycle_var`` is the cycle being probed and ``floor_var`` its
-    monotone floor: the lane walk probes each lane's ``cyc<lane>``
-    against ``floor<lane>``, the fused tier (:mod:`repro.sim.fusedc`)
-    its ``_cy`` against ``floor``.
-    """
-    n = name
-    c = cycle_var
-    f = floor_var
-    lines = [
-        "while True:",
-        f"    slot = {c} & {n}_mask",
-        f"    old = {n}_cycle_at[slot]",
-        f"    if old == {c}:",
-        f"        used = {n}_count[slot]",
-        f"        if used < {width}:",
-        f"            {n}_count[slot] = used + 1",
-        "            break",
-        f"        if {n}_skip_from <= {c} < {n}_skip_to:",
-        f"            {c} = {n}_skip_to",
-        f"        elif {c} == {n}_skip_to:",
-        f"            {n}_skip_to = {c} = {c} + 1",
-        "        else:",
-        f"            {n}_skip_from = {c}",
-        f"            {n}_skip_to = {c} = {c} + 1",
-        f"    elif old < {f}:",
-        f"        {n}_cycle_at[slot] = {c}",
-        f"        {n}_count[slot] = 1",
-        "        break",
-        "    else:",
-        f"        {n}_cycle_at, {n}_count, {n}_mask = _grow_ring(",
-        f"            {n}_cycle_at, {n}_count, {f}, {c} - {f}",
-        "        )",
-    ]
-    return "\n".join(indent + line for line in lines)
-
-
-def _fu_probe(
-    name: str,
-    width: int,
-    issue_width: int,
-    indent: str,
-    cycle_var: str,
-    floor_var: str = "floor",
-) -> str | None:
-    """A functional-unit probe, or ``None`` when it can never bind.
-
-    Every record reaches its functional-unit class at the cycle the
-    issue probe granted, and the issue ring admits at most
-    ``issue_width`` grants per cycle — so a class with at least
-    ``issue_width`` units sees at most ``issue_width`` same-cycle
-    probes, never saturates, never defers a probe to a later cycle, and
-    (by induction) never accumulates carryover demand.  Its ring is
-    then pure bookkeeping that nothing reads: the probe is a timing
-    no-op and is elided from the generated walk entirely.
-    """
-    if width >= issue_width:
-        return None
-    return _ring_probe(name, width, indent, cycle_var=cycle_var, floor_var=floor_var)
-
-
 def _derived_mode_supported(config: MachineConfig) -> bool:
     """Derived mode reconstructs the icache's L2 line from the fetch
     line, which is exact only when the L2 line size is a whole multiple
@@ -467,13 +398,680 @@ def _lane_shape(config: MachineConfig, derived: bool) -> tuple:
     )
 
 
+#: The shared counters of the 11-tuple every timing walk returns, after
+#: one cycle count per lane (see :func:`timing_from_counters`).
+_COUNTERS = (
+    "lookups",
+    "mispredictions",
+    "i_accesses",
+    "i_misses",
+    "d_accesses",
+    "d_misses",
+    "l2_accesses",
+    "l2_misses",
+    "loads",
+    "stores",
+)
+
+
+def _l2_extra(config: MachineConfig) -> int:
+    """Cycles an L2 miss adds beyond the L2 hit: its penalty plus memory."""
+    memory_latency = config.memory_first_chunk_cycles + 3 * config.memory_interchunk_cycles
+    return config.l2cache.miss_penalty_cycles + memory_latency
+
+
+def _fetch_bump(config: MachineConfig, level: int) -> int:
+    """Fetch stall of an I-cache miss served at ``level`` (1: L2, 2: memory).
+
+    The reference's ``latency - hit_cycles``: the miss penalty, plus the
+    L2 miss path's memory latency at level 2.
+    """
+    bump = config.icache.miss_penalty_cycles
+    if level == 2:
+        bump += _l2_extra(config)
+    return bump
+
+
+def _d_latency(config: MachineConfig, level: int) -> int:
+    """Load latency when the D-cache access is served at ``level`` (0: L1)."""
+    latency = config.dcache.hit_cycles
+    if level >= 1:
+        latency += config.dcache.miss_penalty_cycles
+    if level == 2:
+        latency += _l2_extra(config)
+    return latency
+
+
+def _binding_rings(config: MachineConfig) -> dict[str, int]:
+    """The slot-allocator rings a lane keeps, with their widths: issue,
+    plus every functional-unit class with fewer units than the issue
+    width (the others can never bind, see :meth:`_TimingEmitter._fu_probes`)."""
+    rings = {"iss": config.issue_width}
+    for ring, width in (
+        ("alu", config.int_alus),
+        ("mul", config.int_muls),
+        ("lsq", config.lsq_ports),
+    ):
+        if width < config.issue_width:
+            rings[ring] = width
+    return rings
+
+
+class _TimingEmitter:
+    """The section emitters of the per-record timing update, over lanes.
+
+    The one source of the model's compiled per-record arithmetic.  Each
+    section takes every per-record fact either as a **run-time
+    expression** (a ``str``) or as a **value known at generation time**,
+    which it folds in:
+
+    * the trace walk (:func:`_multi_walk_source`) passes expressions
+      over the record it has just decoded (``hot``, ``line``, ``srcs``,
+      ``meta & 8``, ...), and the run-time forms read the trace's flags
+      and sparse memory column from ``meta``/``mem_column``;
+    * a record site of the fused tier (:mod:`repro.sim.fusedc`) passes
+      its uid's derived-walk tuple ``(hot, line, pc, srcs)``, its D-cache
+      address expression, its branch outcome and its place in the unit,
+      so the site holds literal cache sets and tags, only its class's
+      functional-unit probe and only its outcome's predictor arm.
+
+    Lane ``i``'s state carries the suffix ``i`` (``fetch0``, ``cf0``,
+    ``iss0_cycle_at``, ...), with that config's cycle-valued parameters
+    baked in as literals; the caches and the predictor are shared by all
+    lanes of the (one-shape) ``configs``.  Sections append indented
+    lines at the ``depth`` they are given; :meth:`take` hands them over.
+    """
+
+    def __init__(self, configs: tuple, ring_bits: int) -> None:
+        self.configs = configs
+        self.lanes = range(len(configs))
+        shape = configs[0]
+        self.icfg, self.dcfg, self.l2cfg = shape.icache, shape.dcache, shape.l2cache
+        self.pcfg = shape.predictor
+        self.ring_capacity = 1 << ring_bits
+        self.same_window = len({c.max_in_flight for c in configs}) == 1
+        self.lines: list[str] = []
+
+    def emit(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
+
+    def take(self) -> list[str]:
+        """The lines emitted since the last call."""
+        lines, self.lines = self.lines, []
+        return lines
+
+    def _wi(self, lane: int) -> str:
+        return "wi" if self.same_window else f"wi{lane}"
+
+    # ------------------------------------------------------------ state
+    def front_state(self, depth: int) -> None:
+        """The shared front end's state: caches, predictor, counters."""
+        emit, icfg, dcfg, pcfg = self.emit, self.icfg, self.dcfg, self.pcfg
+        if icfg.associativity == 2:
+            emit(depth, f"i_mru, i_lru = [None] * {icfg.num_sets}, [None] * {icfg.num_sets}")
+        else:
+            emit(depth, f"i_ways = [[] for _ in range({icfg.num_sets})]")
+        if dcfg.associativity == 2:
+            emit(depth, f"d_mru, d_lru = [None] * {dcfg.num_sets}, [None] * {dcfg.num_sets}")
+        else:
+            emit(depth, f"d_ways = [[] for _ in range({dcfg.num_sets})]")
+        emit(depth, f"l2_ways = [[] for _ in range({self.l2cfg.num_sets})]")
+        emit(depth, "i_accesses = i_misses = d_accesses = d_misses = l2_accesses = l2_misses = 0")
+        emit(depth, f"gshare = [1] * {pcfg.gshare_entries}")
+        emit(depth, f"bimodal = [1] * {pcfg.bimodal_entries}")
+        emit(depth, f"selector = [2] * {pcfg.selector_entries}")
+        emit(depth, "history = 0")
+        emit(depth, "lookups = mispredictions = 0")
+        emit(depth, "loads = stores = 0")
+        emit(depth, "current_fetch_line = -1")
+
+    def lane_state(self, depth: int, num_regs) -> None:
+        """Each lane's scoreboard: rings, commit frontier, register
+        readiness over ``num_regs`` registers, window, fetch, redirect."""
+        emit, rc = self.emit, self.ring_capacity
+        emit(depth, "redirect_pending = False")
+        for lane in self.lanes:
+            config = self.configs[lane]
+            for ring in _binding_rings(config):
+                name = f"{ring}{lane}"
+                emit(depth, f"{name}_cycle_at, {name}_count, {name}_mask = [-1] * {rc}, [0] * {rc}, {rc - 1}")
+                emit(depth, f"{name}_skip_from = {name}_skip_to = -1")
+            emit(depth, f"cf{lane} = -1")
+            emit(depth, f"cu{lane} = 0")
+            emit(depth, f"rr{lane} = [0] * {num_regs}")
+            emit(depth, f"wc{lane} = [0] * {config.max_in_flight}")
+            emit(depth, f"fetch{lane} = 0")
+            emit(depth, f"fic{lane} = 0")
+            emit(depth, f"floor{lane} = {config.frontend_depth}")
+            emit(depth, f"redirect{lane} = 0")
+        if self.same_window:
+            emit(depth, "wi = 0")
+        else:
+            for lane in self.lanes:
+                emit(depth, f"wi{lane} = 0")
+
+    def rebound_names(self) -> list[str]:
+        """Every state name a record's update may rebind; a record site
+        in a nested function declares the ones it mentions ``nonlocal``."""
+        names = [
+            "current_fetch_line",
+            "redirect_pending",
+            "history",
+            *_COUNTERS,
+        ]
+        for lane in self.lanes:
+            names += (f"fetch{lane}", f"fic{lane}", f"floor{lane}", f"redirect{lane}")
+            names += (f"cf{lane}", f"cu{lane}", self._wi(lane))
+            for ring in _binding_rings(self.configs[lane]):
+                names += (
+                    f"{ring}{lane}_{part}"
+                    for part in ("cycle_at", "count", "mask", "skip_from", "skip_to")
+                )
+        return list(dict.fromkeys(names))
+
+    # ---------------------------------------------------- redirect, fetch
+    def redirect(self, depth: int) -> None:
+        """Apply a pending fetch redirect.
+
+        The reference re-maxes redirect_cycle against fetch_cycle on
+        every record; applying a redirect once, at the next record, is
+        equivalent because fetch stays at or above it from then on.  The
+        pending flag is set exactly when an event wrote every lane's
+        redirect (an all-zero redirect applies as a no-op).
+        """
+        emit = self.emit
+        emit(depth, "if redirect_pending:")
+        emit(depth + 1, "redirect_pending = False")
+        for lane in self.lanes:
+            emit(depth + 1, f"if redirect{lane} > fetch{lane}:")
+            emit(depth + 2, f"fetch{lane} = redirect{lane}")
+            emit(depth + 2, f"fic{lane} = 0")
+            emit(depth + 2, f"floor{lane} = fetch{lane} + {self.configs[lane].frontend_depth}")
+
+    def fetch(self, depth: int, line, l2_line, current="current_fetch_line") -> None:
+        """Fetch: a new fetch line takes the I-cache (and on a miss the
+        L2), then every lane accounts the fetch.
+
+        ``current`` is the fetch line before this record: the run-time
+        ``current_fetch_line``, or the previous record's line when the
+        generator knows it, which folds the line-change test away.
+        """
+        emit = self.emit
+        if not isinstance(current, str):
+            if line == current:
+                self._fetch_all(depth, 0)
+            else:
+                emit(depth, f"current_fetch_line = {line}")
+                self._icache(depth, line, l2_line)
+            return
+        emit(depth, f"if {line} != {current}:")
+        emit(depth + 1, f"current_fetch_line = {line}")
+        self._icache(depth + 1, line, l2_line)
+        emit(depth, "else:")
+        for lane in self.lanes:
+            self._fetch_plain(depth + 1, lane)
+
+    def _fetch_plain(self, depth: int, lane: int) -> None:
+        emit = self.emit
+        emit(depth, f"if fic{lane} >= {self.configs[lane].fetch_width}:")
+        emit(depth + 1, f"fetch{lane} += 1")
+        emit(depth + 1, f"fic{lane} = 1")
+        emit(depth + 1, f"floor{lane} += 1")
+        emit(depth, "else:")
+        emit(depth + 1, f"fic{lane} += 1")
+
+    def _fetch_all(self, depth: int, level: int) -> None:
+        # level 0: fetch hit (plain width accounting); level 1/2: the
+        # lane stalls by its baked bump unless that bump is zero (a
+        # zero-penalty lane treats the miss as a hit, exactly like the
+        # reference's ``latency > hit_cycles`` test).
+        emit = self.emit
+        for lane in self.lanes:
+            config = self.configs[lane]
+            bump = _fetch_bump(config, level) if level else 0
+            if bump == 0:
+                self._fetch_plain(depth, lane)
+            else:
+                emit(depth, f"fetch{lane} += {bump}")
+                emit(depth, f"fic{lane} = 1")
+                emit(depth, f"floor{lane} = fetch{lane} + {config.frontend_depth}")
+
+    def _icache(self, depth: int, line, l2_line) -> None:
+        emit, sets = self.emit, self.icfg.num_sets
+        emit(depth, "i_accesses += 1")
+        if isinstance(line, str):
+            emit(depth, "iset_ = " + _mod(line, sets))
+            emit(depth, "tag = " + _div(line, sets))
+            index, tag = "iset_", "tag"
+        else:
+            index, tag = line % sets, line // sets
+        self._l1(
+            depth,
+            "i",
+            self.icfg.associativity,
+            index,
+            tag,
+            lambda at: self._fetch_all(at, 0),
+            lambda at: self._l2(
+                at,
+                l2_line,
+                lambda hit: self._fetch_all(hit, 1),
+                lambda miss: self._fetch_all(miss, 2),
+            ),
+        )
+
+    # ------------------------------------------------- caches (shared)
+    def _l1(self, depth: int, cache: str, ways: int, index, tag, on_hit, on_miss) -> None:
+        """An L1 lookup: flat MRU/LRU tag lists when 2-way, else per-set
+        LRU lists; ``on_hit``/``on_miss`` emit each outcome's tail."""
+        emit = self.emit
+        if ways == 2:
+            emit(depth, f"if {tag} == {cache}_mru[{index}]:")
+            on_hit(depth + 1)
+            emit(depth, f"elif {tag} == {cache}_lru[{index}]:")
+            emit(depth + 1, f"{cache}_lru[{index}] = {cache}_mru[{index}]")
+            emit(depth + 1, f"{cache}_mru[{index}] = {tag}")
+            on_hit(depth + 1)
+            emit(depth, "else:")
+            emit(depth + 1, f"{cache}_misses += 1")
+            emit(depth + 1, f"{cache}_lru[{index}] = {cache}_mru[{index}]")
+            emit(depth + 1, f"{cache}_mru[{index}] = {tag}")
+            on_miss(depth + 1)
+        else:
+            emit(depth, f"ways = {cache}_ways[{index}]")
+            self._lru_list(depth, cache, ways, tag, on_hit, on_miss)
+
+    def _lru_list(self, depth: int, cache: str, ways: int, tag, on_hit, on_miss) -> None:
+        emit = self.emit
+        emit(depth, f"if {tag} in ways:")
+        emit(depth + 1, f"ways.remove({tag})")
+        emit(depth + 1, f"ways.append({tag})")
+        on_hit(depth + 1)
+        emit(depth, "else:")
+        emit(depth + 1, f"{cache}_misses += 1")
+        emit(depth + 1, f"ways.append({tag})")
+        emit(depth + 1, f"if len(ways) > {ways}:")
+        emit(depth + 2, "ways.pop(0)")
+        on_miss(depth + 1)
+
+    def _l2(self, depth: int, line, on_hit, on_miss) -> None:
+        emit, sets = self.emit, self.l2cfg.num_sets
+        emit(depth, "l2_accesses += 1")
+        if isinstance(line, str):
+            emit(depth, "l2line = " + line)
+            emit(depth, "ways = l2_ways[" + _mod("l2line", sets) + "]")
+            emit(depth, "l2tag = " + _div("l2line", sets))
+            tag = "l2tag"
+        else:
+            emit(depth, f"ways = l2_ways[{line % sets}]")
+            tag = line // sets
+        self._lru_list(depth, "l2", self.l2cfg.associativity, tag, on_hit, on_miss)
+
+    # ------------------------------------------------------- dispatch
+    def dispatch(self, depth: int, hot, srcs) -> None:
+        """Dispatch: the window slot's floor, one pass over the source
+        registers maxing every lane's cycle, the issue probes, then the
+        functional-unit probes of the record's class."""
+        emit = self.emit
+        for lane in self.lanes:
+            emit(depth, f"cyc{lane} = wc{lane}[{self._wi(lane)}]")
+            emit(depth, f"if cyc{lane} < floor{lane}:")
+            emit(depth + 1, f"cyc{lane} = floor{lane}")
+        if isinstance(srcs, str):
+            emit(depth, f"for reg in {srcs}:")
+            regs, at = ("reg",), depth + 1
+        else:
+            regs, at = srcs, depth
+        for reg in regs:
+            for lane in self.lanes:
+                emit(at, f"r = rr{lane}[{reg}]")
+                emit(at, f"if r > cyc{lane}:")
+                emit(at + 1, f"cyc{lane} = r")
+        for lane in self.lanes:
+            self._ring_probe(depth, f"iss{lane}", self.configs[lane].issue_width, lane)
+        if isinstance(hot, str):
+            emit(depth, f"if {hot} & {HOT_FU}:")
+            emit(depth + 1, f"if {hot} & {HOT_MEM}:")
+            self._fu_probes(depth + 2, "lsq", pad=True)
+            emit(depth + 1, "else:")
+            self._fu_probes(depth + 2, "mul", pad=True)
+            emit(depth, "else:")
+            self._fu_probes(depth + 1, "alu", pad=True)
+        else:
+            ring = "lsq" if hot & HOT_MEM else "mul" if hot & HOT_IMUL else "alu"
+            self._fu_probes(depth, ring, pad=False)
+
+    def _fu_probes(self, depth: int, ring: str, pad: bool) -> None:
+        """The lanes' probes of functional-unit class ``ring``, minus the
+        lanes where it can never bind (``pass`` when none is left and
+        ``pad`` asks for a statement).
+
+        Every record reaches its functional-unit class at the cycle the
+        issue probe granted, and the issue ring admits at most
+        ``issue_width`` grants per cycle — so a class with at least
+        ``issue_width`` units sees at most ``issue_width`` same-cycle
+        probes, never saturates, never defers a probe to a later cycle,
+        and (by induction) never accumulates carryover demand.  Its ring
+        is then pure bookkeeping that nothing reads: the probe is a
+        timing no-op and is elided from the generated walk entirely.
+        """
+        emitted = False
+        for lane in self.lanes:
+            width = _binding_rings(self.configs[lane]).get(ring)
+            if width is not None:
+                self._ring_probe(depth, f"{ring}{lane}", width, lane)
+                emitted = True
+        if pad and not emitted:
+            self.emit(depth, "pass")
+
+    def _ring_probe(self, depth: int, name: str, width: int, lane: int) -> None:
+        """One inlined ring-allocator probe of lane ``lane``'s ``cyc``.
+
+        A slot write may only clobber a stale tenant (``old < floor``:
+        below every future probe); a live collision grows the ring and
+        re-probes, so dict-allocator equivalence is unconditional.
+
+        Saturated-prefix memoization: per-cycle usage only ever grows,
+        so a cycle once seen full stays full.  Each allocator remembers
+        one known-full interval ``[skip_from, skip_to)``; hitting a full
+        cycle inside it jumps straight past the interval instead of
+        re-walking it (the dominant cost at IPC near the issue width —
+        several full cycles re-probed per record).  The memo is
+        consulted and maintained exclusively on the full-cycle path, so
+        unconstrained allocations pay nothing.
+        """
+        n, c, f = name, f"cyc{lane}", f"floor{lane}"
+        for line in (
+            "while True:",
+            f"    slot = {c} & {n}_mask",
+            f"    old = {n}_cycle_at[slot]",
+            f"    if old == {c}:",
+            f"        used = {n}_count[slot]",
+            f"        if used < {width}:",
+            f"            {n}_count[slot] = used + 1",
+            "            break",
+            f"        if {n}_skip_from <= {c} < {n}_skip_to:",
+            f"            {c} = {n}_skip_to",
+            f"        elif {c} == {n}_skip_to:",
+            f"            {n}_skip_to = {c} = {c} + 1",
+            "        else:",
+            f"            {n}_skip_from = {c}",
+            f"            {n}_skip_to = {c} = {c} + 1",
+            f"    elif old < {f}:",
+            f"        {n}_cycle_at[slot] = {c}",
+            f"        {n}_count[slot] = 1",
+            "        break",
+            "    else:",
+            f"        {n}_cycle_at, {n}_count, {n}_mask = _grow_ring(",
+            f"            {n}_cycle_at, {n}_count, {f}, {c} - {f}",
+            "        )",
+        ):
+            self.emit(depth, line)
+
+    # -------------------------------------------------------- execute
+    def execute(self, depth: int, hot, mem=None) -> None:
+        """Execute: every lane's completion ``c<lane>``, through the
+        D-cache (and on a miss the L2) for a load or store.
+
+        At generation time ``mem`` is a load/store's address expression
+        (the simulator tags every load and store with its address).  The
+        trace walk reads the address from the sparse memory column when
+        the record's ``meta`` carries one.
+        """
+        emit = self.emit
+        if not isinstance(hot, str):
+            if hot & HOT_LS:
+                emit(depth, "loads += 1" if hot & HOT_LOAD else "stores += 1")
+                self._dcache(depth, mem, hot)
+            else:
+                self._complete(depth, hot & HOT_LATENCY_MASK)
+            return
+        emit(depth, f"if {hot} & {HOT_LS}:")
+        emit(depth + 1, f"if {hot} & {HOT_LOAD}:")
+        emit(depth + 2, "loads += 1")
+        emit(depth + 1, "else:")
+        emit(depth + 2, "stores += 1")
+        emit(depth + 1, "if meta & 2:")
+        emit(depth + 2, f"mem_address = mem_column[mem_cursor] & {_UINT64}")
+        emit(depth + 2, "mem_cursor += 1")
+        self._dcache(depth + 2, "mem_address", hot)
+        emit(depth + 1, "else:")
+        emit(depth + 2, f"lat = {hot} & {HOT_LATENCY_MASK}")
+        self._complete(depth + 2, "lat")
+        emit(depth, "else:")
+        emit(depth + 1, f"lat = {hot} & {HOT_LATENCY_MASK}")
+        self._complete(depth + 1, "lat")
+        # A non-load/store record carrying a memory address still
+        # consumes its slot of the sparse column, keeping the cursor
+        # aligned.
+        emit(depth + 1, "if meta & 2:")
+        emit(depth + 2, "mem_cursor += 1")
+
+    def _complete(self, depth: int, latency) -> None:
+        for lane in self.lanes:
+            self.emit(depth, f"c{lane} = cyc{lane} + {latency}")
+
+    def _dcache(self, depth: int, address: str, hot) -> None:
+        emit, dcfg = self.emit, self.dcfg
+        emit(depth, "d_accesses += 1")
+        emit(depth, "dline = " + _div(address, dcfg.line_bytes))
+        emit(depth, "dset_ = " + _mod("dline", dcfg.num_sets))
+        emit(depth, "tag = " + _div("dline", dcfg.num_sets))
+        l2_line = _div(address, self.l2cfg.line_bytes)
+        self._l1(
+            depth,
+            "d",
+            dcfg.associativity,
+            "dset_",
+            "tag",
+            lambda at: self._load_complete(at, hot, 0),
+            lambda at: self._l2(
+                at,
+                l2_line,
+                lambda hit: self._load_complete(hit, hot, 1),
+                lambda miss: self._load_complete(miss, hot, 2),
+            ),
+        )
+
+    def _load_complete(self, depth: int, hot, level: int) -> None:
+        # Stores retire from the store queue at latency 1 in every lane;
+        # loads take the lane's baked latency for this hit/miss level.
+        emit = self.emit
+        if isinstance(hot, str):
+            emit(depth, f"if {hot} & {HOT_STORE}:")
+            self._complete(depth + 1, 1)
+            emit(depth, "else:")
+            depth += 1
+        elif hot & HOT_STORE:
+            self._complete(depth, 1)
+            return
+        for lane in self.lanes:
+            emit(depth, f"c{lane} = cyc{lane} + {_d_latency(self.configs[lane], level)}")
+
+    # --------------------------------------------------------- commit
+    def commit(self, depth: int, hot) -> None:
+        """Commit, window write, destination readiness, window advance.
+
+        The reference allocates retire slots from max(complete,
+        last_commit); those probes are monotone, so each lane's retire
+        allocator is a frontier (cycle, used) pair.
+        """
+        emit = self.emit
+        for lane in self.lanes:
+            emit(depth, f"if c{lane} > cf{lane}:")
+            emit(depth + 1, f"cf{lane} = c{lane}")
+            emit(depth + 1, f"cu{lane} = 1")
+            emit(depth, f"elif cu{lane} >= {self.configs[lane].retire_width}:")
+            emit(depth + 1, f"cf{lane} += 1")
+            emit(depth + 1, f"cu{lane} = 1")
+            emit(depth, "else:")
+            emit(depth + 1, f"cu{lane} += 1")
+            emit(depth, f"wc{lane}[{self._wi(lane)}] = cf{lane}")
+        if isinstance(hot, str):
+            emit(depth, f"dest = {hot} >> {HOT_DEST_SHIFT}")
+            emit(depth, "if dest:")
+            emit(depth + 1, "dreg = dest - 1")
+            for lane in self.lanes:
+                emit(depth + 1, f"rr{lane}[dreg] = c{lane}")
+        elif hot >> HOT_DEST_SHIFT:
+            for lane in self.lanes:
+                emit(depth, f"rr{lane}[{(hot >> HOT_DEST_SHIFT) - 1}] = c{lane}")
+        windows = (
+            [("wi", self.configs[0].max_in_flight)]
+            if self.same_window
+            else [(f"wi{lane}", self.configs[lane].max_in_flight) for lane in self.lanes]
+        )
+        for index, window in windows:
+            if window & (window - 1) == 0:
+                emit(depth, f"{index} = ({index} + 1) & {window - 1}")
+            else:
+                emit(depth, f"{index} += 1")
+                emit(depth, f"if {index} == {window}:")
+                emit(depth + 1, f"{index} = 0")
+
+    # --------------------------------------------------------- branch
+    def branch(self, depth: int, hot, pc, taken) -> None:
+        """Branch outcome: a conditional branch's predictor lookup and
+        update (a misprediction redirects every lane at its completion
+        plus its penalty), a taken call/return's redirect.
+
+        ``taken`` known at generation time emits only that outcome's
+        predictor arm.  A run-time ``pc`` that is not a name is bound to
+        ``pc`` where a conditional branch needs it.
+        """
+        emit = self.emit
+        if not isinstance(hot, str):
+            if hot & HOT_BRANCH:
+                if hot & HOT_CONDITIONAL:
+                    self._predict(depth, pc, taken)
+            elif hot & HOT_CALL_RETURN and taken:
+                self._call_redirect(depth)
+            return
+        emit(depth, f"if {hot} & {HOT_CTRL}:")
+        emit(depth + 1, f"if {hot} & {HOT_BRANCH} and meta & 4:")
+        emit(depth + 2, f"if {hot} & {HOT_CONDITIONAL}:")
+        emit(depth + 3, f"taken = {taken}")
+        if not pc.isidentifier():
+            emit(depth + 3, f"pc = {pc}")
+        self._predict(depth + 3, "pc", "taken")
+        emit(depth + 1, f"elif {hot} & {HOT_CALL_RETURN} and {taken}:")
+        self._call_redirect(depth + 2)
+
+    def _predict(self, depth: int, pc, taken) -> None:
+        emit, pcfg = self.emit, self.pcfg
+        emit(depth, f"gkey = ({pc} ^ history) & {pcfg.gshare_entries - 1}")
+        if isinstance(pc, str):
+            emit(depth, f"bkey = {pc} & {pcfg.bimodal_entries - 1}")
+            emit(depth, f"skey = {pc} & {pcfg.selector_entries - 1}")
+            bkey, skey = "bkey", "skey"
+        else:
+            bkey, skey = pc & (pcfg.bimodal_entries - 1), pc & (pcfg.selector_entries - 1)
+        emit(depth, "gshare_prediction = gshare[gkey] >= 2")
+        emit(depth, f"bimodal_prediction = bimodal[{bkey}] >= 2")
+        emit(depth, f"if selector[{skey}] >= 2:")
+        emit(depth + 1, "prediction = gshare_prediction")
+        emit(depth, "else:")
+        emit(depth + 1, "prediction = bimodal_prediction")
+        emit(depth, "lookups += 1")
+        if isinstance(taken, str):
+            emit(depth, f"if {taken}:")
+            self._train(depth + 1, True, bkey, skey)
+            emit(depth, "else:")
+            self._train(depth + 1, False, bkey, skey)
+        else:
+            self._train(depth, taken, bkey, skey)
+
+    def _train(self, depth: int, taken: bool, bkey, skey) -> None:
+        """One outcome's saturating updates (the arithmetic of
+        :class:`~repro.uarch.branch_predictor.CombinedPredictor`), the
+        history shift and the misprediction check."""
+        emit = self.emit
+        up, down = ("if counter < 3:", "counter + 1"), ("if counter > 0:", "counter - 1")
+        toward, away = (up, down) if taken else (down, up)
+        emit(depth, "if gshare_prediction != bimodal_prediction:")
+        emit(depth + 1, f"counter = selector[{skey}]")
+        emit(depth + 1, "if gshare_prediction:")
+        emit(depth + 2, toward[0])
+        emit(depth + 3, f"selector[{skey}] = {toward[1]}")
+        emit(depth + 1, "el" + away[0])
+        emit(depth + 2, f"selector[{skey}] = {away[1]}")
+        for table, key in (("gshare", "gkey"), ("bimodal", bkey)):
+            emit(depth, f"counter = {table}[{key}]")
+            emit(depth, toward[0])
+            emit(depth + 1, f"{table}[{key}] = {toward[1]}")
+        history_mask = (1 << self.pcfg.history_bits) - 1
+        if taken:
+            emit(depth, f"history = ((history << 1) | 1) & {history_mask}")
+            emit(depth, "if not prediction:")
+        else:
+            emit(depth, f"history = (history << 1) & {history_mask}")
+            emit(depth, "if prediction:")
+        emit(depth + 1, "mispredictions += 1")
+        emit(depth + 1, "redirect_pending = True")
+        for lane in self.lanes:
+            penalty = self.configs[lane].mispredict_redirect_penalty
+            emit(depth + 1, f"redirect{lane} = c{lane} + {penalty}")
+        emit(depth + 1, "current_fetch_line = -1")
+
+    def _call_redirect(self, depth: int) -> None:
+        # A taken call/return redirects fetch one cycle on.  A pending
+        # redirect was either just applied (so it is at most fetch) or
+        # never set, so the reference's max(redirect, fetch + 1) is
+        # fetch + 1.
+        self.emit(depth, "redirect_pending = True")
+        for lane in self.lanes:
+            self.emit(depth, f"redirect{lane} = fetch{lane} + 1")
+        self.emit(depth, "current_fetch_line = -1")
+
+    # ------------------------------------------------ record site, end
+    def site(self, depth: int, facts: tuple, mem, previous_line) -> None:
+        """A record's update up to its branch section, every fact folded.
+
+        ``facts`` is the uid's derived-walk tuple ``(hot, line, pc,
+        srcs)`` and ``mem`` a load/store's address expression.
+        ``previous_line`` is the fetch line of the record before it in
+        the same unit, or ``None`` for a unit's first record: only a
+        unit-final control record posts a redirect or invalidates the
+        fetch line, so only a first record applies a pending redirect
+        and tests the line at run time.
+        """
+        hot, line, pc, srcs = facts
+        if previous_line is None:
+            self.redirect(depth)
+            previous_line = "current_fetch_line"
+        # Machine code is word-aligned (``pc << 2`` is the fetch address),
+        # so the fetch's L2 line folds exactly for any line sizes.
+        self.fetch(depth, line, (pc << 2) // self.l2cfg.line_bytes, previous_line)
+        self.dispatch(depth, hot, srcs)
+        self.execute(depth, hot, mem)
+        self.commit(depth, hot)
+
+    def finalize(self, depth: int) -> None:
+        """``return`` the 11-tuple per lane: cycles, then the counters."""
+        emit = self.emit
+        for lane in self.lanes:
+            emit(depth, f"if cf{lane} < 0:")
+            emit(depth + 1, f"cf{lane} = 0")
+        emit(depth, "return (")
+        for lane in self.lanes:
+            emit(depth + 1, f"(cf{lane} if cf{lane} > fetch{lane} else fetch{lane}) + 1,")
+        for name in _COUNTERS:
+            emit(depth + 1, f"{name},")
+        emit(depth, ")")
+
+    def snapshot(self, lane: int = 0) -> str:
+        """Lane ``lane``'s probe snapshot (see :func:`timing_from_probe`)."""
+        return f"(cf{lane}, fetch{lane}, {', '.join(_COUNTERS)})"
+
+
 def _multi_walk_source(configs: tuple, derived: bool) -> str:
     """Generate the walk source for the lanes ``configs`` of one shape group.
 
-    The per-record body is the reference walk's scoreboard arithmetic:
-    shared sections (extract, fetch-line/icache, FU-class dispatch,
-    dcache, dest decode, branch/predictor) are emitted once and branch
-    into per-lane blocks (fetch accounting, dependence/issue probes,
+    The trace walk of :class:`_TimingEmitter`: every section reads the
+    record it has just decoded at run time.  The shared sections
+    (redirect, fetch-line/icache, FU-class dispatch, dcache, dest
+    decode, branch/predictor) run once per record and branch into
+    per-lane blocks (fetch accounting, dependence/issue probes,
     completion, commit, redirect application) with each lane's scalar
     parameters baked in as literals.  A single config is one lane.
     Bit-exactness of every lane against ``run_reference`` is asserted by
@@ -487,457 +1085,34 @@ def _multi_walk_source(configs: tuple, derived: bool) -> str:
     traces carry an explicit address column and take the two-column
     variant.
     """
-    n = len(configs)
-    shape = configs[0]
-    icfg, dcfg, l2cfg = shape.icache, shape.dcache, shape.l2cache
-    pcfg = shape.predictor
-    rc = 1 << _MULTI_RING_BITS
-    lanes = range(n)
-    same_window = len({c.max_in_flight for c in configs}) == 1
-    src: list[str] = []
-
-    def emit(depth: int, text: str = "") -> None:
-        src.append("    " * depth + text if text else "")
-
-    def l2_extra(config: MachineConfig) -> int:
-        memory_latency = (
-            config.memory_first_chunk_cycles + 3 * config.memory_interchunk_cycles
-        )
-        return config.l2cache.miss_penalty_cycles + memory_latency
-
-    def fetch_bump(config: MachineConfig, level: int) -> int:
-        # A missed instruction fetch stalls fetch by its latency beyond
-        # the hit time (the reference's ``latency - hit_cycles``):
-        # miss_penalty at L2-hit level, plus the L2 miss path's memory
-        # latency at L2-miss level.
-        bump = config.icache.miss_penalty_cycles
-        if level == 2:
-            bump += l2_extra(config)
-        return bump
-
-    def d_latency(config: MachineConfig, level: int) -> int:
-        latency = config.dcache.hit_cycles
-        if level >= 1:
-            latency += config.dcache.miss_penalty_cycles
-        if level == 2:
-            latency += l2_extra(config)
-        return latency
-
-    def emit_fetch_plain(depth: int, lane: int) -> None:
-        config = configs[lane]
-        emit(depth, f"if fic{lane} >= {config.fetch_width}:")
-        emit(depth + 1, f"fetch{lane} += 1")
-        emit(depth + 1, f"fic{lane} = 1")
-        emit(depth + 1, f"floor{lane} += 1")
-        emit(depth, "else:")
-        emit(depth + 1, f"fic{lane} += 1")
-
-    def emit_fetch_all(depth: int, level: int) -> None:
-        # level 0: fetch hit (plain width accounting); level 1/2: the
-        # lane stalls by its baked bump unless that bump is zero (a
-        # zero-penalty lane treats the miss as a hit, exactly like the
-        # reference's ``latency > hit_cycles`` test).
-        for lane in lanes:
-            bump = fetch_bump(configs[lane], level) if level else 0
-            if bump == 0:
-                emit_fetch_plain(depth, lane)
-            else:
-                emit(depth, f"fetch{lane} += {bump}")
-                emit(depth, f"fic{lane} = 1")
-                emit(depth, f"floor{lane} = fetch{lane} + {configs[lane].frontend_depth}")
-
-    def emit_l2(depth: int, line_expr: str, on_hit, on_miss) -> None:
-        emit(depth, "l2_accesses += 1")
-        emit(depth, "l2line = " + line_expr)
-        emit(depth, "ways = l2_ways[" + _mod("l2line", l2cfg.num_sets) + "]")
-        emit(depth, "l2tag = " + _div("l2line", l2cfg.num_sets))
-        emit(depth, "if l2tag in ways:")
-        emit(depth + 1, "ways.remove(l2tag)")
-        emit(depth + 1, "ways.append(l2tag)")
-        on_hit(depth + 1)
-        emit(depth, "else:")
-        emit(depth + 1, "l2_misses += 1")
-        emit(depth + 1, "ways.append(l2tag)")
-        emit(depth + 1, f"if len(ways) > {l2cfg.associativity}:")
-        emit(depth + 2, "ways.pop(0)")
-        on_miss(depth + 1)
-
-    def emit_load_complete(depth: int, level: int) -> None:
-        # Stores retire from the store queue at latency 1 in every lane;
-        # loads take the lane's baked latency for this hit/miss level.
-        emit(depth, "if hot & 2048:")
-        for lane in lanes:
-            emit(depth + 1, f"c{lane} = cyc{lane} + 1")
-        emit(depth, "else:")
-        for lane in lanes:
-            emit(depth + 1, f"c{lane} = cyc{lane} + {d_latency(configs[lane], level)}")
-
-    # ----------------------------------------------------------- header
+    lanes = _TimingEmitter(configs, _MULTI_RING_BITS)
+    emit = lanes.emit
+    icfg, l2cfg = lanes.icfg, lanes.l2cfg
     emit(0, "def _timing_walk_multi(rows, addresses, mem_column, static_of, base, num_regs):")
-    if icfg.associativity == 2:
-        emit(1, f"i_mru, i_lru = [None] * {icfg.num_sets}, [None] * {icfg.num_sets}")
-    else:
-        emit(1, f"i_ways = [[] for _ in range({icfg.num_sets})]")
-    if dcfg.associativity == 2:
-        emit(1, f"d_mru, d_lru = [None] * {dcfg.num_sets}, [None] * {dcfg.num_sets}")
-    else:
-        emit(1, f"d_ways = [[] for _ in range({dcfg.num_sets})]")
-    emit(1, f"l2_ways = [[] for _ in range({l2cfg.num_sets})]")
-    emit(1, "i_accesses = i_misses = d_accesses = d_misses = l2_accesses = l2_misses = 0")
-    emit(1, f"gshare = [1] * {pcfg.gshare_entries}")
-    emit(1, f"bimodal = [1] * {pcfg.bimodal_entries}")
-    emit(1, f"selector = [2] * {pcfg.selector_entries}")
-    emit(1, "history = 0")
-    emit(1, "lookups = mispredictions = 0")
-    emit(1, "loads = stores = 0")
-    emit(1, "current_fetch_line = -1")
+    lanes.front_state(1)
     emit(1, "mem_cursor = 0")
-    emit(1, "redirect_pending = False")
-    def binding_rings(lane: int) -> list[str]:
-        # Functional-unit rings with at least issue_width units can
-        # never bind (see _fu_probe) and are elided per lane.
-        config = configs[lane]
-        rings = ["iss"]
-        for ring, width in (
-            ("alu", config.int_alus),
-            ("mul", config.int_muls),
-            ("lsq", config.lsq_ports),
-        ):
-            if width < config.issue_width:
-                rings.append(ring)
-        return rings
-
-    for lane in lanes:
-        config = configs[lane]
-        for ring in binding_rings(lane):
-            name = f"{ring}{lane}"
-            emit(1, f"{name}_cycle_at, {name}_count, {name}_mask = [-1] * {rc}, [0] * {rc}, {rc - 1}")
-            emit(1, f"{name}_skip_from = {name}_skip_to = -1")
-        emit(1, f"cf{lane} = -1")
-        emit(1, f"cu{lane} = 0")
-        emit(1, f"rr{lane} = [0] * num_regs")
-        emit(1, f"wc{lane} = [0] * {config.max_in_flight}")
-        emit(1, f"fetch{lane} = 0")
-        emit(1, f"fic{lane} = 0")
-        emit(1, f"floor{lane} = {config.frontend_depth}")
-        emit(1, f"redirect{lane} = 0")
-    if same_window:
-        emit(1, "wi = 0")
-    else:
-        for lane in lanes:
-            emit(1, f"wi{lane} = 0")
-
-    # ------------------------------------------------------------- loop
+    lanes.lane_state(1, "num_regs")
     if derived:
         emit(1, "for meta in rows:")
         emit(2, "hot, line, pc, srcs = static_of[(meta >> 8) - base]")
         # addr // l2_line == (addr // l1_line) // (l2_line // l1_line)
         # exactly, because _derived_mode_supported checked divisibility.
         i_l2_line = _div("line", l2cfg.line_bytes // icfg.line_bytes)
+        pc = "pc"
     else:
         emit(1, "for meta, address in zip(rows, addresses):")
         emit(2, "hot, srcs = static_of[(meta >> 8) - base]")
         emit(2, "line = " + _div("address", icfg.line_bytes))
         i_l2_line = _div("address", l2cfg.line_bytes)
-
-    # Redirect application.  The reference re-maxes redirect_cycle
-    # against fetch_cycle on every record; applying a redirect once, at
-    # the next record, is equivalent because fetch stays at or above it
-    # from then on.  The pending flag is set exactly when an event wrote
-    # every lane's redirect (an all-zero redirect applies as a no-op).
-    emit(2, "if redirect_pending:")
-    emit(3, "redirect_pending = False")
-    for lane in lanes:
-        emit(3, f"if redirect{lane} > fetch{lane}:")
-        emit(4, f"fetch{lane} = redirect{lane}")
-        emit(4, f"fic{lane} = 0")
-        emit(4, f"floor{lane} = fetch{lane} + {configs[lane].frontend_depth}")
-
-    # Shared fetch line + icache, branching into per-lane fetch blocks.
-    emit(2, "if line != current_fetch_line:")
-    emit(3, "current_fetch_line = line")
-    emit(3, "i_accesses += 1")
-    emit(3, "iset_ = " + _mod("line", icfg.num_sets))
-    emit(3, "tag = " + _div("line", icfg.num_sets))
-    if icfg.associativity == 2:
-        emit(3, "if tag == i_mru[iset_]:")
-        emit_fetch_all(4, 0)
-        emit(3, "elif tag == i_lru[iset_]:")
-        emit(4, "i_lru[iset_] = i_mru[iset_]")
-        emit(4, "i_mru[iset_] = tag")
-        emit_fetch_all(4, 0)
-        emit(3, "else:")
-        emit(4, "i_misses += 1")
-        emit(4, "i_lru[iset_] = i_mru[iset_]")
-        emit(4, "i_mru[iset_] = tag")
-        emit_l2(
-            4,
-            i_l2_line,
-            lambda depth: emit_fetch_all(depth, 1),
-            lambda depth: emit_fetch_all(depth, 2),
-        )
-    else:
-        emit(3, "ways = i_ways[iset_]")
-        emit(3, "if tag in ways:")
-        emit(4, "ways.remove(tag)")
-        emit(4, "ways.append(tag)")
-        emit_fetch_all(4, 0)
-        emit(3, "else:")
-        emit(4, "i_misses += 1")
-        emit(4, "ways.append(tag)")
-        emit(4, f"if len(ways) > {icfg.associativity}:")
-        emit(5, "ways.pop(0)")
-        emit_l2(
-            4,
-            i_l2_line,
-            lambda depth: emit_fetch_all(depth, 1),
-            lambda depth: emit_fetch_all(depth, 2),
-        )
-    emit(2, "else:")
-    for lane in lanes:
-        emit_fetch_plain(3, lane)
-
-    # Per-lane dispatch (window floor), one shared dependence loop that
-    # maxes every lane's cycle in a single pass over srcs, then the
-    # per-lane issue probes.
-    for lane in lanes:
-        wiv = "wi" if same_window else f"wi{lane}"
-        emit(2, f"cyc{lane} = wc{lane}[{wiv}]")
-        emit(2, f"if cyc{lane} < floor{lane}:")
-        emit(3, f"cyc{lane} = floor{lane}")
-    emit(2, "for reg in srcs:")
-    for lane in lanes:
-        emit(3, f"r = rr{lane}[reg]")
-        emit(3, f"if r > cyc{lane}:")
-        emit(4, f"cyc{lane} = r")
-    for lane in lanes:
-        src.append(
-            _ring_probe(
-                f"iss{lane}",
-                configs[lane].issue_width,
-                " " * 8,
-                cycle_var=f"cyc{lane}",
-                floor_var=f"floor{lane}",
-            )
-        )
-
-    # Shared FU-class dispatch, per-lane functional-unit probes
-    # (lanes whose class can never bind are elided, see _fu_probe).
-    def emit_fu_probes(ring: str, widths, indent: str, pad_depth: int) -> None:
-        emitted = False
-        for lane in lanes:
-            probe = _fu_probe(
-                f"{ring}{lane}",
-                widths[lane],
-                configs[lane].issue_width,
-                indent,
-                cycle_var=f"cyc{lane}",
-                floor_var=f"floor{lane}",
-            )
-            if probe is not None:
-                src.append(probe)
-                emitted = True
-        if not emitted:
-            emit(pad_depth, "pass")
-
-    emit(2, "if hot & 768:")
-    emit(3, "if hot & 512:")
-    emit_fu_probes("lsq", [c.lsq_ports for c in configs], " " * 16, 4)
-    emit(3, "else:")
-    emit_fu_probes("mul", [c.int_muls for c in configs], " " * 16, 4)
-    emit(2, "else:")
-    emit_fu_probes("alu", [c.int_alus for c in configs], " " * 12, 3)
-
-    # Shared execute: dcache levels fan into per-lane completions.
-    emit(2, "if hot & 3072:")
-    emit(3, "if hot & 1024:")
-    emit(4, "loads += 1")
-    emit(3, "else:")
-    emit(4, "stores += 1")
-    emit(3, "if meta & 2:")
-    emit(4, f"mem_address = mem_column[mem_cursor] & {_UINT64}")
-    emit(4, "mem_cursor += 1")
-    emit(4, "d_accesses += 1")
-    emit(4, "dline = " + _div("mem_address", dcfg.line_bytes))
-    emit(4, "dset_ = " + _mod("dline", dcfg.num_sets))
-    emit(4, "tag = " + _div("dline", dcfg.num_sets))
-    d_l2_line = _div("mem_address", l2cfg.line_bytes)
-    if dcfg.associativity == 2:
-        emit(4, "if tag == d_mru[dset_]:")
-        emit_load_complete(5, 0)
-        emit(4, "elif tag == d_lru[dset_]:")
-        emit(5, "d_lru[dset_] = d_mru[dset_]")
-        emit(5, "d_mru[dset_] = tag")
-        emit_load_complete(5, 0)
-        emit(4, "else:")
-        emit(5, "d_misses += 1")
-        emit(5, "d_lru[dset_] = d_mru[dset_]")
-        emit(5, "d_mru[dset_] = tag")
-        emit_l2(
-            5,
-            d_l2_line,
-            lambda depth: emit_load_complete(depth, 1),
-            lambda depth: emit_load_complete(depth, 2),
-        )
-    else:
-        emit(4, "ways = d_ways[dset_]")
-        emit(4, "if tag in ways:")
-        emit(5, "ways.remove(tag)")
-        emit(5, "ways.append(tag)")
-        emit_load_complete(5, 0)
-        emit(4, "else:")
-        emit(5, "d_misses += 1")
-        emit(5, "ways.append(tag)")
-        emit(5, f"if len(ways) > {dcfg.associativity}:")
-        emit(6, "ways.pop(0)")
-        emit_l2(
-            5,
-            d_l2_line,
-            lambda depth: emit_load_complete(depth, 1),
-            lambda depth: emit_load_complete(depth, 2),
-        )
-    emit(3, "else:")
-    emit(4, "lat = hot & 255")
-    for lane in lanes:
-        emit(4, f"c{lane} = cyc{lane} + lat")
-    emit(2, "else:")
-    emit(3, "lat = hot & 255")
-    for lane in lanes:
-        emit(3, f"c{lane} = cyc{lane} + lat")
-    # A non-load/store record carrying a memory address still consumes
-    # its slot of the sparse column, keeping the cursor aligned.
-    emit(3, "if meta & 2:")
-    emit(4, "mem_cursor += 1")
-
-    # Per-lane commit and window write.  The reference allocates retire
-    # slots from max(complete, last_commit); those probes are monotone,
-    # so each lane's retire allocator is a frontier (cycle, used) pair.
-    for lane in lanes:
-        config = configs[lane]
-        wiv = "wi" if same_window else f"wi{lane}"
-        emit(2, f"if c{lane} > cf{lane}:")
-        emit(3, f"cf{lane} = c{lane}")
-        emit(3, f"cu{lane} = 1")
-        emit(2, f"elif cu{lane} >= {config.retire_width}:")
-        emit(3, f"cf{lane} += 1")
-        emit(3, f"cu{lane} = 1")
-        emit(2, "else:")
-        emit(3, f"cu{lane} += 1")
-        emit(2, f"wc{lane}[{wiv}] = cf{lane}")
-
-    emit(2, "dest = hot >> 16")
-    emit(2, "if dest:")
-    emit(3, "dreg = dest - 1")
-    for lane in lanes:
-        emit(3, f"rr{lane}[dreg] = c{lane}")
-
-    if same_window:
-        window = shape.max_in_flight
-        if window & (window - 1) == 0:
-            emit(2, f"wi = (wi + 1) & {window - 1}")
-        else:
-            emit(2, "wi += 1")
-            emit(2, f"if wi == {window}:")
-            emit(3, "wi = 0")
-    else:
-        for lane in lanes:
-            window = configs[lane].max_in_flight
-            if window & (window - 1) == 0:
-                emit(2, f"wi{lane} = (wi{lane} + 1) & {window - 1}")
-            else:
-                emit(2, f"wi{lane} += 1")
-                emit(2, f"if wi{lane} == {window}:")
-                emit(3, f"wi{lane} = 0")
-
-    # Shared branch/predictor section; redirect events write every lane.
-    emit(2, "if hot & 20480:")
-    emit(3, "if hot & 4096 and meta & 4:")
-    emit(4, "if hot & 8192:")
-    emit(5, "taken = meta & 8")
-    if not derived:
-        emit(5, "pc = address >> 2")
-    emit(5, f"gkey = (pc ^ history) & {pcfg.gshare_entries - 1}")
-    emit(5, f"bkey = pc & {pcfg.bimodal_entries - 1}")
-    emit(5, f"skey = pc & {pcfg.selector_entries - 1}")
-    emit(5, "gshare_prediction = gshare[gkey] >= 2")
-    emit(5, "bimodal_prediction = bimodal[bkey] >= 2")
-    emit(5, "if selector[skey] >= 2:")
-    emit(6, "prediction = gshare_prediction")
-    emit(5, "else:")
-    emit(6, "prediction = bimodal_prediction")
-    emit(5, "lookups += 1")
-    history_mask = (1 << pcfg.history_bits) - 1
-
-    def emit_mispredict(depth: int) -> None:
-        emit(depth, "mispredictions += 1")
-        emit(depth, "redirect_pending = True")
-        for lane in lanes:
-            penalty = configs[lane].mispredict_redirect_penalty
-            emit(depth, f"redirect{lane} = c{lane} + {penalty}")
-        emit(depth, "current_fetch_line = -1")
-
-    emit(5, "if taken:")
-    emit(6, "if gshare_prediction != bimodal_prediction:")
-    emit(7, "counter = selector[skey]")
-    emit(7, "if gshare_prediction:")
-    emit(8, "if counter < 3:")
-    emit(9, "selector[skey] = counter + 1")
-    emit(7, "elif counter > 0:")
-    emit(8, "selector[skey] = counter - 1")
-    emit(6, "counter = gshare[gkey]")
-    emit(6, "if counter < 3:")
-    emit(7, "gshare[gkey] = counter + 1")
-    emit(6, "counter = bimodal[bkey]")
-    emit(6, "if counter < 3:")
-    emit(7, "bimodal[bkey] = counter + 1")
-    emit(6, f"history = ((history << 1) | 1) & {history_mask}")
-    emit(6, "if not prediction:")
-    emit_mispredict(7)
-    emit(5, "else:")
-    emit(6, "if gshare_prediction != bimodal_prediction:")
-    emit(7, "counter = selector[skey]")
-    emit(7, "if gshare_prediction:")
-    emit(8, "if counter > 0:")
-    emit(9, "selector[skey] = counter - 1")
-    emit(7, "elif counter < 3:")
-    emit(8, "selector[skey] = counter + 1")
-    emit(6, "counter = gshare[gkey]")
-    emit(6, "if counter > 0:")
-    emit(7, "gshare[gkey] = counter - 1")
-    emit(6, "counter = bimodal[bkey]")
-    emit(6, "if counter > 0:")
-    emit(7, "bimodal[bkey] = counter - 1")
-    emit(6, f"history = (history << 1) & {history_mask}")
-    emit(6, "if prediction:")
-    emit_mispredict(7)
-    # A taken call/return redirects fetch one cycle on.  A pending
-    # redirect was either just applied (so it is at most fetch) or never
-    # set, so the reference's max(redirect, fetch + 1) is fetch + 1.
-    emit(3, "elif hot & 16384 and meta & 8:")
-    emit(4, "redirect_pending = True")
-    for lane in lanes:
-        emit(4, f"redirect{lane} = fetch{lane} + 1")
-    emit(4, "current_fetch_line = -1")
-
-    # --------------------------------------------------------- epilogue
-    for lane in lanes:
-        emit(1, f"if cf{lane} < 0:")
-        emit(2, f"cf{lane} = 0")
-    emit(1, "return (")
-    for lane in lanes:
-        emit(2, f"(cf{lane} if cf{lane} > fetch{lane} else fetch{lane}) + 1,")
-    emit(2, "lookups,")
-    emit(2, "mispredictions,")
-    emit(2, "i_accesses,")
-    emit(2, "i_misses,")
-    emit(2, "d_accesses,")
-    emit(2, "d_misses,")
-    emit(2, "l2_accesses,")
-    emit(2, "l2_misses,")
-    emit(2, "loads,")
-    emit(2, "stores,")
-    emit(1, ")")
-    return "\n".join(src) + "\n"
+        pc = "address >> 2"
+    lanes.redirect(2)
+    lanes.fetch(2, "line", i_l2_line)
+    lanes.dispatch(2, "hot", "srcs")
+    lanes.execute(2, "hot")
+    lanes.commit(2, "hot")
+    lanes.branch(2, "hot", pc, "meta & 8")
+    lanes.finalize(1)
+    return "\n".join(lanes.take()) + "\n"
 
 
 #: (lane-config tuple, derived) -> compiled walk (configs are frozen/hashable).
@@ -1053,3 +1228,54 @@ def run_compiled_many(trace: Trace, configs) -> list:
     group is a one-lane walk, exactly what :func:`run_compiled` runs.
     """
     return _time_lanes(trace, configs)
+
+
+def timing_from_counters(counters: tuple, instructions: int) -> TimingResult:
+    """Build a :class:`TimingResult` from the kernel's 11-counter tuple.
+
+    The one mapping of that tuple: every lane of the lane walk and the
+    fused tier's ``_finalize()`` return it (:meth:`_TimingEmitter.finalize`).
+    """
+    (
+        cycles,
+        lookups,
+        mispredictions,
+        i_accesses,
+        i_misses,
+        d_accesses,
+        d_misses,
+        l2_accesses,
+        l2_misses,
+        loads,
+        stores,
+    ) = counters
+    return TimingResult(
+        cycles=cycles,
+        instructions=instructions,
+        branch_lookups=lookups,
+        branch_mispredictions=mispredictions,
+        icache_accesses=i_accesses,
+        icache_misses=i_misses,
+        dcache_accesses=d_accesses,
+        dcache_misses=d_misses,
+        l2_accesses=l2_accesses,
+        l2_misses=l2_misses,
+        loads=loads,
+        stores=stores,
+    )
+
+
+def timing_from_probe(snapshot: tuple, instructions: int) -> TimingResult:
+    """Project a per-record probe snapshot onto a prefix TimingResult.
+
+    A probe snapshot (:meth:`_TimingEmitter.snapshot`) is
+    ``(commit_frontier, fetch_cycle, <10 counters>)`` taken immediately
+    after one record's full update.  Finalizing from it reproduces what
+    the compiled kernel returns for the trace prefix that ends at that
+    record: a redirect the final record posts is never consumed, so it
+    doesn't enter the cycle count on either side.
+    """
+    commit_frontier, fetch_cycle = snapshot[0], snapshot[1]
+    last_commit = commit_frontier if commit_frontier >= 0 else 0
+    cycles = (last_commit if last_commit > fetch_cycle else fetch_cycle) + 1
+    return timing_from_counters((cycles,) + tuple(snapshot[2:]), instructions)

@@ -407,9 +407,11 @@ class TestNoTraceForSummaryOnly:
 # Sweep integration
 # ----------------------------------------------------------------------
 class TestSweepPipeline:
+    # Every default config: wide-8 elides every functional-unit probe,
+    # window-32/128 and l1-16k change the window and the cache geometry.
     SPEC = SweepSpec.cartesian(
-        workloads=("li",),
-        configs=default_sweep_configs()[:2],
+        workloads=("li", "ijpeg"),
+        configs=default_sweep_configs(),
         policies=("baseline", "hw-significance"),
     )
 
@@ -431,7 +433,7 @@ class TestSweepPipeline:
             assert dataclasses.replace(left, source="") == dataclasses.replace(
                 right, source=""
             )
-        assert fused.simulations == materialized.simulations == 1
+        assert fused.simulations == materialized.simulations == 2  # one per workload
 
     def test_warm_snapshot_replays_even_under_fused(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -192,6 +192,50 @@ class TestEngineSweep:
 
         assert [_payload(row) for row in warm.rows] == [_payload(row) for row in cold.rows]
 
+    def test_unreplayable_snapshot_is_quarantined_and_recomputed(self, store):
+        """A snapshot that decodes but does not replay (an executed uid's
+        static entry is gone) must not turn a group into error rows: the
+        sweep quarantines it and computes the group like a cold one, and
+        the next sweep replays the fresh snapshot."""
+        from repro.experiments.engine import _snapshot_key
+        from repro.sim.snapshot import decode_artifact, encode_artifact
+        from repro.workloads import workload_by_name
+
+        configs = [pair for pair in default_sweep_configs() if pair[0] in ("table2", "wide-8")]
+        spec = SweepSpec.cartesian(workloads=("li",), configs=configs, policies=("baseline",))
+        cold = list(ExperimentEngine(store).sweep(spec))
+        assert [row.source for row in cold] == ["computed", "computed"]
+
+        snapshot = store.trace_path_for(
+            _snapshot_key(ExperimentConfig(workload="li"), workload_by_name("li"))
+        )
+        artifact = decode_artifact(snapshot.read_bytes())
+        static = artifact.trace.static
+        uid = next(iter(artifact.trace.uid_counts()))
+        static.entries[uid - static.uid_base] = None
+        broken = encode_artifact(artifact)
+        snapshot.write_bytes(broken)
+        assert decode_artifact(snapshot.read_bytes()) is not None
+        assert store.fsck(repair=False).clean
+
+        def payload(rows):
+            return [{**row.to_json_dict(), "source": None} for row in rows]
+
+        second = list(ExperimentEngine(store).sweep(spec))
+        assert [row.source for row in second] == ["computed", "computed"]
+        assert payload(second) == payload(cold)
+        quarantined = [
+            path
+            for path, manifest in store.quarantined()
+            if manifest.get("original_path") == str(snapshot)
+        ]
+        assert quarantined, f"no quarantine manifest names {snapshot}"
+        assert quarantined[0].read_bytes() == broken
+
+        third = list(ExperimentEngine(store).sweep(spec))
+        assert [row.source for row in third] == ["replayed", "replayed"]
+        assert payload(third) == payload(cold)
+
     def test_mechanism_signatures_resolve_separate_traces(self, store):
         """Explicit points with different mechanisms score different
         traces (one artifact resolution per signature)."""

@@ -487,7 +487,6 @@ class TestAdversarialProbes:
         monkeypatch.setattr(tkernel, "_grow_ring", counting_grow)
         if walk == "fused":
             monkeypatch.setattr(fusedc, "_RING_BITS", 3)
-            monkeypatch.setattr(fusedc, "_CODE_CACHE", {})
             monkeypatch.setattr(fusedc, "_PROGRAM_CACHE", {})
         else:
             monkeypatch.setattr(tkernel, "_MULTI_RING_BITS", 3)
