@@ -10,8 +10,9 @@ unhappy path, not paid on every healthy sweep.
 Both sides run the identical warm design-space sweep (every group served
 by snapshot replay, zero simulator steps): the supervised side through
 the public ``engine.sweep`` (chaos probe + failure classification +
-error-row machinery armed), the direct side calling the group scorer
-with none of the supervision seams.  The supervised side must stay
+error-row machinery armed), the direct side calling the engine's group
+resolver (``engine._resolve_miss``) per group with none of the
+supervision seams.  The supervised side must stay
 within ``_OVERHEAD_BAR`` of direct — the CI-enforced ceiling behind the
 "supervision is free until it isn't" claim in ``docs/resilience.md``.
 """
@@ -23,10 +24,9 @@ import time
 
 import pytest
 
-from repro.experiments.engine import ExperimentConfig, ExperimentEngine
+from repro.experiments.engine import ExperimentConfig, ExperimentEngine, _resolve_miss
 from repro.experiments.store import ResultStore
-from repro.experiments.sweep import SweepSpec, _score_group
-from repro.hardware import gating
+from repro.experiments.sweep import SweepSpec
 from repro.workloads import workload_by_name
 
 #: Suite workloads the warm sweep runs over.
@@ -61,51 +61,41 @@ def warm_sweep(tmp_path_factory):
 
 
 def _direct_cells(engine, spec):
-    """The sweep's per-group scoring with no supervision seams at all."""
-    points = list(spec.iter_points())
+    """The sweep's per-group resolution with no supervision seams at all."""
     config_map = spec.config_map()
-    groups: dict[tuple, list[int]] = {}
-    for index, point in enumerate(points):
+    groups: dict[tuple, list] = {}
+    for point in spec.iter_points():
         signature = (
             point.workload,
             point.mechanism,
             point.threshold_nj,
             point.conventional_vrp,
         )
-        groups.setdefault(signature, []).append(index)
+        groups.setdefault(signature, []).append(point)
     cells = []
-    for (name, mechanism, threshold_nj, conventional_vrp), indices in groups.items():
+    for (name, mechanism, threshold_nj, conventional_vrp), group in groups.items():
         workload = workload_by_name(name)
-        config_names: list[str] = []
-        policy_names: list[str] = []
-        for index in indices:
-            point = points[index]
-            if point.config not in config_names:
-                config_names.append(point.config)
-            if point.policy not in policy_names:
-                policy_names.append(point.policy)
-        configs = [config_map[config_name] for config_name in config_names]
-        policies = {policy: gating.get(policy) for policy in policy_names}
-        _, timings, _, energies = _score_group(
-            engine,
-            workload,
-            mechanism,
-            threshold_nj,
-            conventional_vrp,
-            configs,
-            policies,
-            "auto",
+        config_names = list(dict.fromkeys(point.config for point in group))
+        lanes = [config_map[config_name] for config_name in config_names]
+        config = ExperimentConfig(
+            workload=name,
+            mechanism=mechanism,
+            threshold_nj=threshold_nj,
+            conventional_vrp=conventional_vrp,
+            machine_config=lanes[0],
         )
-        position = {config_name: i for i, config_name in enumerate(config_names)}
-        for index in indices:
-            point = points[index]
-            at = position[point.config]
+        _, summaries, _ = _resolve_miss(
+            engine.store, engine.key_for(config, workload), config, workload, "auto", lanes[1:]
+        )
+        by_config = dict(zip(config_names, summaries))
+        for point in group:
+            summary = by_config[point.config]
             cells.append(
                 (
                     point.workload,
                     point.config,
                     point.policy,
-                    (timings[at].cycles, energies[at][point.policy].total),
+                    (summary.timing.cycles, summary.energies[point.policy].total),
                 )
             )
     return cells

@@ -3,14 +3,17 @@ sequential per-config replay path.
 
 Before the sweep engine, an analysis-only sweep over N uarch configs
 replayed each stored trace through the timing pipeline N separate
-times: per config, decode the snapshot and run ``replay_summary``
+times: per config, decode the snapshot and replay it at one lane
 (single-config timing walk + fused accounting + distribution
-aggregation).  The sweep engine decodes once, scores all configs in one
-multi-config kernel pass (``run_compiled_many`` walks shared-shape
-lanes together, sharing the fetch/cache/predictor streams and eliding
-functional-unit probes that can never bind) and branches a single
-accounting walk per config (``account_many``) — per-group work no
-longer scales with the full pipeline times N.
+aggregation).  The sweep engine decodes once and replays every config
+as a lane of one group: one multi-config kernel pass
+(``run_compiled_many`` walks shared-shape lanes together, sharing the
+fetch/cache/predictor streams and eliding functional-unit probes that
+can never bind), one accounting walk branched per config
+(``account_many``) and one aggregation — per-group work no longer
+scales with the full pipeline times N.  Both sides run the engine's
+one replay routine (``engine._replay``), at one lane per call and at
+all 16 lanes in one call.
 
 Both sides are timed over the same warm snapshots and the same dense
 16-config axis (2 pipeline widths x 4 window sizes x 2 memory
@@ -33,13 +36,8 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import POLICY_NAMES
-from repro.experiments.runner import (
-    _compute_evaluation,
-    artifact_from_evaluation,
-    replay_summary,
-)
-from repro.hardware import gating
-from repro.power import MultiPolicyEnergyAccountant
+from repro.experiments.engine import ExperimentConfig, _replay
+from repro.experiments.runner import _compute_evaluation, artifact_from_evaluation
 from repro.sim.snapshot import decode_artifact, encode_artifact
 from repro.uarch import MachineConfig, OutOfOrderModel, run_compiled_many
 from repro.workloads import workload_by_name
@@ -78,35 +76,26 @@ def snapshots():
         workload = workload_by_name(name)
         blob = encode_artifact(artifact_from_evaluation(_compute_evaluation(workload)))
         # Verify outside the timed region: the batched side must
-        # reproduce the sequential replay numbers bit-exactly.
-        batched = _batched_cells(blob, configs)
-        for at, config in enumerate(configs):
-            summary = replay_summary(
-                workload, decode_artifact(blob), machine_config=config
-            )
-            for policy in POLICY_NAMES:
-                cycles, energy = batched[(at, policy)]
-                assert cycles == summary.timing.cycles, (name, at, policy)
-                assert energy == summary.energies[policy].total, (name, at, policy)
+        # reproduce the sequential replay summaries bit-exactly.
+        assert _batched_pass(workload, blob, configs) == _sequential_pass(
+            workload, blob, configs
+        ), name
         prepared[name] = (workload, blob)
     return prepared, configs
 
 
-def _batched_cells(blob, configs):
-    """The sweep engine's per-group work: decode once, one multi-config
-    timing pass, one branched accounting walk."""
-    artifact = decode_artifact(blob)
-    trace = artifact.trace
-    timings = run_compiled_many(trace, configs)
-    accountant = MultiPolicyEnergyAccountant(
-        {policy: gating.get(policy) for policy in POLICY_NAMES}
-    )
-    energies = accountant.account_many(trace, timings)
-    return {
-        (at, policy): (timings[at].cycles, energies[at][policy].total)
-        for at in range(len(configs))
-        for policy in POLICY_NAMES
-    }
+def _batched_pass(workload, blob, configs):
+    """The sweep engine's per-group work: decode once, every config a lane."""
+    point = ExperimentConfig(workload=workload.name)
+    return _replay(workload, point, decode_artifact(blob), configs)
+
+
+def _sequential_pass(workload, blob, configs):
+    """Per config: decode the snapshot and replay it at one lane."""
+    point = ExperimentConfig(workload=workload.name)
+    return [
+        _replay(workload, point, decode_artifact(blob), [config])[0] for config in configs
+    ]
 
 
 def _timed(fn, *args) -> float:
@@ -118,11 +107,6 @@ def _timed(fn, *args) -> float:
         return time.perf_counter() - start
     finally:
         gc.enable()
-
-
-def _sequential_pass(workload, blob, configs):
-    for config in configs:
-        replay_summary(workload, decode_artifact(blob), machine_config=config)
 
 
 def _measure(prepared, configs, rounds: int = 3) -> dict[str, dict[str, float]]:
@@ -138,7 +122,7 @@ def _measure(prepared, configs, rounds: int = 3) -> dict[str, dict[str, float]]:
                 best["sequential"][name], _timed(_sequential_pass, workload, blob, configs)
             )
             best["batched"][name] = min(
-                best["batched"][name], _timed(_batched_cells, blob, configs)
+                best["batched"][name], _timed(_batched_pass, workload, blob, configs)
             )
     return best
 

@@ -22,10 +22,13 @@ Usage::
 
 ``run`` evaluates the requested configurations (all eight suite workloads
 by default) through the engine — memo, then persistent store, then a
-parallel compute fan-out — and prints one row per workload.  ``--policy
-all`` prints one energy column per registered gating policy
-(``gating.registry()``); every summary carries all of them because cold
-evaluations account the whole policy set in a single fused trace walk.
+parallel compute fan-out — and prints one row per workload, whose
+``source`` says where it came from: ``computed`` (simulated in this
+run), ``replayed`` (rebuilt from a stored trace snapshot) or ``store``
+(a stored summary).  ``--policy all`` prints one energy column per
+registered gating policy (``gating.registry()``); every summary carries
+all of them because cold evaluations account the whole policy set in a
+single fused trace walk.
 ``--pipeline`` selects the cold-compute path (``docs/fused.md``):
 ``fused`` streams simulate→time→account per record without materializing
 a trace, ``materialized`` builds the classic trace, and ``auto`` (the
@@ -35,12 +38,14 @@ choice is bit-exact either way.
 
 ``sweep`` evaluates a design-space *matrix* — machine configs × gating
 policies × workloads — through the batched sweep path
-(``ExperimentEngine.sweep``; see ``docs/sweeps.md``): one snapshot replay
-or simulation per workload, one multi-config timing-kernel walk per
-cache/predictor shape group, one fused accounting walk per trace.  From a
-warm store the whole matrix completes with zero simulator calls.  The
-default matrix (8 configs × 6 policies × 8 workloads = 384 points)
-reproduces the paper's ED² comparisons (Figures 11/15) across machines.
+(``ExperimentEngine.sweep``; see ``docs/sweeps.md``): each workload is
+one group that the engine resolves as it resolves a ``run`` point, with
+every machine config as a lane — one snapshot replay or simulation, one
+multi-config timing-kernel walk per cache/predictor shape group, one
+fused accounting walk per trace.  From a warm store the whole matrix
+completes with zero simulator calls.  The default matrix (8 configs × 6
+policies × 8 workloads = 384 points) reproduces the paper's ED²
+comparisons (Figures 11/15) across machines.
 
 ``diverge`` is the correctness side of the tooling: it co-executes two
 simulator tiers in lockstep (or bisects two analysis kernels) over one
@@ -75,7 +80,7 @@ from ..sim.fusedc import PIPELINES
 from ..workloads import SUITE_NAMES
 from .engine import ExperimentConfig, _resolve_pipeline, default_engine
 from .report import format_percent, format_table
-from .runner import POLICY_NAMES
+from .runner import POLICY_NAMES, WorkloadEvaluation
 from .store import ResultStore
 from .sweep import SweepResult, SweepSpec, default_sweep_configs
 
@@ -148,6 +153,13 @@ def _experiment_configs(args: argparse.Namespace, workloads: list[str]) -> list[
 # ----------------------------------------------------------------------
 # run
 # ----------------------------------------------------------------------
+def _source(evaluation: WorkloadEvaluation) -> str:
+    """Where ``run`` got a row: computed, replayed from a snapshot, or the store."""
+    if evaluation.freshly_computed:
+        return "computed"
+    return "replayed" if evaluation.replayed_from_store else "store"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     engine = default_engine()
     workloads = args.workload or list(SUITE_NAMES)
@@ -175,7 +187,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     "workload": evaluation.workload.name,
                     "instructions": evaluation.total_dynamic_instructions,
                     "cycles": evaluation.outcome("baseline").cycles,
-                    "source": "computed" if evaluation.freshly_computed else "store",
+                    "source": _source(evaluation),
                     "energy_nj": {
                         name: evaluation.outcome(name).energy.total for name in policies
                     },
@@ -205,7 +217,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     evaluation.outcome("baseline").cycles,
                 ]
                 + [evaluation.outcome(name).energy.total for name in POLICY_NAMES]
-                + ["computed" if evaluation.freshly_computed else "store"]
+                + [_source(evaluation)]
             )
     else:
         headers = ["workload", "instructions", "cycles", "energy (nJ)", "ED^2", "source"]
@@ -218,7 +230,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     outcome.cycles,
                     outcome.energy.total,
                     outcome.ed2,
-                    "computed" if evaluation.freshly_computed else "store",
+                    _source(evaluation),
                 ]
             )
     print(format_table(headers, rows, title=title))
@@ -707,9 +719,10 @@ def main(argv: list[str] | None = None) -> int:
         default="auto",
         help=(
             "cold-group path: 'fused' streams every cold trace signature, "
-            "'materialized' simulates and snapshots, 'auto' streams cold "
-            "single-config groups and materializes multi-config groups "
-            "(default: auto; warm snapshots always replay first)"
+            "'materialized' simulates and snapshots, 'auto' materializes when "
+            "the snapshot layer is on or the group has more than one config "
+            "and streams otherwise, the rule 'run' follows (default: auto; a "
+            "warm entry or snapshot always serves first)"
         ),
     )
     sweep_parser.add_argument(

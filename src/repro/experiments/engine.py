@@ -17,12 +17,17 @@ The engine resolves every requested configuration through four layers:
    fallback when only one CPU is available, ``REPRO_JOBS=1`` is set, or
    pool creation fails (restricted sandboxes).
 
-Every miss of the memo — in :meth:`ExperimentEngine.evaluate`, in the
-serial loop of :meth:`ExperimentEngine.map` and in a pool worker — goes
-through one resolver, :func:`_resolve_miss`, which runs layers 2 and 3
-and the live compute under the store's cross-process single-flight lock
-and publishes what it computed before releasing it.  Workers return
-plain JSON-serializable summaries and the parent hands out *restored*
+Layers 2 and 3 and the live compute are one resolver,
+:func:`_resolve_miss`, whose unit is a trace-signature *group*: one
+``(workload, mechanism, threshold, conventional VRP)`` trace scored
+under one or more machine configs ("lanes").  A paper point is a group
+of one lane — every memo miss of :meth:`ExperimentEngine.evaluate`, of
+the serial loop of :meth:`ExperimentEngine.map` and of a pool worker —
+and :meth:`ExperimentEngine.sweep` resolves one group per trace
+signature of its matrix.  The resolver runs under the store's
+cross-process single-flight lock on the first lane's key and publishes
+what it computed before releasing it.  Workers return plain
+JSON-serializable summaries and the parent hands out *restored*
 :class:`WorkloadEvaluation` objects, so parallel and serial evaluation
 are observationally equivalent for every figure and table of the paper.
 """
@@ -31,14 +36,17 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from typing import TYPE_CHECKING
 
 from .. import settings
+from ..hardware import gating
+from ..power import MultiPolicyEnergyAccountant
+from ..sim import Machine
 from ..sim.fusedc import _checked_pipeline
-from ..uarch import MachineConfig
+from ..uarch import MachineConfig, run_compiled_many
 from ..workloads import Workload, load_suite, workload_by_name
 from .chaos import chaos_probe
 from .resilience import (
@@ -47,18 +55,14 @@ from .resilience import (
     classify_failure,
     supervised_map,
 )
-from .runner import (
-    WorkloadEvaluation,
-    _compute_evaluation,
-    artifact_from_evaluation,
-    replay_summary,
-)
+from .runner import WorkloadEvaluation, _compute_evaluation, artifact_from_evaluation
 from .store import ResultStore, config_key, trace_key
-from .summary import EvaluationSummary
+from .summary import EvaluationSummary, aggregate_trace, restore_vrp_stat_keys
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from typing import Iterator, Mapping
 
+    from ..sim.snapshot import SimulationArtifact
     from .sweep import SweepRow, SweepSpec
 
 __all__ = [
@@ -91,20 +95,21 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     return max(1, jobs)
 
 
-def _resolve_pipeline(pipeline: str, store: Optional[ResultStore]) -> str:
+def _resolve_pipeline(pipeline: str, store: Optional[ResultStore], lanes: int = 1) -> str:
     """Resolve a pipeline request to ``"fused"`` or ``"materialized"``.
 
-    Explicit requests win; ``"auto"`` picks by what the evaluation needs:
-    trace snapshots can only be persisted from a materialized trace, so
-    the materialized pipeline runs when the store's snapshot layer is
-    enabled — and the fused pipeline (one streaming pass, **no trace ever
-    built**) runs for summary-only evaluations (store disabled or
-    ``REPRO_TRACE_STORE=off``).  Anything outside
+    Explicit requests win; ``"auto"`` is one rule for points and sweep
+    groups of ``lanes`` machine configs.  The materialized pipeline runs
+    when the store's snapshot layer is enabled, because trace snapshots
+    can only be persisted from a materialized trace, and when more than
+    one lane is timed, because one simulation plus a multi-lane walk over
+    its trace beats one fused run per lane.  Otherwise the fused pipeline
+    (one streaming pass, **no trace ever built**) runs.  Anything outside
     :data:`repro.sim.fusedc.PIPELINES` raises.
     """
     if pipeline == "auto":
         snapshots = store is not None and store.trace_enabled
-        return "materialized" if snapshots else "fused"
+        return "materialized" if snapshots or lanes > 1 else "fused"
     return _checked_pipeline(pipeline)
 
 
@@ -129,7 +134,7 @@ def _failure_evaluation(
 
 
 # ----------------------------------------------------------------------
-# Cache-miss resolution, shared by the engine and the pool workers
+# Cache-miss resolution, shared by the engine, the pool workers and sweeps
 # ----------------------------------------------------------------------
 def _snapshot_key(config: ExperimentConfig, workload: Workload) -> str:
     return trace_key(
@@ -137,8 +142,69 @@ def _snapshot_key(config: ExperimentConfig, workload: Workload) -> str:
     )
 
 
-def _guarded_replay(store: ResultStore, key: str, replay: Callable) -> Optional[object]:
-    """``replay(artifact)`` over the trace snapshot stored under ``key``.
+def _lane_summaries(
+    first: EvaluationSummary, timings: Sequence, energies: Sequence
+) -> list[EvaluationSummary]:
+    """``first`` followed by one summary per further lane.
+
+    Nothing in a summary but its timing and its energies depends on the
+    machine config, so a further lane is ``first`` with those two
+    replaced.
+    """
+    return [first] + [
+        replace(first, timing=timing, energies=energy)
+        for timing, energy in zip(timings, energies)
+    ]
+
+
+def _replay(
+    workload: Workload,
+    config: ExperimentConfig,
+    artifact: "SimulationArtifact",
+    lanes: Sequence[Optional[MachineConfig]],
+) -> list[EvaluationSummary]:
+    """One summary per machine config of ``lanes``, rebuilt from a trace snapshot.
+
+    One multi-lane timing walk (:func:`~repro.uarch.run_compiled_many`),
+    one multi-policy accounting walk branched per lane
+    (:meth:`~repro.power.MultiPolicyEnergyAccountant.account_many`) and
+    one distribution aggregation over the restored trace — the kernels a
+    live :meth:`WorkloadEvaluation.summarize` runs — but **zero**
+    simulator steps: the functional outputs (dynamic instruction count,
+    program output, VRP/VRS statistics) come from the artifact.  Every
+    lane's summary is bit-identical to a fresh one under its config.
+    """
+    trace = artifact.trace
+    timings = run_compiled_many(trace, list(lanes))
+    energies = MultiPolicyEnergyAccountant(gating.registry()).account_many(trace, timings)
+    width_distribution, counted_widths, result_sizes, operation_types = aggregate_trace(trace)
+    first = EvaluationSummary(
+        workload=workload.name,
+        mechanism=config.mechanism,
+        threshold_nj=config.threshold_nj,
+        conventional_vrp=config.conventional_vrp,
+        instructions=artifact.instructions,
+        output=list(artifact.output),
+        timing=timings[0],
+        energies=energies[0],
+        width_distribution=width_distribution,
+        counted_widths=counted_widths,
+        result_sizes=result_sizes,
+        operation_types=operation_types,
+        vrp=restore_vrp_stat_keys(artifact.vrp),
+        vrs=artifact.vrs,
+        runtime_specialization=artifact.runtime_specialization,
+    )
+    return _lane_summaries(first, timings[1:], energies[1:])
+
+
+def _replay_snapshot(
+    store: ResultStore,
+    config: ExperimentConfig,
+    workload: Workload,
+    lanes: Sequence[Optional[MachineConfig]],
+) -> Optional[list[EvaluationSummary]]:
+    """:func:`_replay` over the group's stored trace snapshot, or None.
 
     None on a miss, and None when the snapshot decodes but its contents
     don't replay — e.g. a truncated-then-padded file whose trace is
@@ -147,11 +213,12 @@ def _guarded_replay(store: ResultStore, key: str, replay: Callable) -> Optional[
     """
     if not store.trace_enabled:
         return None
+    key = _snapshot_key(config, workload)
     artifact = store.load_trace(key)
     if artifact is None:
         return None
     try:
-        return replay(artifact)
+        return _replay(workload, config, artifact, lanes)
     except Exception as exc:
         _log.warning(
             "evicting unreplayable trace snapshot %s (%s: %s)",
@@ -165,28 +232,28 @@ def _guarded_replay(store: ResultStore, key: str, replay: Callable) -> Optional[
         return None
 
 
-def _replay_from_snapshot(
-    store: ResultStore, config: ExperimentConfig, workload: Workload
-) -> Optional[EvaluationSummary]:
-    """Rebuild a summary from a stored trace snapshot, or None on miss.
+def _time_other_lanes(
+    evaluation: WorkloadEvaluation, lanes: Sequence[MachineConfig]
+) -> tuple[list, list]:
+    """Timings and per-policy energies of a live evaluation under ``lanes``.
 
-    When only the *analysis* side changed (a gating policy, an energy
-    coefficient, the machine configuration), the summary key misses but
-    the simulator-side snapshot key still hits, and the evaluation is
-    rebuilt without a single simulator step.
+    A materialized trace is timed in one multi-lane walk.  A fused
+    evaluation has no trace, so each lane is one more fused run of its
+    program; the shape aggregate it carries stands in for the trace in
+    the accounting walk, because shapes come from the architectural
+    execution, not from the timing model.
     """
-    return _guarded_replay(
-        store,
-        _snapshot_key(config, workload),
-        lambda artifact: replay_summary(
-            workload,
-            artifact,
-            mechanism=config.mechanism,
-            threshold_nj=config.threshold_nj,
-            conventional_vrp=config.conventional_vrp,
-            machine_config=config.machine_config,
-        ),
-    )
+    if not lanes:
+        return [], []
+    if evaluation.pipeline == "fused":
+        machine = Machine(evaluation.program)
+        timings = [
+            machine.run(pipeline="fused", machine_config=lane).fused.timing for lane in lanes
+        ]
+    else:
+        timings = run_compiled_many(evaluation.trace, list(lanes))
+    accountant = MultiPolicyEnergyAccountant(gating.registry())
+    return timings, accountant.account_many(evaluation.trace, timings)
 
 
 def _resolve_miss(
@@ -195,44 +262,62 @@ def _resolve_miss(
     config: ExperimentConfig,
     workload: Workload,
     pipeline: str,
-) -> tuple[WorkloadEvaluation, str]:
-    """Resolve one memo miss under the store's single-flight lock.
+    other_lanes: Sequence[MachineConfig] = (),
+) -> tuple[WorkloadEvaluation, list[EvaluationSummary], str]:
+    """Resolve one trace-signature group under the store's single-flight lock.
 
-    Returns the evaluation and its provenance: ``"shared"`` (the entry
-    was already published, possibly by a concurrent flight this call
-    waited on), ``"replayed"`` (rebuilt from a trace snapshot, zero
-    simulator steps) or ``"computed"`` (simulated here, with ``pipeline``
-    resolved by :func:`_resolve_pipeline`).  Only a computed evaluation
-    is live.  Replays and computes publish their summary — and a
-    materialized compute its trace snapshot — *inside* the flight, so
-    waiters are released only once the entry is readable: two processes
-    (or threads) racing on the same key cost one simulation.  With the
-    store disabled the flight is an unlocked owner and every save a
-    no-op.
+    The group is ``config``'s trace scored under ``config.machine_config``
+    (the first lane, whose store key is ``key``) and under each config of
+    ``other_lanes``; a paper point is a group of one lane.  Returns the
+    first lane's evaluation, one summary per lane and their provenance:
+    ``"shared"`` (a point whose entry was already published, possibly by
+    a concurrent flight this call waited on), ``"replayed"`` (every lane
+    rebuilt from the trace snapshot by :func:`_replay`, zero simulator
+    steps) or ``"computed"`` (the first lane simulated here, with
+    ``pipeline`` resolved by :func:`_resolve_pipeline`, and the other
+    lanes timed over the same trace).  Only a computed evaluation is live.
+
+    The flight is the first lane's: a compute publishes that lane's
+    summary — and a materialized compute the trace snapshot — and a
+    replayed point its summary, *inside* the flight, so waiters are
+    released only once the entry is readable and two processes (or
+    threads) racing on the same group cost one simulation.  The entries
+    of other lanes are never read or written, so a group with more lanes
+    replays even when the first lane's entry exists, and its replay
+    publishes nothing.  With the store disabled the flight is an
+    unlocked owner and every save a no-op.
     """
+    lanes = (config.machine_config, *other_lanes)
     with store.single_flight(key) as flight:
-        if flight.summary is not None:
-            return WorkloadEvaluation.from_summary(workload, flight.summary), "shared"
-        summary = _replay_from_snapshot(store, config, workload)
-        if summary is not None:
-            store.save(key, summary)
-            return WorkloadEvaluation.from_summary(workload, summary), "replayed"
+        if flight.summary is not None and not other_lanes:
+            summary = flight.summary
+            return WorkloadEvaluation.from_summary(workload, summary), [summary], "shared"
+        summaries = _replay_snapshot(store, config, workload, lanes)
+        if summaries is not None:
+            if not other_lanes:
+                store.save(key, summaries[0])
+            evaluation = WorkloadEvaluation.from_summary(workload, summaries[0])
+            return evaluation, summaries, "replayed"
         evaluation = _compute_evaluation(
             workload,
             mechanism=config.mechanism,
             threshold_nj=config.threshold_nj,
             conventional_vrp=config.conventional_vrp,
             machine_config=config.machine_config,
-            pipeline=_resolve_pipeline(pipeline, store),
+            pipeline=_resolve_pipeline(pipeline, store, len(lanes)),
         )
-        store.save(key, evaluation.summarize())
+        first = evaluation.summarize()
         # A fused evaluation has no trace to snapshot — its ``trace`` slot
-        # holds the streaming shape aggregate (see docs/fused.md).
+        # holds the streaming shape aggregate (see docs/fused.md).  The
+        # snapshot is published before the entry: a group that finds the
+        # entry without waiting on the lock replays the snapshot at once.
         if evaluation.pipeline != "fused":
             store.save_trace(
                 _snapshot_key(config, workload), artifact_from_evaluation(evaluation)
             )
-        return evaluation, "computed"
+        store.save(key, first)
+        summaries = _lane_summaries(first, *_time_other_lanes(evaluation, other_lanes))
+        return evaluation, summaries, "computed"
 
 
 def _compute_summary_for(
@@ -252,8 +337,8 @@ def _compute_summary_for(
     """
     chaos_probe("worker-task")
     workload = workload_by_name(config.workload)
-    evaluation, provenance = _resolve_miss(store, key, config, workload, pipeline)
-    return evaluation.summarize().to_json_dict(), provenance
+    _, (summary,), provenance = _resolve_miss(store, key, config, workload, pipeline)
+    return summary.to_json_dict(), provenance
 
 
 class ExperimentEngine:
@@ -325,7 +410,9 @@ class ExperimentEngine:
         if cached is not None:
             return cached
         try:
-            evaluation, provenance = _resolve_miss(self.store, key, config, workload, pipeline)
+            evaluation, _, provenance = _resolve_miss(
+                self.store, key, config, workload, pipeline
+            )
         except Exception as exc:
             failure = classify_failure(exc)
             if on_error == "raise":
@@ -484,13 +571,12 @@ class ExperimentEngine:
                     # Streamed by a pool attempt that later collapsed.
                     continue
                 try:
-                    evaluation, provenance = _resolve_miss(
+                    evaluation, (summary,), provenance = _resolve_miss(
                         self.store, key, config, workload, resolved_pipeline
                     )
                 except Exception as exc:
                     errors[key] = classify_failure(exc)
                     continue
-                summary = evaluation.summarize()
                 # Free a live evaluation (and its trace) before the next
                 # point builds and simulates.
                 del evaluation
@@ -552,10 +638,12 @@ class ExperimentEngine:
     ) -> "Iterator[SweepRow]":
         """Stream one :class:`~repro.experiments.sweep.SweepRow` per spec point.
 
-        The batched design-space path (see ``docs/sweeps.md``): one
-        simulation or snapshot replay per distinct trace signature, one
-        multi-config timing-kernel walk per machine-config shape group,
-        one fused accounting walk per trace — instead of a full
+        The batched design-space path (see ``docs/sweeps.md``): each
+        distinct trace signature is one group, resolved lazily in spec
+        order by the resolver :meth:`evaluate` uses, with the group's
+        machine configs as its lanes — one simulation or snapshot replay,
+        one multi-config timing-kernel walk per machine-config shape
+        group and one accounting walk per trace, instead of a full
         :meth:`evaluate` round-trip per point.  Rows are bit-identical
         to what per-point evaluation reports for the same cells.  From a
         warm store (snapshots present) a sweep performs **zero**

@@ -42,7 +42,6 @@ from ..workloads import Workload
 from .summary import (
     EvaluationSummary,
     aggregate_trace,
-    restore_vrp_stat_keys,
     runtime_specialization_fractions,
     vrp_stats,
     vrs_stats,
@@ -53,7 +52,6 @@ __all__ = [
     "SimulationOutcome",
     "WorkloadEvaluation",
     "artifact_from_evaluation",
-    "replay_summary",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -392,7 +390,7 @@ def _compute_evaluation(
 
 
 # ----------------------------------------------------------------------
-# Trace-snapshot replay (analysis without simulation)
+# Trace snapshots (replayed by repro.experiments.engine._replay)
 # ----------------------------------------------------------------------
 def artifact_from_evaluation(evaluation: WorkloadEvaluation) -> "SimulationArtifact":
     """Package a live evaluation's simulation outputs for the trace store."""
@@ -406,45 +404,4 @@ def artifact_from_evaluation(evaluation: WorkloadEvaluation) -> "SimulationArtif
         vrp=summary.vrp,
         vrs=summary.vrs,
         runtime_specialization=summary.runtime_specialization,
-    )
-
-
-def replay_summary(
-    workload: Workload,
-    artifact: "SimulationArtifact",
-    mechanism: str = "none",
-    threshold_nj: float = 50.0,
-    conventional_vrp: bool = False,
-    machine_config: Optional[MachineConfig] = None,
-) -> EvaluationSummary:
-    """Rebuild a full evaluation summary from a trace snapshot.
-
-    Runs the timing model, the fused multi-policy energy accountant and
-    the columnar distribution aggregation over the restored trace — the
-    exact pipeline a live :meth:`WorkloadEvaluation.summarize` runs — but
-    performs **zero** simulator steps: the functional outputs (dynamic
-    instruction count, program output, VRP/VRS statistics) come from the
-    artifact.  Because trace, kernels and accumulation order are
-    identical, the replayed summary is bit-identical to a fresh one.
-    """
-    trace = artifact.trace
-    timing = OutOfOrderModel(machine_config).run(trace)
-    energies = MultiPolicyEnergyAccountant(gating.registry()).account(trace, timing)
-    width_distribution, counted_widths, result_sizes, operation_types = aggregate_trace(trace)
-    return EvaluationSummary(
-        workload=workload.name,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
-        instructions=artifact.instructions,
-        output=list(artifact.output),
-        timing=timing,
-        energies=energies,
-        width_distribution=width_distribution,
-        counted_widths=counted_widths,
-        result_sizes=result_sizes,
-        operation_types=operation_types,
-        vrp=restore_vrp_stat_keys(artifact.vrp),
-        vrs=artifact.vrs,
-        runtime_specialization=artifact.runtime_specialization,
     )

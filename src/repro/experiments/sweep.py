@@ -3,17 +3,20 @@
 The paper's headline results are matrices — gating policies × machine
 configurations × workloads (Figures 11 and 15, the ED² tables).  This
 module evaluates such a matrix as *one* batched computation instead of
-one engine round-trip per point:
+one engine round-trip per point.  Points sharing a ``(workload,
+mechanism, threshold, conventional VRP)`` trace signature form one
+group, and the engine resolves a group the way it resolves a paper
+point — a point is a group of one machine config — under the same
+cross-process single-flight lock:
 
 * one simulation (or, from a warm store, one snapshot replay with zero
-  simulator steps) per distinct ``(workload, mechanism, threshold)``
-  trace signature,
+  simulator steps) per group,
 * one multi-config timing-kernel walk per shape group of machine
-  configurations (:func:`repro.uarch.tkernel.run_compiled_many` — every
-  lane bit-exact against the reference scoreboard walk),
+  configurations, every lane bit-exact against the reference
+  scoreboard walk,
 * one fused energy-accounting trace walk per trace, branched per
   machine configuration from shared totals
-  (:meth:`repro.power.MultiPolicyEnergyAccountant.account_many`).
+  (see ``docs/sweeps.md``, "The trace-reuse model").
 
 :class:`SweepSpec` describes the matrix (cartesian axes or an explicit
 point list), :meth:`repro.experiments.engine.ExperimentEngine.sweep`
@@ -30,17 +33,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..hardware import gating
-from ..power import MultiPolicyEnergyAccountant
+from ..sim.fusedc import _checked_pipeline
 from ..uarch import CacheConfig, MachineConfig
-from ..uarch.tkernel import run_compiled_many
 from ..workloads import SUITE_NAMES, Workload, workload_by_name
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..sim.snapshot import SimulationArtifact
-    from .engine import ExperimentEngine
+from .chaos import chaos_probe
+from .engine import ExperimentConfig, ExperimentEngine, _resolve_miss
+from .resilience import classify_failure
+from .summary import EvaluationSummary
 
 __all__ = [
     "SweepPoint",
@@ -249,14 +251,16 @@ class SweepSpec:
 class SweepRow:
     """One scored sweep point.
 
-    ``source`` records trace provenance: ``"replayed"`` (rebuilt from a
-    stored binary snapshot, zero simulator steps), ``"computed"`` (this
-    sweep ran the materialized simulator and warmed the store),
-    ``"fused"`` (this sweep ran the streaming fused pipeline — no trace
-    was ever built, so nothing could be snapshotted) or ``"error"`` (the
-    point's trace-signature group failed; the numeric fields are
-    zero-filled and ``error`` names the classified failure).  The three
-    healthy sources score bit-identically.
+    ``source`` records how the point's trace-signature group resolved:
+    ``"shared"`` (a one-config group whose store entry was already
+    published, by an earlier run or a concurrent flight this sweep
+    waited on), ``"replayed"`` (rebuilt from a stored binary snapshot,
+    zero simulator steps), ``"computed"`` (this sweep ran the
+    materialized simulator and warmed the store), ``"fused"`` (this
+    sweep ran the streaming fused pipeline — no trace was ever built, so
+    nothing could be snapshotted) or ``"error"`` (the group failed; the
+    numeric fields are zero-filled and ``error`` names the classified
+    failure).  The four healthy sources score bit-identically.
     """
 
     workload: str
@@ -422,97 +426,8 @@ class SweepResult:
 # ----------------------------------------------------------------------
 # Execution (driven by ExperimentEngine.sweep)
 # ----------------------------------------------------------------------
-def _compute_artifact(
-    engine: "ExperimentEngine",
-    workload: Workload,
-    mechanism: str,
-    threshold_nj: float,
-    conventional_vrp: bool,
-) -> "SimulationArtifact":
-    """Cold materialized simulation for one trace signature.
-
-    Persists both the summary and the binary snapshot (exactly like
-    ``engine.evaluate`` would), so the next sweep over the same signature
-    is a zero-simulation replay.
-    """
-    from .engine import ExperimentConfig, _snapshot_key
-    from .runner import _compute_evaluation, artifact_from_evaluation
-
-    config = ExperimentConfig(
-        workload=workload.name,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
-    )
-    store = engine.store
-    evaluation = _compute_evaluation(
-        workload,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
-    )
-    artifact = artifact_from_evaluation(evaluation)
-    store.save(engine.key_for(config, workload), evaluation.summarize())
-    store.save_trace(_snapshot_key(config, workload), artifact)
-    return artifact
-
-
-def _score_group(
-    engine: "ExperimentEngine",
-    workload: Workload,
-    mechanism: str,
-    threshold_nj: float,
-    conventional_vrp: bool,
-    configs: Sequence[MachineConfig],
-    policies: Mapping[str, object],
-    pipeline: str,
-):
-    """Resolve and score one trace-signature group.
-
-    Returns ``(source, timings, instructions, energies)`` — the shared
-    per-group work that :func:`run_sweep` fans out into rows.  Isolated
-    in a helper so a fault anywhere in the resolution (simulate, time,
-    account) is attributable to exactly one group.  A stored snapshot
-    replays through the guard ``engine.evaluate`` uses: one that does
-    not replay is quarantined, and the group computes like a cold one.
-    ``policies`` is pre-resolved by the caller: an unknown policy name
-    is a spec error and must raise rather than degrade into error rows.
-    """
-    from .engine import ExperimentConfig, _guarded_replay, _snapshot_key
-
-    accountant = MultiPolicyEnergyAccountant(dict(policies))
-
-    def score(source, artifact):
-        timings = run_compiled_many(artifact.trace, list(configs))
-        energies = accountant.account_many(artifact.trace, timings)
-        return source, timings, artifact.instructions, energies
-
-    config = ExperimentConfig(
-        workload=workload.name,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
-    )
-    replayed = _guarded_replay(
-        engine.store,
-        _snapshot_key(config, workload),
-        lambda artifact: score("replayed", artifact),
-    )
-    if replayed is not None:
-        return replayed
-    if pipeline == "fused" or (pipeline == "auto" and len(configs) == 1):
-        trace, timings, instructions = _fused_group(
-            workload, mechanism, threshold_nj, conventional_vrp, configs
-        )
-        return "fused", timings, instructions, accountant.account_many(trace, timings)
-    return score(
-        "computed",
-        _compute_artifact(engine, workload, mechanism, threshold_nj, conventional_vrp),
-    )
-
-
 def run_sweep(
-    engine: "ExperimentEngine",
+    engine: ExperimentEngine,
     spec: SweepSpec,
     workloads: Optional[Mapping[str, Workload]] = None,
     pipeline: str = "auto",
@@ -521,89 +436,81 @@ def run_sweep(
     """Stream one :class:`SweepRow` per point of ``spec``.
 
     Points are grouped by trace signature ``(workload, mechanism,
-    threshold, conventional_vrp)``; each group costs one trace
-    resolution, one batched multi-config timing pass over the group's
-    distinct machine configs, and one fused accounting walk branched per
-    config — regardless of how many (config, policy) cells it scores.
-    ``workloads`` optionally maps names to hand-built workload objects
-    (tests, custom programs); unnamed workloads resolve through the suite
-    registry.
+    threshold, conventional_vrp)``, and each group is resolved, lazily
+    and in spec order, by the engine's resolver
+    (:func:`repro.experiments.engine._resolve_miss`) with the group's
+    distinct machine configs as its lanes: one trace resolution, one
+    batched multi-config timing pass and one accounting walk branched
+    per config — regardless of how many (config, policy) cells it
+    scores.  A group of one config resolves exactly as ``engine.evaluate``
+    of that point does.  ``workloads`` optionally maps names to
+    hand-built workload objects (tests, custom programs); unnamed
+    workloads resolve through the suite registry.
 
-    ``pipeline`` selects the *cold* path per group; a warm snapshot
-    always replays first regardless (a replay is cheaper than any
-    simulation, and bit-identical).  ``"fused"`` streams every cold
-    group: one fused simulation per distinct machine config, shape
-    aggregation taken from the first (shapes are config-independent),
-    and nothing is persisted because no trace ever exists.
-    ``"materialized"`` forces the classic simulate-then-snapshot path.
-    ``"auto"`` streams cold *single-config* groups — where fused is a
-    strict win — and materializes multi-config groups, where one
-    simulation plus a batched timing walk beats one fused simulation per
-    config.
+    ``pipeline`` selects the *cold* path per group, by the rule points
+    use (:func:`repro.experiments.engine._resolve_pipeline`); a warm
+    entry or snapshot always serves first regardless (cheaper than any
+    simulation, and bit-identical).  ``"auto"`` materializes when the
+    snapshot layer is on or the group has more than one config, and
+    streams through the fused pipeline otherwise; ``"fused"`` streams
+    every cold group, one fused run per config, and its rows carry
+    ``source="fused"``.
 
     ``on_error`` selects the partial-failure semantics per trace-signature
     group: ``"keep"`` (the default) yields one error-carrying row
     (``source="error"``, zero-filled numbers) per affected point and
     continues to the next group, so one broken workload cannot abort a
     whole design-space sweep; ``"raise"`` propagates the classified
-    failure.  Spec errors (an unknown machine-config name) always raise —
-    they are caller bugs, not runtime faults.
+    failure.  Spec errors (an unknown machine-config or policy name)
+    always raise — they are caller bugs, not runtime faults.
     """
-    from ..sim.fusedc import _checked_pipeline
-    from .chaos import chaos_probe
-    from .resilience import classify_failure
-
     pipeline = _checked_pipeline(pipeline)
     if on_error not in ("raise", "keep"):
         raise ValueError(f"unknown on_error mode {on_error!r}; expected 'raise' or 'keep'")
 
-    points = list(spec.iter_points())
     config_map = spec.config_map()
-    groups: dict[tuple, list[int]] = {}
-    for index, point in enumerate(points):
+    groups: dict[tuple, list[SweepPoint]] = {}
+    for point in spec.iter_points():
         signature = (
             point.workload,
             point.mechanism,
             point.threshold_nj,
             point.conventional_vrp,
         )
-        groups.setdefault(signature, []).append(index)
+        groups.setdefault(signature, []).append(point)
 
-    for (name, mechanism, threshold_nj, conventional_vrp), indices in groups.items():
+    for (name, mechanism, threshold_nj, conventional_vrp), group in groups.items():
         if workloads is not None and name in workloads:
             workload = workloads[name]
         else:
             workload = workload_by_name(name)
-
-        config_names: list[str] = []
-        policy_names: list[str] = []
-        for index in indices:
-            point = points[index]
-            if point.config not in config_names:
-                config_names.append(point.config)
-            if point.policy not in policy_names:
-                policy_names.append(point.policy)
+        config_names = list(dict.fromkeys(point.config for point in group))
         try:
-            configs = [config_map[config_name] for config_name in config_names]
+            lanes = [config_map[config_name] for config_name in config_names]
         except KeyError as error:
             raise KeyError(
                 f"sweep point references machine config {error.args[0]!r} "
                 f"which is not on the spec's config axis "
                 f"({', '.join(config_map) or 'empty'})"
             ) from None
-
-        policies = {policy_name: gating.get(policy_name) for policy_name in policy_names}
+        for policy in dict.fromkeys(point.policy for point in group):
+            gating.get(policy)  # an unknown policy is a spec error: raise
+        config = ExperimentConfig(
+            workload=name,
+            mechanism=mechanism,
+            threshold_nj=threshold_nj,
+            conventional_vrp=conventional_vrp,
+            machine_config=lanes[0],
+        )
         try:
             chaos_probe("sweep-group")
-            source, timings, instructions, energies = _score_group(
-                engine,
+            evaluation, summaries, provenance = _resolve_miss(
+                engine.store,
+                engine.key_for(config, workload),
+                config,
                 workload,
-                mechanism,
-                threshold_nj,
-                conventional_vrp,
-                configs,
-                policies,
                 pipeline,
+                lanes[1:],
             )
         except Exception as exc:
             failure = classify_failure(exc)
@@ -615,80 +522,45 @@ def run_sweep(
                 mechanism,
                 threshold_nj,
                 conventional_vrp,
-                len(indices),
+                len(group),
                 failure.describe(),
             )
-            for index in indices:
-                point = points[index]
-                yield SweepRow(
-                    workload=point.workload,
-                    config=point.config,
-                    policy=point.policy,
-                    mechanism=point.mechanism,
-                    threshold_nj=point.threshold_nj,
-                    conventional_vrp=point.conventional_vrp,
-                    cycles=0,
-                    instructions=0,
-                    energy_nj=0.0,
-                    ed2=0.0,
-                    source="error",
-                    error=failure.describe(),
-                )
+            for point in group:
+                yield _row(point, None, "error", failure.describe())
             continue
-
-        position = {config_name: i for i, config_name in enumerate(config_names)}
-
-        for index in indices:
-            point = points[index]
-            at = position[point.config]
-            breakdown = energies[at][point.policy]
-            yield SweepRow(
-                workload=point.workload,
-                config=point.config,
-                policy=point.policy,
-                mechanism=point.mechanism,
-                threshold_nj=point.threshold_nj,
-                conventional_vrp=point.conventional_vrp,
-                cycles=timings[at].cycles,
-                instructions=instructions,
-                energy_nj=breakdown.total,
-                ed2=breakdown.energy_delay_squared(),
-                source=source,
-            )
+        source = "fused" if evaluation.pipeline == "fused" else provenance
+        # Free a live evaluation (and its trace) before the next group
+        # builds and simulates.
+        del evaluation
+        by_config = dict(zip(config_names, summaries))
+        for point in group:
+            yield _row(point, by_config[point.config], source)
 
 
-def _fused_group(
-    workload: Workload,
-    mechanism: str,
-    threshold_nj: float,
-    conventional_vrp: bool,
-    configs: Sequence[MachineConfig],
-):
-    """Score one cold trace-signature group through the fused pipeline.
-
-    One fused simulation per machine config — no trace is ever
-    materialized, so memory stays flat in the instruction count.  The
-    shape aggregate is config-independent (widths come from the
-    architectural execution, not the timing model), so the first run's
-    aggregate stands in for the trace in the shared accounting walk.
-    Nothing is persisted: there is no trace to snapshot, and a fused
-    summary under a *sweep* key would alias the default machine config.
-    """
-    from ..sim.machine import Machine
-    from .runner import _compute_evaluation
-
-    evaluation = _compute_evaluation(
-        workload,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
-        machine_config=configs[0],
-        pipeline="fused",
+def _row(
+    point: SweepPoint,
+    summary: Optional[EvaluationSummary],
+    source: str,
+    error: Optional[str] = None,
+) -> SweepRow:
+    """``point``'s row, scored from its lane's summary (zero-filled without one)."""
+    cycles = instructions = 0
+    energy_nj = ed2 = 0.0
+    if summary is not None:
+        breakdown = summary.energies[point.policy]
+        cycles, instructions = summary.timing.cycles, summary.instructions
+        energy_nj, ed2 = breakdown.total, breakdown.energy_delay_squared()
+    return SweepRow(
+        workload=point.workload,
+        config=point.config,
+        policy=point.policy,
+        mechanism=point.mechanism,
+        threshold_nj=point.threshold_nj,
+        conventional_vrp=point.conventional_vrp,
+        cycles=cycles,
+        instructions=instructions,
+        energy_nj=energy_nj,
+        ed2=ed2,
+        source=source,
+        error=error,
     )
-    timings = [evaluation.timing]
-    if len(configs) > 1:
-        machine = Machine(evaluation.program)
-        for config in configs[1:]:
-            outcome = machine.run(pipeline="fused", machine_config=config)
-            timings.append(outcome.fused.timing)
-    return evaluation.trace, timings, evaluation.run.instructions

@@ -231,7 +231,7 @@ def decode_artifact(blob: bytes) -> SimulationArtifact:
         instructions=header["instructions"],
         output=list(header["output"]),
         # The JSON header stringified the vrp stat keys; the replay layer
-        # (repro.experiments.runner.replay_summary) restores them with the
+        # (repro.experiments.engine._replay) restores them with the
         # same helper the summary round trip uses.
         vrp=header["vrp"],
         vrs=header["vrs"],

@@ -119,7 +119,35 @@ _WORKER = textwrap.dedent(
 ) % TINY_SOURCE
 
 
-def _launch_workers(tmp_path, store_root, specs_per_proc, count, extra_env=None):
+# The sweep worker: wait for the go-file like ``_WORKER``, then run one
+# small two-group sweep (li and ijpeg x two machine configs) and print
+# one JSON line per row.
+_SWEEP_WORKER = textwrap.dedent(
+    """
+    import json, os, sys, time
+    sys.path.insert(0, sys.argv[1])
+    from repro.experiments import ExperimentEngine, SweepSpec, default_sweep_configs
+
+    configs = [pair for pair in default_sweep_configs() if pair[0] in ("table2", "wide-8")]
+    spec = SweepSpec.cartesian(
+        workloads=("li", "ijpeg"), configs=configs, policies=("baseline",)
+    )
+    go_file = sys.argv[2]
+    print("ready", flush=True)
+    deadline = time.monotonic() + 30.0
+    while not os.path.exists(go_file):
+        if time.monotonic() > deadline:
+            raise SystemExit("go file never appeared")
+        time.sleep(0.005)
+    for row in ExperimentEngine(jobs=1).sweep(spec):
+        print(json.dumps(row.to_json_dict()), flush=True)
+    """
+)
+
+
+def _launch_workers(
+    tmp_path, store_root, specs_per_proc, count, extra_env=None, worker=_WORKER
+):
     """Start ``count`` synchronized workers; return their completed results."""
     go_file = str(tmp_path / "go")
     probe_dir = str(tmp_path / "probes")
@@ -134,7 +162,7 @@ def _launch_workers(tmp_path, store_root, specs_per_proc, count, extra_env=None)
     env.update(extra_env or {})
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", _WORKER, SRC_DIR, go_file]
+            [sys.executable, "-c", worker, SRC_DIR, go_file]
             + [json.dumps(spec) for spec in specs],
             env=env,
             stdout=subprocess.PIPE,
@@ -230,6 +258,37 @@ class TestTwoProcessSingleFlight:
         assert not flight.owner
         assert flight.summary is not None
         assert flight.shared
+
+
+class TestTwoProcessSweep:
+    """A sweep group resolves under the same single-flight as a point."""
+
+    def test_identical_cold_sweeps_simulate_each_group_once(self, tmp_path):
+        store_root = tmp_path / "store"
+        outputs, probes = _launch_workers(
+            tmp_path, store_root, [[], []], count=2, worker=_SWEEP_WORKER
+        )
+        assert sorted(name.split("-")[0] for name in probes) == ["ijpeg", "li"], (
+            f"expected one live simulation per group, saw {probes}; outputs={outputs}"
+        )
+        first, second = outputs
+        assert len(first) == len(second) == 4
+        assert [{**row, "source": None} for row in first] == [
+            {**row, "source": None} for row in second
+        ]
+        for workload in ("li", "ijpeg"):
+            sources = []
+            for rows in outputs:
+                (source,) = {row["source"] for row in rows if row["workload"] == workload}
+                sources.append(source)
+            # One process simulated the group; the other waited on its
+            # flight and replayed the published snapshot.
+            assert sorted(sources) == ["computed", "replayed"], (workload, outputs)
+
+        store = ResultStore(store_root)
+        assert list(store_root.rglob("*.tmp")) == []
+        assert list(store.lock_root.rglob("*.lock")) == []
+        assert store.fsck().clean
 
 
 class TestSingleFlightLocks:

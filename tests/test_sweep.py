@@ -236,6 +236,97 @@ class TestEngineSweep:
         assert [row.source for row in third] == ["replayed", "replayed"]
         assert payload(third) == payload(cold)
 
+    def test_one_config_sweep_resolves_like_its_point(self, store, monkeypatch):
+        """A one-config group is a paper point: a cold sweep materializes
+        and publishes the point's entry and snapshot, ``evaluate`` of the
+        point is then a store hit, and a repeat sweep shares the entry."""
+        from repro.experiments.engine import _snapshot_key
+        from repro.sim.machine import Machine
+        from repro.workloads import workload_by_name
+
+        configs = [pair for pair in default_sweep_configs() if pair[0] == "table2"]
+        spec = SweepSpec.cartesian(
+            workloads=("li",), configs=configs, policies=("baseline", "software")
+        )
+        cold = SweepResult.collect(ExperimentEngine(store).sweep(spec))
+        assert [row.source for row in cold] == ["computed", "computed"]
+        assert cold.simulations == 1
+        point = ExperimentConfig(workload="li", machine_config=configs[0][1])
+        engine = ExperimentEngine(store)
+        assert [entry.key for entry in store.entries()] == [engine.key_for(point)]
+        assert store.trace_path_for(
+            _snapshot_key(point, workload_by_name("li"))
+        ).is_file()
+
+        def _forbidden(self, *args, **kwargs):
+            raise AssertionError("Machine.run called despite a published entry")
+
+        monkeypatch.setattr(Machine, "run", _forbidden)
+        evaluation = engine.evaluate(point)
+        assert not evaluation.freshly_computed
+        assert not evaluation.replayed_from_store
+        for row in cold:
+            assert row.cycles == evaluation.outcome(row.policy).cycles
+            assert row.energy_nj == evaluation.outcome(row.policy).energy.total
+
+        warm = SweepResult.collect(ExperimentEngine(store).sweep(spec))
+        assert [row.source for row in warm] == ["shared", "shared"]
+        assert warm.simulations == 0
+        assert [{**row.to_json_dict(), "source": None} for row in warm] == [
+            {**row.to_json_dict(), "source": None} for row in cold
+        ]
+
+    def test_warm_multi_config_sweep_publishes_nothing(self, store, monkeypatch):
+        """A warm group of several configs replays every lane from the
+        snapshot and writes no summary entry — neither its first lane's,
+        when that entry is gone, nor any other lane's."""
+        from repro.sim.machine import Machine
+
+        tiny = make_tiny()
+        spec = SweepSpec.cartesian(
+            workloads=("tiny",), configs=tiny_configs(), policies=("baseline",)
+        )
+        cold = list(ExperimentEngine(store).sweep(spec, workloads={"tiny": tiny}))
+        before = store.entries()
+        assert len(before) == 1
+
+        def _forbidden(self, *args, **kwargs):
+            raise AssertionError("Machine.run called despite a warm snapshot")
+
+        monkeypatch.setattr(Machine, "run", _forbidden)
+        warm = list(ExperimentEngine(store).sweep(spec, workloads={"tiny": tiny}))
+        assert {row.source for row in warm} == {"replayed"}
+        assert store.entries() == before
+        before[0].path.unlink()
+        again = list(ExperimentEngine(store).sweep(spec, workloads={"tiny": tiny}))
+        assert {row.source for row in again} == {"replayed"}
+        assert store.entries() == []
+        payload = [{**row.to_json_dict(), "source": None} for row in cold]
+        for rows in (warm, again):
+            assert [{**row.to_json_dict(), "source": None} for row in rows] == payload
+
+    def test_cold_group_publishes_snapshot_before_entry(self, store, monkeypatch):
+        """A process that finds a cold group's entry without waiting on its
+        flight replays the group's snapshot, so the snapshot must already
+        be there when the entry appears."""
+        from repro.experiments.engine import _snapshot_key
+
+        tiny = make_tiny()
+        snapshot = store.trace_path_for(_snapshot_key(ExperimentConfig(workload="tiny"), tiny))
+        published = []
+        save = ResultStore.save
+
+        def save_after_snapshot(self, key, summary):
+            published.append(snapshot.is_file())
+            return save(self, key, summary)
+
+        monkeypatch.setattr(ResultStore, "save", save_after_snapshot)
+        spec = SweepSpec.cartesian(
+            workloads=("tiny",), configs=tiny_configs(), policies=("baseline",)
+        )
+        list(ExperimentEngine(store).sweep(spec, workloads={"tiny": tiny}))
+        assert published == [True]
+
     def test_mechanism_signatures_resolve_separate_traces(self, store):
         """Explicit points with different mechanisms score different
         traces (one artifact resolution per signature)."""
@@ -411,3 +502,36 @@ class TestSweepCLI:
         row = payload["rows"][0]
         assert row["workload"] == "li"
         assert set(row["energy_nj"]) == set(POLICY_NAMES)
+
+    def test_cli_run_reports_snapshot_replay(self, cli_store, tmp_path, capsys):
+        """A row rebuilt from a trace snapshot is ``replayed``, in the JSON
+        and in the table; ``store`` stays the label of an entry hit."""
+        import json
+
+        from repro.experiments import reset_default_engine
+        from repro.experiments.__main__ import main
+
+        store = ResultStore(tmp_path / "store")
+
+        def run(*extra):
+            reset_default_engine()  # a fresh session: nothing memoized
+            assert main(["run", "--workload", "li", *extra]) == 0
+            return capsys.readouterr().out
+
+        def json_source():
+            (row,) = json.loads(run("--json"))["rows"]
+            return row["source"]
+
+        def drop_entries():
+            entries = store.entries()
+            assert entries
+            for entry in entries:
+                entry.path.unlink()
+
+        assert json_source() == "computed"
+        drop_entries()
+        assert json_source() == "replayed"
+        assert json_source() == "store"
+        drop_entries()
+        (row,) = [line.split() for line in run().splitlines() if line.startswith("li ")]
+        assert row[-1] == "replayed"
