@@ -12,7 +12,11 @@ by snapshot replay, zero simulator steps): the supervised side through
 the public ``engine.sweep`` (chaos probe + failure classification +
 error-row machinery armed), the direct side calling the engine's group
 resolver (``engine._resolve_miss``) per group with none of the
-supervision seams.  The supervised side must stay
+supervision seams.  Every timed pass of either side starts from an
+empty timing memo — the supervised side on a fresh engine over the warm
+store, the direct side with a fresh ``TimingMemo`` — so both walk every
+lane: an engine's memo would otherwise serve every pass after its first
+without a walk.  The supervised side must stay
 within ``_OVERHEAD_BAR`` of direct — the CI-enforced ceiling behind the
 "supervision is free until it isn't" claim in ``docs/resilience.md``.
 """
@@ -27,6 +31,7 @@ import pytest
 from repro.experiments.engine import ExperimentConfig, ExperimentEngine, _resolve_miss
 from repro.experiments.store import ResultStore
 from repro.experiments.sweep import SweepSpec
+from repro.uarch import TimingMemo
 from repro.workloads import workload_by_name
 
 #: Suite workloads the warm sweep runs over.
@@ -50,7 +55,7 @@ def warm_sweep(tmp_path_factory):
     # produce identical row cells from the same warm snapshots.
     supervised = {
         (row.workload, row.config, row.policy): (row.cycles, row.energy_nj)
-        for row in engine.sweep(spec)
+        for row in _fresh_engine(engine).sweep(spec)
     }
     direct = {
         (workload, config, policy): cell
@@ -60,8 +65,15 @@ def warm_sweep(tmp_path_factory):
     return engine, spec
 
 
+def _fresh_engine(engine):
+    """A new engine, with an empty timing memo, over ``engine``'s warm store."""
+    return ExperimentEngine(store=engine.store, jobs=1)
+
+
 def _direct_cells(engine, spec):
-    """The sweep's per-group resolution with no supervision seams at all."""
+    """The sweep's per-group resolution with no supervision seams at all,
+    from an empty timing memo."""
+    memo = TimingMemo()
     config_map = spec.config_map()
     groups: dict[tuple, list] = {}
     for point in spec.iter_points():
@@ -85,7 +97,13 @@ def _direct_cells(engine, spec):
             machine_config=lanes[0],
         )
         _, summaries, _ = _resolve_miss(
-            engine.store, engine.key_for(config, workload), config, workload, "auto", lanes[1:]
+            engine.store,
+            engine.key_for(config, workload),
+            config,
+            workload,
+            "auto",
+            lanes[1:],
+            memo,
         )
         by_config = dict(zip(config_names, summaries))
         for point in group:
@@ -113,7 +131,7 @@ def _timed(fn, *args) -> float:
 
 
 def _supervised_pass(engine, spec):
-    for _ in engine.sweep(spec):
+    for _ in _fresh_engine(engine).sweep(spec):
         pass
 
 

@@ -26,7 +26,10 @@ the serial loop of :meth:`ExperimentEngine.map` and of a pool worker —
 and :meth:`ExperimentEngine.sweep` resolves one group per trace
 signature of its matrix.  The resolver runs under the store's
 cross-process single-flight lock on the first lane's key and publishes
-what it computed before releasing it.  Workers return plain
+what it computed before releasing it.  It times every materialized
+trace through the engine's timing memo, which walks a timing-identical
+trace (a workload's ``none`` and ``vrp`` builds) once per machine
+config.  Workers return plain
 JSON-serializable summaries and the parent hands out *restored*
 :class:`WorkloadEvaluation` objects, so parallel and serial evaluation
 are observationally equivalent for every figure and table of the paper.
@@ -46,7 +49,7 @@ from ..hardware import gating
 from ..power import MultiPolicyEnergyAccountant
 from ..sim import Machine
 from ..sim.fusedc import _checked_pipeline
-from ..uarch import MachineConfig, run_compiled_many
+from ..uarch import MachineConfig, TimingMemo, run_compiled_many
 from ..workloads import Workload, load_suite, workload_by_name
 from .chaos import chaos_probe
 from .resilience import (
@@ -157,16 +160,25 @@ def _lane_summaries(
     ]
 
 
+def _time(
+    trace, lanes: Sequence[Optional[MachineConfig]], memo: Optional[TimingMemo]
+) -> list:
+    """``trace`` timed under ``lanes``: through ``memo``, or walked without one."""
+    return run_compiled_many(trace, lanes) if memo is None else memo.time(trace, lanes)
+
+
 def _replay(
     workload: Workload,
     config: ExperimentConfig,
     artifact: "SimulationArtifact",
     lanes: Sequence[Optional[MachineConfig]],
+    memo: Optional[TimingMemo] = None,
 ) -> list[EvaluationSummary]:
     """One summary per machine config of ``lanes``, rebuilt from a trace snapshot.
 
-    One multi-lane timing walk (:func:`~repro.uarch.run_compiled_many`),
-    one multi-policy accounting walk branched per lane
+    One multi-lane timing walk (:func:`~repro.uarch.run_compiled_many`,
+    through ``memo`` when given), one multi-policy accounting walk
+    branched per lane
     (:meth:`~repro.power.MultiPolicyEnergyAccountant.account_many`) and
     one distribution aggregation over the restored trace — the kernels a
     live :meth:`WorkloadEvaluation.summarize` runs — but **zero**
@@ -175,7 +187,7 @@ def _replay(
     lane's summary is bit-identical to a fresh one under its config.
     """
     trace = artifact.trace
-    timings = run_compiled_many(trace, list(lanes))
+    timings = _time(trace, list(lanes), memo)
     energies = MultiPolicyEnergyAccountant(gating.registry()).account_many(trace, timings)
     width_distribution, counted_widths, result_sizes, operation_types = aggregate_trace(trace)
     first = EvaluationSummary(
@@ -203,6 +215,7 @@ def _replay_snapshot(
     config: ExperimentConfig,
     workload: Workload,
     lanes: Sequence[Optional[MachineConfig]],
+    memo: Optional[TimingMemo],
 ) -> Optional[list[EvaluationSummary]]:
     """:func:`_replay` over the group's stored trace snapshot, or None.
 
@@ -218,7 +231,7 @@ def _replay_snapshot(
     if artifact is None:
         return None
     try:
-        return _replay(workload, config, artifact, lanes)
+        return _replay(workload, config, artifact, lanes, memo)
     except Exception as exc:
         _log.warning(
             "evicting unreplayable trace snapshot %s (%s: %s)",
@@ -233,11 +246,14 @@ def _replay_snapshot(
 
 
 def _time_other_lanes(
-    evaluation: WorkloadEvaluation, lanes: Sequence[MachineConfig]
+    evaluation: WorkloadEvaluation,
+    lanes: Sequence[MachineConfig],
+    memo: Optional[TimingMemo],
 ) -> tuple[list, list]:
     """Timings and per-policy energies of a live evaluation under ``lanes``.
 
-    A materialized trace is timed in one multi-lane walk.  A fused
+    A materialized trace is timed in one multi-lane walk (through
+    ``memo`` when given).  A fused
     evaluation has no trace, so each lane is one more fused run of its
     program; the shape aggregate it carries stands in for the trace in
     the accounting walk, because shapes come from the architectural
@@ -251,7 +267,7 @@ def _time_other_lanes(
             machine.run(pipeline="fused", machine_config=lane).fused.timing for lane in lanes
         ]
     else:
-        timings = run_compiled_many(evaluation.trace, list(lanes))
+        timings = _time(evaluation.trace, list(lanes), memo)
     accountant = MultiPolicyEnergyAccountant(gating.registry())
     return timings, accountant.account_many(evaluation.trace, timings)
 
@@ -263,6 +279,7 @@ def _resolve_miss(
     workload: Workload,
     pipeline: str,
     other_lanes: Sequence[MachineConfig] = (),
+    memo: Optional[TimingMemo] = None,
 ) -> tuple[WorkloadEvaluation, list[EvaluationSummary], str]:
     """Resolve one trace-signature group under the store's single-flight lock.
 
@@ -276,48 +293,73 @@ def _resolve_miss(
     steps) or ``"computed"`` (the first lane simulated here, with
     ``pipeline`` resolved by :func:`_resolve_pipeline`, and the other
     lanes timed over the same trace).  Only a computed evaluation is live.
+    Every materialized walk goes through the engine's timing ``memo``
+    (pool workers have none, and walk).
 
-    The flight is the first lane's: a compute publishes that lane's
+    The lock is the first lane's: a compute publishes that lane's
     summary — and a materialized compute the trace snapshot — and a
-    replayed point its summary, *inside* the flight, so waiters are
-    released only once the entry is readable and two processes (or
-    threads) racing on the same group cost one simulation.  The entries
-    of other lanes are never read or written, so a group with more lanes
-    replays even when the first lane's entry exists, and its replay
-    publishes nothing.  With the store disabled the flight is an
-    unlocked owner and every save a no-op.
+    replayed point its summary, *inside* it, so waiters are released
+    only once the result is readable and two processes (or threads)
+    racing on the same group cost one simulation.  A point enters
+    :meth:`~ResultStore.single_flight`, which serves a published entry.
+    A group with more lanes never reads an entry: it replays its
+    snapshot, and claims the lock (:meth:`~ResultStore.claim`) only to
+    compute, replaying again once it holds it.  Its replay publishes
+    nothing.  With the store disabled the lock is skipped and every save
+    is a no-op.
     """
     lanes = (config.machine_config, *other_lanes)
+
+    def replay() -> Optional[list[EvaluationSummary]]:
+        return _replay_snapshot(store, config, workload, lanes, memo)
+
+    if other_lanes:
+        summaries = replay()
+        if summaries is None:
+            with store.claim(key, replay) as summaries:
+                if summaries is None:
+                    return _compute(store, key, config, workload, pipeline, other_lanes, memo)
+        return WorkloadEvaluation.from_summary(workload, summaries[0]), summaries, "replayed"
     with store.single_flight(key) as flight:
-        if flight.summary is not None and not other_lanes:
+        if flight.summary is not None:
             summary = flight.summary
             return WorkloadEvaluation.from_summary(workload, summary), [summary], "shared"
-        summaries = _replay_snapshot(store, config, workload, lanes)
+        summaries = replay()
         if summaries is not None:
-            if not other_lanes:
-                store.save(key, summaries[0])
-            evaluation = WorkloadEvaluation.from_summary(workload, summaries[0])
-            return evaluation, summaries, "replayed"
-        evaluation = _compute_evaluation(
-            workload,
-            mechanism=config.mechanism,
-            threshold_nj=config.threshold_nj,
-            conventional_vrp=config.conventional_vrp,
-            machine_config=config.machine_config,
-            pipeline=_resolve_pipeline(pipeline, store, len(lanes)),
-        )
-        first = evaluation.summarize()
-        # A fused evaluation has no trace to snapshot — its ``trace`` slot
-        # holds the streaming shape aggregate (see docs/fused.md).  The
-        # snapshot is published before the entry: a group that finds the
-        # entry without waiting on the lock replays the snapshot at once.
-        if evaluation.pipeline != "fused":
-            store.save_trace(
-                _snapshot_key(config, workload), artifact_from_evaluation(evaluation)
-            )
-        store.save(key, first)
-        summaries = _lane_summaries(first, *_time_other_lanes(evaluation, other_lanes))
-        return evaluation, summaries, "computed"
+            store.save(key, summaries[0])
+            return WorkloadEvaluation.from_summary(workload, summaries[0]), summaries, "replayed"
+        return _compute(store, key, config, workload, pipeline, other_lanes, memo)
+
+
+def _compute(
+    store: ResultStore,
+    key: str,
+    config: ExperimentConfig,
+    workload: Workload,
+    pipeline: str,
+    other_lanes: Sequence[MachineConfig],
+    memo: Optional[TimingMemo],
+) -> tuple[WorkloadEvaluation, list[EvaluationSummary], str]:
+    """The live branch of :func:`_resolve_miss`, run by the lock's owner."""
+    evaluation = _compute_evaluation(
+        workload,
+        mechanism=config.mechanism,
+        threshold_nj=config.threshold_nj,
+        conventional_vrp=config.conventional_vrp,
+        machine_config=config.machine_config,
+        pipeline=_resolve_pipeline(pipeline, store, 1 + len(other_lanes)),
+        memo=memo,
+    )
+    first = evaluation.summarize()
+    # A fused evaluation has no trace to snapshot — its ``trace`` slot
+    # holds the streaming shape aggregate (see docs/fused.md).  The
+    # snapshot is published before the entry, so a reader of the entry
+    # finds the snapshot too.
+    if evaluation.pipeline != "fused":
+        store.save_trace(_snapshot_key(config, workload), artifact_from_evaluation(evaluation))
+    store.save(key, first)
+    summaries = _lane_summaries(first, *_time_other_lanes(evaluation, other_lanes, memo))
+    return evaluation, summaries, "computed"
 
 
 def _compute_summary_for(
@@ -350,6 +392,9 @@ class ExperimentEngine:
         self.store = store if store is not None else ResultStore()
         self.jobs = _resolve_jobs(jobs)
         self._memo: dict[str, WorkloadEvaluation] = {}
+        #: Timing results of the traces this engine walked, by walk key:
+        #: the resolver walks a timing-identical trace once per config.
+        self._timing_memo = TimingMemo()
 
     # ------------------------------------------------------------------
     # Keys
@@ -411,7 +456,7 @@ class ExperimentEngine:
             return cached
         try:
             evaluation, _, provenance = _resolve_miss(
-                self.store, key, config, workload, pipeline
+                self.store, key, config, workload, pipeline, memo=self._timing_memo
             )
         except Exception as exc:
             failure = classify_failure(exc)
@@ -572,7 +617,12 @@ class ExperimentEngine:
                     continue
                 try:
                     evaluation, (summary,), provenance = _resolve_miss(
-                        self.store, key, config, workload, resolved_pipeline
+                        self.store,
+                        key,
+                        config,
+                        workload,
+                        resolved_pipeline,
+                        memo=self._timing_memo,
                     )
                 except Exception as exc:
                     errors[key] = classify_failure(exc)

@@ -37,7 +37,7 @@ from ..ir import Program
 from ..isa import Width
 from ..power import EnergyBreakdown, MultiPolicyEnergyAccountant
 from ..sim import Machine, RunResult, Trace
-from ..uarch import MachineConfig, OutOfOrderModel, TimingResult
+from ..uarch import MachineConfig, OutOfOrderModel, TimingMemo, TimingResult
 from ..workloads import Workload
 from .summary import (
     EvaluationSummary,
@@ -327,11 +327,15 @@ def _compute_evaluation(
     conventional_vrp: bool = False,
     machine_config: Optional[MachineConfig] = None,
     pipeline: str = "materialized",
+    memo: Optional[TimingMemo] = None,
 ) -> WorkloadEvaluation:
     """Build, transform and simulate one workload configuration (uncached).
 
     This is the live pipeline behind :meth:`ExperimentEngine.compute`
-    and every cold compute of the engine's cache-miss resolver.
+    and every cold compute of the engine's cache-miss resolver, which
+    passes its engine's timing ``memo``: a materialized trace is then
+    timed through it, and walked only when no timing-identical trace
+    was timed under ``machine_config`` before.
 
     ``pipeline`` selects how the simulation outputs are produced:
     ``"materialized"`` simulates with a full columnar trace and walks it
@@ -373,7 +377,10 @@ def _compute_evaluation(
     else:
         run = machine.run(collect_trace=True)
         trace = run.trace
-        timing = OutOfOrderModel(machine_config).run(trace)
+        if memo is None:
+            timing = OutOfOrderModel(machine_config).run(trace)
+        else:
+            (timing,) = memo.time(trace, [machine_config])
     return WorkloadEvaluation(
         workload=workload,
         program=program,

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .. import __version__, settings
 from ..core import VRPConfig, VRSConfig
@@ -691,6 +691,37 @@ class ResultStore:
         if summary is not None:
             yield Flight(key=key, owner=False, summary=summary)
             return
+        with self.claim(key, lambda: self.load(key), poll_s, timeout_s) as summary:
+            if summary is None:
+                yield Flight(key=key, owner=True)
+            else:
+                yield Flight(key=key, owner=False, summary=summary, shared=True)
+
+    @contextmanager
+    def claim(
+        self,
+        key: str,
+        published: Callable[[], object],
+        poll_s: float = 0.02,
+        timeout_s: Optional[float] = None,
+    ) -> Iterator[object]:
+        """The lock protocol of :meth:`single_flight`, with the caller's own
+        test of whether the work is already published.
+
+        Yields what ``published()`` returns once that is not None — asked
+        right after this caller acquires ``key``'s lock and after each
+        wait on another owner — or None to an owner, which must compute
+        and publish (so that ``published()`` finds it) before leaving the
+        ``with`` block.  The owner holds the lock, except where
+        :meth:`single_flight` degrades to an unlocked owner: a disabled
+        store, an unwritable lock directory or a wait past its deadline.
+        A sweep group of several machine configs claims its first lane's
+        key with its snapshot replay as ``published``, so it never reads
+        that lane's entry.
+        """
+        if self.root is None:
+            yield None
+            return
         lock_path = self.lock_path_for(key)
         deadline = time.monotonic() + (
             timeout_s if timeout_s is not None else 2.0 * settings.get("REPRO_STORE_LOCK_TTL")
@@ -705,7 +736,7 @@ class ResultStore:
             except OSError:
                 # Unwritable lock directory (read-only share): no dedup,
                 # the caller just computes like before single-flight.
-                yield Flight(key=key, owner=True)
+                yield None
                 return
             if fd is not None:
                 try:
@@ -723,22 +754,19 @@ class ResultStore:
                 finally:
                     os.close(fd)
                 # Re-check under the lock: a winner may have published
-                # between our miss above and this acquisition.
-                summary = self.load(key)
-                if summary is not None:
-                    try:
-                        lock_path.unlink()
-                    except OSError:
-                        pass
-                    yield Flight(key=key, owner=False, summary=summary, shared=True)
-                    return
+                # between the caller's miss and this acquisition.
+                value = None
                 try:
-                    yield Flight(key=key, owner=True)
+                    value = published()
+                    if value is None:
+                        yield None
                 finally:
                     try:
                         lock_path.unlink()
                     except OSError:
                         pass
+                if value is not None:
+                    yield value
                 return
             # Contended: wait for the winner to release, break it if dead.
             while lock_path.exists():
@@ -758,12 +786,12 @@ class ResultStore:
                         "computing without the lock",
                         lock_path,
                     )
-                    yield Flight(key=key, owner=True)
+                    yield None
                     return
                 time.sleep(poll_s)
-            summary = self.load(key)
-            if summary is not None:
-                yield Flight(key=key, owner=False, summary=summary, shared=True)
+            value = published()
+            if value is not None:
+                yield value
                 return
             # The winner died (or failed) without publishing: loop and
             # contend for ownership of the recomputation.

@@ -511,6 +511,7 @@ def run_sweep(
                 workload,
                 pipeline,
                 lanes[1:],
+                memo=engine._timing_memo,
             )
         except Exception as exc:
             failure = classify_failure(exc)

@@ -6,7 +6,8 @@ lane walk over a packed static table, ring-buffer slot allocators and
 inlined caches/predictor), and :meth:`OutOfOrderModel.run_reference` is
 the scoreboard walk it is locked against.  :func:`run_compiled` is that
 walk at one lane; :func:`run_compiled_many` times many configs in shared
-lane walks.  See ``docs/timing.md``.
+lane walks, and a :class:`TimingMemo` walks timing-identical traces once.
+See ``docs/timing.md``.
 """
 
 from .branch_predictor import CombinedPredictor
@@ -16,6 +17,7 @@ from .ooo import OutOfOrderModel, TimingResult
 from .tkernel import (
     MULTI_KERNEL_MAX_LANES,
     StaticTable,
+    TimingMemo,
     bake_static_table,
     run_compiled,
     run_compiled_many,
@@ -31,6 +33,7 @@ __all__ = [
     "OutOfOrderModel",
     "TimingResult",
     "StaticTable",
+    "TimingMemo",
     "bake_static_table",
     "run_compiled",
     "run_compiled_many",

@@ -65,6 +65,13 @@ model change is a change here only.
   counters updated inline with the exact saturation arithmetic of
   :class:`~repro.uarch.branch_predictor.CombinedPredictor`.
 
+* **Timing memo** (:class:`TimingMemo`): timing results keyed by a
+  SHA-256 over exactly what the walk reads (:func:`_walk_key`, uids
+  relative to the table's base) and the config, so traces that time
+  identically — a workload's ``none`` and ``vrp`` builds — share one
+  walk.  The experiment engine owns one; the entry points above walk on
+  every call.
+
 Every counter (accesses, misses, lookups, mispredictions, loads,
 stores) and every cycle of every lane is bit-exact against the
 reference walk — the differential harness in
@@ -76,9 +83,11 @@ this kernel; see ``docs/timing.md``.
 
 from __future__ import annotations
 
+import hashlib
+import sys
 import weakref
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..sim import Trace
 from ..sim.trace import StaticInfo
@@ -87,6 +96,7 @@ from .ooo import TimingResult
 
 __all__ = [
     "StaticTable",
+    "TimingMemo",
     "bake_static_table",
     "run_compiled",
     "run_compiled_many",
@@ -345,6 +355,64 @@ def _static_of_for(static: StaticInfo, table: StaticTable, addr_map, line_bytes:
                 static_of.append((hot, address // line_bytes, address >> 2, srcs))
     modes[key] = (table, addr_map, static_of)
     return static_of
+
+
+#: Records per step of :func:`_walk_key`'s meta translation; bounds the
+#: size of the big ints it builds.
+_KEY_STEP = 1 << 14
+
+
+def _walk_key(trace: Trace) -> bytes:
+    """SHA-256 over exactly what a lane walk of ``trace`` reads.
+
+    Call it only on a trace whose uids :func:`_address_modes` validated.
+    Uids enter relative to the static table's ``uid_base``, so two builds
+    of one program key equal whatever uids they drew.  The key covers
+    the meta column (record order, uid position, flags), the sparse
+    memory column, each static position's hot word, packed sources and
+    whether it holds an entry, and the instruction addresses: per static
+    position for a derived-address trace, per record for an explicit one.
+    Traces with equal keys time identically under every machine config.
+    Operand gating changes widths, which no walk reads, so a workload's
+    ``none`` and ``vrp`` traces key equal, and so does its ``vrs`` trace
+    unless VRS specialized something.
+    """
+    static = trace.static
+    table = _table_for(static)
+    base = table.uid_base
+    derived = trace.has_derived_addresses and trace.address_map is not None
+    mem = trace.mem_addresses
+    digest = hashlib.sha256(
+        repr((len(trace), len(mem), len(table.hot_word), table.num_regs, derived)).encode()
+    )
+    shift = base << 8
+    if base >= 0:
+        # A big-int subtraction takes base << 8 from every 8-byte word of
+        # a step; no word borrows, because every validated uid is at least
+        # base.  ``offsets`` holds the word once per record of a full step,
+        # and shifting it right drops words for a shorter last step.
+        offsets = int.from_bytes(array("q", (shift,)) * _KEY_STEP, sys.byteorder)
+        with memoryview(trace.metas) as metas:
+            for start in range(0, len(metas), _KEY_STEP):
+                words = metas[start : start + _KEY_STEP]
+                relative = int.from_bytes(words, sys.byteorder) - (
+                    offsets >> 64 * (_KEY_STEP - len(words))
+                )
+                digest.update(relative.to_bytes(words.nbytes, sys.byteorder))
+    else:
+        # Negative uids (hand-built tables only) would borrow across words.
+        digest.update(array("q", [meta - shift for meta in trace.metas]))
+    digest.update(mem)
+    digest.update(table.hot_word)
+    digest.update(table.src_packed)
+    digest.update(bytes(entry is not None for entry in static.entries))
+    if derived:
+        addr_map = trace.address_map
+        positions = range(base, base + len(static.entries))
+        digest.update(repr([addr_map.get(uid) for uid in positions]).encode())
+    else:
+        digest.update(trace.addresses())
+    return digest.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -1133,6 +1201,30 @@ def _multi_walk_for(configs: tuple, derived: bool):
     return walk
 
 
+def _address_modes(trace: Trace, configs: list) -> list[bool]:
+    """Validate ``trace``'s uids; True per config that walks it in derived mode.
+
+    Same up-front uid validation (and the same KeyError) as the
+    reference walk: a record without a static entry must not silently
+    index a hole or an unrelated entry, and a derived-address record
+    without an address must fail exactly like the reference's
+    address-column materialization does.
+    """
+    static = trace.static
+    addr_map = trace.address_map
+    uid_counts = trace.uid_counts()
+    for uid in uid_counts:
+        if static.get(uid) is None:
+            raise KeyError(uid)
+    has_derived = trace.has_derived_addresses and addr_map is not None
+    modes = [has_derived and _derived_mode_supported(config) for config in configs]
+    if any(modes):
+        for uid in uid_counts:
+            if uid not in addr_map:
+                raise KeyError(uid)
+    return modes
+
+
 def _time_lanes(trace: Trace, configs) -> list:
     """Time ``trace`` under each of ``configs`` (``None`` = default config).
 
@@ -1144,30 +1236,15 @@ def _time_lanes(trace: Trace, configs) -> list:
     resolved = [config or MachineConfig() for config in configs]
     if not resolved:
         return []
-    static = trace.static
-    addr_map = trace.address_map
-    has_derived = trace.has_derived_addresses and addr_map is not None
-    uid_counts = trace.uid_counts()
-    # Same up-front uid validation (and the same KeyError) as the
-    # reference walk: a record without a static entry must not silently
-    # index a hole or an unrelated entry, and a derived-address record
-    # without an address must fail exactly like the reference's
-    # address-column materialization does.
-    for uid in uid_counts:
-        if static.get(uid) is None:
-            raise KeyError(uid)
-
     lane_index: dict[MachineConfig, int] = {}
     unique: list[MachineConfig] = []
     for config in resolved:
         if config not in lane_index:
             lane_index[config] = len(unique)
             unique.append(config)
-    derived_flags = [has_derived and _derived_mode_supported(c) for c in unique]
-    if any(derived_flags):
-        for uid in uid_counts:
-            if uid not in addr_map:
-                raise KeyError(uid)
+    derived_flags = _address_modes(trace, unique)
+    static = trace.static
+    addr_map = trace.address_map
 
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(unique):
@@ -1228,6 +1305,40 @@ def run_compiled_many(trace: Trace, configs) -> list:
     group is a one-lane walk, exactly what :func:`run_compiled` runs.
     """
     return _time_lanes(trace, configs)
+
+
+class TimingMemo:
+    """Timing results by :func:`_walk_key` and machine config.
+
+    :meth:`time` answers exactly like :func:`run_compiled_many` but walks
+    a trace only under the configs not yet timed for an equal key, so
+    timing-identical traces share one walk.  The memo holds results,
+    never a trace, and every call returns fresh copies, so two callers
+    never share a mutable :class:`TimingResult`.  Threads may share a
+    memo: two threads missing on one key both walk and store equal
+    results.
+    """
+
+    def __init__(self) -> None:
+        self._results: dict[tuple[bytes, MachineConfig], TimingResult] = {}
+
+    def time(self, trace: Trace, configs) -> list:
+        """``run_compiled_many(trace, configs)``, walking only what is new."""
+        resolved = [config or MachineConfig() for config in configs]
+        if not resolved:
+            return []
+        _address_modes(trace, resolved)
+        key = _walk_key(trace)
+        results = self._results
+        missing = [config for config in dict.fromkeys(resolved) if (key, config) not in results]
+        if missing:
+            for config, timing in zip(missing, run_compiled_many(trace, missing)):
+                results[(key, config)] = timing
+        return [_copy(results[(key, config)]) for config in resolved]
+
+
+def _copy(timing: TimingResult) -> TimingResult:
+    return replace(timing, extra=dict(timing.extra))
 
 
 def timing_from_counters(counters: tuple, instructions: int) -> TimingResult:

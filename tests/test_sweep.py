@@ -306,9 +306,8 @@ class TestEngineSweep:
             assert [{**row.to_json_dict(), "source": None} for row in rows] == payload
 
     def test_cold_group_publishes_snapshot_before_entry(self, store, monkeypatch):
-        """A process that finds a cold group's entry without waiting on its
-        flight replays the group's snapshot, so the snapshot must already
-        be there when the entry appears."""
+        """A cold group publishes its snapshot before its first lane's
+        entry, so a process that finds the entry finds the snapshot too."""
         from repro.experiments.engine import _snapshot_key
 
         tiny = make_tiny()
@@ -326,6 +325,53 @@ class TestEngineSweep:
         )
         list(ExperimentEngine(store).sweep(spec, workloads={"tiny": tiny}))
         assert published == [True]
+
+    def test_group_without_snapshot_computes_under_its_lock(self, store, monkeypatch):
+        """A group of several configs whose snapshot is gone but whose first
+        lane's entry is kept simulates holding that lane's lock, so a second
+        process waits instead of simulating too; no group parses an entry."""
+        from repro.experiments import engine as engine_module
+        from repro.experiments.engine import _snapshot_key
+        from repro.workloads import workload_by_name
+
+        configs = [pair for pair in default_sweep_configs() if pair[0] in ("table2", "wide-8")]
+        spec = SweepSpec.cartesian(workloads=("li",), configs=configs, policies=("baseline",))
+        cold = list(ExperimentEngine(store).sweep(spec))
+        li = workload_by_name("li")
+        point = ExperimentConfig(workload="li", machine_config=configs[0][1])
+        store.trace_path_for(_snapshot_key(point, li)).unlink()
+        assert len(store.entries()) == 1
+        lock = store.lock_path_for(ExperimentEngine(store).key_for(point, li))
+
+        held = []
+        compute = engine_module._compute_evaluation
+
+        def compute_holding(*args, **kwargs):
+            held.append(lock.is_file())
+            return compute(*args, **kwargs)
+
+        loads = []
+        load = ResultStore.load
+
+        def counted_load(self, key):
+            loads.append(key)
+            return load(self, key)
+
+        monkeypatch.setattr(engine_module, "_compute_evaluation", compute_holding)
+        monkeypatch.setattr(ResultStore, "load", counted_load)
+        rows = list(ExperimentEngine(store).sweep(spec))
+        assert held == [True]
+        assert not lock.exists()
+        warm = list(ExperimentEngine(store).sweep(spec))
+        assert held == [True]
+        assert loads == []
+
+        def payload(rows):
+            return [{**row.to_json_dict(), "source": None} for row in rows]
+
+        assert [row.source for row in rows] == ["computed", "computed"]
+        assert [row.source for row in warm] == ["replayed", "replayed"]
+        assert payload(rows) == payload(warm) == payload(cold)
 
     def test_mechanism_signatures_resolve_separate_traces(self, store):
         """Explicit points with different mechanisms score different
@@ -352,6 +398,160 @@ class TestEngineSweep:
         with pytest.raises(KeyError) as exc:
             list(engine.sweep(spec, workloads={"tiny": tiny}))
         assert "nosuch" in str(exc.value)
+
+
+# ----------------------------------------------------------------------
+# The engine's timing memo: one walk per timing-identical trace
+# ----------------------------------------------------------------------
+#: Records of li's ``none`` (and ``vrp``) trace, and of its ``vrs`` trace.
+LI_RECORDS = 32_407
+LI_VRS_RECORDS = 32_727
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """Records walked by the compiled timing kernel, one entry per walk.
+
+    Counts the batched entry point the memo walks through and the
+    single-config one ``compute()`` uses.
+    """
+    from repro.experiments import engine as engine_module
+    from repro.uarch import OutOfOrderModel, tkernel
+
+    records = []
+    many = tkernel.run_compiled_many
+
+    def counted_many(trace, configs):
+        results = many(trace, configs)
+        records.append(len(trace) * len(results))
+        return results
+
+    run = OutOfOrderModel.run
+
+    def counted_run(self, trace):
+        records.append(len(trace))
+        return run(self, trace)
+
+    monkeypatch.setattr(tkernel, "run_compiled_many", counted_many)
+    monkeypatch.setattr(engine_module, "run_compiled_many", counted_many)
+    monkeypatch.setattr(OutOfOrderModel, "run", counted_run)
+    return records
+
+
+def _li_points() -> list[ExperimentConfig]:
+    return [ExperimentConfig(workload="li", mechanism=m) for m in ("none", "vrp", "vrs")]
+
+
+def _scored(summary) -> tuple:
+    """What the machine config decides in a summary: timing and energies."""
+    return summary.instructions, summary.timing, summary.energies
+
+
+class TestTimingMemo:
+    def test_map_walks_each_timing_identical_trace_once(self, store, walked):
+        engine = ExperimentEngine(store, jobs=1)
+        evaluations = engine.map(_li_points(), pipeline="materialized")
+        # li's vrp trace times like its none trace; VRS specialized li.
+        assert walked == [LI_RECORDS, LI_VRS_RECORDS]
+        assert sum(walked) == 65_134
+        for point, evaluation in zip(_li_points(), evaluations):
+            live = engine.compute(point)
+            assert _scored(evaluation.summarize()) == _scored(live.summarize()), point
+        assert len(walked) == 2 + 3  # compute() walks every time
+
+    def test_evaluate_after_a_timing_identical_point_walks_nothing(self, store, walked):
+        none, vrp, _ = _li_points()
+        engine = ExperimentEngine(store)
+        first = engine.evaluate(none, pipeline="materialized")
+        assert walked == [LI_RECORDS]
+        second = engine.evaluate(vrp, pipeline="materialized")
+        assert second.freshly_computed
+        assert walked == [LI_RECORDS]
+        # Points served from one walk never share a mutable TimingResult.
+        assert second.timing == first.timing
+        assert second.timing is not first.timing
+        assert second.timing.extra is not first.timing.extra
+        first.timing.extra["mutated"] = 1.0
+        assert second.timing.extra == {}
+        # compute() bypasses every cache, the memo too.
+        live = engine.compute(vrp)
+        assert walked == [LI_RECORDS, LI_RECORDS]
+        assert live.timing == second.timing
+
+    def test_sweep_walks_each_trace_and_config_once(self, store, walked):
+        configs = [pair for pair in default_sweep_configs() if pair[0] in ("table2", "wide-8")]
+        points = [
+            SweepPoint(workload="li", config=name, policy="baseline", mechanism=mechanism)
+            for mechanism in ("none", "vrp")
+            for name, _ in configs
+        ]
+        spec = SweepSpec.explicit(points, configs=configs)
+        rows = list(ExperimentEngine(store).sweep(spec))
+        assert [row.source for row in rows] == ["computed"] * 4
+        # The none group walks table2 (first lane) and wide-8; the vrp
+        # group's trace keys equal, so both of its lanes are hits.
+        assert walked == [LI_RECORDS, LI_RECORDS]
+        cycles = {(row.mechanism, row.config): row.cycles for row in rows}
+        for name, _ in configs:
+            assert cycles["vrp", name] == cycles["none", name]
+        assert cycles["none", "table2"] != cycles["none", "wide-8"]
+
+    @pytest.mark.slow
+    def test_threads_sharing_one_engine_get_identical_results(self, monkeypatch):
+        """Four threads map the same mixed points on one engine at once.
+
+        With the store off, every thread resolves its own points, so the
+        threads time timing-identical traces through one memo
+        concurrently.  A duplicate walk is allowed; a wrong result is not.
+        """
+        import sys
+        import threading
+        import time
+
+        monkeypatch.setenv("REPRO_RESULT_STORE", "off")
+        points = _li_points()
+        reference = [
+            _scored(evaluation.summarize())
+            for evaluation in ExperimentEngine(ResultStore(), jobs=1).map(
+                points, pipeline="materialized"
+            )
+        ]
+
+        def stress(engine: ExperimentEngine) -> list:
+            results: dict[int, list] = {}
+            errors = []
+
+            def worker(index: int) -> None:
+                # Each thread starts at a different point of the same list.
+                order = points[index % 3 :] + points[: index % 3]
+                try:
+                    evaluations = engine.map(order, pipeline="materialized")
+                    by_point = dict(zip(order, evaluations))
+                    results[index] = [_scored(by_point[point].summarize()) for point in points]
+                except Exception as exc:  # pragma: no cover - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(index,)) for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads), "threads hung"
+            assert errors == []
+            return [results[index] for index in range(4)]
+
+        # Rounds on fresh engines for about five seconds, at least two,
+        # with threads switching far more often than by default.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rounds = 0
+            deadline = time.monotonic() + 5.0
+            while rounds < 2 or time.monotonic() < deadline:
+                assert stress(ExperimentEngine(ResultStore(), jobs=1)) == [reference] * 4
+                rounds += 1
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------

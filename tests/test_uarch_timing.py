@@ -30,6 +30,7 @@ slot allocators (width-1 serialization, the bounded ``_Slots`` fix).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import asdict, replace
 
 import pytest
@@ -38,6 +39,7 @@ from hypothesis import strategies as st
 
 from repro.asm import assemble_program
 from repro.sim import Machine, Trace, fusedc
+from repro.sim import trace as trace_flags
 from repro.sim.trace import StaticInfo
 from repro.uarch import (
     Cache,
@@ -449,6 +451,262 @@ def test_suite_workload_multi_config_batch(name):
     for index in (0, 5):
         reference = OutOfOrderModel(configs[index]).run_reference(trace)
         assert asdict(batched[index]) == asdict(reference)
+
+
+# ----------------------------------------------------------------------
+# The walk key and the timing memo
+# ----------------------------------------------------------------------
+#: The smoke loop plus a block nothing branches to: its instructions
+#: have static entries but never execute.
+_DEAD_CODE_ASM = _SMOKE_ASM.replace(
+    "    halt\n.endfunc",
+    "    halt\ndead:\n    add r7, r7, 1\n    halt\n.endfunc",
+)
+
+
+def _copied_static(static: StaticInfo, changes=None) -> StaticInfo:
+    """A copy of ``static``; ``changes`` maps uids to a new entry or None (a hole)."""
+    changes = changes or {}
+    copy = StaticInfo()
+    for entry in static:
+        entry = changes.get(entry.uid, entry)
+        if entry is not None:
+            copy.add_entry(entry)
+    assert copy.uid_base == static.uid_base
+    return copy
+
+
+def _derived_copy(trace, static=None, metas=None, mem=None, addresses=None):
+    """A derived-address trace with ``trace``'s columns, some replaced."""
+    copy = Trace(
+        static=static if static is not None else trace.static,
+        addresses=addresses if addresses is not None else dict(trace.address_map),
+    )
+    extend_rows, extend_values, append_mem, _ = copy.block_emitters()
+    extend_rows(metas if metas is not None else trace.metas)
+    extend_values(trace.arena)
+    for address in mem if mem is not None else trace.mem_addresses:
+        append_mem(address)
+    assert copy.has_derived_addresses
+    return copy
+
+
+def _key(trace) -> bytes:
+    tkernel._address_modes(trace, [MachineConfig()])
+    return tkernel._walk_key(trace)
+
+
+@pytest.fixture(scope="module")
+def li_traces():
+    """li's traces per mechanism, plus a second ``none`` build."""
+    from repro.experiments.runner import _compute_evaluation
+
+    li = workload_by_name("li")
+    traces = {
+        mechanism: _compute_evaluation(li, mechanism=mechanism).trace
+        for mechanism in ("none", "vrp", "vrs")
+    }
+    traces["none-again"] = _compute_evaluation(li).trace
+    return traces
+
+
+class TestWalkKey:
+    """``tkernel._walk_key`` covers exactly what a lane walk reads."""
+
+    def test_timing_identical_li_traces_key_equal(self, li_traces):
+        none = li_traces["none"]
+        assert li_traces["none-again"].static.uid_base != none.static.uid_base
+        assert _key(li_traces["none-again"]) == _key(none)
+        assert li_traces["vrp"].static.uid_base != none.static.uid_base
+        assert _key(li_traces["vrp"]) == _key(none)
+        # VRS specialized li: its trace is a different instruction stream.
+        assert _key(li_traces["vrs"]) != _key(none)
+
+    def test_a_copy_keys_equal(self):
+        trace = _machine_trace(_DEAD_CODE_ASM)
+        assert _key(_derived_copy(trace, static=_copied_static(trace.static))) == _key(trace)
+
+    def test_negative_uids_key_like_their_twin(self):
+        """A hand-built table whose uids straddle 0 takes the key's
+        per-word translation, and keys equal to the same program at other
+        uids."""
+        trace = _machine_trace(_SMOKE_ASM)
+        rebuilt = Trace(records=list(trace), static=trace.static)
+        offset = trace.static.uid_base + 5
+        shifted = StaticInfo()
+        for entry in trace.static:
+            shifted.add_entry(replace(entry, uid=entry.uid - offset))
+        negative = Trace(
+            records=[record._replace(uid=record.uid - offset) for record in trace],
+            static=shifted,
+        )
+        assert shifted.uid_base < 0 < shifted.uid_base + len(shifted.entries)
+        assert _key(negative) == _key(rebuilt)
+        memo = tkernel.TimingMemo()
+        (first,) = memo.time(rebuilt, [None])
+        (hit,) = memo.time(negative, [None])
+        assert len(memo._results) == 1
+        assert asdict(hit) == asdict(first) == asdict(OutOfOrderModel().run_reference(negative))
+
+    @pytest.mark.parametrize(
+        "flag", (trace_flags.FLAG_MEM, trace_flags.FLAG_TAKEN, trace_flags.FLAG_TAKEN_TRUE)
+    )
+    def test_each_flag_the_walk_reads_changes_the_key(self, flag):
+        trace = _machine_trace(_DEAD_CODE_ASM)
+        metas = array("q", trace.metas)
+        metas[-2] ^= flag
+        assert _key(_derived_copy(trace, metas=metas)) != _key(trace)
+
+    def test_a_memory_address_changes_the_key(self):
+        trace = _machine_trace(_DEAD_CODE_ASM)
+        mem = array("q", trace.mem_addresses)
+        mem[len(mem) // 2] += 8
+        assert _key(_derived_copy(trace, mem=mem)) != _key(trace)
+
+    @pytest.mark.parametrize(
+        "change",
+        (
+            {"latency": 2},
+            {"functional_unit": "imul"},
+            {"dest_reg": 6},
+            {"src_regs": (2,)},
+        ),
+        ids=("latency", "functional-unit", "destination", "source-register"),
+    )
+    def test_each_static_fact_changes_the_key(self, change):
+        trace = _machine_trace(_DEAD_CODE_ASM)
+        # The loop's `add r3, r3, 1`: one-cycle ALU, dest r3, source r3.
+        entry = next(
+            entry
+            for entry in trace.static
+            if entry.opcode.name.lower() == "add" and entry.src_regs == (3,)
+        )
+        assert (entry.latency, entry.functional_unit, entry.dest_reg) == (1, "ialu", 3)
+        static = _copied_static(trace.static, {entry.uid: replace(entry, **change)})
+        assert _key(_derived_copy(trace, static=static)) != _key(trace)
+
+    def test_an_instruction_address_changes_the_key(self):
+        trace = _machine_trace(_DEAD_CODE_ASM)
+        addresses = dict(trace.address_map)
+        uid = trace.metas[5] >> 8
+        addresses[uid] += 4
+        assert _key(_derived_copy(trace, addresses=addresses)) != _key(trace)
+        # An explicit-address trace keys its per-record column.
+        rebuilt = Trace(records=list(trace), static=trace.static)
+        records = list(trace)
+        records[5] = records[5]._replace(address=records[5].address + 4)
+        moved = Trace(records=records, static=trace.static)
+        assert _key(moved) != _key(rebuilt)
+
+    def test_a_missing_static_entry_changes_the_key(self):
+        trace = _machine_trace(_DEAD_CODE_ASM)
+        executed = trace.uid_counts()
+        dead = next(entry for entry in trace.static if entry.uid not in executed)
+        # A dead entry that bakes like a hole, so only its presence differs.
+        blank = replace(
+            dead,
+            latency=0,
+            functional_unit="ialu",
+            is_load=False,
+            is_store=False,
+            is_branch=False,
+            is_conditional=False,
+            is_call=False,
+            is_return=False,
+            dest_reg=None,
+            src_regs=(),
+        )
+        with_blank = _copied_static(trace.static, {dead.uid: blank})
+        with_hole = _copied_static(trace.static, {dead.uid: None})
+        assert with_hole.get(dead.uid) is None
+        assert (
+            tkernel._table_for(with_blank).hot_word == tkernel._table_for(with_hole).hot_word
+        )
+        assert _key(_derived_copy(trace, static=with_hole)) != _key(
+            _derived_copy(trace, static=with_blank)
+        )
+
+
+class TestTimingMemo:
+    """``TimingMemo.time`` answers exactly like ``run_compiled_many``."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        _programs(),
+        st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=6),
+    )
+    def test_miss_and_hit_match_batch_and_reference(self, asm, picks):
+        trace = _machine_trace(asm)
+        pool = _lane_config_pool()
+        configs = [pool[index] for index in picks]
+        memo = tkernel.TimingMemo()
+        missed = memo.time(trace, configs)
+        entries = dict(memo._results)
+        # A second build of the same program draws other uids: a hit.
+        hit = memo.time(_machine_trace(asm), configs)
+        assert memo._results == entries
+        assert all(memo._results[key] is entries[key] for key in entries)
+        batched = tkernel.run_compiled_many(trace, configs)
+        for config, lane, first, second in zip(configs, batched, missed, hit, strict=True):
+            reference = asdict(OutOfOrderModel(config).run_reference(trace))
+            assert asdict(first) == asdict(second) == asdict(lane) == reference
+
+    def test_hits_walk_nothing_and_share_no_object(self, monkeypatch):
+        walks = []
+        many = tkernel.run_compiled_many
+
+        def counting(trace, configs):
+            walks.append(list(configs))
+            return many(trace, configs)
+
+        monkeypatch.setattr(tkernel, "run_compiled_many", counting)
+        base = MachineConfig()
+        narrow = replace(base, fetch_width=2, issue_width=2)
+        memo = tkernel.TimingMemo()
+        first = memo.time(_machine_trace(_SMOKE_ASM), [base, None, narrow])
+        assert walks == [[base, narrow]]
+        second = memo.time(_machine_trace(_SMOKE_ASM), [narrow, base])
+        assert walks == [[base, narrow]]
+        assert second == [first[2], first[0]]
+        objects = first + second
+        assert len({id(timing) for timing in objects}) == len(objects)
+        assert len({id(timing.extra) for timing in objects}) == len(objects)
+        first[0].extra["mutated"] = 1.0
+        first[0].cycles += 1
+        third = memo.time(_machine_trace(_SMOKE_ASM), [base])
+        assert third == [second[1]]
+        assert third[0].extra == {}
+
+    def test_empty_batch(self):
+        assert tkernel.TimingMemo().time(_machine_trace(_SMOKE_ASM), []) == []
+
+    def test_missing_uid_raises_after_a_valid_twin_was_memoized(self):
+        """Validation runs on every call, before the key: a trace whose
+        executed uid lost its static entry, or its address, still raises
+        the KeyError ``run_compiled_many`` raises."""
+        trace = _machine_trace(_SMOKE_ASM)
+        memo = tkernel.TimingMemo()
+        memo.time(trace, [None])
+        uid = trace.metas[3] >> 8
+        no_entry = _derived_copy(trace, static=_copied_static(trace.static, {uid: None}))
+        addresses = dict(trace.address_map)
+        del addresses[uid]
+        no_address = _derived_copy(trace, addresses=addresses)
+        for broken in (no_entry, no_address):
+            for time in (memo.time, tkernel.run_compiled_many):
+                with pytest.raises(KeyError) as exc:
+                    time(broken, [None])
+                assert exc.value.args[0] == uid
+        # A uid below the table's base, on the last record: its meta word
+        # would borrow out of the key's big-int translation.
+        records = list(trace)
+        below = trace.static.uid_base - 1
+        records[-1] = records[-1]._replace(uid=below)
+        memo.time(Trace(records=list(trace), static=trace.static), [None])
+        for time in (memo.time, tkernel.run_compiled_many):
+            with pytest.raises(KeyError) as exc:
+                time(Trace(records=records, static=trace.static), [None])
+            assert exc.value.args[0] == below
 
 
 # ----------------------------------------------------------------------
