@@ -16,10 +16,12 @@ aggregation caches before each pass — measuring what six independent
 accounting walks genuinely cost — and the warm-sequential time is
 recorded alongside for the trajectory.
 
-A trace from ``Machine.run`` arrives with the shapes its block units
-counted, so dropping those caches makes both cold sides measure the
-columnar fallback — the aggregation that decoded snapshots, hand-built
-traces and ``run_reference`` traces still take.
+A trace from ``Machine.run`` keeps no values: its shape counts, which
+its block units counted, are its data and survive the invalidation.  The
+traces here therefore come from ``Machine.run_reference`` — the same
+records, by the tier contract, with the values the columnar aggregation
+reads — so both cold sides measure that aggregation, the one hand-built
+and ``run_reference`` traces take.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from repro.workloads import load_suite
 
 @pytest.fixture(scope="module")
 def suite_traces():
-    """Live traces and timing results for every suite workload."""
+    """Value-bearing traces and timing results for every suite workload."""
     traces = []
     for workload in load_suite():
         program = workload.build()
         workload.apply_input(program, "ref")
-        run = Machine(program).run(collect_trace=True)
+        run = Machine(program).run_reference(collect_trace=True)
         timing = OutOfOrderModel().run(run.trace)
         traces.append((workload.name, run.trace, timing))
     return traces

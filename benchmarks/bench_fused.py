@@ -17,7 +17,7 @@ drift cannot skew a side.  The ≥2x geometric-mean bar is asserted, not
 tracked; per-workload ratios and the peak-heap-per-record footprint of
 both pipelines are recorded in ``extra_info``.  The memory phase is the
 point of the streaming design: the materialized peak grows with the
-dynamic instruction count (the trace arena), the fused peak does not.
+dynamic instruction count (the trace columns), the fused peak does not.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ _PER_WORKLOAD_FLOOR = 1.6
 
 #: The materialized pipeline's *marginal* heap cost (extra peak bytes per
 #: extra dynamic record, between two sizes of the same loop) must exceed
-#: the fused pipeline's by this factor.  Measured 14.2x (59.0 vs 4.2
-#: bytes/record); the bar leaves headroom for allocator jitter.
+#: the fused pipeline's by this factor.  Measured 8.9x (36.8 vs 4.2
+#: bytes/record) with value-free traces, 14.2x (59.0 vs 4.2) while the
+#: trace stored the values; the bar leaves headroom for allocator jitter.
 _MARGINAL_HEAP_BAR = 2.5
 
 #: Loop whose dynamic record count scales linearly with the trip count —
@@ -192,14 +193,15 @@ def test_fused_pipeline_memory_footprint(benchmark):
 
     Absolute peaks are dominated by size-independent overhead (program
     build, generated-source compilation, summary construction), so the
-    trace arena is isolated differentially: the same loop at two trip
-    counts, and the slope ``(peak_big - peak_small) / (records_big -
+    trace is isolated differentially: the same loop at two trip counts,
+    and the slope ``(peak_big - peak_small) / (records_big -
     records_small)`` is the per-record cost.  The materialized slope is
-    the trace arena (~30 bytes/record) plus the run's significance cache
-    (one entry per distinct value, ~29 bytes/record here, where values
-    never repeat); the fused slope is transient interpreter churn (~4-8
-    bytes/record), independent of any per-record retention.  The ratio is asserted — the trace creeping back into the
-    fused path would collapse it toward 1.
+    the trace's meta column (8 bytes/record) plus the run's significance
+    cache (one entry per distinct value, ~29 bytes/record here, where
+    values never repeat); the fused slope is transient interpreter churn
+    (~4-8 bytes/record), independent of any per-record retention.  The
+    ratio is asserted — the trace creeping back into the fused path
+    would collapse it toward 1.
     """
     from repro.asm import assemble_program
     from repro.sim.machine import Machine

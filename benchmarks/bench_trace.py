@@ -48,11 +48,13 @@ _RECORD_LIST_BYTES_PER_RECORD = 150
 
 @pytest.fixture(scope="module")
 def trace_fixture():
-    """One real workload trace plus its replayable emission stream."""
+    """One real workload trace plus its replayable emission stream (a
+    ``run_reference`` trace: the record stream needs the values that a
+    ``Machine.run`` trace does not keep)."""
     workload = workload_by_name("go")
     program = workload.build()
     workload.apply_input(program, "ref")
-    run = Machine(program).run(collect_trace=True)
+    run = Machine(program).run_reference(collect_trace=True)
     trace = run.trace
     timing = OutOfOrderModel().run(trace)
     policies = gating.registry()
@@ -115,12 +117,12 @@ def _reference_pipeline(fx):
         key = (item.uid, sigs, rsig)
         counts[key] = counts_get(key, 0) + 1
     # ...feeding the *real* per-shape kernel (shared by both sides): a
-    # probe trace pre-seeded with the folded shapes runs the production
+    # value-free probe trace holding the folded shapes runs the production
     # accountant without any columnar walk.
-    probe = Trace(static=static)
-    probe._shape_counts_cache = {
-        (uid, bytes(sigs), rsig): count for (uid, sigs, rsig), count in counts.items()
-    }
+    probe = Trace(
+        static=static,
+        shapes={(uid, bytes(sigs), rsig): count for (uid, sigs, rsig), count in counts.items()},
+    )
     MultiPolicyEnergyAccountant(fx["policies"]).account(probe, fx["timing"])
 
     # 3. Summary distributions: the seed's fused record walk.

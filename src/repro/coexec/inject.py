@@ -148,12 +148,15 @@ def compile_faulty_block_program(
 ) -> BlockProgram:
     """Block-compile the machine's program with one mutated instruction.
 
-    The result is never installed in the machine's block-program cache —
-    it exists only for the faulted side of a lockstep run.
+    The value-bearing traced flavour, like the lockstep harness's clean
+    block program.  The result is never installed in the machine's
+    block-program cache — it exists only for the faulted side of a
+    lockstep run.
     """
     rewrite = MUTATIONS[mutation]
     return compile_blocks(
         machine,
         True,
         mutate_result=lambda inst, expr: rewrite(expr) if inst.uid == uid else expr,
+        values=True,
     )

@@ -18,6 +18,9 @@ differ.
 Prefix traces are rebuilt with ``Trace(records=trace.records[:k],
 static=trace.static)`` — the explicit-column ingestion path — so the
 kernels under test see an ordinary trace, not a special replay mode.
+Bisection reads records, so the comparators take value-bearing traces:
+``Machine.run_reference(collect_trace=True)`` records the same columns
+and shapes as ``Machine.run`` plus the values.
 
 :func:`compare_fused` extends the same idea to the streaming fused
 pipeline (``repro.sim.fusedc``), which never materializes a trace: a
@@ -245,8 +248,9 @@ def compare_fused(
     """First record where the fused pipeline splits from the materialized
     oracle, or None.
 
-    Runs the program twice: once materialized (trace + compiled timing
-    kernel — the oracle) and once through the fused streaming tier with
+    Runs the program twice: once on the reference loop (value-bearing
+    trace + compiled timing kernel — the oracle) and once through the
+    fused streaming tier with
     the per-record probe enabled, which snapshots the timing-kernel state
     after every record.  On a timing mismatch the probe stream lets a
     prefix bisection find the exact record where the fused state first
@@ -263,7 +267,7 @@ def compare_fused(
     if config is None:
         config = MachineConfig()
     machine = Machine(program, max_instructions=max_instructions)
-    reference = machine.run(collect_trace=True)
+    reference = machine.run_reference(collect_trace=True)
     trace = reference.trace
     oracle_timing = run_compiled(trace, config)
 
@@ -307,10 +311,9 @@ def compare_fused(
             fields=_timing_fields(oracle_timing, fused.timing),
         )
 
-    # The block run counted the trace's shapes with the signature emitter
-    # the fused tier shares; recount them from the columns so the oracle
-    # stays independent of that emitter.
-    trace.invalidate_aggregation_caches()
+    # The reference trace's shapes come from its values (the columnar
+    # aggregation), so the oracle is independent of the signature emitter
+    # the fused tier shares with the block tier.
     oracle_shapes = dict(trace.shape_counts())
     fused_shapes = fused.shapes.shape_counts()
     if fused_shapes != oracle_shapes:

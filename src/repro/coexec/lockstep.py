@@ -20,6 +20,13 @@ the differential tests would otherwise report.  When both sides halt in
 agreement the driver additionally compares final memory contents and the
 block/call counters.
 
+The block tier runs the value-bearing flavour of the block compiler
+(:func:`~repro.sim.blockc.compile_blocks` with ``values=True``), which the
+harness compiles for itself: :meth:`Machine.run` keeps no operand values
+in its traces, so its records could not be compared.  The flavour shares
+every line of instruction semantics with the production one and differs
+only in its emission epilogues (arena appends instead of shape counts).
+
 Tier errors are part of the comparison: the tiers promise *identical
 exceptions* (same type, same args) for invalid programs and exceeded
 instruction limits, but not identical partial traces once an error
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..ir import Program
-from ..sim.blockc import BlockProgram
+from ..sim.blockc import BlockProgram, compile_blocks
 from ..sim.machine import Machine, SimulationError, SimulationLimitExceeded
 from ..sim.trace import FLAG_MEM, FLAG_RESULT, Trace, _SRC_SHIFT
 from .inject import Fault, compile_faulty_block_program, resolve_fault_uid
@@ -154,10 +161,12 @@ class _Cursor:
 
     Every tier drives the machine's *own* code — the reference tier
     through the single-step generator (:meth:`Machine._reference_steps`),
-    the block tier through a bound :class:`BlockProgram` — so lockstep
-    observes exactly the code the normal ``Machine.run`` paths execute,
-    including the block tier's mid-unit landing pad, which steps the
-    reference generator up to the next unit entry.
+    the block tier through a bound value-bearing :class:`BlockProgram`,
+    whose units differ from ``Machine.run``'s only in their emission
+    epilogues — so lockstep observes the semantics and the dispatch the
+    normal ``Machine.run`` paths execute, including the block tier's
+    mid-unit landing pad, which steps the reference generator up to the
+    next unit entry.
     """
 
     def __init__(
@@ -186,13 +195,10 @@ class _Cursor:
         if tier == "reference":
             self._gen = self._reference_steps()
         else:
-            program = block_program if block_program is not None else machine._block_program(True)
-            # Lockstep compares trace columns, never shapes: the signature
-            # counts a counting program returns are left unread.
-            self._funcs, _counts = program.bind_run(
+            self._funcs, _counts, _resync = block_program.bind_run(
                 self.regs, self.memory, self.output, self.block_counts, self.call_counts, self.trace
             )
-            self._lengths = program.lengths
+            self._lengths = block_program.lengths
 
     @property
     def live(self) -> bool:
@@ -304,6 +310,7 @@ class Lockstep:
         self.fault = fault
         self.machine = Machine(program, max_instructions=max_instructions)
         self._faulty_program: Optional[BlockProgram] = None
+        self._clean_program: Optional[BlockProgram] = None
         if fault is not None:
             if self.tiers[1] != "block":
                 raise ValueError(
@@ -315,13 +322,20 @@ class Lockstep:
                 raise ValueError(f"fault site {fault} not found or not mutable")
             self.fault_uid = uid
             self._faulty_program = compile_faulty_block_program(self.machine, uid, fault.mutation)
+        # The fault replaces the second tier's program; any other block
+        # tier runs the clean one.
+        if "block" in (self.tiers if fault is None else self.tiers[:1]):
+            self._clean_program = compile_blocks(self.machine, True, values=True)
 
     # ------------------------------------------------------------------
     def run(self) -> Optional[Divergence]:
         """Co-execute both tiers; None on agreement, else the first divergence."""
-        a = _Cursor(self.machine, self.tiers[0], self.arguments)
+        a = _Cursor(self.machine, self.tiers[0], self.arguments, self._clean_program)
         b = _Cursor(
-            self.machine, self.tiers[1], self.arguments, block_program=self._faulty_program
+            self.machine,
+            self.tiers[1],
+            self.arguments,
+            self._clean_program if self.fault is None else self._faulty_program,
         )
         # Compared-prefix cursors into the raw trace columns: record index,
         # value-arena offset, memory-address offset.  Comparing the columns

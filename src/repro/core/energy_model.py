@@ -111,6 +111,11 @@ class EnergyModel:
         return class_energy_saving_nj(inst.kind, old, new)
 
 
+def _use_order(use: tuple[int, Reg]) -> tuple[int, int]:
+    """Build-independent sort key of a def-use edge ``(uid, register)``."""
+    return use[0], use[1].index
+
+
 class SavingsEstimator:
     """Implements the recursive ``Savings(I, r, min, max)`` of §3.1.
 
@@ -167,7 +172,13 @@ class SavingsEstimator:
         total = 0.0
         for dest in producer.defs():
             definition = Definition("inst", dest, uid=producer.uid)
-            for use_uid, use_reg in self.graph.uses_of(definition):
+            # The walk shares ``visited`` and stops at ``max_depth``, so
+            # which consumers it credits depends on the order it meets
+            # them in.  Iterate the use set in uid order — the program
+            # order of one build — not in set order, which follows the
+            # uid values and so how many instructions were built before.
+            uses = sorted(self.graph.uses_of(definition), key=_use_order)
+            for use_uid, use_reg in uses:
                 if use_uid in visited:
                     continue
                 consumer = self.graph.instructions.get(use_uid)

@@ -476,7 +476,8 @@ def _cmd_diverge(args: argparse.Namespace) -> int:
     source, program = resolved
 
     if args.mode in ("timing", "energy"):
-        trace = Machine(program, max_instructions=args.max_instructions).run(
+        # Bisection reads records: take the value-bearing reference trace.
+        trace = Machine(program, max_instructions=args.max_instructions).run_reference(
             collect_trace=True
         ).trace
         if args.mode == "timing":

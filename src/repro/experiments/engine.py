@@ -280,6 +280,7 @@ def _resolve_miss(
     pipeline: str,
     other_lanes: Sequence[MachineConfig] = (),
     memo: Optional[TimingMemo] = None,
+    precheck: bool = True,
 ) -> tuple[WorkloadEvaluation, list[EvaluationSummary], str]:
     """Resolve one trace-signature group under the store's single-flight lock.
 
@@ -301,7 +302,10 @@ def _resolve_miss(
     replayed point its summary, *inside* it, so waiters are released
     only once the result is readable and two processes (or threads)
     racing on the same group cost one simulation.  A point enters
-    :meth:`~ResultStore.single_flight`, which serves a published entry.
+    :meth:`~ResultStore.single_flight`, which serves a published entry;
+    ``precheck=False`` tells it the caller's own unlocked read of the
+    entry has just missed (:meth:`ExperimentEngine.map` reads every
+    point first), so it reads the entry only under the lock.
     A group with more lanes never reads an entry: it replays its
     snapshot, and claims the lock (:meth:`~ResultStore.claim`) only to
     compute, replaying again once it holds it.  Its replay publishes
@@ -320,7 +324,7 @@ def _resolve_miss(
                 if summaries is None:
                     return _compute(store, key, config, workload, pipeline, other_lanes, memo)
         return WorkloadEvaluation.from_summary(workload, summaries[0]), summaries, "replayed"
-    with store.single_flight(key) as flight:
+    with store.single_flight(key, precheck=precheck) as flight:
         if flight.summary is not None:
             summary = flight.summary
             return WorkloadEvaluation.from_summary(workload, summary), [summary], "shared"
@@ -370,7 +374,10 @@ def _compute_summary_for(
     Returns ``(JSON-ready summary dict, provenance)`` — plain data, so the
     result crosses the process boundary cheaply; provenance is that of
     :func:`_resolve_miss`, which publishes the summary (and snapshot) to
-    the parent's ``store`` itself, inside the single-flight lock.
+    the parent's ``store`` itself, inside the single-flight lock.  The
+    parent's :meth:`ExperimentEngine.map` read the entry and missed
+    before it queued the point, so the flight reads it only under the
+    lock.
     ``summarize()`` materializes the energy breakdowns of *all* gating
     policies from one fused trace walk
     (:class:`~repro.power.MultiPolicyEnergyAccountant`), so the
@@ -379,7 +386,9 @@ def _compute_summary_for(
     """
     chaos_probe("worker-task")
     workload = workload_by_name(config.workload)
-    _, (summary,), provenance = _resolve_miss(store, key, config, workload, pipeline)
+    _, (summary,), provenance = _resolve_miss(
+        store, key, config, workload, pipeline, precheck=False
+    )
     return summary.to_json_dict(), provenance
 
 
@@ -573,6 +582,9 @@ class ExperimentEngine:
             if key in missing:
                 missing_indices[key].append(index)
                 continue
+            # The point's one unlocked read: a miss is resolved with
+            # ``precheck=False``, which reads the entry again only under
+            # the lock.
             summary = self.store.load(key)
             if summary is not None:
                 evaluation = WorkloadEvaluation.from_summary(workload, summary)
@@ -623,6 +635,7 @@ class ExperimentEngine:
                         workload,
                         resolved_pipeline,
                         memo=self._timing_memo,
+                        precheck=False,
                     )
                 except Exception as exc:
                     errors[key] = classify_failure(exc)

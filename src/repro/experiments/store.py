@@ -658,6 +658,7 @@ class ResultStore:
         key: str,
         poll_s: float = 0.02,
         timeout_s: Optional[float] = None,
+        precheck: bool = True,
     ) -> Iterator[Flight]:
         """Cross-process dedup: at most one live computation per ``key``.
 
@@ -680,6 +681,12 @@ class ResultStore:
         (pid probe on the same host, TTL elsewhere) and broken, and the
         first waiter to re-acquire takes over the computation.
 
+        A flight reads the entry once without the lock, so a stored
+        result is served by one read and creates no lock file.  A caller
+        whose own unlocked read of ``key`` has just missed passes
+        ``precheck=False`` and goes straight to the lock, where the entry
+        is read once more.
+
         With the store disabled — or the lock directory unwritable — the
         flight degrades to ``owner=True`` with no lock: correctness is
         unchanged, only the dedup is lost.
@@ -687,7 +694,7 @@ class ResultStore:
         if self.root is None:
             yield Flight(key=key, owner=True)
             return
-        summary = self.load(key)
+        summary = self.load(key) if precheck else None
         if summary is not None:
             yield Flight(key=key, owner=False, summary=summary)
             return

@@ -235,7 +235,9 @@ class MultiPolicyEnergyAccountant:
     order and trace storage.  Policies with an opaque width source
     (``width_source is None``) force the direct per-record path for the
     whole walk, which calls ``value_bytes`` per dynamic value and may
-    therefore differ from the aggregated path in last-ulp rounding.
+    therefore differ from the aggregated path in last-ulp rounding; that
+    path needs a value-bearing trace and raises ``TypeError`` on a
+    value-free one (see :mod:`repro.sim.trace`).
     """
 
     def __init__(self, policies: Mapping[str, GatingPolicy] | Sequence[GatingPolicy]) -> None:
@@ -488,8 +490,17 @@ class MultiPolicyEnergyAccountant:
         Iterates the lazy record view: opaque policies take a per-record,
         per-value ``value_bytes`` callback, so there is nothing to
         aggregate — exactness (including the per-record accumulation
-        order) matters more than speed on this path.
+        order) matters more than speed on this path.  A value-free trace
+        (``Machine.run``'s, a decoded snapshot's) has no values to call
+        it with, so the walk refuses it instead of miscounting.
         """
+        if not trace.carries_values:
+            opaque = ", ".join(repr(lane.policy.name) for lane in lanes if lane.mode is None)
+            raise TypeError(
+                f"gating policies with an opaque width_source ({opaque}) need "
+                "per-record values, but the trace is value-free; account a trace "
+                "from Machine.run_reference(collect_trace=True)"
+            )
         static = trace.static
         index = {name: i for i, name in enumerate(STRUCTURES)}
         for record in trace:

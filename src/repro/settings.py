@@ -152,7 +152,8 @@ SETTINGS: dict[str, Setting] = {
             "REPRO_SIM_MAX_TRACE_BYTES",
             _budget(int),
             None,
-            "trace-arena bytes per simulation, an integer; zero or negative means none",
+            "trace bytes per simulation (metas plus memory column), an integer; "
+            "zero or negative means none",
         ),
         Setting(
             "REPRO_SIM_PROBE_DIR",

@@ -14,26 +14,37 @@ Trace emission is block-batched.  At compile time every block's packed meta
 words (``uid << 8 | flags``, the exact encoding of
 :func:`repro.sim.trace.pack_record`) are precomputed as ``array('q')``
 *templates*; per execution the generated code appends a whole template with
-one ``array.extend`` and fills only the dynamic value arena — the block's
-values gathered into a single tuple and appended with one ``extend`` through
-:meth:`Trace.block_emitters`, whose ``spill_values`` closure provides the
-same exact int64-overflow fallback the per-record emitters use.  A block
-ending in a conditional branch gets two templates (taken / not taken) that
-differ only in the final meta's flag bits.
+one ``array.extend``, and each memory access's address to the sparse memory
+column, through :meth:`Trace.block_emitters`.  A block ending in a
+conditional branch gets two templates (taken / not taken) that differ only
+in the final meta's flag bits.
+
+The production traced flavour keeps no operand values: it counts record
+**shapes** as it runs, so the trace's consumers never walk its columns.
+Each executed unit packs the significant-byte count of every value its
+records carry into one int signature (:func:`_sig_count_lines`, the
+emitter the fused tier shares) and bumps that signature's count in a
+per-unit dict; :func:`expand_signatures` turns the counts into the
+per-record ``(uid, source sigs, result sig)`` keys of
+:meth:`Trace.shape_counts <repro.sim.trace.Trace.shape_counts>`.  The
+sig of a value a register held at unit entry comes from the per-register
+cache ``rsig``, which every counting write-back refreshes; after a
+mid-unit landing stepped the reference loop, the driver refreshes it from
+the registers (``resync``, returned by :meth:`BlockProgram.bind_run`).
+
+The value-bearing traced flavour (``values=True``) counts nothing and
+stores the values instead: the block's values gathered into a single
+tuple and appended to the trace's value arena with one ``extend`` through
+:meth:`Trace.block_value_emitters`, whose ``spill_values`` closure
+provides the same exact int64-overflow fallback the per-record emitters
+use.  Only the lockstep co-execution harness (:mod:`repro.coexec`)
+compiles it, for its record-by-record comparison with the reference loop.
 
 Value observers are a compile input too: for a ``watched`` uid set the
 generated code calls ``observe(uid, value)`` right after each watched
 instruction that produces a result, with the value its trace record
 carries as the result.  Each ``(collect_trace, watched)`` pair is its own
 program flavour.
-
-The traced flavour also counts record **shapes** as it runs, so the
-trace's consumers never walk its columns.  Each executed unit packs the
-significant-byte count of every value it emitted into one int signature
-(:func:`_sig_count_lines`, the emitter the fused tier shares) and bumps
-that signature's count in a per-unit dict; :func:`expand_signatures`
-turns the counts into the per-record ``(uid, source sigs, result sig)``
-keys of :meth:`Trace.shape_counts <repro.sim.trace.Trace.shape_counts>`.
 
 Compiled programs carry **no per-run state**: the generated module defines a
 single ``bind(...)`` factory taking the run's registers, memory accessors,
@@ -184,7 +195,8 @@ class BlockProgram:
     dynamic instruction count (0 for non-entry pcs); ``source`` the
     generated Python text (deterministic, useful for debugging and
     covered by the simulator code fingerprint via this module's source).
-    ``counts_shapes`` marks the signature-counting flavour, whose
+    ``values`` marks the value-bearing traced flavour; ``counts_shapes``
+    the value-free traced flavour, which counts signatures and whose
     ``unit_specs`` and ``key_caches`` feed :func:`expand_signatures`.
     """
 
@@ -194,6 +206,7 @@ class BlockProgram:
     entry_points: tuple[int, ...]
     source: str
     collect_trace: bool
+    values: bool = False
     counts_shapes: bool = False
     unit_specs: tuple = ()
     key_caches: tuple = ()
@@ -207,22 +220,37 @@ class BlockProgram:
         call_counts: dict,
         trace: "Trace | None" = None,
         observe: Callable[[int, int], None] | None = None,
-    ) -> tuple[list, list[dict] | None]:
-        """Bind one run's state; returns ``(funcs, counts)``.
+    ) -> tuple[list, list[dict] | None, Callable[[], None] | None]:
+        """Bind one run's state; returns ``(funcs, counts, resync)``.
 
         ``funcs`` is the unit table indexed by pc (``None`` slots are pcs
         inside a unit, where no unit starts); ``counts`` holds one
-        signature-count dict per counted unit, filled as the run goes
-        (None unless the program counts shapes).
+        signature-count dict per counted unit, filled as the run goes,
+        and ``resync`` refreshes the units' per-register significance
+        cache from ``regs`` — due whenever something other than a unit
+        wrote the registers (both None unless the program counts
+        shapes).  A traced program takes a trace of its own kind:
+        value-bearing for the ``values`` flavour, value-free otherwise.
         """
+        rows_extend = arena_extend = mem_append = spill = None
         if trace is not None:
-            rows_extend, arena_extend, mem_append, spill = trace.block_emitters()
-        else:
-            rows_extend = arena_extend = mem_append = spill = None
-        counts = sig_get = None
+            if trace.carries_values != self.values:
+                raise ValueError(
+                    f"a {'value-bearing' if self.values else 'value-free'} block "
+                    "program must emit into a trace of the same kind"
+                )
+            rows_extend, mem_append = trace.block_emitters()
+            if self.values:
+                arena_extend, spill = trace.block_value_emitters()
+        counts = sig_get = rsig = resync = None
         if self.counts_shapes:
             counts = [{} for _ in self.unit_specs]
             sig_get = _SigCache().__getitem__
+            rsig = list(map(sig_get, regs))
+
+            def resync() -> None:
+                rsig[:] = map(sig_get, regs)
+
         funcs = self.bind(
             regs,
             memory.load,
@@ -240,16 +268,18 @@ class BlockProgram:
             observe,
             counts,
             sig_get,
+            rsig,
         )
-        return funcs, counts
+        return funcs, counts, resync
 
 
 class _UnitWriter:
     """Codegen state for one compilation unit (SSA locals, values, metas).
 
-    ``bump`` is the signature-count update of a shape-counting unit
-    (None otherwise); ``finished`` is set once :meth:`epilogue_lines`
-    emitted the end of a unit execution that survives.
+    ``bump`` is the signature-count update of a shape-counting unit; a
+    traced unit without one stores its values in the arena instead.
+    ``finished`` is set once :meth:`epilogue_lines` emitted the end of a
+    unit execution that survives.
     """
 
     def __init__(self, bump: list[str] | None = None) -> None:
@@ -303,9 +333,10 @@ class _UnitWriter:
         return [f"regs[{index}] = {name}" for index, name in sorted(self.written.items())]
 
     def emission_lines(self) -> list[str]:
-        """Arena + memory-column appends (rows templates are arm-specific)."""
+        """Arena appends of a value-bearing unit, then the memory-column
+        appends (rows templates are arm-specific)."""
         lines = []
-        if self.values:
+        if self.values and self.bump is None:
             lines.append(f"_v = ({', '.join(self.values)},)")
             lines.append("try:")
             lines.append("    arena_extend(_v)")
@@ -665,12 +696,14 @@ def compile_blocks(
     collect_trace: bool,
     mutate_result: Callable[[Instruction, str], str] | None = None,
     watched: frozenset[int] = frozenset(),
+    values: bool = False,
 ) -> BlockProgram:
     """Compile ``machine.program`` into a :class:`BlockProgram`.
 
-    Pure function of the (flattened) program, ``collect_trace`` and
-    ``watched`` — no per-run state is consulted, so the result is cached
-    on the machine and reused by every subsequent :meth:`Machine.run`.
+    Pure function of the (flattened) program, ``collect_trace``,
+    ``watched`` and ``values`` — no per-run state is consulted, so the
+    result is cached on the machine and reused by every subsequent
+    :meth:`Machine.run`.
 
     ``watched`` is the set of uids whose results the bound ``observe``
     callable receives (the value-observer flavour); the empty default
@@ -682,10 +715,13 @@ def compile_blocks(
     caller (``repro.coexec``) holds them privately and binds them to its
     own run state.
 
-    A traced program without a mutator counts record shapes: every unit
-    that can run to its end packs and counts its width signature
+    A traced program counts record shapes and stores no values: every
+    unit that can run to its end packs and counts its width signature
     (:func:`_sig_count_lines`) and keeps the ``rsig`` per-register cache
-    exact at write-back.
+    exact at write-back.  ``values=True`` compiles the value-bearing
+    traced flavour instead, which appends every record's values to the
+    trace's arena and counts nothing — the flavour the lockstep harness
+    compares record by record, with or without a mutator.
     """
     flat = machine._flat
     total = len(flat)
@@ -716,7 +752,7 @@ def compile_blocks(
 
     lengths = [0] * total
     unit_lines: list[str] = []
-    counting = collect_trace and mutate_result is None
+    counting = collect_trace and not values
     counted_entries: list[int] = []
     unit_specs: list[tuple] = []
 
@@ -794,16 +830,16 @@ def compile_blocks(
         "def bind(regs, load, store, pages_get, page_for, output_append,",
         "         block_counts, call_counts, consts,",
         "         rows_extend, arena_extend, mem_append, spill, observe,",
-        "         counts, sig_get):",
+        "         counts, sig_get, rsig):",
         "    _bc = block_counts.get",
         "    _cc = call_counts.get",
         "    _ifb = int.from_bytes",
         f"    ({', '.join(const_names)},) = consts",
     ]
     if counting:
-        # Per-register significance cache, refreshed by every counting
-        # write-back; per counted unit, its signature-count dict.
-        header.append("    rsig = list(map(sig_get, regs))")
+        # Per counted unit, its signature-count dict.  ``rsig`` is the
+        # per-register significance cache every counting write-back
+        # refreshes.
         for index, entry in enumerate(counted_entries):
             header.append(f"    _k{entry} = counts[{index}]; _kg{entry} = _k{entry}.get")
     header.append("")
@@ -821,6 +857,7 @@ def compile_blocks(
         entry_points=entry_points,
         source=source,
         collect_trace=collect_trace,
+        values=collect_trace and values,
         counts_shapes=counting,
         unit_specs=tuple(unit_specs),
         key_caches=tuple({} for _ in unit_specs),

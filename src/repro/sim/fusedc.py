@@ -108,6 +108,9 @@ class ShapeAggregate:
 
     __slots__ = ("static", "_shapes", "_length", "_uid_counts")
 
+    #: Like a value-free :class:`~repro.sim.trace.Trace`, it keeps no values.
+    carries_values = False
+
     def __init__(
         self, static: StaticInfo, shapes: dict[tuple[int, bytes, int], int], length: int
     ) -> None:

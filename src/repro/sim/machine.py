@@ -26,16 +26,19 @@ Two interpreters run a program (see ``docs/simulator.md``):
   dynamic step (attribute loads, kind dispatch, operand ``isinstance``
   checks) and is the semantic oracle the block tier is locked against.
 
-Both produce bit-identical :class:`RunResult`/:class:`Trace` contents and
-value observations.  Compiled block programs are cached on the
-``Machine`` keyed by ``(collect_trace, watched uids)`` — a value
-observer's watched set is a compile input, so profiling runs execute on
-the block loop too — with per-run state (registers, memory,
-trace columns, counters, observer) passed in as arguments, so repeated
-``run()`` calls perform **zero** recompilation.  Consequently a
-``Machine`` snapshots the program at its first run: mutating the
-:class:`~repro.ir.Program` afterwards requires a fresh ``Machine`` (every
-transformation pass in this repository already builds one).
+Both produce bit-identical :class:`RunResult` contents, trace columns,
+record shapes and value observations; a block-tier trace keeps no operand
+values (see below), so their records are compared through the lockstep
+harness (:mod:`repro.coexec`), whose block flavour keeps them.  Compiled
+block programs are cached on the ``Machine`` keyed by ``(collect_trace,
+watched uids)`` — a value observer's watched set is a compile input, so
+profiling runs execute on the block loop too — with per-run state
+(registers, memory, trace columns, counters, observer) passed in as
+arguments, so repeated ``run()`` calls perform **zero** recompilation.
+Consequently a ``Machine`` snapshots the program at its first run:
+mutating the :class:`~repro.ir.Program` afterwards requires a fresh
+``Machine`` (every transformation pass in this repository already builds
+one).
 
 A computed return that lands inside a compilation unit (an address no
 call produced) is stepped on the reference loop, sharing the run's state,
@@ -45,10 +48,12 @@ Trace emission is columnar: the reference loop writes through the append
 closures of :meth:`Trace.emitters`, encoding the per-record flag byte
 dynamically, and the block tier batches whole-block meta templates
 through :meth:`Trace.block_emitters`, so every emission site shares one
-encoding and cannot drift (see ``repro/sim/trace.py``).  The block units
-also count the trace's record shapes as they run, so a block-tier trace
-arrives with :meth:`Trace.shape_counts` filled — unless a mid-unit landing
-stepped the reference loop, which counts nothing.
+encoding and cannot drift (see ``repro/sim/trace.py``).  A block-tier
+trace is value-free: the block units count the records' accounting
+shapes as they run instead of storing operand values, and a mid-unit
+landing's per-record ``emit`` counts the shapes of the records it steps,
+so the trace always arrives with :meth:`Trace.shape_counts` filled.
+``run_reference(collect_trace=True)`` keeps the values.
 """
 
 from __future__ import annotations
@@ -171,7 +176,7 @@ class Machine:
         # Resource budgets (see docs/resilience.md): adversarial programs
         # — a fuzz corpus, a user submission — must fail fast with
         # ResourceExhausted instead of hanging a worker (wall time) or
-        # OOM-ing it (trace arena bytes).  None disables a budget; the
+        # OOM-ing it (trace column bytes).  None disables a budget; the
         # environment supplies service-wide defaults.
         self.wall_time_s = (
             wall_time_s if wall_time_s is not None else settings.get("REPRO_SIM_WALL_TIME_S")
@@ -220,8 +225,14 @@ class Machine:
             raise SimulationError(f"jump to invalid code address {address:#x}")
         return index
 
-    def _new_trace(self) -> Trace:
-        return Trace(static=self.static_info, addresses=self.address_by_uid)
+    def _new_trace(self, values: bool = True) -> Trace:
+        """An empty trace of this machine: value-bearing, or value-free
+        (shape counts instead of the value arena)."""
+        return Trace(
+            static=self.static_info,
+            addresses=self.address_by_uid,
+            shapes=None if values else {},
+        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -239,8 +250,10 @@ class Machine:
         Runs on the block tier; :meth:`run_reference` is its oracle.
 
         Args:
-            collect_trace: record a full :class:`Trace` (needed by the
-                timing/power models; costs memory proportional to the run).
+            collect_trace: record a value-free :class:`Trace` — metas,
+                memory column and shape counts, all the timing/power
+                models read; costs memory proportional to the run.
+                :meth:`run_reference` records the operand values too.
             value_observer: optional value-profiling hook; it sees every
                 result of its ``watched_uids`` in program order.  When a
                 block-tier run raises :class:`SimulationLimitExceeded`, it
@@ -535,7 +548,7 @@ class Machine:
         regs, memory, pc = self._init_run_state(arguments)
         block_counts: dict[tuple[str, str], int] = {}
         call_counts: dict[str, int] = {}
-        trace = self._new_trace() if collect_trace else None
+        trace = self._new_trace(values=False) if collect_trace else None
         output: list[int] = []
 
         observe = None
@@ -544,7 +557,7 @@ class Machine:
             observe = value_observer.observe
             watched = frozenset(value_observer.watched_uids)
         program = self._block_program(collect_trace, watched)
-        funcs, counts = program.bind_run(
+        funcs, counts, resync = program.bind_run(
             regs, memory, output, block_counts, call_counts, trace, observe
         )
         lengths = program.lengths
@@ -568,9 +581,9 @@ class Machine:
                     # unit entry, then carry on block by block.  A return
                     # that keeps re-landing mid-unit never reaches an
                     # entry, so the budgets are probed here too.  The
-                    # loop neither counts signatures nor refreshes
-                    # ``rsig``, so the shape counts are void.
-                    counts = None
+                    # loop's ``emit`` counts each record's shape into the
+                    # trace; the units' register sigs are refreshed
+                    # before they resume.
                     for pc in self._reference_steps(
                         regs, memory, pc, trace, output, block_counts,
                         call_counts, value_observer, executed,
@@ -581,6 +594,8 @@ class Machine:
                         if next_check is not None and executed >= next_check:
                             next_check = executed + _BUDGET_CHECK_STRIDE
                             self._check_budgets(deadline, trace_cap, executed)
+                    if resync is not None:
+                        resync()
                     continue
                 executed += lengths[pc]
                 if executed > limit:

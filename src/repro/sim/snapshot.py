@@ -3,8 +3,13 @@
 Because the columnar :class:`~repro.sim.trace.Trace` stores its dynamic
 stream as flat ``array('q')`` columns, a complete trace serializes to a
 compact binary blob: a small JSON header (column lengths, the static side
-table, the uid→address map, the exact-overflow side table) followed by the
-raw column bytes.  A :class:`SimulationArtifact` wraps a trace together
+table, the uid→address map, the trace's accounting shape counts) followed
+by the raw bytes of the meta and memory columns (and of the explicit
+address columns of a hand-built trace).  A snapshot stores what replay
+reads and no operand values: a decoded trace is value-free and adopts
+the stored shape counts as its own, so replay never aggregates the
+columns.  Encoding a value-bearing trace stores its shape counts too, so
+it decodes value-free.  A :class:`SimulationArtifact` wraps a trace together
 with the other simulation-side outputs a replay needs (dynamic instruction
 count, program output, VRP/VRS statistics), so an analysis-only change —
 a new gating policy, a tweaked energy coefficient, a different machine
@@ -15,8 +20,9 @@ format).
 
 Snapshots are a local cache format, not an interchange format: the column
 byte order is the host's, recorded in the header; a mismatch (or any
-structural inconsistency) raises ``ValueError``, which the store treats as
-a miss.
+structural inconsistency — a memory column that disagrees with the flag
+bytes, shape counts that do not sum to the record count) raises
+``ValueError``, which the store treats as a miss.
 
 Stored snapshots are keyed by a *simulator-side* code fingerprint
 (``repro/experiments/store.py``) covering every source file under
@@ -45,7 +51,7 @@ __all__ = [
 
 #: Bump when the snapshot layout or the columnar trace encoding changes;
 #: the store keys include this, so old snapshots simply miss.
-TRACE_SNAPSHOT_VERSION = 1
+TRACE_SNAPSHOT_VERSION = 2
 
 _MAGIC = b"RTRC"
 
@@ -112,11 +118,32 @@ def _decode_entry(row: list) -> StaticEntry:
     return StaticEntry(**data)
 
 
+def _encode_shapes(shapes: dict) -> list:
+    """Shape counts as sorted ``[uid, hex source sigs, result sig, count]`` rows."""
+    return [
+        [uid, sigs.hex(), rsig, count] for (uid, sigs, rsig), count in sorted(shapes.items())
+    ]
+
+
+def _decode_shapes(rows: list, records: int) -> dict:
+    """Inverse of :func:`_encode_shapes`, checked against the record count."""
+    shapes: dict = {}
+    try:
+        for uid, sigs, rsig, count in rows:
+            if count <= 0:
+                raise ValueError(f"non-positive shape count {count}")
+            shapes[(int(uid), bytes.fromhex(sigs), int(rsig))] = count
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"malformed trace snapshot shape counts: {error}") from None
+    if sum(shapes.values()) != records:
+        raise ValueError("trace snapshot shape counts do not sum to its record count")
+    return shapes
+
+
 def encode_artifact(artifact: SimulationArtifact) -> bytes:
     """Serialize an artifact (trace + simulation outputs) to bytes."""
     trace = artifact.trace
     rows = trace._rows
-    arena = trace._arena
     mem = trace._mem
     addr_col = trace._addr
     next_col = trace._next
@@ -124,13 +151,12 @@ def encode_artifact(artifact: SimulationArtifact) -> bytes:
         "version": TRACE_SNAPSHOT_VERSION,
         "byteorder": sys.byteorder,
         "rows": len(rows),
-        "arena": len(arena),
         "mem": len(mem),
         "explicit_addresses": addr_col is not None,
         "address_by_uid": (
             sorted(trace._addr_by_uid.items()) if trace._addr_by_uid is not None else None
         ),
-        "big": sorted(trace._big.items()),
+        "shapes": _encode_shapes(trace.shape_counts()),
         "static": {
             "uid_base": trace.static.uid_base,
             "entries": [
@@ -151,7 +177,6 @@ def encode_artifact(artifact: SimulationArtifact) -> bytes:
         len(header_blob).to_bytes(8, "little"),
         header_blob,
         rows.tobytes(),
-        arena.tobytes(),
         mem.tobytes(),
     ]
     if addr_col is not None:
@@ -163,9 +188,10 @@ def encode_artifact(artifact: SimulationArtifact) -> bytes:
 def decode_artifact(blob: bytes) -> SimulationArtifact:
     """Rebuild an artifact from :func:`encode_artifact` output.
 
+    The trace comes back value-free, holding the stored shape counts.
     Raises ``ValueError`` on any structural problem (truncation, foreign
-    byte order, unknown version) so callers can treat bad snapshots as
-    cache misses.
+    byte order, unknown version, inconsistent columns or shape counts) so
+    callers can treat bad snapshots as cache misses.
     """
     if blob[:4] != _MAGIC:
         raise ValueError("not a trace snapshot")
@@ -193,6 +219,7 @@ def decode_artifact(blob: bytes) -> SimulationArtifact:
         addresses={uid: addr for uid, addr in address_by_uid}
         if address_by_uid is not None
         else None,
+        shapes=_decode_shapes(header["shapes"], header["rows"]),
     )
     offset = 16 + header_len
     itemsize = trace._rows.itemsize
@@ -206,7 +233,6 @@ def decode_artifact(blob: bytes) -> SimulationArtifact:
         offset = end
 
     take(trace._rows, header["rows"])
-    take(trace._arena, header["arena"])
     take(trace._mem, header["mem"])
     if header["explicit_addresses"]:
         from array import array
@@ -217,12 +243,9 @@ def decode_artifact(blob: bytes) -> SimulationArtifact:
         take(next_col, header["rows"])
         trace._addr = addr_col
         trace._next = next_col
-    trace._big = {index: value for index, value in header["big"]}
-    # Cheap structural consistency checks: the arena and the sparse memory
-    # column must match the per-record counts encoded in the flag bytes,
-    # so a corrupted snapshot misses here instead of crashing a replay.
-    if len(trace._arena) != trace.value_offsets[-1]:
-        raise ValueError("trace snapshot arena is inconsistent with its flag bytes")
+    # Cheap structural consistency check: the sparse memory column must
+    # match the per-record counts encoded in the flag bytes, so a
+    # corrupted snapshot misses here instead of crashing a replay.
     if len(trace._mem) != trace._mem_prefix_counts()[-1]:
         raise ValueError("trace snapshot memory column is inconsistent with its flag bytes")
 

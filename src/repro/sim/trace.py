@@ -14,14 +14,27 @@ compression makes for hardware).  The layout is:
     (``flags``: bit 0 result present, bit 1 memory address present,
     bit 2 ``taken`` present, bit 3 ``taken`` value, bits 4-6 source
     count).
-``_arena``
-    All per-record *values*, flattened: the source operands followed by
-    the result when the record has one (flag bit 0).  Per-record offsets
-    are derived from the flag bytes (source count + result bit).
 ``_mem``
     Effective addresses of loads/stores only (one entry per record whose
     flag bit 1 is set), stored as the signed reinterpretation of the
     unsigned 64-bit address.
+``_arena`` (value-bearing traces only)
+    All per-record *values*, flattened: the source operands followed by
+    the result when the record has one (flag bit 0).  Per-record offsets
+    are derived from the flag bytes (source count + result bit).
+
+A trace either carries values or it does not.  The gating energy depends
+on how many significant bytes each operand has, not on its value, so the
+production trace — the one :meth:`Machine.run
+<repro.sim.machine.Machine.run>` records, and the one a decoded snapshot
+holds — is **value-free**: it keeps the metas, the memory column and the
+per-record accounting *shape counts* ``(uid, source significant bytes,
+result significant bytes)`` as primary data, and no arena.  The oracles
+keep values: ``Machine.run_reference(collect_trace=True)``, hand-built
+``Trace(records=...)`` traces and the block flavour the lockstep harness
+(:mod:`repro.coexec`) compiles for itself.  On a value-free trace every
+value reader — ``iter(trace)``, ``trace[i]``, ``trace.records``, the arena
+and the columnar shape recount — raises ``TypeError``.
 
 Instruction addresses are not stored at all when the trace comes from the
 simulator: the address is a function of the static uid, and the
@@ -36,26 +49,30 @@ The simulator's two dispatch tiers fill the columns through two append
 paths sharing one encoding: :meth:`Trace.emitters` appends one record at
 a time (the reference loop, which also steps the block tier's mid-unit
 landings) and :meth:`Trace.block_emitters` appends whole precomputed
-block templates (the block-compiled units).  The block units also count
-the records' accounting shapes as they run and hand them over through
-:meth:`Trace.adopt_shape_counts`, so the columnar aggregation of
-:meth:`Trace.shape_counts` runs only for traces they did not emit whole.
+block templates (the block-compiled units).  On a value-free trace the
+per-record ``emit`` counts each record's shape instead of storing its
+values, and the block units count the shapes of the records they emit
+and hand them over through :meth:`Trace.adopt_shape_counts`, so
+:meth:`Trace.shape_counts` never walks the columns of a simulator trace.
+The columnar aggregation serves value-bearing traces only.
 
 Values that do not fit a signed 64-bit slot (e.g. a raw ``Imm`` bit
 pattern injected by a transformation) are kept exactly in a tiny side
-table; consumers fall back to the per-record path for such traces, so the
-columnar fast paths never see placeholder values.
+table of a value-bearing trace; consumers fall back to the per-record
+path for such traces, so the columnar fast paths never see placeholder
+values.
 
 All *static* per-instruction facts (opcode, functional unit, encoded
 width, latency...) are looked up from a :class:`StaticInfo` side table by
 ``uid``.  Static uids are contiguous per program, so the table is a dense
 list indexed by ``uid - uid_base`` — no hash lookups on hot paths.
 
-Compatibility contract: ``trace[i]`` and ``iter(trace)`` materialize
-:class:`TraceRecord` views lazily, ``trace.records`` is a sequence view
-that compares equal to a plain record list, and ``Trace(records=...,
-static=...)`` ingests any iterable of records — so record-oriented
-consumers and tests keep working unchanged.  See ``docs/trace.md``.
+Compatibility contract for value-bearing traces: ``trace[i]`` and
+``iter(trace)`` materialize :class:`TraceRecord` views lazily,
+``trace.records`` is a sequence view that compares equal to a plain
+record list, and ``Trace(records=..., static=...)`` ingests any iterable
+of records — so record-oriented consumers and tests keep working
+unchanged.  See ``docs/trace.md``.
 """
 
 from __future__ import annotations
@@ -373,7 +390,10 @@ class Trace:
     Construct either empty (the simulator's path: ``Trace(static=...)``
     followed by calls to the shared emission closures from
     :meth:`emitters`) or from an iterable of records (the compatibility
-    path used by tests and by trace rebuilding).
+    path used by tests and by trace rebuilding).  Passing ``shapes``
+    makes the trace value-free: it keeps no value arena, and ``shapes``
+    — the dict of :meth:`shape_counts` — is its primary data, which
+    emission and :meth:`adopt_shape_counts` add to.
     """
 
     __slots__ = (
@@ -385,12 +405,14 @@ class Trace:
         "_next",
         "_addr_by_uid",
         "_big",
+        # A value-free trace's shape counts; a value-bearing trace's
+        # cached columnar aggregation of them (None until computed).
+        "_shapes",
         # lazy caches
         "_flag_bytes",
         "_offsets",
         "_mem_prefix",
         "_uid_counts_cache",
-        "_shape_counts_cache",
         "_addr_cache",
     )
 
@@ -399,23 +421,37 @@ class Trace:
         records: Optional[Iterable[TraceRecord]] = None,
         static: Optional[StaticInfo] = None,
         addresses: Optional[dict[int, int]] = None,
+        shapes: Optional[dict[tuple[int, bytes, int], int]] = None,
     ) -> None:
         self.static = static if static is not None else StaticInfo()
         self._rows = array("q")
-        self._arena = array("q")
+        self._arena: Optional[array] = array("q") if shapes is None else None
         self._mem = array("q")
         self._addr: Optional[array] = None
         self._next: Optional[array] = None
         self._addr_by_uid = addresses
         self._big: dict[int, int] = {}
+        self._shapes = shapes
         self._flag_bytes = None
         self._offsets = None
         self._mem_prefix = None
         self._uid_counts_cache = None
-        self._shape_counts_cache = None
         self._addr_cache = None
         if records is not None:
             self._ingest(records)
+
+    @property
+    def carries_values(self) -> bool:
+        """True when the trace stores per-record values (see module docs)."""
+        return self._arena is not None
+
+    def _require_values(self, reader: str) -> None:
+        if self._arena is None:
+            raise TypeError(
+                f"{reader} needs per-record values, but this trace is value-free "
+                "(it keeps metas, the memory column and shape counts); take a "
+                "value-bearing trace from Machine.run_reference(collect_trace=True)"
+            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -434,22 +470,39 @@ class Trace:
         the caller provides (``uid << 8 | flags``); ``values`` holds the
         source operands followed by the result when flag bit 0 is set.
         ``emit_mem`` is the memory-op variant taking the (unsigned)
-        effective address.  Values outside the signed 64-bit range are
-        preserved exactly in the overflow side table.
+        effective address.  A value-bearing trace appends the values to
+        its arena, preserving values outside the signed 64-bit range
+        exactly in the overflow side table; a value-free trace counts the
+        record's shape instead.
         """
         rows_append = self._rows.append
-        arena = self._arena
-        arena_extend = arena.extend
         mem_append = self._mem.append
-        big = self._big
+        arena = self._arena
 
-        def emit(meta: int, values: tuple[int, ...]) -> None:
-            rows_append(meta)
-            if values:
-                try:
-                    arena_extend(values)
-                except OverflowError:
-                    _extend_values_exact(arena, big, values)
+        if arena is None:
+            shapes = self._shapes
+            get = shapes.get
+            sig = _SigCache().__getitem__
+
+            def emit(meta: int, values: tuple[int, ...]) -> None:
+                rows_append(meta)
+                if meta & FLAG_RESULT:
+                    key = (meta >> 8, bytes(map(sig, values[:-1])), sig(values[-1]))
+                else:
+                    key = (meta >> 8, bytes(map(sig, values)), -1)
+                shapes[key] = get(key, 0) + 1
+
+        else:
+            arena_extend = arena.extend
+            big = self._big
+
+            def emit(meta: int, values: tuple[int, ...]) -> None:
+                rows_append(meta)
+                if values:
+                    try:
+                        arena_extend(values)
+                    except OverflowError:
+                        _extend_values_exact(arena, big, values)
 
         def emit_mem(meta: int, values: tuple[int, ...], mem_address: int) -> None:
             emit(meta, values)
@@ -458,30 +511,39 @@ class Trace:
         return emit, emit_mem
 
     def block_emitters(self):
-        """Block-batched append path: ``(extend_rows, extend_values,
-        append_mem, spill_values)``.
+        """Block-batched append path: ``(extend_rows, append_mem)``.
 
         Used by the block-compiled interpreter tier
         (:mod:`repro.sim.blockc`), which amortizes emission over whole
         basic blocks: ``extend_rows`` takes a block's precomputed meta
         template (an ``array('q')`` built from the same packed words
-        :meth:`emitters` appends one at a time), ``extend_values`` takes
-        the block's dynamic values as one flat tuple.  When
-        ``extend_values`` raises ``OverflowError`` the caller must invoke
+        :meth:`emitters` appends one at a time) and ``append_mem``
+        appends one *signed-encoded* effective address; the block
+        compiler bakes the unsigned→signed reinterpretation of
+        :func:`_encode_u64` into its generated source, exactly as it
+        bakes the packed metas.  A value-bearing block flavour also takes
+        :meth:`block_value_emitters`.
+        """
+        return self._rows.extend, self._mem.append
+
+    def block_value_emitters(self):
+        """The arena half of the block-batched path of a value-bearing
+        trace: ``(extend_values, spill_values)``.
+
+        ``extend_values`` takes a block's dynamic values as one flat
+        tuple.  When it raises ``OverflowError`` the caller must invoke
         ``spill_values`` with the same tuple — it runs the identical
         exact-overflow recovery the per-record ``emit`` closure uses, so
-        the two append paths cannot drift.  ``append_mem`` appends one
-        *signed-encoded* effective address; the block compiler bakes the
-        unsigned→signed reinterpretation of :func:`_encode_u64` into its
-        generated source, exactly as it bakes the packed metas.
+        the two append paths cannot drift.
         """
+        self._require_values("block value emission")
         arena = self._arena
         big = self._big
 
         def spill_values(values: tuple[int, ...]) -> None:
             _extend_values_exact(arena, big, values)
 
-        return self._rows.extend, arena.extend, self._mem.append, spill_values
+        return arena.extend, spill_values
 
     def _ingest(self, records: Iterable[TraceRecord]) -> None:
         """Build columns from an explicit record iterable.
@@ -532,6 +594,7 @@ class Trace:
         """Per-record ``[start, end)`` offsets into the value arena
         (length ``len(trace) + 1``; a record's values are its sources
         followed by its result when flag bit 0 is set)."""
+        self._require_values("value_offsets")
         if self._offsets is None:
             counts = self.flag_bytes.translate(_VALUE_COUNT_TABLE)
             self._offsets = array("q", chain((0,), accumulate(counts)))
@@ -540,6 +603,7 @@ class Trace:
     @property
     def arena(self) -> array:
         """The flat value arena (sources + result per record)."""
+        self._require_values("arena")
         return self._arena
 
     @property
@@ -608,12 +672,13 @@ class Trace:
         return self._addr_cache
 
     # ------------------------------------------------------------------
-    # Record view
+    # Record view (value-bearing traces)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._rows)
 
     def __getitem__(self, index: int) -> TraceRecord:
+        self._require_values("trace[i]")
         n = len(self._rows)
         if index < 0:
             index += n
@@ -653,6 +718,10 @@ class Trace:
         )
 
     def __iter__(self) -> Iterator[TraceRecord]:
+        self._require_values("iter(trace)")
+        return self._iter_records()
+
+    def _iter_records(self) -> Iterator[TraceRecord]:
         rows = self._rows
         arena = self._arena
         mem = self._mem
@@ -703,6 +772,7 @@ class Trace:
     @property
     def records(self) -> TraceRecordView:
         """Sequence view of the trace as :class:`TraceRecord` tuples."""
+        self._require_values("trace.records")
         return TraceRecordView(self)
 
     # ------------------------------------------------------------------
@@ -711,8 +781,8 @@ class Trace:
     def uid_counts(self) -> Counter:
         """Dynamic record count per static uid (cached).
 
-        Derived from the cached :meth:`shape_counts` when the accountant
-        has already aggregated the trace, otherwise one C-level pass over
+        Derived from :meth:`shape_counts` when the trace holds them (a
+        value-free trace always does), otherwise one C-level pass over
         the meta column.  Reused by :meth:`width_distribution`, the
         summary aggregation
         (:func:`repro.experiments.summary.aggregate_trace`) and the fused
@@ -720,9 +790,9 @@ class Trace:
         full record walks.
         """
         if self._uid_counts_cache is None:
-            if self._shape_counts_cache is not None:
+            if self._shapes is not None:
                 counts: Counter = Counter()
-                for (uid, _, _), count in self._shape_counts_cache.items():
+                for (uid, _, _), count in self._shapes.items():
                     counts[uid] += count
                 self._uid_counts_cache = counts
             else:
@@ -730,35 +800,39 @@ class Trace:
         return self._uid_counts_cache
 
     def shape_counts(self) -> dict:
-        """Dynamic count per accounting shape ``(uid, src sigs, result sig)``
-        (cached).
+        """Dynamic count per accounting shape ``(uid, src sigs, result sig)``.
 
-        The trace-level aggregation primitive of the columnar engine: the
-        per-record key is ``(uid, bytes of per-source significant-byte
+        The per-record key is ``(uid, bytes of per-source significant-byte
         counts, result significant-byte count — or -1 when the record has
-        no result)``.  The heavy lifting runs at C level: significant
-        bytes are computed once per *distinct value* (a ``dict.__missing__``
-        cache fed by ``map`` translates the whole arena), per-record value
-        chunks are byte slices of the translated arena, and a single
-        ``Counter`` pass over ``(meta, sig chunk)`` pairs groups the
-        stream — the result's sig rides at the tail of the chunk, and the
-        meta's flag bits disambiguate it.  The fused energy accountant
-        consumes these shapes directly, and the summary statistics derive
-        the result-size histogram and :meth:`uid_counts` from them — so
-        the per-record Python work of the old walks collapses into
-        per-distinct-shape work.
+        no result)``.  The fused energy accountant consumes these shapes
+        directly, and the summary statistics derive the result-size
+        histogram and :meth:`uid_counts` from them — so the per-record
+        Python work of the old walks collapses into per-distinct-shape
+        work.
 
-        Traces carrying overflow values take an exact per-record fold
-        through the record view instead.  A block-tier run fills the
-        cache itself (:meth:`adopt_shape_counts`), so this columnar pass
-        serves only traces the block units did not emit whole.
+        A value-free trace holds its shape counts as primary data (the
+        simulator counted them while it emitted the records, or the
+        snapshot stored them).  A value-bearing trace aggregates them
+        from its columns once (:meth:`_columnar_shape_counts`) and caches
+        the result.
         """
-        if self._shape_counts_cache is None:
-            self._shape_counts_cache = self._columnar_shape_counts()
-        return self._shape_counts_cache
+        if self._shapes is None:
+            self._shapes = self._columnar_shape_counts()
+        return self._shapes
 
     def _columnar_shape_counts(self) -> dict:
-        """The aggregation behind :meth:`shape_counts`, over the columns."""
+        """The aggregation behind :meth:`shape_counts`, over the columns.
+
+        The heavy lifting runs at C level: significant bytes are computed
+        once per *distinct value* (a ``dict.__missing__`` cache fed by
+        ``map`` translates the whole arena), per-record value chunks are
+        byte slices of the translated arena, and a single ``Counter``
+        pass over ``(meta, sig chunk)`` pairs groups the stream — the
+        result's sig rides at the tail of the chunk, and the meta's flag
+        bits disambiguate it.  Traces carrying overflow values take an
+        exact per-record fold through the record view instead.
+        """
+        self._require_values("the columnar shape recount")
         counts: dict = {}
         get = counts.get
         if self._big:
@@ -787,11 +861,18 @@ class Trace:
         return counts
 
     def adopt_shape_counts(self, shapes: dict) -> None:
-        """Fill the :meth:`shape_counts` cache with counts the producer
-        already aggregated (the block tier's signature counts, expanded by
-        :func:`repro.sim.blockc.expand_signatures`); :meth:`uid_counts`
-        then derives from them.  Neither walks the columns."""
-        self._shape_counts_cache = shapes
+        """Add shape counts the producer aggregated itself (the block
+        tier's signature counts, expanded by
+        :func:`repro.sim.blockc.expand_signatures`) to a value-free
+        trace's counts — which already hold any records a mid-unit
+        landing emitted one by one.  A value-bearing trace counts its
+        own shapes and refuses."""
+        if self._arena is not None:
+            raise TypeError("a value-bearing trace aggregates its own shape counts")
+        counts = self._shapes
+        get = counts.get
+        for key, count in shapes.items():
+            counts[key] = get(key, 0) + count
         self._uid_counts_cache = None
 
     def width_distribution(self) -> dict[Width, int]:
@@ -817,26 +898,26 @@ class Trace:
         Normal use never needs this — the machine finishes emission
         before handing the trace out — but benchmarks measuring the cold
         aggregation cost (and any future incremental writer) can reset
-        with it.
+        with it.  A value-free trace keeps its shape counts: they are
+        its data, not a cache, and nothing could recount them.
         """
         self._flag_bytes = None
         self._offsets = None
         self._mem_prefix = None
         self._uid_counts_cache = None
-        self._shape_counts_cache = None
         self._addr_cache = None
+        if self._arena is not None:
+            self._shapes = None
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """Approximate heap bytes held by the trace columns."""
-        total = (
-            len(self._rows) * self._rows.itemsize
-            + len(self._arena) * self._arena.itemsize
-            + len(self._mem) * self._mem.itemsize
-        )
-        for column in (self._addr, self._next):
+        """Approximate heap bytes held by the trace columns (metas, the
+        memory column, the value arena of a value-bearing trace and the
+        explicit address columns of a hand-built one)."""
+        total = 0
+        for column in (self._rows, self._mem, self._arena, self._addr, self._next):
             if column is not None:
                 total += len(column) * column.itemsize
         return total

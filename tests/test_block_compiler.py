@@ -21,6 +21,7 @@ from repro.asm import assemble_program
 from repro.sim import Machine, ValueProfiler
 from repro.sim import blockc
 from repro.sim.blockc import compile_blocks
+from test_sim_machine import _trace_columns
 
 _LOOP_ASM = """
 .data buf 8 64
@@ -81,7 +82,7 @@ class TestCompiledProgramReuse:
                             run.output,
                             run.instructions,
                             run.block_counts,
-                            run.trace.records if trace else None,
+                            _trace_columns(run.trace) if trace else None,
                             profiler and {u: t.entries for u, t in profiler.tables.items()},
                         )
                     )

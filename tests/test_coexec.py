@@ -160,7 +160,7 @@ class TestLockstepAgreement:
 # Seeded-fault localization
 # ----------------------------------------------------------------------
 def _first_execution_step(program, uid) -> int:
-    trace = Machine(program).run(collect_trace=True).trace
+    trace = Machine(program).run_reference(collect_trace=True).trace
     for index, record in enumerate(trace):
         if record.uid == uid:
             return index
@@ -248,7 +248,8 @@ done:
     halt
 .endfunc
 """
-    return Machine(assemble_program(asm)).run(collect_trace=True).trace
+    # The comparators bisect over records: a value-bearing trace.
+    return Machine(assemble_program(asm)).run_reference(collect_trace=True).trace
 
 
 class TestKernelComparators:

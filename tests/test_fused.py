@@ -14,7 +14,6 @@ first diverging record instead of reporting two end-of-run summaries.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import replace
 
 import pytest
@@ -26,7 +25,6 @@ from repro.coexec import compare_fused
 from repro.coexec import kernels as kernels_module
 from repro.experiments import ExperimentConfig, ExperimentEngine
 from repro.experiments.engine import _resolve_pipeline
-from repro.experiments.runner import _compute_evaluation
 from repro.experiments.store import ResultStore
 from repro.experiments.sweep import SweepResult, SweepSpec, default_sweep_configs
 from repro.hardware import gating
@@ -35,7 +33,6 @@ from repro.sim import Machine
 from repro.sim.fusedc import (
     PIPELINES,
     FusedOutcome,
-    ShapeAggregate,
     fused_program_for,
     outcome_from_trace,
 )
@@ -64,11 +61,11 @@ def _assert_fused_exact(program, config=None):
     if config is None:
         config = MachineConfig()
     machine = Machine(program)
-    reference = machine.run(collect_trace=True)
+    reference = machine.run_reference(collect_trace=True)
     trace = reference.trace
-    # The block run's shapes come from the signature emitter the fused
-    # tier shares; the oracle recounts them from the trace columns.
-    trace.invalidate_aggregation_caches()
+    # The reference trace's shapes are the columnar aggregation of its
+    # values, independent of the signature emitter the fused tier shares
+    # with the block tier.
     timing = OutOfOrderModel(config).run(trace)
     fused_run = machine.run(pipeline="fused", machine_config=config)
     fused = fused_run.fused
@@ -476,7 +473,7 @@ class TestCompareFused:
         """An oracle kernel broken from record THRESHOLD onwards must be
         pinned to exactly that record by the probe-projection bisection."""
         program = assemble_program(TestMemoization.STEADY_LOOP)
-        trace = Machine(program).run(collect_trace=True).trace
+        trace = Machine(program).run_reference(collect_trace=True).trace
         threshold = len(trace) // 2
         real = kernels_module.run_compiled
 

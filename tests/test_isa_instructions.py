@@ -5,7 +5,6 @@ import pytest
 from repro.isa import (
     Imm,
     Instruction,
-    OpKind,
     Opcode,
     Reg,
     Width,

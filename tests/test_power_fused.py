@@ -36,7 +36,7 @@ from repro.hardware import (
 )
 from repro.isa import INT64_MAX, INT64_MIN, OpKind, Opcode, Width
 from repro.power import STRUCTURES, EnergyAccountant, MultiPolicyEnergyAccountant
-from repro.sim import Trace
+from repro.sim import Machine, Trace
 from repro.sim.trace import StaticEntry, StaticInfo, TraceRecord
 from repro.uarch import TimingResult
 from repro.workloads import SUITE_NAMES
@@ -368,8 +368,11 @@ class _CountingRecords(list):
 
 
 def _probed_evaluation(evaluation) -> tuple[WorkloadEvaluation, _CountingRecords]:
-    records = _CountingRecords(evaluation.trace.records)
-    trace = Trace(records=records, static=evaluation.trace.static)
+    # The live trace keeps no values; the reference loop's trace of the
+    # same program supplies the record stream.
+    reference = Machine(evaluation.program).run_reference(collect_trace=True).trace
+    records = _CountingRecords(reference.records)
+    trace = Trace(records=records, static=reference.static)
     fresh = WorkloadEvaluation(
         workload=evaluation.workload,
         program=evaluation.program,

@@ -36,6 +36,13 @@ def _run(asm: str):
     return Machine(program).run(collect_trace=True)
 
 
+def _trace_columns(trace):
+    """What a block-tier trace holds, comparable across tiers: the metas,
+    the memory column and the record shape counts (it keeps no values;
+    the lockstep harness compares those)."""
+    return list(trace.metas), list(trace.mem_addresses), trace.shape_counts()
+
+
 class TestExecution:
     def test_arithmetic_width_wrapping(self):
         result = _run(
@@ -125,9 +132,9 @@ entry:
 """
         )
         assert result.output == [77]
-        memory_records = [r for r in result.trace.records if r.mem_address is not None]
-        assert len(memory_records) == 2
-        assert memory_records[0].mem_address == memory_records[1].mem_address
+        memory_column = result.trace.mem_addresses
+        assert len(memory_column) == 2
+        assert memory_column[0] == memory_column[1]
 
     def test_instruction_limit(self):
         program = assemble_program(
@@ -234,7 +241,7 @@ class TestBlockDispatch:
         assert block.block_counts == reference.block_counts
         assert block.call_counts == reference.call_counts
         assert block.halted == reference.halted
-        assert block.trace.records == reference.trace.records
+        assert _trace_columns(block.trace) == _trace_columns(reference.trace)
 
     def test_limit_boundaries_exact_across_tiers(self):
         """SimulationLimitExceeded must fire at the same dynamic
@@ -301,13 +308,13 @@ done:
         assert block.instructions == reference.instructions
         assert block.block_counts == reference.block_counts
         assert block.call_counts == reference.call_counts
-        assert block.trace.records == reference.trace.records
+        assert _trace_columns(block.trace) == _trace_columns(reference.trace)
 
     def test_value_observer_falls_back_bit_exact(self):
         """An observed run whose computed return lands mid-unit falls back
         to reference stepping up to the next unit entry.  Watched uids
         before the landing, on that landing pad and in the block units
-        after it: tables, output, counters and trace records all match the
+        after it: tables, output, counters and trace columns all match the
         reference loop."""
         program = assemble_program(_MID_UNIT_RETURN_ASM)
         uids = {inst.uid for inst in program.instructions()}
@@ -323,7 +330,7 @@ done:
                 run.instructions,
                 run.block_counts,
                 run.call_counts,
-                run.trace.records,
+                _trace_columns(run.trace),
             )
         assert runs["block"] == runs["reference"]
         landing = [i for i in program.functions["main"].instructions() if i.op.value == "add"]
@@ -336,9 +343,10 @@ done:
         program = assemble_program(_MID_UNIT_RETURN_ASM)
         assert_tiers_agree(program, tiers=("reference", "block"))
 
-    def test_mov_out_of_range_immediate_matches_reference(self):
-        """Raw 64-bit immediates overflow the batched arena extend; the
-        block tier's spill path must keep them exact."""
+    def test_mov_out_of_range_immediate_matches_reference(self, assert_tiers_agree):
+        """Raw 64-bit immediates overflow the batched arena extend of the
+        value-bearing block flavour, whose spill path must keep them exact
+        (lockstep); the production flavour counts their exact shapes."""
         from repro.isa import Imm
 
         program = assemble_program(
@@ -357,8 +365,9 @@ entry:
         mov.srcs = (Imm(2**64 - 1),)
         runs = _run_all_tiers(program)
         assert runs["block"].output == runs["reference"].output == [0]
-        assert runs["block"].trace.records == runs["reference"].trace.records
-        assert runs["block"].trace.has_overflow_values
+        assert _trace_columns(runs["block"].trace) == _trace_columns(runs["reference"].trace)
+        assert runs["reference"].trace.has_overflow_values
+        assert_tiers_agree(program, tiers=("reference", "block"))
 
     def test_dead_branch_and_dead_call_match_reference(self):
         # A taken branch to a pruned label must fail identically in both
@@ -459,16 +468,16 @@ done:
                 run = _run_tier(
                     Machine(program), tier, collect_trace=collect_trace, value_observer=profiler
                 )
-                records = run.trace.records if collect_trace else None
-                runs[tier] = (profiler.table(add.uid).entries, run.output, records)
+                columns = _trace_columns(run.trace) if collect_trace else None
+                runs[tier] = (profiler.table(add.uid).entries, run.output, columns)
             assert runs["block"] == runs["reference"]
             assert runs["block"][0] == {3: 1, 6: 1, 9: 1, 12: 1}
 
-    def test_mov_out_of_range_immediate_matches_reference(self):
+    def test_mov_out_of_range_immediate_matches_reference(self, assert_tiers_agree):
         """The edge a transform could produce: a raw unsigned 64-bit bit
         pattern as a MOV immediate.  The register write normalizes to
-        signed (-1) while the trace record and an observer see the raw
-        value, in both tiers."""
+        signed (-1) while the trace record (compared in lockstep), its
+        shape and an observer see the raw value, in both tiers."""
         from repro.isa import Imm
 
         program = assemble_program(
@@ -491,11 +500,12 @@ entry:
             for tier, profiler in profilers.items()
         }
         assert runs["block"].output == runs["reference"].output == [-1]
-        assert runs["block"].trace.records == runs["reference"].trace.records
+        assert _trace_columns(runs["block"].trace) == _trace_columns(runs["reference"].trace)
+        assert_tiers_agree(program, tiers=("reference", "block"))
         for profiler in profilers.values():
             assert profiler.table(mov.uid).entries == {2**64 - 1: 1}
 
-    def test_dead_branch_to_pruned_label_matches_reference(self):
+    def test_dead_branch_to_pruned_label_matches_reference(self, assert_tiers_agree):
         program = assemble_program(
             """
 .func main 0
@@ -518,7 +528,8 @@ done:
         beq.target = "ghost"
         runs = _run_all_tiers(program)
         assert runs["block"].output == runs["reference"].output == [1, 1]
-        assert runs["block"].trace.records == runs["reference"].trace.records
+        assert _trace_columns(runs["block"].trace) == _trace_columns(runs["reference"].trace)
+        assert_tiers_agree(program, tiers=("reference", "block"))
 
         # Taken variant: both tiers fail identically (same KeyError key).
         li = [i for i in program.functions["main"].instructions() if i.op.value == "li"][0]

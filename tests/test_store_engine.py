@@ -312,6 +312,82 @@ class TestEngine:
             )
 
 
+class TestEntryReads:
+    """How often resolving a point reads its summary entry: a cold point
+    once without the lock and once under it, a stored point once, with no
+    lock taken."""
+
+    CONFIGS = [ExperimentConfig(workload="li"), ExperimentConfig(workload="li", mechanism="vrp")]
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Keys passed to ``ResultStore.load`` and to ``ResultStore.claim``
+        (the lock protocol; every lock file comes from it)."""
+        reads = {"load": [], "claim": []}
+        load, claim = ResultStore.load, ResultStore.claim
+
+        def counted_load(self, key):
+            reads["load"].append(key)
+            return load(self, key)
+
+        def counted_claim(self, key, *args, **kwargs):
+            reads["claim"].append(key)
+            return claim(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "load", counted_load)
+        monkeypatch.setattr(ResultStore, "claim", counted_claim)
+        return reads
+
+    def test_cold_map_reads_each_entry_twice(self, store, reads):
+        """``map`` reads every point first; a miss then reads its entry
+        only under the lock, not a third time before it.  Stored points
+        are still delivered before the cold ones."""
+        stored = ExperimentConfig(workload="li", mechanism="vrs")
+        ExperimentEngine(store=store, jobs=1).evaluate(stored)
+        reads["load"].clear()
+        reads["claim"].clear()
+        order = []
+        results = ExperimentEngine(store=store, jobs=1).map(
+            [*self.CONFIGS, stored], jobs=1, on_result=lambda index, _: order.append(index)
+        )
+        assert order == [2, 0, 1]
+        assert [evaluation.freshly_computed for evaluation in results] == [True, True, False]
+        engine = ExperimentEngine(store=store)
+        cold = [engine.key_for(config) for config in self.CONFIGS]
+        assert sorted(reads["load"]) == sorted([*cold, *cold, engine.key_for(stored)])
+        assert sorted(reads["claim"]) == sorted(cold)
+
+    def test_stored_points_take_one_read_and_no_lock(self, store, reads):
+        """``evaluate``, ``map`` (serial and with a pool requested) and
+        one-lane sweep groups serve a stored point from one unlocked read."""
+        from repro.experiments.sweep import SweepSpec, default_sweep_configs
+
+        spec = SweepSpec.cartesian(
+            workloads=("li",),
+            configs=[pair for pair in default_sweep_configs() if pair[0] == "table2"],
+            policies=("baseline",),
+        )
+        ExperimentEngine(store=store, jobs=1).map(self.CONFIGS)
+        list(ExperimentEngine(store=store, jobs=1).sweep(spec))
+        keys = [ExperimentEngine(store=store).key_for(config) for config in self.CONFIGS]
+        for resolve in (
+            lambda engine: [engine.evaluate(config) for config in self.CONFIGS],
+            lambda engine: engine.map(self.CONFIGS, jobs=1),
+            lambda engine: engine.map(self.CONFIGS, jobs=2),
+        ):
+            reads["load"].clear()
+            reads["claim"].clear()
+            results = resolve(ExperimentEngine(store=store, jobs=1))
+            assert not any(evaluation.freshly_computed for evaluation in results)
+            assert reads["load"] == keys
+            assert reads["claim"] == []
+        reads["load"].clear()
+        rows = list(ExperimentEngine(store=store, jobs=1).sweep(spec))
+        assert {row.source for row in rows} == {"shared"}
+        assert len(reads["load"]) == 1
+        assert reads["claim"] == []
+
+
 def test_fresh_process_is_served_without_simulation(tmp_path):
     """End-to-end zero-rerun check on the tiny workload: a second process
     resolves the same configuration purely from the store."""

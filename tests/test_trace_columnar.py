@@ -6,9 +6,10 @@ walkers as they existed when the trace was a ``list[TraceRecord]`` — in
 the style of ``tests/test_power_fused.py``:
 
 1. **Emission**: both interpreter tiers (reference and block-compiled)
-   must produce identical records through the shared columnar append
-   encoding, and a trace rebuilt from its own record view
-   must be indistinguishable from the machine-emitted original.
+   must produce identical trace columns and shape counts through the
+   shared columnar append encoding, and identical records in lockstep;
+   a trace rebuilt from its own record view must be indistinguishable
+   from the machine-emitted original.
 2. **Kernels, bit-exact**: cycle counts (reference timing walk), energy
    shape counts (reference per-record fold), energy breakdowns for all
    six gating policies, all four summary distributions and the width
@@ -17,11 +18,14 @@ the style of ``tests/test_power_fused.py``:
    share the canonical sorted-shape kernel).
 3. **Coverage**: hypothesis-generated programs (random arithmetic,
    logic, memory traffic, loops, calls) plus every real suite workload.
-4. **Both aggregation paths**: a block-tier trace arrives with the shape
-   counts its units counted; every check runs on it and on the columnar
-   aggregation of the same run, and the two must agree.
-5. **Snapshots**: a trace survives the binary snapshot round trip
-   exactly, and an analysis-only re-run replays from the snapshot store
+4. **Value-free traces**: a block-tier trace keeps no values and
+   arrives with the shape counts its units (and any mid-unit landing
+   pad) counted; every consumer gives over it what it gives over the
+   columnar aggregation of the reference loop's value-bearing trace of
+   the same run, and its value readers raise.
+5. **Snapshots**: a trace's columns and shape counts survive the binary
+   snapshot round trip exactly, malformed and version-1 snapshots are
+   rejected, and an analysis-only re-run replays from the snapshot store
    with **zero** simulator calls while producing a bit-identical summary.
 """
 
@@ -35,6 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asm import assemble_program
+from repro.coexec import first_divergence
 from repro.experiments import POLICY_NAMES
 from repro.experiments.summary import COUNTED_KINDS, aggregate_trace
 from repro.hardware import gating
@@ -48,6 +53,7 @@ from repro.uarch import MachineConfig, OutOfOrderModel, TimingResult
 from repro.uarch.branch_predictor import CombinedPredictor
 from repro.uarch.caches import Cache, CacheHierarchy
 from repro.workloads import SUITE_NAMES, workload_by_name
+from test_sim_machine import _MID_UNIT_RETURN_ASM, _trace_columns
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +337,8 @@ def _programs(draw) -> str:
 # The differential check
 # ----------------------------------------------------------------------
 def _assert_columnar_equals_reference(trace: Trace, instructions: int, output: list[int]):
-    """Every columnar consumer ≡ its verbatim record-list reference."""
+    """Every columnar consumer of a value-bearing trace ≡ its verbatim
+    record-list reference."""
     records = list(trace)
     static = trace.static
 
@@ -375,59 +382,64 @@ def _assert_columnar_equals_reference(trace: Trace, instructions: int, output: l
     assert aggregate_trace(rebuilt) == reference_aggregates
     assert trace.width_distribution() == reference_aggregates[0]
 
-    # Binary snapshot round trip: records, kernels and metadata survive.
+    # Binary snapshot round trip: the columns, the shapes and every kernel
+    # survive, in a trace that comes back value-free.
     artifact = SimulationArtifact(trace=trace, instructions=instructions, output=list(output))
     restored = decode_artifact(encode_artifact(artifact))
     assert restored.instructions == instructions
     assert restored.output == list(output)
-    assert restored.trace.records == records
+    assert not restored.trace.carries_values
+    assert _trace_columns(restored.trace) == _trace_columns(trace)
     assert MultiPolicyEnergyAccountant._shape_counts(restored.trace) == canonical
     assert asdict(OutOfOrderModel().run(restored.trace)) == asdict(reference_timing)
 
 
 def _assert_runs_match(run, reference):
+    """A block-tier run ≡ the reference loop's run of the same program:
+    outputs, counters, trace columns and shape counts (the block trace
+    keeps no values to compare; lockstep compares those)."""
     assert run.output == reference.output
     assert run.instructions == reference.instructions
     assert run.block_counts == reference.block_counts
     assert run.call_counts == reference.call_counts
-    assert run.trace.records == reference.trace.records
+    assert not run.trace.carries_values
+    assert _trace_columns(run.trace) == _trace_columns(reference.trace)
 
 
-def _shapes_filled(trace: Trace) -> bool:
-    """True when the trace's shape counts came with it (no columnar pass)."""
-    return trace._shape_counts_cache is not None
-
-
-def _assert_both_paths(run, columnar: Trace | None = None):
-    """Both aggregation paths pass every check and agree on the counts.
-
-    ``run`` is a block-tier run, whose trace arrives with the shapes its
-    units counted.  The columnar path runs over ``columnar`` (the
-    ``run_reference`` trace of the same run) or, when None, over
-    ``run.trace`` itself once its cached aggregations are dropped.
-    """
-    filled = run.trace
-    assert _shapes_filled(filled)
-    _assert_columnar_equals_reference(filled, run.instructions, run.output)
-    shapes, uids = dict(filled.shape_counts()), Counter(filled.uid_counts())
-    if columnar is None:
-        filled.invalidate_aggregation_caches()
-        columnar = filled
-    assert not _shapes_filled(columnar)
-    _assert_columnar_equals_reference(columnar, run.instructions, run.output)
-    assert columnar.shape_counts() == shapes
-    assert columnar.uid_counts() == uids
+def _assert_value_free_consumers(trace: Trace, reference: Trace):
+    """Every consumer of a value-free trace gives what it gives over the
+    value-bearing ``reference`` trace of the same run, which the
+    record-list references pin (:func:`_assert_columnar_equals_reference`)."""
+    assert trace.uid_counts() == reference.uid_counts()
+    timing = OutOfOrderModel().run(trace)
+    assert asdict(timing) == asdict(OutOfOrderModel().run(reference))
+    assert MultiPolicyEnergyAccountant._shape_counts(
+        trace
+    ) == MultiPolicyEnergyAccountant._shape_counts(reference)
+    policies = _all_policies()
+    energy = MultiPolicyEnergyAccountant(policies).account(trace, timing)
+    expected = MultiPolicyEnergyAccountant(policies).account(reference, timing)
+    for name in POLICY_NAMES:
+        assert energy[name].by_structure == expected[name].by_structure, name
+    assert aggregate_trace(trace) == aggregate_trace(reference)
+    assert trace.width_distribution() == reference.width_distribution()
+    artifact = SimulationArtifact(trace=trace, instructions=len(trace), output=[])
+    restored = decode_artifact(encode_artifact(artifact)).trace
+    assert _trace_columns(restored) == _trace_columns(trace)
 
 
 def _run_differential(asm: str):
     program = assemble_program(asm)
     machine = Machine(program)
     reference = machine.run_reference(collect_trace=True)
-    # Both interpreter tiers share one emission encoding; their traces,
-    # outputs and counters must be indistinguishable.
+    # Both interpreter tiers share one emission encoding: their trace
+    # columns, shapes, outputs and counters must be indistinguishable,
+    # and so must their records in lockstep.
     run = machine.run(collect_trace=True)
     _assert_runs_match(run, reference)
-    _assert_both_paths(run, reference.trace)
+    _assert_columnar_equals_reference(reference.trace, reference.instructions, reference.output)
+    _assert_value_free_consumers(run.trace, reference.trace)
+    assert first_divergence(program, tiers=("reference", "block")) is None
 
 
 class TestGeneratedPrograms:
@@ -441,31 +453,39 @@ class TestGeneratedPrograms:
 # Real workloads
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def ijpeg_run():
+def ijpeg_runs():
+    """ijpeg's block-tier run and its reference-loop run."""
     workload = workload_by_name("ijpeg")
     program = workload.build()
     workload.apply_input(program, "ref")
-    return Machine(program).run(collect_trace=True)
+    machine = Machine(program)
+    return machine.run(collect_trace=True), machine.run_reference(collect_trace=True)
 
 
 class TestRealWorkloads:
-    def test_ijpeg_columnar_equals_reference(self, ijpeg_run):
-        _assert_both_paths(ijpeg_run)
+    def test_ijpeg_columnar_equals_reference(self, ijpeg_runs):
+        run, reference = ijpeg_runs
+        _assert_runs_match(run, reference)
+        _assert_columnar_equals_reference(
+            reference.trace, reference.instructions, reference.output
+        )
+        _assert_value_free_consumers(run.trace, reference.trace)
 
-    def test_ijpeg_memory_footprint_beats_record_list(self, ijpeg_run):
+    def test_ijpeg_memory_footprint_beats_record_list(self, ijpeg_runs):
         """The point of the columnar layout: bytes per record must be far
         below a NamedTuple record's footprint (~150+ bytes)."""
-        trace = ijpeg_run.trace
-        assert trace.memory_bytes() / len(trace) < 64
+        for run in ijpeg_runs:
+            trace = run.trace
+            assert trace.memory_bytes() / len(trace) < 64
 
 
 @pytest.mark.suite
 @pytest.mark.slow
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_workload_columnar_equals_reference(name):
-    """Every suite workload, under both dispatch tiers: bit-exact traces,
-    outputs and counters, and every columnar consumer equal to its
-    record-list reference."""
+    """Every suite workload, under both dispatch tiers: equal trace
+    columns, shapes, outputs and counters, and every columnar consumer
+    equal to its record-list reference."""
     workload = workload_by_name(name)
     program = workload.build()
     workload.apply_input(program, "ref")
@@ -473,11 +493,12 @@ def test_suite_workload_columnar_equals_reference(name):
     reference = machine.run_reference(collect_trace=True)
     run = machine.run(collect_trace=True)
     _assert_runs_match(run, reference)
-    _assert_both_paths(run, reference.trace)
+    _assert_columnar_equals_reference(reference.trace, reference.instructions, reference.output)
+    _assert_value_free_consumers(run.trace, reference.trace)
 
 
 # ----------------------------------------------------------------------
-# Which traces arrive with their shapes, and who aggregates the rest
+# Value-free traces: what Machine.run records and snapshots hold
 # ----------------------------------------------------------------------
 def _li_program():
     workload = workload_by_name("li")
@@ -493,32 +514,35 @@ def _analyse(trace: Trace):
     return timing, energy, aggregate_trace(trace)
 
 
-class TestShapeCountPaths:
-    def test_mid_unit_landing_leaves_the_trace_unfilled(self):
-        """The reference loop that steps a mid-unit landing neither counts
-        signatures nor refreshes the per-register sig cache: the block
-        run's trace must come back unfilled, its columnar shapes equal
-        to the reference loop's."""
-        from test_sim_machine import _MID_UNIT_RETURN_ASM
+#: The mid-unit landing program with a landing pad that widens r2, which
+#: the block units read next: a stale per-register sig would miscount.
+_MID_UNIT_WIDENING_ASM = _MID_UNIT_RETURN_ASM.replace("add r2, r1, 1\n", "add r2, r1, 1000\n")
 
-        machine = Machine(assemble_program(_MID_UNIT_RETURN_ASM))
+
+class TestShapeCountPaths:
+    @pytest.mark.parametrize(
+        "asm", [_MID_UNIT_RETURN_ASM, _MID_UNIT_WIDENING_ASM], ids=["landing", "widening"]
+    )
+    def test_mid_unit_landing_counts_its_shapes(self, asm):
+        """The reference loop that steps a mid-unit landing counts the
+        shapes of the records it emits, and the block units resume with
+        their register sigs refreshed: the block run's trace arrives with
+        the reference loop's shape counts."""
+        assert asm.count("add r2, r1,") == 1
+        machine = Machine(assemble_program(asm))
         run = machine.run(collect_trace=True)
         reference = machine.run_reference(collect_trace=True)
-        assert not _shapes_filled(run.trace)
+        assert reference.output[0] == 7  # the tampered return skips the add
         _assert_runs_match(run, reference)
-        assert run.trace.shape_counts() == reference.trace.shape_counts()
-        assert run.trace.uid_counts() == reference.trace.uid_counts()
-        _assert_columnar_equals_reference(run.trace, run.instructions, run.output)
+        _assert_value_free_consumers(run.trace, reference.trace)
 
     def test_traced_run_is_analysed_without_columnar_aggregation(self, monkeypatch):
         """Timing, multi-policy accounting and the summary aggregation of
         a traced ``Machine.run`` never reach the columnar shape pass, and
-        give what the columnar path gives; a ``run_reference`` trace
-        reaches it, so the patch point is the live one."""
+        give what the columnar path gives over a ``run_reference`` trace,
+        which reaches it — so the patch point is the live one."""
         machine = Machine(_li_program())
-        unfilled = machine.run(collect_trace=True).trace
-        unfilled.invalidate_aggregation_caches()
-        expected = _analyse(unfilled)
+        expected = _analyse(machine.run_reference(collect_trace=True).trace)
 
         def refuse(self):
             raise AssertionError("columnar shape aggregation ran")
@@ -529,11 +553,86 @@ class TestShapeCountPaths:
             _analyse(machine.run_reference(collect_trace=True).trace)
 
 
+class TestValueFreeTraces:
+    @pytest.fixture(scope="class")
+    def li_run(self):
+        return Machine(_li_program()).run(collect_trace=True)
+
+    def test_value_readers_raise(self, li_run):
+        trace = li_run.trace
+        assert not trace.carries_values
+        readers = (
+            lambda: iter(trace),
+            lambda: trace[0],
+            lambda: trace.records,
+            lambda: trace.arena,
+            lambda: trace.value_offsets,
+            trace._columnar_shape_counts,
+            trace.block_value_emitters,
+        )
+        for reader in readers:
+            with pytest.raises(TypeError, match="run_reference"):
+                reader()
+
+    def test_invalidation_keeps_the_shape_counts(self, li_run):
+        trace = li_run.trace
+        shapes = dict(trace.shape_counts())
+        uids = Counter(trace.uid_counts())
+        trace.invalidate_aggregation_caches()
+        assert trace.shape_counts() == shapes
+        assert trace.uid_counts() == uids
+        assert sum(shapes.values()) == len(trace)
+
+    def test_opaque_policy_raises_instead_of_miscounting(self, li_run):
+        from repro.hardware.gating import GatingPolicy
+
+        class Opaque(GatingPolicy):
+            name = "opaque"
+            width_source = None
+
+            def value_bytes(self, entry, value):
+                return 8
+
+        timing = OutOfOrderModel().run(li_run.trace)
+        accountant = MultiPolicyEnergyAccountant([Opaque()])
+        with pytest.raises(TypeError, match="opaque width_source.*'opaque'.*run_reference"):
+            accountant.account(li_run.trace, timing)
+        reference = Machine(_li_program()).run_reference(collect_trace=True).trace
+        assert accountant.account(reference, timing)["opaque"].instructions == len(reference)
+
+    def test_snapshot_round_trip_keeps_every_column_and_shape(self, li_run):
+        trace = li_run.trace
+        artifact = SimulationArtifact(
+            trace=trace, instructions=li_run.instructions, output=li_run.output
+        )
+        restored = decode_artifact(encode_artifact(artifact)).trace
+        assert not restored.carries_values
+        assert list(restored.metas) == list(trace.metas)
+        assert list(restored.mem_addresses) == list(trace.mem_addresses)
+        assert restored.shape_counts() == trace.shape_counts()
+        assert restored.address_map == trace.address_map
+        assert restored.has_derived_addresses
+        assert list(restored.static) == list(trace.static)
+
+    def test_decode_rejects_shape_counts_off_the_record_count(self):
+        trace = Machine(_li_program()).run(collect_trace=True).trace
+        shapes = trace.shape_counts()
+        shapes[next(iter(shapes))] += 1
+        blob = encode_artifact(SimulationArtifact(trace=trace, instructions=1, output=[]))
+        with pytest.raises(ValueError, match="do not sum to its record count"):
+            decode_artifact(blob)
+
+    def test_decode_rejects_a_version_one_blob(self, li_run):
+        blob = encode_artifact(SimulationArtifact(trace=li_run.trace, instructions=1, output=[]))
+        with pytest.raises(ValueError, match="version 1"):
+            decode_artifact(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+
+
 # ----------------------------------------------------------------------
 # Overflow values (beyond int64) stay exact through the slow paths
 # ----------------------------------------------------------------------
 class TestOverflowValues:
-    def _overflow_trace(self):
+    def _overflow_program(self):
         program = assemble_program(
             """
 .func main 0
@@ -550,43 +649,49 @@ entry:
 
         mov = [i for i in program.functions["main"].instructions() if i.op.value == "mov"][0]
         mov.srcs = (Imm(2**64 - 1),)  # raw unsigned bit pattern
-        return Machine(program).run(collect_trace=True)
+        return program
 
     def test_exact_view_and_reference_equality(self):
-        run = self._overflow_trace()
-        trace = run.trace
+        machine = Machine(self._overflow_program())
+        reference = machine.run_reference(collect_trace=True)
+        trace = reference.trace
         assert trace.has_overflow_values
         records = list(trace)
         mov_record = records[1]
         assert mov_record.srcs == (2**64 - 1,)
         assert mov_record.result == 2**64 - 1
-        # The block units count the exact values, the columnar path takes
-        # the exact per-record fallback, and both still match the
-        # verbatim references bit-for-bit.
-        _assert_both_paths(run)
+        # The columnar path takes the exact per-record fallback and still
+        # matches the verbatim references bit-for-bit; the block units
+        # count the exact values' shapes.
+        _assert_columnar_equals_reference(trace, reference.instructions, reference.output)
+        run = machine.run(collect_trace=True)
+        _assert_runs_match(run, reference)
+        _assert_value_free_consumers(run.trace, trace)
 
     def test_overflow_survives_record_round_trip_and_snapshot(self):
-        run = self._overflow_trace()
-        records = list(run.trace)
-        rebuilt = Trace(records=records, static=run.trace.static)
+        reference = Machine(self._overflow_program()).run_reference(collect_trace=True)
+        records = list(reference.trace)
+        rebuilt = Trace(records=records, static=reference.trace.static)
         assert rebuilt.has_overflow_values
         assert rebuilt.records == records
         restored = decode_artifact(
             encode_artifact(
                 SimulationArtifact(
-                    trace=run.trace, instructions=run.instructions, output=run.output
+                    trace=reference.trace,
+                    instructions=reference.instructions,
+                    output=reference.output,
                 )
             )
         )
-        assert restored.trace.records == records
+        assert _trace_columns(restored.trace) == _trace_columns(reference.trace)
 
 
 # ----------------------------------------------------------------------
 # Dense static table
 # ----------------------------------------------------------------------
 class TestDenseStaticInfo:
-    def test_dense_layout_with_offset_and_holes(self, ijpeg_run):
-        static = ijpeg_run.trace.static
+    def test_dense_layout_with_offset_and_holes(self, ijpeg_runs):
+        static = ijpeg_runs[0].trace.static
         # Real programs allocate uids from a global counter: the dense
         # table is indexed relative to uid_base.
         assert len(static.entries) >= len(static) > 0
@@ -597,8 +702,8 @@ class TestDenseStaticInfo:
             static[static.uid_base - 1]
         assert (static.uid_base - 1) not in static
 
-    def test_out_of_order_and_sparse_insertion(self, ijpeg_run):
-        source = [entry for entry in ijpeg_run.trace.static][:3]
+    def test_out_of_order_and_sparse_insertion(self, ijpeg_runs):
+        source = [entry for entry in ijpeg_runs[0].trace.static][:3]
         assert len(source) == 3
         info = StaticInfo()
         # Insert out of order with a gap; lookups must stay exact.
@@ -693,6 +798,30 @@ class TestSnapshotReplay:
         # The replayed evaluation really used the modified machine model.
         baseline = engine_env.evaluate(ExperimentConfig(workload="ijpeg"))
         assert warm.timing.cycles > baseline.timing.cycles
+
+    def test_version_one_snapshot_misses_and_is_recomputed(
+        self, engine_env, monkeypatch, tmp_path
+    ):
+        """A snapshot stamped with format version 1 (which stored the value
+        arena instead of shape counts) is not replayed: the store
+        quarantines it, the point simulates, and the fresh version-2
+        snapshot replaces it."""
+        from repro.experiments.engine import ExperimentConfig, ExperimentEngine, _snapshot_key
+        from repro.experiments.store import ResultStore
+
+        config = ExperimentConfig(workload="li")
+        engine_env.evaluate(config)
+        path = engine_env.store.trace_path_for(_snapshot_key(config, workload_by_name("li")))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+
+        calls = self._counting_machine_run(monkeypatch)
+        warm = ExperimentEngine(store=ResultStore(tmp_path), jobs=1).evaluate(
+            replace(config, machine_config=NARROW_FETCH)
+        )
+        assert calls["count"] > 0
+        assert warm.freshly_computed and not warm.replayed_from_store
+        assert decode_artifact(path.read_bytes()).trace.shape_counts()
 
     @pytest.fixture(scope="class")
     def warm_snapshots(self, tmp_path_factory):

@@ -74,7 +74,7 @@ class TestTimingModel:
         trace = _trace()
         timing = OutOfOrderModel().run(trace)
         config = MachineConfig()
-        assert timing.instructions == len(trace.records)
+        assert timing.instructions == len(trace)
         assert timing.cycles >= timing.instructions / config.fetch_width
         assert timing.cycles < timing.instructions * 10
         assert 0.0 < timing.ipc <= config.issue_width

@@ -160,7 +160,10 @@ def _programs(draw) -> str:
 
 
 def _machine_trace(asm: str):
-    return Machine(assemble_program(asm)).run(collect_trace=True).trace
+    """A simulator trace that keeps its values: the reference loop's, with
+    the same metas and memory column as ``Machine.run``'s, and the record
+    stream the hand-built variants below are derived from."""
+    return Machine(assemble_program(asm)).run_reference(collect_trace=True).trace
 
 
 class TestGeneratedPrograms:
@@ -264,7 +267,7 @@ def ijpeg_trace():
     workload = workload_by_name("ijpeg")
     program = workload.build()
     workload.apply_input(program, "ref")
-    return Machine(program).run(collect_trace=True).trace
+    return Machine(program).run_reference(collect_trace=True).trace
 
 
 class TestRealWorkloads:
@@ -293,7 +296,7 @@ def test_suite_workload_compiled_equals_reference(name):
     workload = workload_by_name(name)
     program = workload.build()
     workload.apply_input(program, "ref")
-    trace = Machine(program).run(collect_trace=True).trace
+    trace = Machine(program).run_reference(collect_trace=True).trace
     _assert_kernels_agree(trace)
 
 
@@ -482,7 +485,8 @@ def _derived_copy(trace, static=None, metas=None, mem=None, addresses=None):
         static=static if static is not None else trace.static,
         addresses=addresses if addresses is not None else dict(trace.address_map),
     )
-    extend_rows, extend_values, append_mem, _ = copy.block_emitters()
+    extend_rows, append_mem = copy.block_emitters()
+    extend_values, _ = copy.block_value_emitters()
     extend_rows(metas if metas is not None else trace.metas)
     extend_values(trace.arena)
     for address in mem if mem is not None else trace.mem_addresses:

@@ -18,6 +18,7 @@ from repro.core import (
 )
 from repro.ir import IRBuilder, Program, validate_function
 from repro.isa import Instruction, Opcode, Reg, Width
+from repro.experiments.summary import vrs_stats
 from repro.minic import compile_source
 from repro.sim import Machine, ValueProfiler, ValueTable, fusedc
 from repro.workloads import SUITE_NAMES, workload_by_name
@@ -244,6 +245,25 @@ def test_candidate_value_profiles_match_reference_tier(name):
         }
     assert tables["block"] == tables["reference"]
     assert tables["block"]
+
+
+@pytest.mark.parametrize("name", ("li", "m88ksim"))
+def test_vrs_stats_do_not_depend_on_earlier_builds(name):
+    """VRS's savings walk visits def-use edges in a build-independent
+    order: building gcc first, which shifts every uid the next build
+    allocates, changes none of the workload's VRS statistics.  Walking
+    the uid-keyed use sets in set order gave li 16 or 17 profiled points
+    and m88ksim 18 or 19, depending on how many builds came before."""
+    workload = workload_by_name(name)
+    gcc = workload_by_name("gcc")
+    stats = []
+    for earlier in range(6):
+        for _ in range(earlier):
+            gcc.build()
+        program = workload.build()
+        workload.apply_input(program, "train")
+        stats.append(vrs_stats(run_vrs(program, VRSConfig())))
+    assert stats == [stats[0]] * len(stats)
 
 
 def test_vrs_clone_labels_repeat_across_rebuilds(monkeypatch):
