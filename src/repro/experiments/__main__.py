@@ -29,11 +29,11 @@ run), ``replayed`` (rebuilt from a stored trace snapshot) or ``store``
 registered gating policy (``gating.registry()``); every summary carries
 all of them because cold evaluations account the whole policy set in a
 single fused trace walk.
-``--pipeline`` selects the cold-compute path (``docs/fused.md``):
-``fused`` streams simulate→time→account per record without materializing
-a trace, ``materialized`` builds the classic trace, and ``auto`` (the
-default) streams whenever no trace snapshot would be persisted anyway.
-The report's footer names the pipeline that cold rows ran through; the
+``--pipeline`` selects the cold-compute path: ``auto`` (the default) and
+``materialized`` simulate with a trace and walk it for timing, and
+``fused`` streams simulate→time→account per record without
+materializing a trace, a cross-check path (``docs/fused.md``).  The
+report's footer names the pipeline that cold rows ran through; the
 choice is bit-exact either way.
 
 ``sweep`` evaluates a design-space *matrix* — machine configs × gating
@@ -169,7 +169,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     configs = _experiment_configs(args, workloads)
     # Resolve up front so the report can say which pipeline cold rows ran
     # through (warm rows come from the store and never touch either).
-    pipeline = _resolve_pipeline(args.pipeline, engine.store)
+    pipeline = _resolve_pipeline(args.pipeline)
     start = time.perf_counter()
     evaluations = engine.map(configs, jobs=args.jobs, pipeline=pipeline)
     elapsed = time.perf_counter() - start
@@ -683,9 +683,9 @@ def main(argv: list[str] | None = None) -> int:
         choices=PIPELINES,
         default="auto",
         help=(
-            "cold-compute path: 'fused' streams simulate->time->account without "
-            "materializing a trace, 'materialized' builds the classic trace, "
-            "'auto' streams whenever no trace snapshot would be persisted "
+            "cold-compute path: 'auto' and 'materialized' simulate with a trace "
+            "and walk it for timing, 'fused' streams simulate->time->account "
+            "without materializing a trace, a cross-check path "
             "(default: auto; both are bit-exact)"
         ),
     )
@@ -719,11 +719,11 @@ def main(argv: list[str] | None = None) -> int:
         choices=PIPELINES,
         default="auto",
         help=(
-            "cold-group path: 'fused' streams every cold trace signature, "
-            "'materialized' simulates and snapshots, 'auto' materializes when "
-            "the snapshot layer is on or the group has more than one config "
-            "and streams otherwise, the rule 'run' follows (default: auto; a "
-            "warm entry or snapshot always serves first)"
+            "cold-group path: 'auto' and 'materialized' simulate once with a "
+            "trace (snapshotted when the snapshot layer is on), 'fused' streams "
+            "every cold trace signature once per config, a cross-check path, "
+            "the rule 'run' follows (default: auto; a warm entry or snapshot "
+            "always serves first)"
         ),
     )
     sweep_parser.add_argument(

@@ -26,7 +26,9 @@ the serial loop of :meth:`ExperimentEngine.map` and of a pool worker —
 and :meth:`ExperimentEngine.sweep` resolves one group per trace
 signature of its matrix.  The resolver runs under the store's
 cross-process single-flight lock on the first lane's key and publishes
-what it computed before releasing it.  It times every materialized
+what it computed before releasing it.  A live compute runs the
+materialized pipeline unless the caller names the fused one
+(:func:`_resolve_pipeline`), and the resolver times every materialized
 trace through the engine's timing memo, which walks a timing-identical
 trace (a workload's ``none`` and ``vrp`` builds) once per machine
 config.  Workers return plain
@@ -98,22 +100,18 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     return max(1, jobs)
 
 
-def _resolve_pipeline(pipeline: str, store: Optional[ResultStore], lanes: int = 1) -> str:
+def _resolve_pipeline(pipeline: str) -> str:
     """Resolve a pipeline request to ``"fused"`` or ``"materialized"``.
 
-    Explicit requests win; ``"auto"`` is one rule for points and sweep
-    groups of ``lanes`` machine configs.  The materialized pipeline runs
-    when the store's snapshot layer is enabled, because trace snapshots
-    can only be persisted from a materialized trace, and when more than
-    one lane is timed, because one simulation plus a multi-lane walk over
-    its trace beats one fused run per lane.  Otherwise the fused pipeline
-    (one streaming pass, **no trace ever built**) runs.  Anything outside
+    ``"auto"`` is the materialized pipeline, for every point and sweep
+    group: one block-tier simulation whose code the process compiled
+    once, then a timing walk through the engine's timing memo, which a
+    fused run cannot share.  An explicit name is kept as it is; the fused
+    pipeline stays as a cross-check path.  Anything outside
     :data:`repro.sim.fusedc.PIPELINES` raises.
     """
-    if pipeline == "auto":
-        snapshots = store is not None and store.trace_enabled
-        return "materialized" if snapshots or lanes > 1 else "fused"
-    return _checked_pipeline(pipeline)
+    pipeline = _checked_pipeline(pipeline)
+    return "materialized" if pipeline == "auto" else pipeline
 
 
 def _failure_evaluation(
@@ -351,7 +349,7 @@ def _compute(
         threshold_nj=config.threshold_nj,
         conventional_vrp=config.conventional_vrp,
         machine_config=config.machine_config,
-        pipeline=_resolve_pipeline(pipeline, store, 1 + len(other_lanes)),
+        pipeline=_resolve_pipeline(pipeline),
         memo=memo,
     )
     first = evaluation.summarize()
@@ -444,11 +442,11 @@ class ExperimentEngine:
         memoized or persisted for the failed point).
 
         ``pipeline`` selects the live path for a cold compute (see
-        :func:`_resolve_pipeline`): ``"auto"`` runs the fused streaming
-        pipeline whenever the evaluation is summary-only (no trace
-        snapshot will be persisted), so the trace is never even built.
-        The choice cannot affect results — the pipelines are bit-exact —
-        and is deliberately not part of the store key.
+        :func:`_resolve_pipeline`): ``"auto"`` is the materialized
+        pipeline, whether or not a trace snapshot will be persisted;
+        ``"fused"`` streams without building a trace.  The choice cannot
+        affect results — the pipelines are bit-exact — and is
+        deliberately not part of the store key.
 
         The returned evaluation is *live* (trace/program attached) only when
         this call actually simulated; memo, store and snapshot-replay hits
@@ -494,15 +492,14 @@ class ExperimentEngine:
         Always builds, transforms and simulates, and always returns a
         *live* evaluation — the one entry point for callers that genuinely
         need the trace, so the pipeline defaults to ``"materialized"``
-        (the environment is not consulted, and ``"auto"`` means
-        materialized too).  An explicit ``pipeline="fused"`` returns a
-        live evaluation whose ``trace`` slot holds the streaming shape
-        aggregate instead of a trace; anything outside
-        :data:`repro.sim.fusedc.PIPELINES` raises.  Nothing is memoized
-        or persisted; use :meth:`evaluate` for cached, store-backed
-        resolution.
+        (``"auto"`` means materialized too, as everywhere).  An explicit
+        ``pipeline="fused"`` returns a live evaluation whose ``trace``
+        slot holds the streaming shape aggregate instead of a trace;
+        anything outside :data:`repro.sim.fusedc.PIPELINES` raises.
+        Nothing is memoized or persisted; use :meth:`evaluate` for
+        cached, store-backed resolution.
         """
-        pipeline = _checked_pipeline(pipeline)
+        pipeline = _resolve_pipeline(pipeline)
         if workload is None:
             workload = workload_by_name(config.workload)
         return _compute_evaluation(
@@ -511,7 +508,7 @@ class ExperimentEngine:
             threshold_nj=config.threshold_nj,
             conventional_vrp=config.conventional_vrp,
             machine_config=config.machine_config,
-            pipeline="fused" if pipeline == "fused" else "materialized",
+            pipeline=pipeline,
         )
 
     def map(
@@ -528,9 +525,8 @@ class ExperimentEngine:
         are computed by a process pool (or serially as a fallback) and their
         summaries persisted, so a crashed or interrupted sweep loses at most
         the configurations still in flight.  ``pipeline`` is resolved once
-        against this engine's store (see :func:`_resolve_pipeline`) and
-        applied to every cold compute, in the pool and in the serial
-        fallback alike.
+        (see :func:`_resolve_pipeline`) and applied to every cold
+        compute, in the pool and in the serial fallback alike.
 
         Cold configurations always come back *restored* (summary-backed,
         ``trace is None``) — regardless of whether the pool or the serial
@@ -601,7 +597,7 @@ class ExperimentEngine:
 
         if not missing:
             return results  # type: ignore[return-value]
-        resolved_pipeline = _resolve_pipeline(pipeline, self.store)
+        resolved_pipeline = _resolve_pipeline(pipeline)
         order = list(missing.items())
         delivered: set[str] = set()
 

@@ -450,11 +450,9 @@ def run_sweep(
     ``pipeline`` selects the *cold* path per group, by the rule points
     use (:func:`repro.experiments.engine._resolve_pipeline`); a warm
     entry or snapshot always serves first regardless (cheaper than any
-    simulation, and bit-identical).  ``"auto"`` materializes when the
-    snapshot layer is on or the group has more than one config, and
-    streams through the fused pipeline otherwise; ``"fused"`` streams
-    every cold group, one fused run per config, and its rows carry
-    ``source="fused"``.
+    simulation, and bit-identical).  ``"auto"`` materializes every cold
+    group; ``"fused"`` streams every cold group, one fused run per
+    config, and its rows carry ``source="fused"``.
 
     ``on_error`` selects the partial-failure semantics per trace-signature
     group: ``"keep"`` (the default) yields one error-carrying row

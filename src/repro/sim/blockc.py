@@ -5,10 +5,10 @@ the reference loop decodes every instruction on every dynamic step, this
 tier generates specialized Python **source** for every basic block of the
 program — instruction semantics inlined in order, register accesses
 hoisted into SSA locals, immediates/branch targets/call return addresses
-baked in as literals — compiles it once per :class:`~repro.ir.Program`
-with :func:`compile`/``exec``, and drives a block-level hot loop, so
-dispatch, fetch/decode and the dynamic-instruction limit check amortize
-over whole blocks.
+baked in as literals — generates it once per :class:`Machine`,
+compiles each distinct source once per process (see below), and drives
+a block-level hot loop, so dispatch, fetch/decode and the
+dynamic-instruction limit check amortize over whole blocks.
 
 Trace emission is block-batched.  At compile time every block's packed meta
 words (``uid << 8 | flags``, the exact encoding of
@@ -44,7 +44,10 @@ Value observers are a compile input too: for a ``watched`` uid set the
 generated code calls ``observe(uid, value)`` right after each watched
 instruction that produces a result, with the value its trace record
 carries as the result.  Each ``(collect_trace, watched)`` pair is its own
-program flavour.
+program flavour.  The text names a watched uid relative to the build's
+``static_info.uid_base`` (``observe(_ub + 12, t3)``), and ``_ub`` is bound
+through the constant pool, so an observer still receives its own build's
+absolute uids while two builds of one program share one source text.
 
 Compiled programs carry **no per-run state**: the generated module defines a
 single ``bind(...)`` factory taking the run's registers, memory accessors,
@@ -54,6 +57,16 @@ pure function creation, no source generation and no ``compile()``.  The
 :class:`BlockProgram` (source, bind factory, constant pool, per-entry
 instruction counts) is cached on the :class:`Machine` and shared across
 runs.
+
+Nothing that differs between two builds of one program is baked into
+the source either: meta templates (which hold the uids), lookup tables
+and the observer calls' uid base all arrive through the constant pool.
+So the code object ``compile()`` returns is cached **process-wide**,
+keyed by the SHA-256 of the full generated source (:func:`_code_for`):
+a rebuilt workload — every cold evaluation builds its program afresh —
+generates its source again but compiles nothing, and two programs that
+differ only in data (a workload's ``vrp`` build and a ``vrs`` build in
+which VRS specialized nothing) share one code object.
 
 Memory traffic is specialized too: the paged little-endian layout of
 :class:`~repro.sim.memory.Memory` is inlined for accesses that stay inside
@@ -78,9 +91,12 @@ stored binary trace snapshots instead of replaying stale ones.
 
 from __future__ import annotations
 
+import hashlib
 import re
+import threading
 from array import array
 from dataclasses import dataclass
+from types import CodeType
 from typing import TYPE_CHECKING, Callable
 
 from ..isa import Imm, Instruction, Opcode, OpKind, Width, significant_bytes, to_signed
@@ -189,12 +205,14 @@ _REG_VALUE = re.compile(r"^r(\d+)$")
 class BlockProgram:
     """One compiled program: shareable across every run of a ``Machine``.
 
-    ``bind`` is the generated per-run factory; ``consts`` the constant
-    pool it unpacks (lookup helpers, :class:`Width` members, meta
-    templates); ``lengths`` maps each entry pc to its unit's fixed
-    dynamic instruction count (0 for non-entry pcs); ``source`` the
-    generated Python text (deterministic, useful for debugging and
-    covered by the simulator code fingerprint via this module's source).
+    ``bind`` is the generated per-run factory, this program's own
+    function over the process-wide code object of ``source``; ``consts``
+    the constant pool it unpacks (lookup helpers, :class:`Width` members,
+    meta templates, an observer flavour's uid base); ``lengths`` maps
+    each entry pc to its unit's fixed dynamic instruction count (0 for
+    non-entry pcs); ``source`` the generated Python text (deterministic,
+    useful for debugging and covered by the simulator code fingerprint
+    via this module's source).
     ``values`` marks the value-bearing traced flavour; ``counts_shapes``
     the value-free traced flavour, which counts signatures and whose
     ``unit_specs`` and ``key_caches`` feed :func:`expand_signatures`.
@@ -691,6 +709,47 @@ def _gen_straightline(
     raise ValueError(f"cannot block-compile {inst}")  # pragma: no cover
 
 
+#: Process-wide compiled-code cache: SHA-256 of a generated source ->
+#: the code object ``compile()`` returned for it.  A pass over the 24
+#: paper points compiles 34 distinct programs (about 2 MiB of code
+#: objects), so the bound holds more than two passes' worth; past it
+#: the oldest entry goes.
+_CODE_CACHE: dict[str, CodeType] = {}
+_CODE_CACHE_LIMIT = 128
+_CODE_CACHE_LOCK = threading.Lock()
+
+
+def _code_for(source: str) -> CodeType:
+    """The code object of ``source``, compiled once per process.
+
+    Source equality is the whole key: every input that differs between
+    two programs with equal text (bind-time constants, meta templates,
+    unit specs, key caches) stays on their :class:`BlockProgram`.  The
+    cache is module-level, like the timing kernel's walk cache, because
+    its entries are immutable code objects keyed by their own text: no
+    caller can observe another's state through it.  Threads may race on
+    a miss and compile the same source twice; the lock only keeps the
+    insert and the eviction whole, so every stored entry is the code of
+    its key and the size never exceeds :data:`_CODE_CACHE_LIMIT`.
+    """
+    key = hashlib.sha256(source.encode()).hexdigest()
+    code = _CODE_CACHE.get(key)
+    if code is None:
+        code = compile(source, "<repro.sim.blockc>", "exec")
+        with _CODE_CACHE_LOCK:
+            if key not in _CODE_CACHE:
+                while len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
+                    del _CODE_CACHE[next(iter(_CODE_CACHE))]
+                _CODE_CACHE[key] = code
+    return code
+
+
+def _observe_line(machine: "Machine", inst: Instruction, value: str) -> str:
+    """The observer call of a watched instruction, its uid relative to the
+    build's base (``_ub``, bound through the constant pool)."""
+    return f"observe(_ub + {inst.uid - machine.static_info.uid_base}, {value})"
+
+
 def compile_blocks(
     machine: "Machine",
     collect_trace: bool,
@@ -703,11 +762,14 @@ def compile_blocks(
     Pure function of the (flattened) program, ``collect_trace``,
     ``watched`` and ``values`` — no per-run state is consulted, so the
     result is cached on the machine and reused by every subsequent
-    :meth:`Machine.run`.
+    :meth:`Machine.run`.  Every call generates the source; its code
+    object comes from the process-wide cache (:func:`_code_for`), so only
+    a source text this process has not compiled yet pays ``compile()``.
 
     ``watched`` is the set of uids whose results the bound ``observe``
     callable receives (the value-observer flavour); the empty default
-    compiles no observer calls at all.
+    compiles no observer calls at all.  The source names watched uids
+    relative to ``machine.static_info.uid_base``.
 
     ``mutate_result`` is the fault-injection seam for the lockstep
     co-execution harness (see :func:`_gen_straightline`).  Programs
@@ -744,6 +806,9 @@ def compile_blocks(
         Width.QUAD,
     ]
     const_names = ["_ioa", "_bs", "_fe", "_W8", "_W16", "_W32", "_W64"]
+    if watched:
+        consts.append(machine.static_info.uid_base)
+        const_names.append("_ub")
 
     def intern_template(name: str, metas: list[int]) -> str:
         consts.append(array("q", metas))
@@ -776,7 +841,7 @@ def compile_blocks(
             inst = flat[pc][2]
             value = _gen_straightline(unit, inst, collect_trace, mutate_result)
             if value is not None and inst.uid in watched:
-                unit.lines.append(f"observe({inst.uid}, {value})")
+                unit.lines.append(_observe_line(machine, inst, value))
 
         tail: list[str] = []
         if not has_control:
@@ -849,7 +914,7 @@ def compile_blocks(
     source = "\n".join(header + unit_lines + footer) + "\n"
 
     namespace: dict = {}
-    exec(compile(source, "<repro.sim.blockc>", "exec"), namespace)
+    exec(_code_for(source), namespace)
     return BlockProgram(
         bind=namespace["bind"],
         consts=tuple(consts),
@@ -957,6 +1022,6 @@ def _gen_call_tail(
     tail += unit.epilogue_lines()
     tail.append(f"call_counts[{target!r}] = _cc({target!r}, 0) + 1")
     if observed:
-        tail.append(f"observe({inst.uid}, {return_address})")
+        tail.append(_observe_line(machine, inst, str(return_address)))
     tail.append(f"return {target_pc}")
     return tail

@@ -39,8 +39,10 @@ summaries consume it unchanged.
 
 The materialized path stays verbatim as the bit-exact oracle;
 ``repro.coexec.compare_fused`` bisects any disagreement to the exact
-record.  See ``docs/fused.md`` for the design notes and the memoization
-invariants.
+record.  It is also the production path: the experiment engine's
+``auto`` resolves to it, and this tier runs only when a caller asks for
+``pipeline="fused"``.  See ``docs/fused.md`` for the design notes and
+the memoization invariants.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ __all__ = [
 ]
 
 #: The pipeline vocabulary accepted by the experiment engine, sweeps, the
-#: CLI and the service.  ``auto`` means "fused unless something needs the
-#: records" (snapshot persistence, value observers, …).
+#: CLI and the service.  ``auto`` means materialized: the fused tier runs
+#: only when a caller names it, as a cross-check path.
 PIPELINES = ("auto", "fused", "materialized")
 
 

@@ -18,8 +18,9 @@ of the system needs:
 Two interpreters run a program (see ``docs/simulator.md``):
 
 * :meth:`Machine.run` — the **block** tier — generates straight-line
-  Python source per basic block (:mod:`repro.sim.blockc`), compiles it
-  once per ``Machine`` and drives a block-level hot loop, so dispatch and
+  Python source per basic block (:mod:`repro.sim.blockc`) once per
+  ``Machine``, compiles each distinct source once per process, and
+  drives a block-level hot loop, so dispatch and
   the instruction-limit check amortize over whole blocks and trace
   emission is batched per block;
 * :meth:`Machine.run_reference` decodes every instruction on every
@@ -535,8 +536,9 @@ class Machine:
         """Block-compiled interpreter: straight-line code per basic block.
 
         The program is compiled to specialized Python source once per
-        ``Machine`` and flavour (see :mod:`repro.sim.blockc`) and only
-        *bound* to the per-run state here, so repeated runs pay zero
+        ``Machine`` and flavour (see :mod:`repro.sim.blockc`, whose
+        process-wide code cache serves a rebuilt program's source) and
+        only *bound* to the per-run state here, so repeated runs pay zero
         compilation.  The hot loop advances one basic block per
         iteration: the dynamic instruction-limit check is hoisted to
         block granularity (legal because a unit's length is fixed and

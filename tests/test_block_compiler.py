@@ -11,16 +11,26 @@ Three properties the differential harness cannot see:
 3. **Snapshot hygiene** — mutating the block compiler's source rotates
    the simulator-side fingerprint, so stored binary trace snapshots are
    re-simulated rather than replayed after a semantics change.
+4. **Process-wide code cache** — a rebuilt program (fresh uids, same
+   structure) generates the same source and compiles nothing, in every
+   flavour; the cache stays within its bound, under threads too.
 """
 
 from __future__ import annotations
 
+import builtins
+import hashlib
+import os
+import sys
+import threading
 from pathlib import Path
 
 from repro.asm import assemble_program
+from repro.experiments import ExperimentConfig, ExperimentEngine, ResultStore
 from repro.sim import Machine, ValueProfiler
 from repro.sim import blockc
 from repro.sim.blockc import compile_blocks
+from repro.workloads import workload_by_name
 from test_sim_machine import _trace_columns
 
 _LOOP_ASM = """
@@ -103,6 +113,202 @@ class TestCompiledProgramReuse:
         program_object = machine._block_programs[True, frozenset()]
         machine.run(collect_trace=True)
         assert machine._block_programs[True, frozenset()] is program_object
+
+
+def _counting_asm(count: int) -> str:
+    """A small loop whose trip count is baked into its source text."""
+    return f"""
+.func main 0
+entry:
+    li r1, {count + 3}
+    li r2, 0
+loop:
+    add r2, r2, r1
+    and r3, r2, 255
+    sub r1, r1, 1
+    bne r1, loop
+done:
+    print r3
+    halt
+.endfunc
+"""
+
+
+def _relative_run(machine: Machine, run) -> tuple:
+    """A traced run's results with uids made relative to the build's
+    base: equal for two builds of one program."""
+    base = machine.static_info.uid_base
+    metas, mems, shapes = _trace_columns(run.trace)
+    return (
+        run.output,
+        run.instructions,
+        [meta - (base << 8) for meta in metas],
+        mems,
+        {(uid - base, srcs, result): count for (uid, srcs, result), count in shapes.items()},
+    )
+
+
+def _li_machine() -> Machine:
+    workload = workload_by_name("li")
+    program = workload.build()
+    workload.apply_input(program, "ref")
+    return Machine(program)
+
+
+def _count_block_compiles(monkeypatch) -> list[str]:
+    """Record every ``compile()`` of generated block source from now on."""
+    calls: list[str] = []
+    real_compile = builtins.compile
+
+    def counting_compile(source, filename, *args, **kwargs):
+        if filename == "<repro.sim.blockc>":
+            calls.append(source)
+        return real_compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    return calls
+
+
+class _StreamObserver:
+    """A value observer that keeps the raw ``(uid, value)`` stream."""
+
+    def __init__(self, uids) -> None:
+        self.watched_uids = set(uids)
+        self.stream: list[tuple[int, int]] = []
+
+    def observe(self, uid: int, value: int) -> None:
+        self.stream.append((uid, value))
+
+
+class TestCodeCache:
+    def test_rebuilt_program_compiles_nothing(self, monkeypatch):
+        first, second = _li_machine(), _li_machine()
+        assert first.static_info.uid_base != second.static_info.uid_base
+        first_run = first.run(collect_trace=True)
+        calls = _count_block_compiles(monkeypatch)
+        second_run = second.run(collect_trace=True)
+        assert calls == []
+        assert _relative_run(second, second_run) == _relative_run(first, first_run)
+
+    def test_rebuilt_observer_flavour_compiles_nothing(self, monkeypatch):
+        """The value-profiling flavour names watched uids relative to the
+        build's base: a rebuild watching the same positions shares the
+        code, and each observer still sees its own build's uids."""
+        first, second = _li_machine(), _li_machine()
+
+        def observer(machine):
+            positions = [inst for _, _, inst in machine._flat if inst.dest is not None]
+            return _StreamObserver(inst.uid for inst in positions[::7])
+
+        first_observer, second_observer = observer(first), observer(second)
+        first.run(value_observer=first_observer)
+        calls = _count_block_compiles(monkeypatch)
+        second.run(value_observer=second_observer)
+        assert calls == []
+        assert first_observer.stream
+        for seen in (first_observer, second_observer):
+            assert {uid for uid, _ in seen.stream} <= seen.watched_uids
+        first_base = first.static_info.uid_base
+        second_base = second.static_info.uid_base
+        assert [(uid - second_base, value) for uid, value in second_observer.stream] == [
+            (uid - first_base, value) for uid, value in first_observer.stream
+        ]
+
+    def test_cache_is_bounded_and_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(blockc, "_CODE_CACHE", {})
+        monkeypatch.setattr(blockc, "_CODE_CACHE_LIMIT", 3)
+        calls = _count_block_compiles(monkeypatch)
+
+        def compile_variant(count):
+            machine = Machine(assemble_program(_counting_asm(count)))
+            return compile_blocks(machine, collect_trace=True).source
+
+        sources = [compile_variant(count) for count in range(5)]
+        assert len(calls) == 5
+        digests = [hashlib.sha256(source.encode()).hexdigest() for source in sources]
+        assert list(blockc._CODE_CACHE) == digests[2:]
+        compile_variant(4)  # still cached
+        assert len(calls) == 5
+        compile_variant(0)  # evicted: compiled again, and the oldest goes
+        assert len(calls) == 6
+        assert list(blockc._CODE_CACHE) == digests[3:] + digests[:1]
+
+    def test_concurrent_rebuilds_stay_exact_and_bounded(self, monkeypatch):
+        """More threads than cores compile and run rebuilds of more
+        distinct programs than the cache holds, with a tiny switch
+        interval so lookups, inserts and evictions interleave.  Every run
+        must equal the single-threaded run of its program, and the bound
+        must hold.  The programs are built up front: uids come from one
+        process-wide counter, so concurrent builds would interleave them."""
+        limit, variants = 4, 7
+        monkeypatch.setattr(blockc, "_CODE_CACHE", {})
+        monkeypatch.setattr(blockc, "_CODE_CACHE_LIMIT", limit)
+
+        def run_program(program):
+            machine = Machine(program)
+            return _relative_run(machine, machine.run(collect_trace=True))
+
+        expected = [
+            run_program(assemble_program(_counting_asm(count))) for count in range(variants)
+        ]
+        counts = [
+            [(seed + step) % variants for step in range(3 * variants)]
+            for seed in range(2 * (os.cpu_count() or 1) + 2)
+        ]
+        plans = [
+            [(count, assemble_program(_counting_asm(count))) for count in plan]
+            for plan in counts
+        ]
+        errors: list = []
+        sizes: list[int] = []
+
+        def worker(plan):
+            try:
+                for count, program in plan:
+                    if run_program(program) != expected[count]:
+                        errors.append(f"variant {count} diverged")
+                    sizes.append(len(blockc._CODE_CACHE))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(plan,)) for plan in plans]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(sizes) == len(threads) * 3 * variants
+        assert max(sizes) <= limit and len(blockc._CODE_CACHE) <= limit
+
+    def test_second_engine_pass_compiles_nothing(self, tmp_path, monkeypatch):
+        """Two passes over li's paper points, each with a fresh engine and
+        an empty store, as a warm process runs them: every program of the
+        second pass — VRS's training and profiling runs included — comes
+        from the code cache."""
+        monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
+        points = [ExperimentConfig("li", mechanism) for mechanism in ("none", "vrp", "vrs")]
+
+        def run_pass(root):
+            evaluations = ExperimentEngine(ResultStore(root), jobs=1).map(points)
+            digests = []
+            for evaluation in evaluations:
+                assert evaluation.freshly_computed
+                data = evaluation.summarize().to_json_dict()
+                if data["vrp"] is not None:
+                    data["vrp"].pop("analysis_seconds")
+                digests.append(data)
+            return digests
+
+        first = run_pass(tmp_path / "first")
+        calls = _count_block_compiles(monkeypatch)
+        assert run_pass(tmp_path / "second") == first
+        assert calls == []
 
 
 class TestGeneratedSource:

@@ -14,6 +14,7 @@ first diverging record instead of reporting two end-of-run summaries.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from dataclasses import replace
 
 import pytest
@@ -295,18 +296,22 @@ done:
 # Pipeline plumbing: engine resolution, validation
 # ----------------------------------------------------------------------
 class TestPipelinePlumbing:
-    def test_resolution_auto_follows_snapshot_layer(self, tmp_path, monkeypatch):
+    def test_resolution_auto_is_materialized(self, tmp_path, monkeypatch):
+        """``auto`` depends neither on the snapshot layer nor on a store:
+        with the layer on, off, and with no store it is materialized."""
         monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
-        store = ResultStore(tmp_path)
-        assert _resolve_pipeline("auto", store) == "materialized"
+        assert ResultStore(tmp_path).trace_enabled
+        assert _resolve_pipeline("auto") == "materialized"
         monkeypatch.setenv("REPRO_TRACE_STORE", "off")
-        assert _resolve_pipeline("auto", store) == "fused"
-        assert _resolve_pipeline("auto", None) == "fused"
-        # Explicit choices win over everything.
-        assert _resolve_pipeline("materialized", None) == "materialized"
-        assert _resolve_pipeline("fused", store) == "fused"
+        assert not ResultStore(tmp_path).trace_enabled
+        assert _resolve_pipeline("auto") == "materialized"
+        # It takes no store (and no lane count) to consult.
+        assert list(inspect.signature(_resolve_pipeline).parameters) == ["pipeline"]
+        # Explicit choices are kept as they are.
+        assert _resolve_pipeline("materialized") == "materialized"
+        assert _resolve_pipeline("fused") == "fused"
         with pytest.raises(ValueError):
-            _resolve_pipeline("turbo", store)
+            _resolve_pipeline("turbo")
 
     def test_unknown_pipeline_is_rejected_everywhere(self, tmp_path):
         engine = ExperimentEngine(store=ResultStore(tmp_path), jobs=1)
@@ -366,24 +371,25 @@ class TestPipelinePlumbing:
 
 
 # ----------------------------------------------------------------------
-# Satellite 4 regression: summary-only evaluations never build a trace
+# Summary-only evaluations: ``auto`` materializes, explicit fused builds
+# no trace
 # ----------------------------------------------------------------------
 class TestNoTraceForSummaryOnly:
-    def test_summary_only_evaluation_never_constructs_a_trace(
+    def test_explicit_fused_evaluation_never_constructs_a_trace(
         self, tmp_path, monkeypatch
     ):
-        """With ``REPRO_TRACE_STORE=off`` a cold ``engine.evaluate`` must
-        resolve through the fused pipeline — the trace must not even be
-        *constructed*, not merely dropped after the fact."""
+        """A cold ``engine.evaluate(pipeline="fused")`` keeps memory
+        bounded: the trace must not even be *constructed*, not merely
+        dropped after the fact."""
         monkeypatch.setenv("REPRO_TRACE_STORE", "off")
 
         def explode(self):
-            raise AssertionError("summary-only evaluation materialized a trace")
+            raise AssertionError("a fused evaluation materialized a trace")
 
         monkeypatch.setattr(Machine, "_new_trace", explode)
         engine = ExperimentEngine(store=ResultStore(tmp_path))
         config = ExperimentConfig(workload="li")
-        evaluation = engine.evaluate(config)
+        evaluation = engine.evaluate(config, pipeline="fused")
         assert evaluation.freshly_computed
         assert evaluation.pipeline == "fused"
         # The summary was persisted; a second engine restores it without
@@ -391,6 +397,22 @@ class TestNoTraceForSummaryOnly:
         restored = ExperimentEngine(store=ResultStore(tmp_path)).evaluate(config)
         assert not restored.freshly_computed
         assert restored.summarize().to_json_dict() == evaluation.summarize().to_json_dict()
+
+    def test_auto_materializes_with_snapshot_layer_off(self, tmp_path, monkeypatch):
+        """With ``REPRO_TRACE_STORE=off`` a cold ``auto`` evaluation runs
+        materialized, writes no snapshot, and reports what the fused
+        pipeline reports."""
+        monkeypatch.setenv("REPRO_TRACE_STORE", "off")
+        config = ExperimentConfig(workload="li")
+        evaluation = ExperimentEngine(store=ResultStore(tmp_path / "auto")).evaluate(config)
+        assert evaluation.freshly_computed
+        assert evaluation.pipeline == "materialized"
+        assert not (tmp_path / "auto" / "traces").exists()
+        assert not list((tmp_path / "auto").rglob("*.trace"))
+        fused = ExperimentEngine(store=ResultStore(tmp_path / "fused")).compute(
+            config, pipeline="fused"
+        )
+        assert evaluation.summarize().to_json_dict() == fused.summarize().to_json_dict()
 
     def test_snapshots_enabled_keeps_materialized_default(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
@@ -440,17 +462,26 @@ class TestSweepPipeline:
         assert all(row.source == "replayed" for row in warm)
         assert warm.simulations == 0
 
-    def test_auto_streams_single_config_groups(self, tmp_path, monkeypatch):
+    def test_auto_materializes_single_config_groups(self, tmp_path, monkeypatch):
+        """A one-config group with the snapshot layer off is simulated
+        materialized under ``auto``; only an explicit ``fused`` streams."""
         monkeypatch.setenv("REPRO_TRACE_STORE", "off")
         spec = SweepSpec.cartesian(
             workloads=("li",),
             configs=default_sweep_configs()[:1],
             policies=("baseline",),
         )
-        rows = SweepResult.collect(
-            ExperimentEngine(store=ResultStore(tmp_path)).sweep(spec)
+        auto = SweepResult.collect(
+            ExperimentEngine(store=ResultStore(tmp_path / "auto")).sweep(spec)
         )
-        assert [row.source for row in rows] == ["fused"]
+        fused = SweepResult.collect(
+            ExperimentEngine(store=ResultStore(tmp_path / "fused")).sweep(spec, pipeline="fused")
+        )
+        assert [row.source for row in auto] == ["computed"]
+        assert [row.source for row in fused] == ["fused"]
+        assert dataclasses.replace(auto.rows[0], source="") == dataclasses.replace(
+            fused.rows[0], source=""
+        )
 
     def test_unknown_pipeline_rejected(self, tmp_path):
         engine = ExperimentEngine(store=ResultStore(tmp_path))
