@@ -81,7 +81,7 @@ def run_vrp(program: Program, config: Optional[VRPConfig] = None) -> VRPResult:
     order = [name for name in call_graph.bottom_up_order() if name in program.functions]
 
     result = VRPResult(program=program, config=config)
-    result.original_widths = {inst.uid: inst.width for inst in program.instructions()}
+    result.original_widths = _uid_widths(program)
 
     facts = {
         name: FunctionFacts.build(program.functions[name], program, config) for name in order
@@ -116,6 +116,11 @@ def run_vrp(program: Program, config: Optional[VRPConfig] = None) -> VRPResult:
         result.widths.update(assign_function_widths(result.analyses[name]))
     result.analysis_seconds = time.perf_counter() - start
     return result
+
+
+def _uid_widths(program: Program) -> dict[int, Width]:
+    """Every instruction's encoded width, by uid."""
+    return {inst.uid: inst.width for inst in program.instructions()}
 
 
 def apply_widths(program: Program, result: VRPResult) -> int:

@@ -30,7 +30,7 @@ from .energy_model import EnergyModel, SavingsEstimator
 from .propagation import VRPConfig
 from .specialize import SpecializationRecord, specialize_candidate
 from .value_range import ValueRange
-from .vrp import VRPResult, apply_widths, run_vrp
+from .vrp import VRPResult, _uid_widths, apply_widths, run_vrp
 
 __all__ = ["VRSConfig", "CandidateOutcome", "VRSResult", "run_vrs"]
 
@@ -136,12 +136,30 @@ class VRSResult:
         return uids
 
 
-def run_vrs(program: Program, config: Optional[VRSConfig] = None) -> VRSResult:
-    """Run the complete VRS pipeline on ``program`` (modified in place)."""
+def run_vrs(
+    program: Program,
+    config: Optional[VRSConfig] = None,
+    vrp_before: Optional[VRPResult] = None,
+) -> VRSResult:
+    """Run the complete VRS pipeline on ``program`` (modified in place).
+
+    ``vrp_before`` is step 1's analysis when the caller already has it:
+    :func:`run_vrp` under ``config.vrp`` of ``program`` itself or of a
+    copy with equal uids and widths (VRP reads code only, so the input
+    installed in either does not matter).  The candidate estimates read
+    instructions through the analysis, so a copy must carry the
+    analysis's widths (:func:`apply_widths`), as ``program`` does once
+    they are applied.  An analysis that fails these checks — another
+    build's, another configuration's — raises ``ValueError``.  The
+    experiment engine passes the analysis its ``vrp`` point applied.
+    """
     config = config or VRSConfig()
     model = EnergyModel()
 
-    vrp_before = run_vrp(program, config.vrp)
+    if vrp_before is None:
+        vrp_before = run_vrp(program, config.vrp)
+    else:
+        _check_before(program, vrp_before, config.vrp)
     apply_widths(program, vrp_before)
 
     machine = Machine(program, max_instructions=config.train_max_instructions)
@@ -181,6 +199,27 @@ def run_vrs(program: Program, config: Optional[VRSConfig] = None) -> VRSResult:
         outcomes=outcomes,
         records=records,
     )
+
+
+def _check_before(program: Program, vrp_before: VRPResult, config: VRPConfig) -> None:
+    """Raise ``ValueError`` unless ``vrp_before`` may stand for step 1's
+    analysis of ``program`` (see :func:`run_vrs`)."""
+    if vrp_before.config != config:
+        raise ValueError(
+            f"vrp_before was analysed under {vrp_before.config!r}, not {config!r}"
+        )
+    if _uid_widths(program) != vrp_before.original_widths:
+        raise ValueError(
+            "vrp_before analysed another program: its uids or widths differ from this one's"
+        )
+    narrowed = {
+        uid: vrp_before.widths.get(uid, width)
+        for uid, width in vrp_before.original_widths.items()
+    }
+    if vrp_before.program is not program and _uid_widths(vrp_before.program) != narrowed:
+        raise ValueError(
+            "vrp_before's program does not carry its widths; apply_widths() it first"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,9 @@ API on :func:`default_engine`:
 
 * ``engine.evaluate(point)`` — resolve one :class:`ExperimentConfig`
   through memo → store → snapshot replay → compute,
-* ``engine.map(points)`` / ``engine.map_suite(...)`` — many points, in
-  parallel where possible,
+* ``engine.map(points)`` / ``engine.map_suite(...)`` /
+  ``engine.map_suites(*variants)`` — many points, in parallel where
+  possible,
 * ``engine.sweep(spec)`` — a batched design-space matrix
   (:class:`SweepSpec` → streamed :class:`SweepRow` rows; see
   ``docs/sweeps.md``),

@@ -25,9 +25,15 @@ def dynamic_width_fractions(
     mechanism: str, conventional_vrp: bool = False, threshold_nj: float = 50.0
 ) -> dict[Width, float]:
     """Average dynamic width distribution over the suite for one mechanism."""
-    evaluations = default_engine().map_suite(
-        mechanism=mechanism, conventional_vrp=conventional_vrp, threshold_nj=threshold_nj
+    return _width_fractions(
+        default_engine().map_suite(
+            mechanism=mechanism, conventional_vrp=conventional_vrp, threshold_nj=threshold_nj
+        )
     )
+
+
+def _width_fractions(evaluations: dict) -> dict[Width, float]:
+    """Average dynamic width distribution of one suite's ``evaluations``."""
     per_benchmark: list[dict[Width, float]] = []
     for evaluation in evaluations.values():
         counts = evaluation.counted_width_counts()
@@ -42,18 +48,26 @@ def dynamic_width_fractions(
 
 def figure02_vrp_width_distribution() -> dict[str, dict[Width, float]]:
     """Figure 2: conventional VRP vs the proposed (useful-range) VRP."""
+    conventional, proposed = default_engine().map_suites(
+        {"mechanism": "vrp", "conventional_vrp": True}, {"mechanism": "vrp"}
+    )
     return {
-        "conventional_vrp": dynamic_width_fractions("vrp", conventional_vrp=True),
-        "proposed_vrp": dynamic_width_fractions("vrp", conventional_vrp=False),
+        "conventional_vrp": _width_fractions(conventional),
+        "proposed_vrp": _width_fractions(proposed),
     }
 
 
 def figure07_width_by_mechanism(threshold_nj: float = 50.0) -> dict[str, dict[Width, float]]:
     """Figure 7: width distribution with no mechanism, VRP and VRS."""
+    none, vrp, vrs = default_engine().map_suites(
+        {"mechanism": "none"},
+        {"mechanism": "vrp"},
+        {"mechanism": "vrs", "threshold_nj": threshold_nj},
+    )
     return {
-        "none": dynamic_width_fractions("none"),
-        "vrp": dynamic_width_fractions("vrp"),
-        "vrs": dynamic_width_fractions("vrs", threshold_nj=threshold_nj),
+        "none": _width_fractions(none),
+        "vrp": _width_fractions(vrp),
+        "vrs": _width_fractions(vrs),
     }
 
 

@@ -51,12 +51,23 @@ def table1_alu_energy_matrix() -> dict[Width, dict[Width, float]]:
 # ----------------------------------------------------------------------
 # Software-scheme energy savings
 # ----------------------------------------------------------------------
-def _suite_structure_savings(
-    mechanism: str, policy: str, threshold_nj: float = 50.0
-) -> dict[str, float]:
-    """Average per-structure savings of a configuration vs the baseline."""
-    baseline = default_engine().map_suite(mechanism="none")
-    configured = default_engine().map_suite(mechanism=mechanism, threshold_nj=threshold_nj)
+def _software_variants(thresholds: tuple[float, ...]) -> dict[str, dict]:
+    """VRP and VRS at each threshold, by configuration name."""
+    variants: dict[str, dict] = {"vrp": {"mechanism": "vrp"}}
+    for threshold in thresholds:
+        variants[f"vrs_{int(threshold)}nj"] = {"mechanism": "vrs", "threshold_nj": threshold}
+    return variants
+
+
+def _map_with_baseline(variants: dict[str, dict]) -> tuple[dict, dict[str, dict]]:
+    """The suite's baseline and every named variant, mapped in one call,
+    so each workload's points share their build, analysis and run."""
+    baseline, *configured = default_engine().map_suites({"mechanism": "none"}, *variants.values())
+    return baseline, dict(zip(variants, configured))
+
+
+def _structure_savings(baseline: dict, configured: dict, policy: str) -> dict[str, float]:
+    """Average per-structure savings of ``configured`` under ``policy`` vs the baseline."""
     sums = {name: 0.0 for name in list(STRUCTURES) + ["processor"]}
     for name in SUITE_NAMES:
         base = baseline[name].outcome("baseline").energy
@@ -68,19 +79,19 @@ def _suite_structure_savings(
 
 def figure03_vrp_energy_by_structure() -> dict[str, float]:
     """Figure 3: per-structure energy savings of VRP (software gating)."""
-    return _suite_structure_savings("vrp", "software")
+    baseline, configured = _map_with_baseline({"vrp": {"mechanism": "vrp"}})
+    return _structure_savings(baseline, configured["vrp"], "software")
 
 
 def figure09_energy_by_structure(
     thresholds: tuple[float, ...] = VRS_THRESHOLDS_NJ,
 ) -> dict[str, dict[str, float]]:
     """Figure 9: per-structure savings of VRP and of VRS at each threshold."""
-    results = {"vrp": _suite_structure_savings("vrp", "software")}
-    for threshold in thresholds:
-        results[f"vrs_{int(threshold)}nj"] = _suite_structure_savings(
-            "vrs", "software", threshold_nj=threshold
-        )
-    return results
+    baseline, configured = _map_with_baseline(_software_variants(thresholds))
+    return {
+        config_name: _structure_savings(baseline, evaluations, "software")
+        for config_name, evaluations in configured.items()
+    }
 
 
 def figure08_energy_savings_by_benchmark(
@@ -90,22 +101,16 @@ def figure08_energy_savings_by_benchmark(
 
     Returns ``{configuration: {benchmark: fractional saving, ..., "average": x}}``.
     """
-    baseline = default_engine().map_suite(mechanism="none")
+    baseline, configured = _map_with_baseline(_software_variants(thresholds))
     results: dict[str, dict[str, float]] = {}
-
-    def add(config_name: str, mechanism: str, threshold: float = 50.0) -> None:
-        configured = default_engine().map_suite(mechanism=mechanism, threshold_nj=threshold)
+    for config_name, evaluations in configured.items():
         per_benchmark: dict[str, float] = {}
         for name in SUITE_NAMES:
             base = baseline[name].outcome("baseline").energy
-            other = configured[name].outcome("software").energy
+            other = evaluations[name].outcome("software").energy
             per_benchmark[name] = other.savings_vs(base)["processor"]
         per_benchmark["average"] = sum(per_benchmark.values()) / len(SUITE_NAMES)
         results[config_name] = per_benchmark
-
-    add("vrp", "vrp")
-    for threshold in thresholds:
-        add(f"vrs_{int(threshold)}nj", "vrs", threshold)
     return results
 
 

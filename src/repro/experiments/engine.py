@@ -31,7 +31,10 @@ materialized pipeline unless the caller names the fused one
 (:func:`_resolve_pipeline`), and the resolver times every materialized
 trace through the engine's timing memo, which walks a timing-identical
 trace (a workload's ``none`` and ``vrp`` builds) once per machine
-config.  Workers return plain
+config.  :meth:`ExperimentEngine.map`'s serial loop resolves its misses
+workload by workload, and a workload's points share one build, one VRP
+analysis per configuration and the previous traced run
+(:class:`~repro.experiments.runner.SharedWork`).  Workers return plain
 JSON-serializable summaries and the parent hands out *restored*
 :class:`WorkloadEvaluation` objects, so parallel and serial evaluation
 are observationally equivalent for every figure and table of the paper.
@@ -60,12 +63,17 @@ from .resilience import (
     classify_failure,
     supervised_map,
 )
-from .runner import WorkloadEvaluation, _compute_evaluation, artifact_from_evaluation
+from .runner import (
+    SharedWork,
+    WorkloadEvaluation,
+    _compute_evaluation,
+    artifact_from_evaluation,
+)
 from .store import ResultStore, config_key, trace_key
 from .summary import EvaluationSummary, aggregate_trace, restore_vrp_stat_keys
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from typing import Iterator, Mapping
+    from typing import Any, Iterator, Mapping
 
     from ..sim.snapshot import SimulationArtifact
     from .sweep import SweepRow, SweepSpec
@@ -279,6 +287,7 @@ def _resolve_miss(
     other_lanes: Sequence[MachineConfig] = (),
     memo: Optional[TimingMemo] = None,
     precheck: bool = True,
+    shared: Optional[SharedWork] = None,
 ) -> tuple[WorkloadEvaluation, list[EvaluationSummary], str]:
     """Resolve one trace-signature group under the store's single-flight lock.
 
@@ -293,7 +302,10 @@ def _resolve_miss(
     ``pipeline`` resolved by :func:`_resolve_pipeline`, and the other
     lanes timed over the same trace).  Only a computed evaluation is live.
     Every materialized walk goes through the engine's timing ``memo``
-    (pool workers have none, and walk).
+    (pool workers have none, and walk), and a compute shares the work of
+    its workload group through ``shared`` (:class:`SharedWork`; only
+    :meth:`ExperimentEngine.map`'s serial loop passes one, and without
+    it the compute is a group of one).
 
     The lock is the first lane's: a compute publishes that lane's
     summary — and a materialized compute the trace snapshot — and a
@@ -320,7 +332,9 @@ def _resolve_miss(
         if summaries is None:
             with store.claim(key, replay) as summaries:
                 if summaries is None:
-                    return _compute(store, key, config, workload, pipeline, other_lanes, memo)
+                    return _compute(
+                        store, key, config, workload, pipeline, other_lanes, memo, shared
+                    )
         return WorkloadEvaluation.from_summary(workload, summaries[0]), summaries, "replayed"
     with store.single_flight(key, precheck=precheck) as flight:
         if flight.summary is not None:
@@ -330,7 +344,7 @@ def _resolve_miss(
         if summaries is not None:
             store.save(key, summaries[0])
             return WorkloadEvaluation.from_summary(workload, summaries[0]), summaries, "replayed"
-        return _compute(store, key, config, workload, pipeline, other_lanes, memo)
+        return _compute(store, key, config, workload, pipeline, other_lanes, memo, shared)
 
 
 def _compute(
@@ -341,6 +355,7 @@ def _compute(
     pipeline: str,
     other_lanes: Sequence[MachineConfig],
     memo: Optional[TimingMemo],
+    shared: Optional[SharedWork],
 ) -> tuple[WorkloadEvaluation, list[EvaluationSummary], str]:
     """The live branch of :func:`_resolve_miss`, run by the lock's owner."""
     evaluation = _compute_evaluation(
@@ -351,17 +366,39 @@ def _compute(
         machine_config=config.machine_config,
         pipeline=_resolve_pipeline(pipeline),
         memo=memo,
+        shared=shared,
     )
     first = evaluation.summarize()
     # A fused evaluation has no trace to snapshot — its ``trace`` slot
-    # holds the streaming shape aggregate (see docs/fused.md).  The
+    # holds the streaming shape aggregate (see docs/fused.md) — and with
+    # the snapshot layer off there is nothing to build one for.  The
     # snapshot is published before the entry, so a reader of the entry
     # finds the snapshot too.
-    if evaluation.pipeline != "fused":
+    if evaluation.pipeline != "fused" and store.trace_enabled:
         store.save_trace(_snapshot_key(config, workload), artifact_from_evaluation(evaluation))
     store.save(key, first)
     summaries = _lane_summaries(first, *_time_other_lanes(evaluation, other_lanes, memo))
     return evaluation, summaries, "computed"
+
+
+#: A workload group's points in pipeline order: a VRS pipeline starts
+#: with the analysis a ``vrp`` point applies.
+_PIPELINE_ORDER = {"none": 0, "vrp": 1, "vrs": 2}
+
+
+def _workload_groups(
+    order: Sequence[tuple[str, tuple[ExperimentConfig, Workload]]],
+) -> list[list[tuple[str, tuple[ExperimentConfig, Workload]]]]:
+    """``order``'s misses grouped by workload, in first-seen order; each
+    group in pipeline order (:data:`_PIPELINE_ORDER`), ties in input order."""
+    groups: dict[str, list] = {}
+    for item in order:
+        groups.setdefault(item[1][1].content_hash(), []).append(item)
+    last = len(_PIPELINE_ORDER)
+    return [
+        sorted(group, key=lambda item: _PIPELINE_ORDER.get(item[1][0].mechanism, last))
+        for group in groups.values()
+    ]
 
 
 def _compute_summary_for(
@@ -535,6 +572,18 @@ class ExperimentEngine:
         genuinely required (:meth:`evaluate` returns a live object only
         when it computes; store hits are restored there too).
 
+        The serial loop resolves the misses workload by workload, in the
+        order workloads first appear in ``configs``, and a workload's
+        points in pipeline order (``none``, ``vrp``, ``vrs``; ties in
+        input order).  Each workload group shares one
+        :class:`~repro.experiments.runner.SharedWork`: one build that
+        every point copies, one VRP analysis per configuration (the
+        ``vrp`` point applies it and VRS starts from it) and the previous
+        traced run, which a program equal to the one it ran reuses.  The
+        group's shared work is dropped when the group ends, so the loop
+        holds one workload's build, analyses and extra trace at most.
+        Pool workers compute every point as a group of one.
+
         The fan-out runs under :func:`~repro.experiments.resilience.supervised_map`:
         transient worker failures are retried with backoff, hung workers
         are reaped when ``REPRO_TASK_TIMEOUT_S`` is set, and pool
@@ -549,8 +598,9 @@ class ExperimentEngine:
 
         ``on_result`` streams per-point progress: it is called once per
         *input index* — ``on_result(index, evaluation)`` — as each point
-        resolves, in arrival order (memo/store hits first, then pool or
-        serial completions; a deduplicated key fires once per index that
+        resolves, in arrival order (memo/store hits first, in input
+        order, then pool completions, or serial ones in the grouped
+        order above; a deduplicated key fires once per index that
         requested it).  It runs in the calling thread, so a slow callback
         slows delivery, not the workers.  The evaluation service uses
         this for its NDJSON progress streams.
@@ -619,27 +669,31 @@ class ExperimentEngine:
         )
         if errors is None:
             errors = {}
-            for key, (config, workload) in order:
-                if key in delivered:
-                    # Streamed by a pool attempt that later collapsed.
-                    continue
-                try:
-                    evaluation, (summary,), provenance = _resolve_miss(
-                        self.store,
-                        key,
-                        config,
-                        workload,
-                        resolved_pipeline,
-                        memo=self._timing_memo,
-                        precheck=False,
-                    )
-                except Exception as exc:
-                    errors[key] = classify_failure(exc)
-                    continue
-                # Free a live evaluation (and its trace) before the next
-                # point builds and simulates.
-                del evaluation
-                ready(key, summary, provenance)
+            for group in _workload_groups(order):
+                # One workload's shared work lives as long as its group.
+                shared = SharedWork(group[0][1][1])
+                for key, (config, workload) in group:
+                    if key in delivered:
+                        # Streamed by a pool attempt that later collapsed.
+                        continue
+                    try:
+                        evaluation, (summary,), provenance = _resolve_miss(
+                            self.store,
+                            key,
+                            config,
+                            workload,
+                            resolved_pipeline,
+                            memo=self._timing_memo,
+                            precheck=False,
+                            shared=shared,
+                        )
+                    except Exception as exc:
+                        errors[key] = classify_failure(exc)
+                        continue
+                    # Free a live evaluation (and its trace) before the next
+                    # point builds and simulates.
+                    del evaluation
+                    ready(key, summary, provenance)
         for key, (config, workload) in order:
             error = errors.get(key)
             if error is None:
@@ -672,21 +726,51 @@ class ExperimentEngine:
         """Evaluate every workload of the SpecInt95-analogue suite.
 
         Convenience over :meth:`map`: one configuration per suite
-        workload, results keyed by workload name.  This is what the
+        workload, results keyed by workload name.  A figure that
+        combines several configurations maps them in one call
+        (:meth:`map_suites`).
+        """
+        (evaluations,) = self.map_suites(
+            {
+                "mechanism": mechanism,
+                "threshold_nj": threshold_nj,
+                "conventional_vrp": conventional_vrp,
+                "machine_config": machine_config,
+            },
+            jobs=jobs,
+            pipeline=pipeline,
+            on_error=on_error,
+        )
+        return evaluations
+
+    def map_suites(
+        self,
+        *variants: Mapping[str, Any],
+        jobs: Optional[int] = None,
+        pipeline: str = "auto",
+        on_error: str = "raise",
+    ) -> list[dict[str, WorkloadEvaluation]]:
+        """:meth:`map_suite` of several configurations in one :meth:`map`.
+
+        Each variant holds :class:`ExperimentConfig` fields other than
+        the workload (``{"mechanism": "vrs", "threshold_nj": 30.0}``);
+        the result holds one ``{workload name: evaluation}`` mapping per
+        variant, in order.  Mapped together, a workload's points share
+        their build, VRP analysis and traced run (see :meth:`map`), which
+        separate :meth:`map_suite` calls cannot.  This is what the
         figure/table modules call.
         """
+        suite = load_suite()
         configs = [
-            ExperimentConfig(
-                workload=workload.name,
-                mechanism=mechanism,
-                threshold_nj=threshold_nj,
-                conventional_vrp=conventional_vrp,
-                machine_config=machine_config,
-            )
-            for workload in load_suite()
+            ExperimentConfig(workload=workload.name, **variant)
+            for variant in variants
+            for workload in suite
         ]
         evaluations = self.map(configs, jobs=jobs, pipeline=pipeline, on_error=on_error)
-        return {evaluation.workload.name: evaluation for evaluation in evaluations}
+        return [
+            {workload.name: evaluation for workload, evaluation in zip(suite, evaluations[start:])}
+            for start in range(0, len(configs), len(suite))
+        ]
 
     def sweep(
         self,

@@ -49,6 +49,7 @@ from .summary import (
 
 __all__ = [
     "POLICY_NAMES",
+    "SharedWork",
     "SimulationOutcome",
     "WorkloadEvaluation",
     "artifact_from_evaluation",
@@ -296,11 +297,14 @@ _PROBE_SEQ = itertools.count()
 
 
 def _touch_sim_probe(workload: Workload, mechanism: str) -> None:
-    """Drop one marker file per live simulation into ``REPRO_SIM_PROBE_DIR``.
+    """Drop one marker file per live compute into ``REPRO_SIM_PROBE_DIR``.
 
     Cross-process observable instrumentation: tests (and the CI service
     smoke) count the files to assert "N identical submissions cost
-    exactly one simulator run" without trusting any in-process counter.
+    exactly one live compute" without trusting any in-process counter.
+    The marker is dropped per compute, not per simulation: a compute
+    that reuses its workload group's previous traced run
+    (:class:`SharedWork`) drops one too.
     ``O_EXCL`` plus a pid/sequence name makes every marker unique even
     when many workers probe concurrently.  No-op unless the variable is
     set; always best-effort.
@@ -328,6 +332,7 @@ def _compute_evaluation(
     machine_config: Optional[MachineConfig] = None,
     pipeline: str = "materialized",
     memo: Optional[TimingMemo] = None,
+    shared: Optional["SharedWork"] = None,
 ) -> WorkloadEvaluation:
     """Build, transform and simulate one workload configuration (uncached).
 
@@ -336,6 +341,14 @@ def _compute_evaluation(
     passes its engine's timing ``memo``: a materialized trace is then
     timed through it, and walked only when no timing-identical trace
     was timed under ``machine_config`` before.
+
+    ``shared`` is the work of ``workload``'s group (:class:`SharedWork`),
+    which :meth:`ExperimentEngine.map`'s serial loop passes for every
+    point of a workload; any other caller computes a group of one.  The
+    program is a copy of the group's one build, VRP's analysis comes
+    from the group (the ``vrp`` point applies it, ``run_vrs`` takes it
+    as its first analysis), and a materialized run equal to the group's
+    previous traced run reuses it instead of simulating.
 
     ``pipeline`` selects how the simulation outputs are produced:
     ``"materialized"`` simulates with a full columnar trace and walks it
@@ -353,21 +366,24 @@ def _compute_evaluation(
         raise ValueError(
             f"unknown pipeline {pipeline!r}; expected 'materialized' or 'fused'"
         )
+    if mechanism not in ("none", "vrp", "vrs"):
+        raise ValueError(f"unknown mechanism {mechanism!r}; expected 'none', 'vrp' or 'vrs'")
+    if shared is None:
+        shared = SharedWork(workload)
     _touch_sim_probe(workload, mechanism)
-    program = workload.build()
+    program = shared.program()
     vrp_result = None
     vrs_result = None
     if mechanism == "vrp":
         config = VRPConfig().conventional() if conventional_vrp else VRPConfig()
         workload.apply_input(program, "ref")
-        vrp_result = run_vrp(program, config)
+        vrp_result = shared.vrp(config)
         apply_widths(program, vrp_result)
     elif mechanism == "vrs":
         workload.apply_input(program, "train")
-        vrs_result = run_vrs(program, VRSConfig(threshold_nj=threshold_nj))
+        config = VRSConfig(threshold_nj=threshold_nj)
+        vrs_result = run_vrs(program, config, vrp_before=shared.vrp(config.vrp))
         vrp_result = vrs_result.vrp_after
-    elif mechanism != "none":
-        raise ValueError(f"unknown mechanism {mechanism!r}; expected 'none', 'vrp' or 'vrs'")
     workload.apply_input(program, "ref")
     machine = Machine(program)
     if pipeline == "fused":
@@ -375,7 +391,7 @@ def _compute_evaluation(
         trace = run.fused.shapes
         timing = run.fused.timing
     else:
-        run = machine.run(collect_trace=True)
+        run = shared.traced_run(machine)
         trace = run.trace
         if memo is None:
             timing = OutOfOrderModel(machine_config).run(trace)
@@ -394,6 +410,73 @@ def _compute_evaluation(
         conventional_vrp=conventional_vrp,
         pipeline=pipeline,
     )
+
+
+class SharedWork:
+    """The work one workload's points share within one :meth:`ExperimentEngine.map`.
+
+    The engine makes one per workload group of its serial loop and drops
+    it when the group ends, so it holds at most one workload's build,
+    analyses and extra trace; every other compute (:meth:`evaluate`,
+    :meth:`compute`, pool workers, sweeps) is a group of one point,
+    which :func:`_compute_evaluation` makes itself.  It holds:
+
+    * one pristine :meth:`Workload.build`, which :meth:`program` copies
+      for every point after the first, so the group's programs share
+      uids (kept pickled: a pickle round trip is a deep copy at a tenth
+      of ``copy.deepcopy``'s cost);
+    * one VRP analysis per :class:`VRPConfig` (:meth:`vrp`), which reads
+      code only, so points that install different inputs share it;
+    * the previous traced run and its :meth:`Machine.traced_run_key`
+      (:meth:`traced_run`), so a program equal to the previous one — a
+      ``vrs`` build in which VRS specialized nothing equals its ``vrp``
+      build — reuses that run instead of simulating.
+    """
+
+    def __init__(self, workload: Workload) -> None:
+        self.workload = workload
+        self._build: Optional[bytes] = None
+        self._analyses: dict[VRPConfig, VRPResult] = {}
+        self._run: Optional[tuple[tuple, RunResult]] = None
+
+    def program(self) -> Program:
+        """A fresh copy of the group's build (the first call gets the
+        build itself)."""
+        # Imported here: a process that never computes (a sweep replaying
+        # its snapshots) does not load the module (about 180 KiB resident).
+        import pickle
+
+        if self._build is None:
+            program = self.workload.build()
+            self._build = pickle.dumps(program, pickle.HIGHEST_PROTOCOL)
+            return program
+        return pickle.loads(self._build)
+
+    def vrp(self, config: VRPConfig) -> VRPResult:
+        """``run_vrp`` of the group's build under ``config``, run once.
+
+        It analyses a copy of its own and narrows that copy with its
+        widths, so the instructions the analysis holds carry them, as
+        ``run_vrs`` requires of a first analysis it is given.
+        """
+        result = self._analyses.get(config)
+        if result is None:
+            program = self.program()
+            result = run_vrp(program, config)
+            apply_widths(program, result)
+            self._analyses[config] = result
+        return result
+
+    def traced_run(self, machine: Machine) -> RunResult:
+        """``machine.run(collect_trace=True)``, or the previous traced run
+        when its key equals ``machine``'s (:meth:`Machine.adopt_traced_run`)."""
+        key = machine.traced_run_key()
+        if self._run is not None and self._run[0] == key:
+            return machine.adopt_traced_run(self._run[1])
+        self._run = None  # free the previous trace before this run builds one
+        run = machine.run(collect_trace=True)
+        self._run = (key, run)
+        return run
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,7 @@ import time
 
 from ..core import VRPConfig, run_vrp
 from ..workloads import SUITE_NAMES, load_suite
-from .energy import VRS_THRESHOLDS_NJ
-from .engine import default_engine
+from .energy import VRS_THRESHOLDS_NJ, _map_with_baseline, _software_variants
 
 __all__ = [
     "figure10_execution_time_savings",
@@ -23,41 +22,44 @@ def figure10_execution_time_savings(
     thresholds: tuple[float, ...] = VRS_THRESHOLDS_NJ,
 ) -> dict[str, dict[str, float]]:
     """Figure 10: per-benchmark execution-time reduction of VRS."""
-    baseline = default_engine().map_suite(mechanism="none")
+    baseline, configured = _map_with_baseline(
+        {
+            f"vrs_{int(threshold)}nj": {"mechanism": "vrs", "threshold_nj": threshold}
+            for threshold in thresholds
+        }
+    )
     results: dict[str, dict[str, float]] = {}
-    for threshold in thresholds:
-        configured = default_engine().map_suite(mechanism="vrs", threshold_nj=threshold)
+    for config_name, evaluations in configured.items():
         per_benchmark: dict[str, float] = {}
         for name in SUITE_NAMES:
             base_cycles = baseline[name].timing.cycles
-            cycles = configured[name].timing.cycles
+            cycles = evaluations[name].timing.cycles
             per_benchmark[name] = 1.0 - cycles / base_cycles if base_cycles else 0.0
         per_benchmark["average"] = sum(per_benchmark.values()) / len(SUITE_NAMES)
-        results[f"vrs_{int(threshold)}nj"] = per_benchmark
+        results[config_name] = per_benchmark
     return results
+
+
+def _ed2_savings(baseline: dict, evaluations: dict, policy: str) -> dict[str, float]:
+    """Per-benchmark ED² savings of ``evaluations`` under ``policy``, and their average."""
+    per_benchmark: dict[str, float] = {}
+    for name in SUITE_NAMES:
+        base = baseline[name].outcome("baseline").energy
+        other = evaluations[name].outcome(policy).energy
+        per_benchmark[name] = other.ed2_savings_vs(base)
+    per_benchmark["average"] = sum(per_benchmark.values()) / len(SUITE_NAMES)
+    return per_benchmark
 
 
 def figure11_ed2_savings(
     thresholds: tuple[float, ...] = VRS_THRESHOLDS_NJ,
 ) -> dict[str, dict[str, float]]:
     """Figure 11: per-benchmark energy-delay² savings of VRP and VRS."""
-    baseline = default_engine().map_suite(mechanism="none")
-    results: dict[str, dict[str, float]] = {}
-
-    def add(config_name: str, mechanism: str, threshold: float = 50.0) -> None:
-        configured = default_engine().map_suite(mechanism=mechanism, threshold_nj=threshold)
-        per_benchmark: dict[str, float] = {}
-        for name in SUITE_NAMES:
-            base = baseline[name].outcome("baseline").energy
-            other = configured[name].outcome("software").energy
-            per_benchmark[name] = other.ed2_savings_vs(base)
-        per_benchmark["average"] = sum(per_benchmark.values()) / len(SUITE_NAMES)
-        results[config_name] = per_benchmark
-
-    add("vrp", "vrp")
-    for threshold in thresholds:
-        add(f"vrs_{int(threshold)}nj", "vrs", threshold)
-    return results
+    baseline, configured = _map_with_baseline(_software_variants(thresholds))
+    return {
+        config_name: _ed2_savings(baseline, evaluations, "software")
+        for config_name, evaluations in configured.items()
+    }
 
 
 #: The eight configurations of Figure 15.
@@ -75,18 +77,16 @@ FIGURE15_CONFIGURATIONS = (
 
 def figure15_combined_ed2_savings() -> dict[str, dict[str, float]]:
     """Figure 15: ED² savings of software, hardware and combined schemes."""
-    baseline = default_engine().map_suite(mechanism="none")
-    results: dict[str, dict[str, float]] = {}
-    for config_name, mechanism, policy in FIGURE15_CONFIGURATIONS:
-        configured = default_engine().map_suite(mechanism=mechanism, threshold_nj=50.0)
-        per_benchmark: dict[str, float] = {}
-        for name in SUITE_NAMES:
-            base = baseline[name].outcome("baseline").energy
-            other = configured[name].outcome(policy).energy
-            per_benchmark[name] = other.ed2_savings_vs(base)
-        per_benchmark["average"] = sum(per_benchmark.values()) / len(SUITE_NAMES)
-        results[config_name] = per_benchmark
-    return results
+    baseline, configured = _map_with_baseline(
+        {
+            config_name: {"mechanism": mechanism, "threshold_nj": 50.0}
+            for config_name, mechanism, _ in FIGURE15_CONFIGURATIONS
+        }
+    )
+    return {
+        config_name: _ed2_savings(baseline, configured[config_name], policy)
+        for config_name, _, policy in FIGURE15_CONFIGURATIONS
+    }
 
 
 def headline_ed2_summary() -> dict[str, float]:

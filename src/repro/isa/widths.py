@@ -132,14 +132,14 @@ def significant_bytes(value: int) -> int:
     the value can be recovered by sign extension from the remaining low
     bytes.  This is the quantity used by the hardware significance
     compression scheme (§4.6) and by Figure 12's data-size distribution.
+
+    Closed form: ``v ^ (v >> 63)`` clears the leading sign bits (it is
+    ``v`` for ``v >= 0`` and ``~v`` otherwise), so its bit length is the
+    number of value bits below the sign bit, and ``n`` bytes hold the
+    value exactly when that count is at most ``8n - 1``.
     """
     value = to_signed(value)
-    for nbytes in range(1, 8):
-        low = value & ((1 << (nbytes * 8)) - 1)
-        sign_extended = to_signed_n(low, nbytes * 8)
-        if sign_extended == value:
-            return nbytes
-    return 8
+    return ((value ^ (value >> 63)).bit_length() >> 3) + 1
 
 
 def to_signed_n(value: int, bits: int) -> int:

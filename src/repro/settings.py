@@ -159,7 +159,7 @@ SETTINGS: dict[str, Setting] = {
             "REPRO_SIM_PROBE_DIR",
             str,
             None,
-            "directory receiving one marker file per live simulation",
+            "directory receiving one marker file per live compute",
         ),
         Setting(
             "REPRO_CHAOS",

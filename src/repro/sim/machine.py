@@ -59,6 +59,7 @@ so the trace always arrives with :meth:`Trace.shape_counts` filled.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Protocol
@@ -301,6 +302,52 @@ class Machine:
             raise SimulationError(f"entry function {entry!r} not found")
         regs[26] = self._stop_address
         return regs, memory, self._function_entry[entry]
+
+    # ------------------------------------------------------------------
+    # Reusing a traced run
+    # ------------------------------------------------------------------
+    def traced_run_key(self) -> tuple:
+        """What ``run(collect_trace=True)`` of this machine depends on.
+
+        The traced block program's source (its SHA-256) and constant pool
+        without the callables bound to this machine, the initial memory
+        image, the entry function and the machine's limits.  Source and
+        pool spell out every instruction's semantics, uid and target, so
+        two machines with equal keys run alike: the same output, counts,
+        metas, memory column and shape counts.  Their traces differ only
+        in the static side table and the address map, which
+        :meth:`adopt_traced_run` takes from the machine.
+        """
+        program = self._block_program(True)
+        memory = Memory()
+        load_program_data(memory, self.program)
+        return (
+            hashlib.sha256(program.source.encode()).digest(),
+            tuple(const for const in program.consts if not callable(const)),
+            tuple(sorted((number, bytes(page)) for number, page in memory._pages.items())),
+            self.program.entry,
+            self.max_instructions,
+            self.wall_time_s,
+            self.max_trace_bytes,
+        )
+
+    def adopt_traced_run(self, run: RunResult) -> RunResult:
+        """``run`` as this machine's own ``run(collect_trace=True)``.
+
+        ``run`` must be a traced run of a machine whose
+        :meth:`traced_run_key` equals this one's; its trace is rebound
+        to this machine's static side table and address map
+        (:meth:`Trace.with_static`), so the result is what running this
+        machine returns.
+        """
+        return RunResult(
+            instructions=run.instructions,
+            output=list(run.output),
+            block_counts=dict(run.block_counts),
+            halted=run.halted,
+            trace=run.trace.with_static(self.static_info, self.address_by_uid),
+            call_counts=dict(run.call_counts),
+        )
 
     # ------------------------------------------------------------------
     # Resource budgets (wall time, trace bytes; see docs/resilience.md)

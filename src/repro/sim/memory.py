@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 from ..isa import Width
 from ..isa.widths import to_signed_n
 from ..ir import Program
@@ -88,10 +90,26 @@ class Memory:
         return len(self._pages)
 
 
+#: ``struct`` format letter of an element of each width (little-endian,
+#: unsigned, standard sizes).
+_ELEMENT_FORMAT = {Width.BYTE: "B", Width.HALF: "H", Width.WORD: "I", Width.QUAD: "Q"}
+
+
 def load_program_data(memory: Memory, program: Program) -> None:
-    """Initialise ``memory`` with the program's static data objects."""
+    """Initialise ``memory`` with the program's static data objects.
+
+    Each object's initial values are packed, masked to the element width
+    as :meth:`Memory.store` masks them, and written with one
+    :meth:`Memory.write_bytes`: the same pages and bytes as one store per
+    element, in one call per object.
+    """
     for obj in program.data_objects.values():
+        values = obj.initial_values
+        if not values:
+            continue
         width = obj.element_width
-        address = obj.address
-        for index, value in enumerate(obj.initial_values):
-            memory.store(address + index * width.bytes, value, width)
+        mask = (1 << width.bits) - 1
+        data = struct.pack(
+            f"<{len(values)}{_ELEMENT_FORMAT[width]}", *[value & mask for value in values]
+        )
+        memory.write_bytes(obj.address, data)

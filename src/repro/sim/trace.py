@@ -875,6 +875,23 @@ class Trace:
             counts[key] = get(key, 0) + count
         self._uid_counts_cache = None
 
+    def with_static(self, static: StaticInfo, addresses: Optional[dict[int, int]]) -> "Trace":
+        """This finished trace's records under another static side table.
+
+        The new trace shares this one's columns and shape counts (a
+        finished trace is never appended to) and starts with empty lazy
+        caches; ``static`` and ``addresses`` are those of the machine
+        whose run it stands for.
+        """
+        trace = Trace(static=static, addresses=addresses, shapes=self._shapes)
+        trace._rows = self._rows
+        trace._arena = self._arena
+        trace._mem = self._mem
+        trace._addr = self._addr
+        trace._next = self._next
+        trace._big = self._big
+        return trace
+
     def width_distribution(self) -> dict[Width, int]:
         """Dynamic instruction counts per encoded (software) width.
 

@@ -15,8 +15,20 @@ from repro.isa import (
     width_for_value,
     wrap_to_width,
 )
+from repro.isa.widths import to_signed_n
 
 int64 = st.integers(min_value=INT64_MIN, max_value=INT64_MAX)
+
+
+def _significant_bytes_loop(value: int) -> int:
+    """Reference form of ``significant_bytes``: the narrowest byte count
+    whose sign extension gives the (64-bit signed) value back."""
+    value = to_signed(value)
+    for nbytes in range(1, 8):
+        low = value & ((1 << (nbytes * 8)) - 1)
+        if to_signed_n(low, nbytes * 8) == value:
+            return nbytes
+    return 8
 
 
 class TestWidth:
@@ -99,6 +111,24 @@ class TestSignificantBytes:
         low = value & ((1 << bits) - 1)
         recovered = low - (1 << bits) if low >> (bits - 1) else low
         assert recovered == value
+
+    @staticmethod
+    def _boundaries() -> list[int]:
+        """Every ±2^(8k-1) boundary and its neighbours, past 64 bits too."""
+        values = []
+        for bits in range(8, 80, 8):
+            edge = 1 << (bits - 1)
+            for base in (edge, -edge):
+                values += [base - 1, base, base + 1]
+        return values + [INT64_MIN, INT64_MAX, 1 << 64, (1 << 64) - 1, -(1 << 64)]
+
+    def test_closed_form_matches_loop_on_boundaries(self):
+        for value in self._boundaries():
+            assert significant_bytes(value) == _significant_bytes_loop(value), value
+
+    @given(st.integers(min_value=-(1 << 72), max_value=1 << 72))
+    def test_closed_form_matches_loop(self, value):
+        assert significant_bytes(value) == _significant_bytes_loop(value)
 
     @given(int64)
     def test_size_class_covers_significant_bytes(self, value):

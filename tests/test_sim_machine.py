@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.asm import assemble_program
 from repro.isa import Width
 from repro.sim import Machine, Memory, SimulationLimitExceeded, ValueProfiler
-from repro.workloads import workload_by_name
+from repro.sim.memory import load_program_data
+from repro.workloads import SUITE_NAMES, workload_by_name
 
 
 class TestMemory:
@@ -29,6 +30,27 @@ class TestMemory:
         memory = Memory()
         memory.write_bytes(4094, b"abcdef")
         assert memory.read_bytes(4094, 6) == b"abcdef"
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_program_data_pages_match_one_store_per_element(self, name):
+        """``load_program_data`` writes each object in one call; its pages
+        equal those of one masked ``store`` per element, for the train and
+        ref data and for their negations."""
+        workload = workload_by_name(name)
+        program = workload.build()
+        for data in (workload.train_data, workload.ref_data):
+            for sign in (1, -1):
+                for obj_name, values in data.items():
+                    program.data_objects[obj_name].initial_values = tuple(
+                        sign * value for value in values
+                    )
+                packed, per_element = Memory(), Memory()
+                load_program_data(packed, program)
+                for obj in program.data_objects.values():
+                    step = obj.element_width.bytes
+                    for index, value in enumerate(obj.initial_values):
+                        per_element.store(obj.address + index * step, value, obj.element_width)
+                assert packed._pages == per_element._pages
 
 
 def _run(asm: str):

@@ -262,9 +262,10 @@ class TestEngine:
         assert len(store.entries()) == 1
 
     def test_serial_map_frees_each_live_evaluation(self, store, monkeypatch):
-        """The serial loop drops each point's live evaluation (trace
-        included) before the next point builds, analyses and simulates,
-        so peak memory holds one trace, not two."""
+        """The serial loop drops each point's live evaluation before the
+        next point builds, analyses and simulates; only the workload
+        group's previous traced run outlives it (see
+        ``tests/test_shared_work.py``)."""
         import weakref
 
         from repro.experiments import engine as engine_module
