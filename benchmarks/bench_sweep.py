@@ -7,9 +7,10 @@ times: per config, decode the snapshot and replay it at one lane
 (single-config timing walk + fused accounting + distribution
 aggregation).  The sweep engine decodes once and replays every config
 as a lane of one group: one multi-config kernel pass
-(``run_compiled_many`` walks shared-shape lanes together, sharing the
-fetch/cache/predictor streams and eliding functional-unit probes that
-can never bind), one accounting walk branched per config
+(``run_compiled_many`` walks lanes of one I-line size and predictor
+together, sharing the record decode, fetch-line test and predictor
+stream, simulating caches once per geometry and eliding functional-unit
+probes that can never bind), one accounting walk branched per config
 (``account_many``) and one aggregation — per-group work no longer
 scales with the full pipeline times N.  Both sides run the engine's
 one replay routine (``engine._replay``), at one lane per call and at

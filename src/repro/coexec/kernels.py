@@ -5,8 +5,9 @@ the other.  The timing model has two implementations that promise
 bit-identical :class:`~repro.uarch.TimingResult` streams — the readable
 reference walk (:meth:`OutOfOrderModel.run_reference`) and the one
 generated lane walk of :mod:`repro.uarch.tkernel`, compared here at one
-lane (:func:`run_compiled`) and at two (:func:`run_compiled_many`), each
-against the reference — and the energy accountant has the per-policy
+lane (:func:`run_compiled`) and at two lanes of two cache geometries
+(:func:`run_compiled_many`), each against the reference — and the
+energy accountant has the per-policy
 and fused multi-policy walks.  When two of them disagree over
 a full trace, the summary diff says nothing about *where* the streams
 split, so :func:`compare_timing` / :func:`compare_accounting` bisect over
@@ -52,20 +53,32 @@ __all__ = [
 #: The timing kernels the comparator can pit against each other:
 #: ``reference`` is the oracle walk, ``compiled`` the generated lane walk
 #: at one lane and ``compiled-lane`` the same generator's walk at two
-#: lanes — the config under test plus a companion config, so the shared
-#: front end really feeds more than one scoreboard.
+#: lanes — the config under test plus a companion config of another
+#: cache geometry, so the walk's shared decode and predictor really feed
+#: two cache groups and two scoreboards.
 TIMING_COMPARATORS = ("reference", "compiled", "compiled-lane")
 
 
 def _companion(config: MachineConfig) -> MachineConfig:
-    """A second config in the same lane-shape group as *config*.
+    """A second config in the same walk as *config*, in another cache group.
 
-    Differs only in a cycle-valued parameter, which keeps both configs in
-    one ``_lane_shape`` group of :func:`run_compiled_many` — so they run
-    as two lanes of one walk rather than as two one-lane walks.
+    It has half the I- and D-cache sets (at least one) and one more
+    cycle of mispredict penalty, and keeps the I-cache line size and the
+    predictor, which keeps both configs in one
+    ``_walk_shape`` group of :func:`run_compiled_many` — so they run as
+    two lanes of one walk, each over its own caches, rather than as two
+    one-lane walks.
     """
+
+    def half_sets(cache):
+        one_set = cache.associativity * cache.line_bytes
+        return dataclasses.replace(cache, size_bytes=max(cache.size_bytes // 2, one_set))
+
     return dataclasses.replace(
-        config, mispredict_redirect_penalty=config.mispredict_redirect_penalty + 1
+        config,
+        icache=half_sets(config.icache),
+        dcache=half_sets(config.dcache),
+        mispredict_redirect_penalty=config.mispredict_redirect_penalty + 1,
     )
 
 

@@ -41,7 +41,8 @@ policies × workloads — through the batched sweep path
 (``ExperimentEngine.sweep``; see ``docs/sweeps.md``): each workload is
 one group that the engine resolves as it resolves a ``run`` point, with
 every machine config as a lane — one snapshot replay or simulation, one
-multi-config timing-kernel walk per cache/predictor shape group, one
+multi-config timing-kernel walk per I-line size and predictor (the
+default axis is one walk, its caches simulated once per geometry), one
 fused accounting walk per trace.  From a warm store the whole matrix
 completes with zero simulator calls.  The default matrix (8 configs × 6
 policies × 8 workloads = 384 points) reproduces the paper's ED²

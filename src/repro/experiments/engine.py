@@ -258,8 +258,9 @@ def _time_other_lanes(
 ) -> tuple[list, list]:
     """Timings and per-policy energies of a live evaluation under ``lanes``.
 
-    A materialized trace is timed in one multi-lane walk (through
-    ``memo`` when given).  A fused
+    A materialized trace is timed in one multi-lane walk, or through
+    ``memo`` when given, which the compute timed ``lanes`` into together
+    with its first lane (:func:`_compute_evaluation`).  A fused
     evaluation has no trace, so each lane is one more fused run of its
     program; the shape aggregate it carries stands in for the trace in
     the accounting walk, because shapes come from the architectural
@@ -367,6 +368,7 @@ def _compute(
         pipeline=_resolve_pipeline(pipeline),
         memo=memo,
         shared=shared,
+        other_lanes=other_lanes,
     )
     first = evaluation.summarize()
     # A fused evaluation has no trace to snapshot — its ``trace`` slot

@@ -27,7 +27,7 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .. import settings
 from ..core import VRPConfig, VRSConfig, VRSResult, apply_widths, run_vrp, run_vrs
@@ -333,6 +333,7 @@ def _compute_evaluation(
     pipeline: str = "materialized",
     memo: Optional[TimingMemo] = None,
     shared: Optional["SharedWork"] = None,
+    other_lanes: Sequence[MachineConfig] = (),
 ) -> WorkloadEvaluation:
     """Build, transform and simulate one workload configuration (uncached).
 
@@ -340,7 +341,9 @@ def _compute_evaluation(
     and every cold compute of the engine's cache-miss resolver, which
     passes its engine's timing ``memo``: a materialized trace is then
     timed through it, and walked only when no timing-identical trace
-    was timed under ``machine_config`` before.
+    was timed under ``machine_config`` before.  A sweep group's compute
+    also passes its group's ``other_lanes``, which the same memo call
+    times in the same walk, so timing them afterwards hits the memo.
 
     ``shared`` is the work of ``workload``'s group (:class:`SharedWork`),
     which :meth:`ExperimentEngine.map`'s serial loop passes for every
@@ -396,7 +399,7 @@ def _compute_evaluation(
         if memo is None:
             timing = OutOfOrderModel(machine_config).run(trace)
         else:
-            (timing,) = memo.time(trace, [machine_config])
+            timing = memo.time(trace, [machine_config, *other_lanes])[0]
     return WorkloadEvaluation(
         workload=workload,
         program=program,

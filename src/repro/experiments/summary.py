@@ -173,13 +173,17 @@ def restore_vrp_stat_keys(vrp: Optional[dict]) -> Optional[dict]:
 
 
 def vrp_stats(vrp_result: "VRPResult") -> dict[str, object]:
-    """The VRP statistics worth keeping once the result object is gone."""
+    """The VRP statistics worth keeping once the result object is gone.
+
+    Only what the analysis computed, so two computes of one point
+    summarize equal: the host time it took
+    (``VRPResult.analysis_seconds``) differs on every run.
+    """
     return {
         "narrowed_instructions": vrp_result.narrowed_instructions(),
         "static_width_distribution": {
             int(width): count for width, count in vrp_result.static_width_distribution().items()
         },
-        "analysis_seconds": vrp_result.analysis_seconds,
         "global_rounds": vrp_result.global_rounds,
     }
 

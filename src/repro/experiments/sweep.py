@@ -11,8 +11,9 @@ cross-process single-flight lock:
 
 * one simulation (or, from a warm store, one snapshot replay with zero
   simulator steps) per group,
-* one multi-config timing-kernel walk per shape group of machine
-  configurations, every lane bit-exact against the reference
+* one multi-config timing-kernel walk per I-cache line size and
+  predictor among the machine configurations (caches simulated once
+  per geometry inside it), every lane bit-exact against the reference
   scoreboard walk,
 * one fused energy-accounting trace walk per trace, branched per
   machine configuration from shared totals
@@ -63,11 +64,11 @@ def default_sweep_configs() -> tuple[tuple[str, MachineConfig], ...]:
 
     ``table2`` is the paper's baseline machine; the others vary the axes
     the paper discusses (issue width, instruction window, cache size,
-    memory latency, frontend depth).  Seven of the eight share the
-    baseline cache/predictor geometry, so the multi-config timing kernel
-    scores them in one batched trace walk; ``l1-16k`` changes the cache
-    shape and is timed as its own (singleton) shape group, a one-lane
-    walk — so a multi-lane and a one-lane walk both run by default.
+    memory latency, frontend depth).  All eight share the I-cache line
+    size and the predictor, so the multi-config timing kernel scores
+    them in one 8-lane trace walk; ``l1-16k`` changes the L1 geometry,
+    so that walk simulates two sets of caches, one for ``l1-16k`` and
+    one for the other seven.
     """
     base = MachineConfig()
     return (

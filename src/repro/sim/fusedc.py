@@ -174,7 +174,8 @@ class FusedProgram:
     flushes the pending run-length counters and returns one
     signature-count dict per *counted* unit (in ``unit_specs`` order)
     and ``finalize()`` snapshots the timing state into the compiled
-    kernel's 11-tuple.  :func:`~repro.sim.blockc.expand_signatures` turns
+    kernel's 11-tuples, one per lane (one lane here).
+    :func:`~repro.sim.blockc.expand_signatures` turns
     the signature counts back into per-record shape keys, memoized per
     distinct signature in ``key_caches`` (persistent across runs of the
     same compiled program).
@@ -512,7 +513,7 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
         # write-back, so operand sigs for register-entry values are a
         # list index instead of a dict probe.
         "    rsig = list(map(sig_get, regs))",
-        "    (_ioa, _bs, _fe, _W8, _W16, _W32, _W64, _grow_ring,) = consts",
+        "    (_ioa, _bs, _fe, _W8, _W16, _W32, _W64, _grow_rings,) = consts",
     ]
     timing.front_state(1)
     timing.lane_state(1, table.num_regs)
@@ -570,7 +571,7 @@ def compile_fused(machine: "Machine", config=None, probe: bool = False) -> Fused
         Width.HALF,
         Width.WORD,
         Width.QUAD,
-        tkernel._grow_ring,
+        tkernel._grow_rings,
     )
     return FusedProgram(
         bind=namespace["bind"],

@@ -769,7 +769,8 @@ class Machine:
                 raise
             raise SimulationError("program counter ran past the end of the program") from None
 
-        timing = timing_from_counters(finalize(), executed)
+        (counters,) = finalize()
+        timing = timing_from_counters(counters, executed)
         # A program from the module cache may serve an identical rebuild,
         # whose uids are uniformly shifted from the compiling build's.
         uid_delta = self.static_info.uid_base - program.uid_base

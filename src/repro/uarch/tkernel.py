@@ -18,16 +18,18 @@ model's per-record update section by section, over one or more
 Both share every cache, predictor, ring and scoreboard line; a timing
 model change is a change here only.
 
-* **Lanes**: configs that share cache geometries, predictor tables and
-  address mode (one :func:`_lane_shape` group) share one trace walk.
-  The fetch line, every cache access and the predictor stream are the
-  same for all of them, so they are simulated once per record; each
-  config gets its own scoreboard *lane* (suffixed locals, its own slot
-  allocators) with its cycle-valued parameters baked in as literals.
-  Power-of-two cache/line/window arithmetic compiles to shifts and
-  masks, and only the configured cache-associativity variant is
-  emitted.  A walk is compiled once per (lane configs, address mode)
-  and cached for the process.
+* **Lanes and cache groups**: configs that share the address mode, the
+  I-cache line size and the predictor (one :func:`_walk_shape`) share
+  one trace walk.  The record decode, the fetch-line test and the
+  predictor stream are the same for all of them, so they run once per
+  record; each distinct cache geometry in the walk is a *cache group*
+  with its own I/D/L2 state and miss counters, and each config gets its
+  own scoreboard *lane* (suffixed locals, its own slot allocators) with
+  its cycle-valued parameters baked in as literals.  Power-of-two
+  cache/line/window arithmetic compiles to shifts and masks, and only
+  the configured cache-associativity variant is emitted.  A walk is
+  compiled once per (lane configs, address mode) and cached for the
+  process.
 
 * **Packed static table** (:class:`StaticTable`): the per-uid facts the
   walk needs (latency, functional-unit class, class bits, destination
@@ -43,19 +45,24 @@ model change is a change here only.
   fused record site folds its uid's derived tuple.
 
 * **Ring-buffer slot allocators**: the reference model's ``_Slots``
-  (a per-cycle usage dict) becomes a pair of flat lists per allocator —
-  ``cycle_at[slot]``/``count[slot]`` with ``slot = cycle & mask`` — so
-  an ``allocate`` is list indexing instead of dict probing, and the
+  (a per-cycle usage dict) becomes flat lists per lane — one cycle-tag
+  list ``tag[slot]`` shared by the issue and functional-unit rings, and
+  one count list per ring, with ``slot = cycle & mask`` — so an
+  ``allocate`` is list indexing instead of dict probing, and the
   occupancy state is bounded by the ring capacity instead of growing
-  with the cycle count.  Equivalence is unconditional: a slot write
-  that would clobber a *live* tenant (tenant cycle ≥ the monotone probe
-  floor ``fetch + frontend_depth``) grows the ring first
-  (:func:`_grow_ring`); stale tenants are below every future probe, so
-  overwriting them is exactly the dict allocator's garbage.  A
-  known-full interval memo collapses the re-walk of saturated cycles
-  (see :meth:`_TimingEmitter._ring_probe`), and the retire allocator's
-  probes are monotone (``max(complete, last_commit)``), so it collapses
-  further, to a frontier ``(cycle, used)`` scalar pair.
+  with the cycle count.  An issue grant on a live slot settles the
+  record's functional-unit probe on the same slot, and claiming a stale
+  slot sets every ring's count at once.  Equivalence is unconditional:
+  a slot write that would clobber a *live* tenant (tenant cycle ≥ the
+  monotone probe floor ``fetch + frontend_depth``) grows the lane's
+  rings first (:func:`_grow_rings`); stale tenants are below every
+  future probe, so overwriting them is exactly the dict allocator's
+  garbage.  A known-full interval memo collapses the re-walk of
+  saturated cycles (see :meth:`_TimingEmitter._skip`), and the retire
+  allocator's probes are monotone (``max(complete, last_commit)``), so
+  it collapses further, to a frontier cycle and a countdown of the
+  slots left in it.  Fetch is a countdown too, and a lane keeps only
+  its probe floor: ``fetch == floor - frontend_depth`` throughout.
 
 * **Inlined caches and predictor**: L1 set/tag math runs on flat
   MRU/LRU tag lists when the cache is 2-way (the Table 2 shape), with a
@@ -267,26 +274,27 @@ def _table_for(static: StaticInfo) -> StaticTable:
     return table
 
 
-def _grow_ring(
-    cycle_at: list, count: list, floor: int, span: int
-) -> tuple[list, list, int]:
-    """Grow a ring until ``span`` fits, rehashing live entries (≥ ``floor``).
+def _grow_rings(tags: list, floor: int, span: int, *counts: list) -> tuple:
+    """Grow a lane's rings until ``span`` fits, rehashing live slots (≥ ``floor``).
 
-    Entries below the monotone probe floor can never be probed again, so
-    dropping them is exactly what the dict allocator's garbage is.
+    The rings share the cycle-tag list ``tags``, so they grow together;
+    returns ``(tags, mask, *counts)``.  Slots below the monotone probe
+    floor can never be probed again, so dropping them is exactly what
+    the dict allocator's garbage is.
     """
-    capacity = 2 * len(cycle_at)
+    capacity = 2 * len(tags)
     while capacity <= span:
         capacity *= 2
     mask = capacity - 1
-    new_cycle_at = [-1] * capacity
-    new_count = [0] * capacity
-    for cycle, used in zip(cycle_at, count):
+    new_tags = [-1] * capacity
+    new_counts = [[0] * capacity for _ in counts]
+    for slot, cycle in enumerate(tags):
         if cycle >= floor:
-            slot = cycle & mask
-            new_cycle_at[slot] = cycle
-            new_count[slot] = used
-    return new_cycle_at, new_count, mask
+            new_slot = cycle & mask
+            new_tags[new_slot] = cycle
+            for new, old in zip(new_counts, counts):
+                new[new_slot] = old[slot]
+    return (new_tags, mask, *new_counts)
 
 
 def _div(value_expr: str, divisor: int) -> str:
@@ -418,56 +426,56 @@ def _walk_key(trace: Trace) -> bytes:
 # ---------------------------------------------------------------------------
 # The lane walk: one trace walk, one scoreboard lane per machine config.
 #
-# Within a *shape group* — configs sharing cache geometries (line/sets/
-# associativity for L1I, L1D and L2), the predictor configuration and
-# the address mode — the entire front-end event stream is identical
-# across configs: the fetch-line sequence, every cache hit/miss level,
-# the predictor's prediction/update stream (a pure function of the
-# (pc, taken) trace stream), mispredict events and call/return
-# redirect events.  Configs in a group may still differ in every
-# *cycle-valued* parameter: pipeline widths, window size, frontend
-# depth, mispredict penalty, functional-unit counts and all cache
-# latencies.  The generated walk exploits this: it walks the trace
-# once, computes the shared stream once per record, and carries one
-# scoreboard *lane* per config (suffixed locals, per-lane ring
-# allocators) with that lane's constants baked in as literals — so N
-# configs cost one trace decode, one static lookup, one cache/predictor
-# simulation, plus N scoreboards.  A single config is the same walk at
-# one lane.
+# Within a *walk group* — configs sharing the address mode, the I-cache
+# line size and the predictor configuration — the record decode, the
+# fetch-line sequence and the predictor's prediction/update stream (a
+# pure function of the (pc, taken) trace stream), and with it every
+# mispredict and call/return redirect event, are identical across
+# configs.  The generated walk exploits this: it walks the trace once,
+# decodes each record, tests its fetch line and runs the predictor once,
+# and keeps one set of I/D/L2 caches per *cache group* (the configs of
+# one cache geometry) and one scoreboard *lane* per config (suffixed
+# locals, one shared-tag ring set) with that lane's cycle-valued
+# parameters baked in as literals — so N configs cost one trace decode,
+# one static lookup and one predictor, one cache simulation per
+# geometry, plus N scoreboards.  A single config is the same walk at one
+# lane.
 # ---------------------------------------------------------------------------
 
 #: Lane cap per generated walk.  More lanes amortize the
-#: shared front-end further but grow the per-record bytecode body;
+#: shared front end further but grow the per-record bytecode body;
 #: beyond ~8 lanes the marginal win is noise while the generated source
 #: (and its compile time) keeps growing, so larger batches are chunked.
 MULTI_KERNEL_MAX_LANES = 8
 
-#: log2 of the initial capacity of each lane's slot-allocator rings (up
-#: to four per lane, so a walk allocates ``4 * lanes``).  Growth on a
-#: live collision keeps this a sizing hint, not a correctness bound;
-#: tests shrink it to force the growth path.
+#: log2 of the initial capacity of each lane's slot-allocator rings
+#: (one shared cycle-tag list plus up to four count lists per lane).
+#: Growth on a live collision keeps this a sizing hint, not a
+#: correctness bound; tests shrink it to force the growth path.
 _MULTI_RING_BITS = 12
 
 
-def _lane_shape(config: MachineConfig, derived: bool) -> tuple:
-    """Grouping key under which configs can share one lane walk.
+def _walk_shape(config: MachineConfig, derived: bool) -> tuple:
+    """Grouping key under which configs share one lane walk.
 
-    Everything the *shared* (per-group) generated code bakes in must be
-    in the key: cache geometries, predictor table sizes/history and the
-    address mode.  Cycle-valued parameters are per-lane and excluded.
+    It holds what the walk's shared per-record code bakes in: the
+    address mode, the I-cache line size (the fetch-line test) and the
+    predictor configuration.  Cache geometries are per cache group and
+    cycle-valued parameters per lane, so neither is in the key.
     """
-    icfg, dcfg, l2cfg = config.icache, config.dcache, config.l2cache
-    return (
-        derived,
-        (icfg.line_bytes, icfg.num_sets, icfg.associativity),
-        (dcfg.line_bytes, dcfg.num_sets, dcfg.associativity),
-        (l2cfg.line_bytes, l2cfg.num_sets, l2cfg.associativity),
-        config.predictor,
+    return (derived, config.icache.line_bytes, config.predictor)
+
+
+def _cache_geometry(config: MachineConfig) -> tuple:
+    """The shape one cache group shares: line, sets and ways of L1I, L1D and L2."""
+    return tuple(
+        (cache.line_bytes, cache.num_sets, cache.associativity)
+        for cache in (config.icache, config.dcache, config.l2cache)
     )
 
 
-#: The shared counters of the 11-tuple every timing walk returns, after
-#: one cycle count per lane (see :func:`timing_from_counters`).
+#: The counters of a lane's 11-tuple after its cycle count (see
+#: :func:`timing_from_counters`).
 _COUNTERS = (
     "lookups",
     "mispredictions",
@@ -480,6 +488,10 @@ _COUNTERS = (
     "loads",
     "stores",
 )
+
+#: The counters each cache group keeps for itself (as ``g<k>_<name>``);
+#: the rest are shared by the whole walk.
+_GROUP_COUNTERS = ("i_misses", "d_misses", "l2_accesses", "l2_misses")
 
 
 def _l2_extra(config: MachineConfig) -> int:
@@ -513,7 +525,7 @@ def _d_latency(config: MachineConfig, level: int) -> int:
 def _binding_rings(config: MachineConfig) -> dict[str, int]:
     """The slot-allocator rings a lane keeps, with their widths: issue,
     plus every functional-unit class with fewer units than the issue
-    width (the others can never bind, see :meth:`_TimingEmitter._fu_probes`)."""
+    width (the others can never bind, see :meth:`_TimingEmitter._issue`)."""
     rings = {"iss": config.issue_width}
     for ring, width in (
         ("alu", config.int_alus),
@@ -543,21 +555,29 @@ class _TimingEmitter:
       so the site holds literal cache sets and tags, only its class's
       functional-unit probe and only its outcome's predictor arm.
 
-    Lane ``i``'s state carries the suffix ``i`` (``fetch0``, ``cf0``,
-    ``iss0_cycle_at``, ...), with that config's cycle-valued parameters
-    baked in as literals; the caches and the predictor are shared by all
-    lanes of the (one-shape) ``configs``.  Sections append indented
-    lines at the ``depth`` they are given; :meth:`take` hands them over.
+    The ``configs`` share one :func:`_walk_shape`.  Lane ``i``'s state
+    carries the suffix ``i`` (``floor0``, ``cf0``, ``tag0``, ...), with
+    that config's cycle-valued parameters baked in as literals.  Lanes of
+    one cache geometry form a *cache group* ``k`` whose caches and miss
+    counters carry the prefix ``g<k>_``; the fetch-line test, the
+    predictor and the other counters are shared by every lane.  Sections
+    append indented lines at the ``depth`` they are given; :meth:`take`
+    hands them over.
     """
 
     def __init__(self, configs: tuple, ring_bits: int) -> None:
         self.configs = configs
         self.lanes = range(len(configs))
-        shape = configs[0]
-        self.icfg, self.dcfg, self.l2cfg = shape.icache, shape.dcache, shape.l2cache
-        self.pcfg = shape.predictor
+        groups: dict[tuple, list[int]] = {}
+        for lane, config in enumerate(configs):
+            groups.setdefault(_cache_geometry(config), []).append(lane)
+        #: The lanes of each cache group, in first-lane order.
+        self.groups = list(groups.values())
+        self.group_of = {lane: group for group, lanes in enumerate(self.groups) for lane in lanes}
+        self.pcfg = configs[0].predictor
         self.ring_capacity = 1 << ring_bits
-        self.same_window = len({c.max_in_flight for c in configs}) == 1
+        #: The distinct window sizes; lanes of one size share a window index.
+        self.windows = list(dict.fromkeys(c.max_in_flight for c in configs))
         self.lines: list[str] = []
 
     def emit(self, depth: int, text: str) -> None:
@@ -569,22 +589,38 @@ class _TimingEmitter:
         return lines
 
     def _wi(self, lane: int) -> str:
-        return "wi" if self.same_window else f"wi{lane}"
+        return f"wi{self.configs[lane].max_in_flight}"
+
+    def _shape(self, group: int) -> MachineConfig:
+        """A config of cache group ``group``: its cache geometries."""
+        return self.configs[self.groups[group][0]]
+
+    def _counters(self, lane: int) -> list[str]:
+        """The names of lane ``lane``'s 10 counters, in tuple order."""
+        prefix = f"g{self.group_of[lane]}_"
+        return [prefix + name if name in _GROUP_COUNTERS else name for name in _COUNTERS]
+
+    def _fetch_cycle(self, lane: int) -> str:
+        """Lane ``lane``'s fetch cycle: its probe floor less the front end."""
+        depth = self.configs[lane].frontend_depth
+        return f"floor{lane} - {depth}" if depth else f"floor{lane}"
 
     # ------------------------------------------------------------ state
     def front_state(self, depth: int) -> None:
-        """The shared front end's state: caches, predictor, counters."""
-        emit, icfg, dcfg, pcfg = self.emit, self.icfg, self.dcfg, self.pcfg
-        if icfg.associativity == 2:
-            emit(depth, f"i_mru, i_lru = [None] * {icfg.num_sets}, [None] * {icfg.num_sets}")
-        else:
-            emit(depth, f"i_ways = [[] for _ in range({icfg.num_sets})]")
-        if dcfg.associativity == 2:
-            emit(depth, f"d_mru, d_lru = [None] * {dcfg.num_sets}, [None] * {dcfg.num_sets}")
-        else:
-            emit(depth, f"d_ways = [[] for _ in range({dcfg.num_sets})]")
-        emit(depth, f"l2_ways = [[] for _ in range({self.l2cfg.num_sets})]")
-        emit(depth, "i_accesses = i_misses = d_accesses = d_misses = l2_accesses = l2_misses = 0")
+        """The shared front end's state: every cache group's caches, the
+        predictor, the counters."""
+        emit, pcfg = self.emit, self.pcfg
+        for group in range(len(self.groups)):
+            shape = self._shape(group)
+            for cache, cfg in (("i", shape.icache), ("d", shape.dcache)):
+                name, sets = f"g{group}_{cache}", cfg.num_sets
+                if cfg.associativity == 2:
+                    emit(depth, f"{name}_mru, {name}_lru = [None] * {sets}, [None] * {sets}")
+                else:
+                    emit(depth, f"{name}_ways = [[] for _ in range({sets})]")
+            emit(depth, f"g{group}_l2_ways = [[] for _ in range({shape.l2cache.num_sets})]")
+            emit(depth, " = ".join(f"g{group}_{name}" for name in _GROUP_COUNTERS) + " = 0")
+        emit(depth, "i_accesses = d_accesses = 0")
         emit(depth, f"gshare = [1] * {pcfg.gshare_entries}")
         emit(depth, f"bimodal = [1] * {pcfg.bimodal_entries}")
         emit(depth, f"selector = [2] * {pcfg.selector_entries}")
@@ -595,28 +631,31 @@ class _TimingEmitter:
 
     def lane_state(self, depth: int, num_regs) -> None:
         """Each lane's scoreboard: rings, commit frontier, register
-        readiness over ``num_regs`` registers, window, fetch, redirect."""
+        readiness over ``num_regs`` registers, window, fetch and retire
+        countdowns, redirect; and one window index per window size.
+
+        ``floor`` is the lane's probe floor, its fetch cycle plus its
+        front-end depth (the fetch cycle itself is never kept), ``fl``
+        the fetch slots left in the fetch cycle and ``rl`` the retire
+        slots left in the commit frontier's cycle ``cf``.
+        """
         emit, rc = self.emit, self.ring_capacity
         emit(depth, "redirect_pending = False")
         for lane in self.lanes:
             config = self.configs[lane]
+            emit(depth, f"tag{lane}, mask{lane} = [-1] * {rc}, {rc - 1}")
             for ring in _binding_rings(config):
-                name = f"{ring}{lane}"
-                emit(depth, f"{name}_cycle_at, {name}_count, {name}_mask = [-1] * {rc}, [0] * {rc}, {rc - 1}")
-                emit(depth, f"{name}_skip_from = {name}_skip_to = -1")
+                emit(depth, f"{ring}{lane} = [0] * {rc}")
+                emit(depth, f"{ring}{lane}_skip_from = {ring}{lane}_skip_to = -1")
             emit(depth, f"cf{lane} = -1")
-            emit(depth, f"cu{lane} = 0")
+            emit(depth, f"rl{lane} = 0")
             emit(depth, f"rr{lane} = [0] * {num_regs}")
             emit(depth, f"wc{lane} = [0] * {config.max_in_flight}")
-            emit(depth, f"fetch{lane} = 0")
-            emit(depth, f"fic{lane} = 0")
             emit(depth, f"floor{lane} = {config.frontend_depth}")
+            emit(depth, f"fl{lane} = {config.fetch_width}")
             emit(depth, f"redirect{lane} = 0")
-        if self.same_window:
-            emit(depth, "wi = 0")
-        else:
-            for lane in self.lanes:
-                emit(depth, f"wi{lane} = 0")
+        for window in self.windows:
+            emit(depth, f"wi{window} = 0")
 
     def rebound_names(self) -> list[str]:
         """Every state name a record's update may rebind; a record site
@@ -625,16 +664,15 @@ class _TimingEmitter:
             "current_fetch_line",
             "redirect_pending",
             "history",
-            *_COUNTERS,
+            *(name for name in _COUNTERS if name not in _GROUP_COUNTERS),
         ]
+        for group in range(len(self.groups)):
+            names += (f"g{group}_{name}" for name in _GROUP_COUNTERS)
         for lane in self.lanes:
-            names += (f"fetch{lane}", f"fic{lane}", f"floor{lane}", f"redirect{lane}")
-            names += (f"cf{lane}", f"cu{lane}", self._wi(lane))
+            names += (f"floor{lane}", f"fl{lane}", f"redirect{lane}")
+            names += (f"cf{lane}", f"rl{lane}", self._wi(lane), f"tag{lane}", f"mask{lane}")
             for ring in _binding_rings(self.configs[lane]):
-                names += (
-                    f"{ring}{lane}_{part}"
-                    for part in ("cycle_at", "count", "mask", "skip_from", "skip_to")
-                )
+                names += (f"{ring}{lane}", f"{ring}{lane}_skip_from", f"{ring}{lane}_skip_to")
         return list(dict.fromkeys(names))
 
     # ---------------------------------------------------- redirect, fetch
@@ -645,29 +683,31 @@ class _TimingEmitter:
         every record; applying a redirect once, at the next record, is
         equivalent because fetch stays at or above it from then on.  The
         pending flag is set exactly when an event wrote every lane's
-        redirect (an all-zero redirect applies as a no-op).
+        redirect (an all-zero redirect applies as a no-op).  A lane's
+        ``redirect`` is kept in probe-floor units, like ``floor``.
         """
         emit = self.emit
         emit(depth, "if redirect_pending:")
         emit(depth + 1, "redirect_pending = False")
         for lane in self.lanes:
-            emit(depth + 1, f"if redirect{lane} > fetch{lane}:")
-            emit(depth + 2, f"fetch{lane} = redirect{lane}")
-            emit(depth + 2, f"fic{lane} = 0")
-            emit(depth + 2, f"floor{lane} = fetch{lane} + {self.configs[lane].frontend_depth}")
+            emit(depth + 1, f"if redirect{lane} > floor{lane}:")
+            emit(depth + 2, f"floor{lane} = redirect{lane}")
+            emit(depth + 2, f"fl{lane} = {self.configs[lane].fetch_width}")
 
     def fetch(self, depth: int, line, l2_line, current="current_fetch_line") -> None:
-        """Fetch: a new fetch line takes the I-cache (and on a miss the
-        L2), then every lane accounts the fetch.
+        """Fetch: a new fetch line takes every cache group's I-cache (and
+        on a miss its L2), then every lane accounts the fetch.
 
-        ``current`` is the fetch line before this record: the run-time
-        ``current_fetch_line``, or the previous record's line when the
-        generator knows it, which folds the line-change test away.
+        ``l2_line(line_bytes)`` is the fetch's L2 line for an L2 of that
+        line size.  ``current`` is the fetch line before this record: the
+        run-time ``current_fetch_line``, or the previous record's line
+        when the generator knows it, which folds the line-change test
+        away.
         """
         emit = self.emit
         if not isinstance(current, str):
             if line == current:
-                self._fetch_all(depth, 0)
+                self._fetch_lanes(depth, self.lanes, 0)
             else:
                 emit(depth, f"current_fetch_line = {line}")
                 self._icache(depth, line, l2_line)
@@ -676,59 +716,63 @@ class _TimingEmitter:
         emit(depth + 1, f"current_fetch_line = {line}")
         self._icache(depth + 1, line, l2_line)
         emit(depth, "else:")
-        for lane in self.lanes:
-            self._fetch_plain(depth + 1, lane)
+        self._fetch_lanes(depth + 1, self.lanes, 0)
 
     def _fetch_plain(self, depth: int, lane: int) -> None:
         emit = self.emit
-        emit(depth, f"if fic{lane} >= {self.configs[lane].fetch_width}:")
-        emit(depth + 1, f"fetch{lane} += 1")
-        emit(depth + 1, f"fic{lane} = 1")
-        emit(depth + 1, f"floor{lane} += 1")
+        emit(depth, f"if fl{lane}:")
+        emit(depth + 1, f"fl{lane} -= 1")
         emit(depth, "else:")
-        emit(depth + 1, f"fic{lane} += 1")
+        emit(depth + 1, f"floor{lane} += 1")
+        emit(depth + 1, f"fl{lane} = {self.configs[lane].fetch_width - 1}")
 
-    def _fetch_all(self, depth: int, level: int) -> None:
+    def _fetch_lanes(self, depth: int, lanes, level: int) -> None:
         # level 0: fetch hit (plain width accounting); level 1/2: the
         # lane stalls by its baked bump unless that bump is zero (a
         # zero-penalty lane treats the miss as a hit, exactly like the
         # reference's ``latency > hit_cycles`` test).
         emit = self.emit
-        for lane in self.lanes:
+        for lane in lanes:
             config = self.configs[lane]
             bump = _fetch_bump(config, level) if level else 0
             if bump == 0:
                 self._fetch_plain(depth, lane)
             else:
-                emit(depth, f"fetch{lane} += {bump}")
-                emit(depth, f"fic{lane} = 1")
-                emit(depth, f"floor{lane} = fetch{lane} + {config.frontend_depth}")
+                emit(depth, f"floor{lane} += {bump}")
+                emit(depth, f"fl{lane} = {config.fetch_width - 1}")
 
     def _icache(self, depth: int, line, l2_line) -> None:
-        emit, sets = self.emit, self.icfg.num_sets
+        emit = self.emit
         emit(depth, "i_accesses += 1")
-        if isinstance(line, str):
-            emit(depth, "iset_ = " + _mod(line, sets))
-            emit(depth, "tag = " + _div(line, sets))
-            index, tag = "iset_", "tag"
-        else:
-            index, tag = line % sets, line // sets
-        self._l1(
-            depth,
-            "i",
-            self.icfg.associativity,
-            index,
-            tag,
-            lambda at: self._fetch_all(at, 0),
-            lambda at: self._l2(
-                at,
-                l2_line,
-                lambda hit: self._fetch_all(hit, 1),
-                lambda miss: self._fetch_all(miss, 2),
-            ),
-        )
+        computed = None
+        for group, lanes in enumerate(self.groups):
+            shape = self._shape(group)
+            sets = shape.icache.num_sets
+            if not isinstance(line, str):
+                index, tag = line % sets, line // sets
+            else:
+                index, tag = "iset_", "tag"
+                if sets != computed:
+                    emit(depth, "iset_ = " + _mod(line, sets))
+                    emit(depth, "tag = " + _div(line, sets))
+                    computed = sets
+            self._l1(
+                depth,
+                f"g{group}_i",
+                shape.icache.associativity,
+                index,
+                tag,
+                lambda at: self._fetch_lanes(at, lanes, 0),
+                lambda at: self._l2(
+                    at,
+                    group,
+                    l2_line(shape.l2cache.line_bytes),
+                    lambda hit: self._fetch_lanes(hit, lanes, 1),
+                    lambda miss: self._fetch_lanes(miss, lanes, 2),
+                ),
+            )
 
-    # ------------------------------------------------- caches (shared)
+    # ------------------------------------------- caches (per cache group)
     def _l1(self, depth: int, cache: str, ways: int, index, tag, on_hit, on_miss) -> None:
         """An L1 lookup: flat MRU/LRU tag lists when 2-way, else per-set
         LRU lists; ``on_hit``/``on_miss`` emit each outcome's tail."""
@@ -762,24 +806,25 @@ class _TimingEmitter:
         emit(depth + 2, "ways.pop(0)")
         on_miss(depth + 1)
 
-    def _l2(self, depth: int, line, on_hit, on_miss) -> None:
-        emit, sets = self.emit, self.l2cfg.num_sets
-        emit(depth, "l2_accesses += 1")
+    def _l2(self, depth: int, group: int, line, on_hit, on_miss) -> None:
+        emit, l2cfg = self.emit, self._shape(group).l2cache
+        sets, cache = l2cfg.num_sets, f"g{group}_l2"
+        emit(depth, f"{cache}_accesses += 1")
         if isinstance(line, str):
             emit(depth, "l2line = " + line)
-            emit(depth, "ways = l2_ways[" + _mod("l2line", sets) + "]")
+            emit(depth, f"ways = {cache}_ways[" + _mod("l2line", sets) + "]")
             emit(depth, "l2tag = " + _div("l2line", sets))
             tag = "l2tag"
         else:
-            emit(depth, f"ways = l2_ways[{line % sets}]")
+            emit(depth, f"ways = {cache}_ways[{line % sets}]")
             tag = line // sets
-        self._lru_list(depth, "l2", self.l2cfg.associativity, tag, on_hit, on_miss)
+        self._lru_list(depth, cache, l2cfg.associativity, tag, on_hit, on_miss)
 
     # ------------------------------------------------------- dispatch
     def dispatch(self, depth: int, hot, srcs) -> None:
         """Dispatch: the window slot's floor, one pass over the source
-        registers maxing every lane's cycle, the issue probes, then the
-        functional-unit probes of the record's class."""
+        registers maxing every lane's cycle, then per functional-unit
+        class every lane's issue probe with its functional-unit probe."""
         emit = self.emit
         for lane in self.lanes:
             emit(depth, f"cyc{lane} = wc{lane}[{self._wi(lane)}]")
@@ -795,91 +840,117 @@ class _TimingEmitter:
                 emit(at, f"r = rr{lane}[{reg}]")
                 emit(at, f"if r > cyc{lane}:")
                 emit(at + 1, f"cyc{lane} = r")
-        for lane in self.lanes:
-            self._ring_probe(depth, f"iss{lane}", self.configs[lane].issue_width, lane)
         if isinstance(hot, str):
             emit(depth, f"if {hot} & {HOT_FU}:")
             emit(depth + 1, f"if {hot} & {HOT_MEM}:")
-            self._fu_probes(depth + 2, "lsq", pad=True)
+            self._issue(depth + 2, "lsq")
             emit(depth + 1, "else:")
-            self._fu_probes(depth + 2, "mul", pad=True)
+            self._issue(depth + 2, "mul")
             emit(depth, "else:")
-            self._fu_probes(depth + 1, "alu", pad=True)
+            self._issue(depth + 1, "alu")
         else:
-            ring = "lsq" if hot & HOT_MEM else "mul" if hot & HOT_IMUL else "alu"
-            self._fu_probes(depth, ring, pad=False)
+            self._issue(depth, "lsq" if hot & HOT_MEM else "mul" if hot & HOT_IMUL else "alu")
 
-    def _fu_probes(self, depth: int, ring: str, pad: bool) -> None:
-        """The lanes' probes of functional-unit class ``ring``, minus the
-        lanes where it can never bind (``pass`` when none is left and
-        ``pad`` asks for a statement).
+    def _issue(self, depth: int, unit: str) -> None:
+        """Every lane's issue probe of ``cyc``, then its probe of
+        functional-unit class ``unit``, on the lane's shared-tag rings.
 
-        Every record reaches its functional-unit class at the cycle the
-        issue probe granted, and the issue ring admits at most
-        ``issue_width`` grants per cycle — so a class with at least
-        ``issue_width`` units sees at most ``issue_width`` same-cycle
-        probes, never saturates, never defers a probe to a later cycle,
-        and (by induction) never accumulates carryover demand.  Its ring
-        is then pure bookkeeping that nothing reads: the probe is a
-        timing no-op and is elided from the generated walk entirely.
+        A lane's rings share one cycle-tag list ``tag``: slot ``cycle &
+        mask`` holds one cycle's count in every ring, so an issue grant
+        on a live slot settles the unit probe on that same slot, and
+        claiming a stale slot (``tag < floor``: below every future probe)
+        sets every ring's count at once.  A live collision grows all of
+        the lane's rings and re-probes, so dict-allocator equivalence is
+        unconditional.
+
+        A unit class with at least ``issue_width`` units is never
+        probed: every record reaches its class at the cycle the issue
+        probe granted, and the issue ring admits at most ``issue_width``
+        grants per cycle — so such a class never saturates, never defers
+        a probe to a later cycle, and (by induction) never accumulates
+        carryover demand.  Its ring would be pure bookkeeping that
+        nothing reads, so :func:`_binding_rings` leaves it out.
         """
-        emitted = False
+        emit = self.emit
         for lane in self.lanes:
-            width = _binding_rings(self.configs[lane]).get(ring)
-            if width is not None:
-                self._ring_probe(depth, f"{ring}{lane}", width, lane)
-                emitted = True
-        if pad and not emitted:
-            self.emit(depth, "pass")
+            rings = _binding_rings(self.configs[lane])
+            c = f"cyc{lane}"
+            emit(depth, "while True:")
+            self._probe_slot(depth + 1, lane)
+            self._take(depth + 2, f"iss{lane}", rings["iss"])
+            if unit in rings:
+                # The unit's probe starts at the granted cycle, whose slot
+                # the issue probe has just found live.
+                name = f"{unit}{lane}"
+                self._take(depth + 3, name, rings[unit])
+                emit(depth + 3, "else:")
+                self._skip(depth + 4, name, c)
+                emit(depth + 4, "while True:")
+                self._probe_slot(depth + 5, lane)
+                self._take(depth + 6, name, rings[unit])
+                emit(depth + 7, "break")
+                self._skip(depth + 6, name, c)
+                self._claim(depth + 5, lane, rings, (unit,))
+            emit(depth + 3, "break")
+            self._skip(depth + 2, f"iss{lane}", c)
+            self._claim(depth + 1, lane, rings, ("iss", unit))
 
-    def _ring_probe(self, depth: int, name: str, width: int, lane: int) -> None:
-        """One inlined ring-allocator probe of lane ``lane``'s ``cyc``.
+    def _probe_slot(self, depth: int, lane: int) -> None:
+        """A probe's slot and tenant; opens the live-tenant branch."""
+        emit = self.emit
+        emit(depth, f"slot = cyc{lane} & mask{lane}")
+        emit(depth, f"old = tag{lane}[slot]")
+        emit(depth, f"if old == cyc{lane}:")
 
-        A slot write may only clobber a stale tenant (``old < floor``:
-        below every future probe); a live collision grows the ring and
-        re-probes, so dict-allocator equivalence is unconditional.
+    def _take(self, depth: int, name: str, width: int) -> None:
+        """Count one use of the live ``slot`` in ring ``name`` if it has
+        room; opens the granted branch."""
+        self.emit(depth, f"used = {name}[slot]")
+        self.emit(depth, f"if used < {width}:")
+        self.emit(depth + 1, f"{name}[slot] = used + 1")
+
+    def _claim(self, depth: int, lane: int, rings: dict, claimants: tuple) -> None:
+        """A probe's stale-slot claim (the ``claimants`` rings count one,
+        every other ring zero) and its live-collision growth."""
+        emit, c = self.emit, f"cyc{lane}"
+        emit(depth, f"elif old < floor{lane}:")
+        emit(depth + 1, f"tag{lane}[slot] = {c}")
+        for ring in rings:
+            emit(depth + 1, f"{ring}{lane}[slot] = {int(ring in claimants)}")
+        emit(depth + 1, "break")
+        emit(depth, "else:")
+        counts = ", ".join(f"{ring}{lane}" for ring in rings)
+        emit(depth + 1, f"tag{lane}, mask{lane}, {counts} = _grow_rings(")
+        emit(depth + 2, f"tag{lane}, floor{lane}, {c} - floor{lane}, {counts}")
+        emit(depth + 1, ")")
+
+    def _skip(self, depth: int, name: str, c: str) -> None:
+        """Step ``c`` past a full cycle of ring ``name``.
 
         Saturated-prefix memoization: per-cycle usage only ever grows,
-        so a cycle once seen full stays full.  Each allocator remembers
-        one known-full interval ``[skip_from, skip_to)``; hitting a full
+        so a cycle once seen full stays full.  Each ring remembers one
+        known-full interval ``[skip_from, skip_to)``; hitting a full
         cycle inside it jumps straight past the interval instead of
         re-walking it (the dominant cost at IPC near the issue width —
         several full cycles re-probed per record).  The memo is
         consulted and maintained exclusively on the full-cycle path, so
         unconstrained allocations pay nothing.
         """
-        n, c, f = name, f"cyc{lane}", f"floor{lane}"
         for line in (
-            "while True:",
-            f"    slot = {c} & {n}_mask",
-            f"    old = {n}_cycle_at[slot]",
-            f"    if old == {c}:",
-            f"        used = {n}_count[slot]",
-            f"        if used < {width}:",
-            f"            {n}_count[slot] = used + 1",
-            "            break",
-            f"        if {n}_skip_from <= {c} < {n}_skip_to:",
-            f"            {c} = {n}_skip_to",
-            f"        elif {c} == {n}_skip_to:",
-            f"            {n}_skip_to = {c} = {c} + 1",
-            "        else:",
-            f"            {n}_skip_from = {c}",
-            f"            {n}_skip_to = {c} = {c} + 1",
-            f"    elif old < {f}:",
-            f"        {n}_cycle_at[slot] = {c}",
-            f"        {n}_count[slot] = 1",
-            "        break",
-            "    else:",
-            f"        {n}_cycle_at, {n}_count, {n}_mask = _grow_ring(",
-            f"            {n}_cycle_at, {n}_count, {f}, {c} - {f}",
-            "        )",
+            f"if {name}_skip_from <= {c} < {name}_skip_to:",
+            f"    {c} = {name}_skip_to",
+            f"elif {c} == {name}_skip_to:",
+            f"    {name}_skip_to = {c} = {c} + 1",
+            "else:",
+            f"    {name}_skip_from = {c}",
+            f"    {name}_skip_to = {c} = {c} + 1",
         ):
             self.emit(depth, line)
 
     # -------------------------------------------------------- execute
     def execute(self, depth: int, hot, mem=None) -> None:
-        """Execute: every lane's completion ``c<lane>``, through the
-        D-cache (and on a miss the L2) for a load or store.
+        """Execute: every lane's completion ``c<lane>``, through each
+        cache group's D-cache (and on a miss its L2) for a load or store.
 
         At generation time ``mem`` is a load/store's address expression
         (the simulator tags every load and store with its address).  The
@@ -920,40 +991,51 @@ class _TimingEmitter:
             self.emit(depth, f"c{lane} = cyc{lane} + {latency}")
 
     def _dcache(self, depth: int, address: str, hot) -> None:
-        emit, dcfg = self.emit, self.dcfg
+        emit = self.emit
         emit(depth, "d_accesses += 1")
-        emit(depth, "dline = " + _div(address, dcfg.line_bytes))
-        emit(depth, "dset_ = " + _mod("dline", dcfg.num_sets))
-        emit(depth, "tag = " + _div("dline", dcfg.num_sets))
-        l2_line = _div(address, self.l2cfg.line_bytes)
-        self._l1(
-            depth,
-            "d",
-            dcfg.associativity,
-            "dset_",
-            "tag",
-            lambda at: self._load_complete(at, hot, 0),
-            lambda at: self._l2(
-                at,
-                l2_line,
-                lambda hit: self._load_complete(hit, hot, 1),
-                lambda miss: self._load_complete(miss, hot, 2),
-            ),
-        )
+        line_bytes = sets = None
+        for group, lanes in enumerate(self.groups):
+            shape = self._shape(group)
+            dcfg = shape.dcache
+            if dcfg.line_bytes != line_bytes:
+                emit(depth, "dline = " + _div(address, dcfg.line_bytes))
+                line_bytes, sets = dcfg.line_bytes, None
+            if dcfg.num_sets != sets:
+                emit(depth, "dset_ = " + _mod("dline", dcfg.num_sets))
+                emit(depth, "tag = " + _div("dline", dcfg.num_sets))
+                sets = dcfg.num_sets
+            l2_line = _div(address, shape.l2cache.line_bytes)
+            self._l1(
+                depth,
+                f"g{group}_d",
+                dcfg.associativity,
+                "dset_",
+                "tag",
+                lambda at: self._load_complete(at, hot, lanes, 0),
+                lambda at: self._l2(
+                    at,
+                    group,
+                    l2_line,
+                    lambda hit: self._load_complete(hit, hot, lanes, 1),
+                    lambda miss: self._load_complete(miss, hot, lanes, 2),
+                ),
+            )
 
-    def _load_complete(self, depth: int, hot, level: int) -> None:
+    def _load_complete(self, depth: int, hot, lanes, level: int) -> None:
         # Stores retire from the store queue at latency 1 in every lane;
         # loads take the lane's baked latency for this hit/miss level.
         emit = self.emit
         if isinstance(hot, str):
             emit(depth, f"if {hot} & {HOT_STORE}:")
-            self._complete(depth + 1, 1)
+            for lane in lanes:
+                emit(depth + 1, f"c{lane} = cyc{lane} + 1")
             emit(depth, "else:")
             depth += 1
         elif hot & HOT_STORE:
-            self._complete(depth, 1)
+            for lane in lanes:
+                emit(depth, f"c{lane} = cyc{lane} + 1")
             return
-        for lane in self.lanes:
+        for lane in lanes:
             emit(depth, f"c{lane} = cyc{lane} + {_d_latency(self.configs[lane], level)}")
 
     # --------------------------------------------------------- commit
@@ -962,18 +1044,20 @@ class _TimingEmitter:
 
         The reference allocates retire slots from max(complete,
         last_commit); those probes are monotone, so each lane's retire
-        allocator is a frontier (cycle, used) pair.
+        allocator is a frontier: the cycle ``cf`` and the slots ``rl``
+        left in it.
         """
         emit = self.emit
         for lane in self.lanes:
+            left = self.configs[lane].retire_width - 1
             emit(depth, f"if c{lane} > cf{lane}:")
             emit(depth + 1, f"cf{lane} = c{lane}")
-            emit(depth + 1, f"cu{lane} = 1")
-            emit(depth, f"elif cu{lane} >= {self.configs[lane].retire_width}:")
-            emit(depth + 1, f"cf{lane} += 1")
-            emit(depth + 1, f"cu{lane} = 1")
+            emit(depth + 1, f"rl{lane} = {left}")
+            emit(depth, f"elif rl{lane}:")
+            emit(depth + 1, f"rl{lane} -= 1")
             emit(depth, "else:")
-            emit(depth + 1, f"cu{lane} += 1")
+            emit(depth + 1, f"cf{lane} += 1")
+            emit(depth + 1, f"rl{lane} = {left}")
             emit(depth, f"wc{lane}[{self._wi(lane)}] = cf{lane}")
         if isinstance(hot, str):
             emit(depth, f"dest = {hot} >> {HOT_DEST_SHIFT}")
@@ -984,12 +1068,8 @@ class _TimingEmitter:
         elif hot >> HOT_DEST_SHIFT:
             for lane in self.lanes:
                 emit(depth, f"rr{lane}[{(hot >> HOT_DEST_SHIFT) - 1}] = c{lane}")
-        windows = (
-            [("wi", self.configs[0].max_in_flight)]
-            if self.same_window
-            else [(f"wi{lane}", self.configs[lane].max_in_flight) for lane in self.lanes]
-        )
-        for index, window in windows:
+        for window in self.windows:
+            index = f"wi{window}"
             if window & (window - 1) == 0:
                 emit(depth, f"{index} = ({index} + 1) & {window - 1}")
             else:
@@ -1077,8 +1157,9 @@ class _TimingEmitter:
         emit(depth + 1, "mispredictions += 1")
         emit(depth + 1, "redirect_pending = True")
         for lane in self.lanes:
-            penalty = self.configs[lane].mispredict_redirect_penalty
-            emit(depth + 1, f"redirect{lane} = c{lane} + {penalty}")
+            config = self.configs[lane]
+            delay = config.mispredict_redirect_penalty + config.frontend_depth
+            emit(depth + 1, f"redirect{lane} = c{lane} + {delay}")
         emit(depth + 1, "current_fetch_line = -1")
 
     def _call_redirect(self, depth: int) -> None:
@@ -1088,7 +1169,7 @@ class _TimingEmitter:
         # fetch + 1.
         self.emit(depth, "redirect_pending = True")
         for lane in self.lanes:
-            self.emit(depth, f"redirect{lane} = fetch{lane} + 1")
+            self.emit(depth, f"redirect{lane} = floor{lane} + 1")
         self.emit(depth, "current_fetch_line = -1")
 
     # ------------------------------------------------ record site, end
@@ -1109,53 +1190,49 @@ class _TimingEmitter:
             previous_line = "current_fetch_line"
         # Machine code is word-aligned (``pc << 2`` is the fetch address),
         # so the fetch's L2 line folds exactly for any line sizes.
-        self.fetch(depth, line, (pc << 2) // self.l2cfg.line_bytes, previous_line)
+        self.fetch(depth, line, lambda line_bytes: (pc << 2) // line_bytes, previous_line)
         self.dispatch(depth, hot, srcs)
         self.execute(depth, hot, mem)
         self.commit(depth, hot)
 
     def finalize(self, depth: int) -> None:
-        """``return`` the 11-tuple per lane: cycles, then the counters."""
+        """``return`` one 11-tuple per lane: its cycles, then its counters."""
         emit = self.emit
-        for lane in self.lanes:
-            emit(depth, f"if cf{lane} < 0:")
-            emit(depth + 1, f"cf{lane} = 0")
         emit(depth, "return (")
         for lane in self.lanes:
-            emit(depth + 1, f"(cf{lane} if cf{lane} > fetch{lane} else fetch{lane}) + 1,")
-        for name in _COUNTERS:
-            emit(depth + 1, f"{name},")
+            counters = ", ".join(self._counters(lane))
+            emit(depth + 1, f"(max(cf{lane}, {self._fetch_cycle(lane)}) + 1, {counters}),")
         emit(depth, ")")
 
     def snapshot(self, lane: int = 0) -> str:
         """Lane ``lane``'s probe snapshot (see :func:`timing_from_probe`)."""
-        return f"(cf{lane}, fetch{lane}, {', '.join(_COUNTERS)})"
+        return f"(cf{lane}, {self._fetch_cycle(lane)}, {', '.join(self._counters(lane))})"
 
 
 def _multi_walk_source(configs: tuple, derived: bool) -> str:
-    """Generate the walk source for the lanes ``configs`` of one shape group.
+    """Generate the walk source for the lanes ``configs`` of one walk group.
 
     The trace walk of :class:`_TimingEmitter`: every section reads the
     record it has just decoded at run time.  The shared sections
-    (redirect, fetch-line/icache, FU-class dispatch, dcache, dest
-    decode, branch/predictor) run once per record and branch into
-    per-lane blocks (fetch accounting, dependence/issue probes,
-    completion, commit, redirect application) with each lane's scalar
-    parameters baked in as literals.  A single config is one lane.
-    Bit-exactness of every lane against ``run_reference`` is asserted by
-    the differential tests in ``tests/test_uarch_timing.py``.
+    (redirect, fetch-line test, FU-class dispatch, dest decode,
+    branch/predictor) run once per record, the cache sections once per
+    cache group, and they branch into per-lane blocks (fetch accounting,
+    dependence/issue probes, completion, commit, redirect application)
+    with each lane's scalar parameters baked in as literals.  A single
+    config is one lane.  Bit-exactness of every lane against
+    ``run_reference`` is asserted by the differential tests in
+    ``tests/test_uarch_timing.py``.
 
     ``derived`` selects the address mode.  Simulator traces derive the
     instruction address from the static uid, so the fetch-line number
     and branch pc are *static* per-uid facts: the derived walk reads
     them from the per-uid tuples, iterates the meta column alone and
-    reconstructs the icache's L2 line from the fetch line.  Hand-built
-    traces carry an explicit address column and take the two-column
-    variant.
+    reconstructs each L2's line from the fetch line.  Hand-built traces
+    carry an explicit address column and take the two-column variant.
     """
     lanes = _TimingEmitter(configs, _MULTI_RING_BITS)
     emit = lanes.emit
-    icfg, l2cfg = lanes.icfg, lanes.l2cfg
+    i_line = configs[0].icache.line_bytes
     emit(0, "def _timing_walk_multi(rows, addresses, mem_column, static_of, base, num_regs):")
     lanes.front_state(1)
     emit(1, "mem_cursor = 0")
@@ -1163,18 +1240,24 @@ def _multi_walk_source(configs: tuple, derived: bool) -> str:
     if derived:
         emit(1, "for meta in rows:")
         emit(2, "hot, line, pc, srcs = static_of[(meta >> 8) - base]")
+
         # addr // l2_line == (addr // l1_line) // (l2_line // l1_line)
         # exactly, because _derived_mode_supported checked divisibility.
-        i_l2_line = _div("line", l2cfg.line_bytes // icfg.line_bytes)
+        def l2_line(line_bytes: int) -> str:
+            return _div("line", line_bytes // i_line)
+
         pc = "pc"
     else:
         emit(1, "for meta, address in zip(rows, addresses):")
         emit(2, "hot, srcs = static_of[(meta >> 8) - base]")
-        emit(2, "line = " + _div("address", icfg.line_bytes))
-        i_l2_line = _div("address", l2cfg.line_bytes)
+        emit(2, "line = " + _div("address", i_line))
+
+        def l2_line(line_bytes: int) -> str:
+            return _div("address", line_bytes)
+
         pc = "address >> 2"
     lanes.redirect(2)
-    lanes.fetch(2, "line", i_l2_line)
+    lanes.fetch(2, "line", l2_line)
     lanes.dispatch(2, "hot", "srcs")
     lanes.execute(2, "hot")
     lanes.commit(2, "hot")
@@ -1191,7 +1274,7 @@ def _multi_walk_for(configs: tuple, derived: bool):
     key = (configs, derived)
     walk = _MULTI_WALK_CACHE.get(key)
     if walk is None:
-        namespace = {"_grow_ring": _grow_ring}
+        namespace = {"_grow_rings": _grow_rings}
         exec(
             compile(_multi_walk_source(configs, derived), "<timing-kernel>", "exec"),
             namespace,
@@ -1229,7 +1312,7 @@ def _time_lanes(trace: Trace, configs) -> list:
     """Time ``trace`` under each of ``configs`` (``None`` = default config).
 
     Validates the trace's uids once, times each distinct config once,
-    groups distinct configs by :func:`_lane_shape`, walks each group in
+    groups distinct configs by :func:`_walk_shape`, walks each group in
     chunks of at most :data:`MULTI_KERNEL_MAX_LANES` lanes and maps every
     lane's counters to a :class:`TimingResult`, in ``configs`` order.
     """
@@ -1248,18 +1331,12 @@ def _time_lanes(trace: Trace, configs) -> list:
 
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(unique):
-        groups.setdefault(_lane_shape(config, derived_flags[index]), []).append(index)
+        groups.setdefault(_walk_shape(config, derived_flags[index]), []).append(index)
 
     table = _table_for(static)
     counters: list = [None] * len(unique)
-    for shape_key, members in groups.items():
-        derived = shape_key[0]
-        static_of = _static_of_for(
-            static,
-            table,
-            addr_map if derived else None,
-            unique[members[0]].icache.line_bytes,
-        )
+    for (derived, line_bytes, _), members in groups.items():
+        static_of = _static_of_for(static, table, addr_map if derived else None, line_bytes)
         for start in range(0, len(members), MULTI_KERNEL_MAX_LANES):
             chunk = members[start : start + MULTI_KERNEL_MAX_LANES]
             walk = _multi_walk_for(tuple(unique[index] for index in chunk), derived)
@@ -1271,9 +1348,8 @@ def _time_lanes(trace: Trace, configs) -> list:
                 table.uid_base,
                 table.num_regs,
             )
-            shared = out[len(chunk) :]
-            for lane, index in enumerate(chunk):
-                counters[index] = (out[lane], *shared)
+            for index, lane in zip(chunk, out):
+                counters[index] = lane
 
     instructions = len(trace)
     return [
@@ -1298,11 +1374,11 @@ def run_compiled_many(trace: Trace, configs) -> list:
     (``None`` entries mean the default :class:`MachineConfig`), and
     every result is field-for-field identical to
     ``run_compiled(trace, configs[i])``.  Duplicate configs are timed
-    once; distinct configs are grouped by :func:`_lane_shape` so each
-    group shares one trace walk (front-end simulated once, one
-    scoreboard lane per config), chunked at
-    :data:`MULTI_KERNEL_MAX_LANES` lanes.  A config alone in its shape
-    group is a one-lane walk, exactly what :func:`run_compiled` runs.
+    once; distinct configs are grouped by :func:`_walk_shape` (address
+    mode, I-cache line size, predictor) so each group shares one trace
+    walk — record decode, fetch-line test and predictor once, caches
+    once per geometry, one scoreboard lane per config — chunked at
+    :data:`MULTI_KERNEL_MAX_LANES` lanes.
     """
     return _time_lanes(trace, configs)
 
@@ -1344,8 +1420,8 @@ def _copy(timing: TimingResult) -> TimingResult:
 def timing_from_counters(counters: tuple, instructions: int) -> TimingResult:
     """Build a :class:`TimingResult` from the kernel's 11-counter tuple.
 
-    The one mapping of that tuple: every lane of the lane walk and the
-    fused tier's ``_finalize()`` return it (:meth:`_TimingEmitter.finalize`).
+    The one mapping of that tuple: the lane walk and the fused tier's
+    ``_finalize()`` return one per lane (:meth:`_TimingEmitter.finalize`).
     """
     (
         cycles,

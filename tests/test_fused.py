@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import re
 from dataclasses import replace
 
 import pytest
@@ -30,14 +31,14 @@ from repro.experiments.store import ResultStore
 from repro.experiments.sweep import SweepResult, SweepSpec, default_sweep_configs
 from repro.hardware import gating
 from repro.power import MultiPolicyEnergyAccountant
-from repro.sim import Machine
+from repro.sim import Machine, blockc
 from repro.sim.fusedc import (
     PIPELINES,
     FusedOutcome,
     fused_program_for,
     outcome_from_trace,
 )
-from repro.uarch import MachineConfig, OutOfOrderModel
+from repro.uarch import CacheConfig, MachineConfig, OutOfOrderModel, tkernel
 from repro.workloads import workload_by_name
 
 NARROW = replace(
@@ -183,6 +184,91 @@ class TestGeneratedPrograms:
         """Non-default widths change every ring/allocator literal baked
         into the generated source."""
         _assert_fused_exact(assemble_program(asm), NARROW)
+
+
+# ----------------------------------------------------------------------
+# Record-site names
+# ----------------------------------------------------------------------
+#: A loop with every record class a site folds: ALU, multiply, store,
+#: load, a call and its return, conditional branches.
+_SITE_ASM = """
+.data buf 64 64
+.func helper 1
+entry:
+    mul v0, a0, 3
+    ret
+.endfunc
+.func main 0
+entry:
+    li r1, 7
+    li r2, =buf
+    li r3, 0
+loop:
+    stq r1, 8(r2)
+    ldq r4, 8(r2)
+    mov a0, r4
+    jsr helper
+    add r1, v0, 1
+    add r3, r3, 1
+    cmplt r9, r3, 5
+    bne r9, loop
+done:
+    print r1
+    halt
+.endfunc
+"""
+
+#: The block compiler's unit-local temporaries (``blockc._UnitWriter``):
+#: registers ``r<N>``, values ``t<N>``, addresses ``m<N>``, pages
+#: ``p<N>`` and page offsets ``o<N>``.
+_BLOCK_TEMPORARY = re.compile(r"[tmopr]\d+")
+
+
+class TestRecordSiteNames:
+    def test_block_temporaries_match_the_guarded_pattern(self):
+        unit = blockc._UnitWriter()
+        names = [unit.read(5), unit.assign("0")]
+        names += [unit.temp_name(prefix) for prefix in "mpo"]
+        assert all(_BLOCK_TEMPORARY.fullmatch(name) for name in names), names
+
+    @pytest.mark.parametrize("lanes", ("one-lane", "mixed-batch"))
+    def test_timing_names_never_take_a_block_temporary_name(self, lanes):
+        """Fused record sites inline the timing emitter's state and
+        locals into the block compiler's unit functions, next to its
+        temporaries.  A shared name corrupts the run silently (a ring
+        mask named like an address temporary once skewed the fused
+        D-cache counts), so no name the emitter rebinds or writes in a
+        site — cache-group, ring and lane names included — may take a
+        temporary's form, whatever the lanes and cache groups."""
+        configs = (NARROW,)
+        if lanes == "mixed-batch":
+            small = CacheConfig(16 * 1024, 4, 32, 1, 6)
+            configs += (
+                replace(MachineConfig(), icache=small, max_in_flight=32),
+                replace(NARROW, dcache=small, l2cache=CacheConfig(4096, 2, 128, 6, 18)),
+            )
+        timing = tkernel._TimingEmitter(configs, 3)
+        assert len(timing.groups) == len(configs)
+        machine = Machine(assemble_program(_SITE_ASM))
+        static = machine.static_info
+        table = tkernel._table_for(static)
+        static_of = tkernel._static_of_for(static, table, machine.address_by_uid, 32)
+        timing.front_state(0)
+        timing.lane_state(0, table.num_regs)
+        previous_line = None
+        for facts in static_of:
+            timing.site(0, facts, "address", previous_line)
+            for taken in (False, True):
+                timing.branch(0, facts[0], facts[2], taken)
+            previous_line = facts[1]
+        timing.finalize(0)
+        written = set(re.findall(r"[A-Za-z_]\w*", "\n".join(timing.take())))
+        rebound = timing.rebound_names()
+        assert {f"g{group}_d_misses" for group in range(len(configs))} <= set(rebound)
+        clashes = sorted(
+            name for name in written | set(rebound) if _BLOCK_TEMPORARY.fullmatch(name)
+        )
+        assert clashes == []
 
 
 # ----------------------------------------------------------------------

@@ -26,19 +26,9 @@ from repro.sim import Machine
 from repro.workloads import SUITE_NAMES, Workload, workload_by_name
 
 
-def _vrp_stats(result) -> dict:
-    """VRP statistics without the host time the analysis took."""
-    stats = vrp_stats(result)
-    del stats["analysis_seconds"]
-    return stats
-
-
-def _comparable(evaluation) -> dict:
-    """``evaluation``'s summary without the host time VRP took."""
-    summary = evaluation.summarize().to_json_dict()
-    if summary["vrp"] is not None:
-        del summary["vrp"]["analysis_seconds"]
-    return summary
+def _summary(evaluation) -> dict:
+    """``evaluation``'s whole summary, in its persisted form."""
+    return evaluation.summarize().to_json_dict()
 
 
 def _positional_widths(program, result) -> list:
@@ -58,7 +48,7 @@ def test_vrp_reads_code_only(name):
         if which is not None:
             workload.apply_input(program, which)
         result = run_vrp(program, VRPConfig())
-        seen.append((_positional_widths(program, result), _vrp_stats(result)))
+        seen.append((_positional_widths(program, result), vrp_stats(result)))
     assert seen[1] == seen[0]
     assert seen[2] == seen[0]
 
@@ -146,7 +136,7 @@ class TestGroupedMap:
         assert arrived == expected
 
         for point, evaluation in zip(points, results):
-            assert _comparable(evaluation) == _comparable(engine.compute(point)), point
+            assert _summary(evaluation) == _summary(engine.compute(point)), point
 
 
 class TestSuiteVariants:
@@ -186,7 +176,7 @@ class TestSuiteVariants:
             assert list(evaluations) == list(own) == ["compress", "li"]
             for name, evaluation in evaluations.items():
                 assert evaluation.mechanism == variant["mechanism"]
-                assert _comparable(evaluation) == _comparable(own[name]), (variant, name)
+                assert _summary(evaluation) == _summary(own[name]), (variant, name)
 
     class _Mapped(Exception):
         pass
@@ -350,7 +340,7 @@ class TestInjectedAnalysis:
             results.append(run_vrs(program, VRSConfig(), vrp_before=before))
         own, injected = results
         assert vrs_stats(injected) == vrs_stats(own)
-        assert _vrp_stats(injected.vrp_after) == _vrp_stats(own.vrp_after)
+        assert vrp_stats(injected.vrp_after) == vrp_stats(own.vrp_after)
         assert _positional_widths(injected.program, injected.vrp_after) == _positional_widths(
             own.program, own.vrp_after
         )

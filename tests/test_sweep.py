@@ -488,9 +488,10 @@ class TestTimingMemo:
         spec = SweepSpec.explicit(points, configs=configs)
         rows = list(ExperimentEngine(store).sweep(spec))
         assert [row.source for row in rows] == ["computed"] * 4
-        # The none group walks table2 (first lane) and wide-8; the vrp
-        # group's trace keys equal, so both of its lanes are hits.
-        assert walked == [LI_RECORDS, LI_RECORDS]
+        # The none group walks table2 (first lane) and wide-8 in one
+        # two-lane walk; the vrp group's trace keys equal, so both of its
+        # lanes are hits.
+        assert walked == [2 * LI_RECORDS]
         cycles = {(row.mechanism, row.config): row.cycles for row in rows}
         for name, _ in configs:
             assert cycles["vrp", name] == cycles["none", name]

@@ -16,9 +16,10 @@ counters, cache/L2 counters, loads/stores — over:
 2. every suite workload (suite/slow tier),
 3. non-default machine configurations (narrow widths, non-2-way and
    non-power-of-two caches, tiny predictors) that force the generic
-   codegen variants,
-4. adversarial probes: forced ring growth (one-lane, batched and fused
-   walks), the missing-static-uid ``KeyError`` equivalence, and
+   codegen variants, and batches that mix cache geometries in one walk,
+4. adversarial probes: forced ring growth (one-lane, batched,
+   mixed-geometry and fused walks), the missing-static-uid
+   ``KeyError`` equivalence, and
    mem-flagged records on non-memory instructions (sparse-column cursor
    alignment).
 
@@ -306,14 +307,15 @@ def test_suite_workload_compiled_equals_reference(name):
 def _lane_config_pool() -> tuple:
     """Machine-config variants spanning every batching regime.
 
-    Entries 0-8 share the default cache/predictor geometry (one shape
+    Entries 0-8 share the default cache/predictor geometry (one cache
     group, covering cycle-valued variation: widths, window — including a
     non-power-of-two one — frontend depth, penalties, FU counts, memory
-    latency, a zero fetch-bump icache).  Entries 9-10 open further shape
-    groups (different icache geometry; 4-way L1s + a small predictor).
-    Entry 11 has a 48B L2 line over 32B L1 lines, which disables the
-    derived-address mode and forces that lane onto an explicit-address
-    group.  ``None`` is the default-config spelling.
+    latency, a zero fetch-bump icache).  Entry 9 joins their walk as a
+    second cache group (a different icache geometry); entry 10 opens a
+    second walk (4-way L1s + a small predictor).  Entry 11 has a 48B L2
+    line over 32B L1 lines, which disables the derived-address mode and
+    forces that lane onto an explicit-address walk.  ``None`` is the
+    default-config spelling.
     """
     base = MachineConfig()
     return (
@@ -358,8 +360,83 @@ def _lane_config_pool() -> tuple:
     )
 
 
+def _geometry_pool() -> tuple:
+    """Configs of one walk shape (32B I-lines, the default predictor) in
+    many cache geometries: 2-way, direct-mapped and 4-way L1s, 16B, 32B
+    and 64B D-lines, non-power-of-two set counts, and L2s of other line
+    sizes, ways and sets.  Some also vary cycle-valued parameters."""
+    base = MachineConfig()
+
+    def cache(size, ways, line, hit=1, penalty=6):
+        return CacheConfig(
+            size_bytes=size, associativity=ways, line_bytes=line,
+            hit_cycles=hit, miss_penalty_cycles=penalty,
+        )
+
+    return (
+        base,
+        replace(base, icache=cache(16 * 1024, 2, 32), dcache=cache(16 * 1024, 2, 32)),
+        replace(base, icache=cache(3 * 32, 1, 32), dcache=cache(4 * 3 * 64, 4, 64, 2, 9)),
+        replace(base, dcache=cache(512, 2, 16), max_in_flight=16, fetch_width=2),
+        replace(
+            base,
+            icache=cache(256, 2, 32, 1, 3),
+            dcache=cache(256, 1, 32, 1, 4),
+            l2cache=cache(8 * 2 * 128, 8, 128, 4, 12),
+        ),
+        replace(base, l2cache=cache(1024, 2, 32, 6, 18), issue_width=2, int_alus=1),
+        replace(
+            base,
+            icache=cache(5 * 2 * 32, 2, 32, 1, 0),
+            dcache=cache(512, 4, 64),
+            l2cache=cache(3 * 4 * 64, 4, 64),
+            memory_first_chunk_cycles=40,
+        ),
+        replace(base, icache=cache(512, 4, 32), frontend_depth=0, retire_width=1),
+    )
+
+
 class TestMultiConfigKernel:
     """``run_compiled_many`` must be a pure batching of single runs."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        _programs(),
+        st.lists(st.integers(min_value=0, max_value=7), min_size=2, max_size=8),
+    )
+    def test_mixed_geometry_walk_matches_reference(self, asm, picks):
+        """Lanes of many cache geometries that share the I-line size and
+        the predictor run in one walk, one cache group per geometry, and
+        every lane stays bit-exact against the reference walk, in both
+        address modes."""
+        trace = _machine_trace(asm)
+        pool = _geometry_pool()
+        configs = [pool[index] for index in picks]
+        assert len({tkernel._walk_shape(config, True) for config in configs}) == 1
+        rebuilt = Trace(records=list(trace), static=trace.static)
+        for walked in (trace, rebuilt):
+            batched = tkernel.run_compiled_many(walked, configs)
+            for lane, config in zip(batched, configs, strict=True):
+                assert asdict(lane) == asdict(OutOfOrderModel(config).run_reference(walked))
+
+    def test_default_sweep_is_one_walk_per_trace(self, monkeypatch):
+        """The default sweep's 8 configs share one walk shape, so a trace
+        compiles and runs one 8-lane walk with two cache groups."""
+        from repro.experiments.sweep import default_sweep_configs
+
+        compiled = []
+        source = tkernel._multi_walk_source
+
+        def counting(configs, derived):
+            compiled.append((len(configs), derived))
+            return source(configs, derived)
+
+        monkeypatch.setattr(tkernel, "_multi_walk_source", counting)
+        monkeypatch.setattr(tkernel, "_MULTI_WALK_CACHE", {})
+        configs = tuple(config for _, config in default_sweep_configs())
+        tkernel.run_compiled_many(_machine_trace(_SMOKE_ASM), configs)
+        assert compiled == [(8, True)]
+        assert len(tkernel._TimingEmitter(configs, 3).groups) == 2
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -404,7 +481,7 @@ class TestMultiConfigKernel:
         assert batched[0] is not batched[1]
 
     def test_lane_chunking_is_invisible(self, monkeypatch):
-        """Chunking a shape group (including down to one-lane chunks)
+        """Chunking a walk group (including down to one-lane chunks)
         never changes any field."""
         base = MachineConfig()
         configs = [replace(base, max_in_flight=window) for window in (16, 32, 48, 64, 128)]
@@ -438,7 +515,7 @@ class TestMultiConfigKernel:
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_workload_multi_config_batch(name):
     """The sweep's default 8-config axis, batched vs single runs on every
-    suite workload, with the reference oracle on one lane per shape group."""
+    suite workload, with the reference oracle on one lane per cache group."""
     from repro.experiments.sweep import default_sweep_configs
 
     workload = workload_by_name(name)
@@ -449,8 +526,8 @@ def test_suite_workload_multi_config_batch(name):
     batched = tkernel.run_compiled_many(trace, configs)
     for lane, config in zip(batched, configs):
         assert asdict(lane) == asdict(tkernel.run_compiled(trace, config))
-    # Reference spot-checks: lane 0 (the shared default-geometry group)
-    # and lane 5 ("l1-16k", alone in its shape group: a one-lane walk).
+    # Reference spot-checks: lane 0 (the default-geometry cache group)
+    # and lane 5 ("l1-16k", alone in its cache group of the same walk).
     for index in (0, 5):
         reference = OutOfOrderModel(configs[index]).run_reference(trace)
         assert asdict(batched[index]) == asdict(reference)
@@ -731,22 +808,24 @@ class TestAdversarialProbes:
                 run(broken)
             assert exc.value.args[0] == bogus_uid
 
-    @pytest.mark.parametrize("walk", ("one-lane", "batch", "fused"))
+    @pytest.mark.parametrize("walk", ("one-lane", "batch", "mixed-batch", "fused"))
     def test_forced_ring_growth_stays_bit_exact(self, monkeypatch, walk):
         """An 8-entry ring collides constantly; growth must preserve
         exact equivalence with the dict allocator in every compiled
         walk: the lane walk at one lane, a batch of lanes whose FU
-        counts and windows differ, and the fused tier's inline walk."""
+        counts and windows differ, a batch whose lanes also differ in
+        cache geometry (one walk, several cache groups), and the fused
+        tier's inline walk."""
         grown = []
-        real_grow = tkernel._grow_ring
+        real_grow = tkernel._grow_rings
 
         def counting_grow(*args):
             grown.append(args)
             return real_grow(*args)
 
-        # Both generators bind _grow_ring from tkernel when they compile,
+        # Both generators bind _grow_rings from tkernel when they compile,
         # so each walk is rebuilt from an emptied cache.
-        monkeypatch.setattr(tkernel, "_grow_ring", counting_grow)
+        monkeypatch.setattr(tkernel, "_grow_rings", counting_grow)
         if walk == "fused":
             monkeypatch.setattr(fusedc, "_RING_BITS", 3)
             monkeypatch.setattr(fusedc, "_PROGRAM_CACHE", {})
@@ -762,11 +841,19 @@ class TestAdversarialProbes:
                 replace(narrow, int_muls=2, max_in_flight=16),
                 replace(MachineConfig(), int_alus=2, lsq_ports=2, max_in_flight=128),
             ]
+        elif walk == "mixed-batch":
+            pool = _geometry_pool()
+            configs += [
+                replace(pool[1], issue_width=2, int_alus=1, max_in_flight=16),
+                replace(pool[4], int_alus=2, lsq_ports=2, max_in_flight=128),
+            ]
+            assert len({tkernel._walk_shape(config, True) for config in configs}) == 1
+            assert len({tkernel._cache_geometry(config) for config in configs}) == 3
         program = assemble_program(_SMOKE_ASM)
         trace = Machine(program).run(collect_trace=True).trace
         if walk == "one-lane":
             results = [tkernel.run_compiled(trace, narrow)]
-        elif walk == "batch":
+        elif walk in ("batch", "mixed-batch"):
             results = tkernel.run_compiled_many(trace, configs)
         else:
             run = Machine(program).run(pipeline="fused", machine_config=narrow)
@@ -1050,9 +1137,13 @@ def test_ring_allocator_growth_rehashes_live_entries():
         cycle_at[cycle & 7] = cycle
         count[cycle & 7] = 2
     cycle_at[3], count[3] = 3, 9
-    new_cycle_at, new_count, mask = tkernel._grow_ring(cycle_at, count, 100, 40)
+    other = [used + 1 for used in count]
+    new_cycle_at, mask, new_count, new_other = tkernel._grow_rings(
+        cycle_at, 100, 40, count, other
+    )
     assert mask >= 63  # grew until the span fits
     for cycle in (100, 101, 102, 103):
         assert new_cycle_at[cycle & mask] == cycle
         assert new_count[cycle & mask] == 2
+        assert new_other[cycle & mask] == 3  # every ring moves with its tag
     assert all(c != 3 for c in new_cycle_at)  # the stale tenant is gone
