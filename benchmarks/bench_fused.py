@@ -11,7 +11,9 @@ trace to snapshot, so the persistence layer drops to one summary write.
 
 This benchmark times both cold paths end-to-end (fresh program build,
 fresh ``Machine``, full summary, store writes — exactly what
-``ExperimentEngine.evaluate`` pays on a miss with each pipeline) on
+``ExperimentEngine.evaluate`` pays on a miss with each pipeline;
+``runner._compute_evaluation`` returns the evaluation summarized, and
+``artifact_from_evaluation`` packages its snapshot) on
 suite workloads, interleaved best-of-rounds in one process so clock
 drift cannot skew a side.  The ≥2x geometric-mean bar is asserted, not
 tracked; per-workload ratios and the peak-heap-per-record footprint of

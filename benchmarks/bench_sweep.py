@@ -13,8 +13,9 @@ stream, simulating caches once per geometry and eliding functional-unit
 probes that can never bind), one accounting walk branched per config
 (``account_many``) and one aggregation — per-group work no longer
 scales with the full pipeline times N.  Both sides run the engine's
-one replay routine (``engine._replay``), at one lane per call and at
-all 16 lanes in one call.
+one replay routine (``engine._replay``: a timing call, then the one
+summary builder a compute uses too, ``summary.summarize_lanes``), at
+one lane per call and at all 16 lanes in one call.
 
 Both sides are timed over the same warm snapshots and the same dense
 16-config axis (2 pipeline widths x 4 window sizes x 2 memory

@@ -31,7 +31,10 @@ materialized pipeline unless the caller names the fused one
 (:func:`_resolve_pipeline`), and the resolver times every materialized
 trace through the engine's timing memo, which walks a timing-identical
 trace (a workload's ``none`` and ``vrp`` builds) once per machine
-config.  :meth:`ExperimentEngine.map`'s serial loop resolves its misses
+config.  A compute and a replay summarize every lane of their group
+through one builder (:func:`~repro.experiments.summary.summarize_lanes`):
+one timing call and one accounting pass per group.
+:meth:`ExperimentEngine.map`'s serial loop resolves its misses
 workload by workload, and a workload's points share one build, one VRP
 analysis per configuration and the previous traced run
 (:class:`~repro.experiments.runner.SharedWork`).  Workers return plain
@@ -44,17 +47,14 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from typing import TYPE_CHECKING
 
 from .. import settings
-from ..hardware import gating
-from ..power import MultiPolicyEnergyAccountant
-from ..sim import Machine
 from ..sim.fusedc import _checked_pipeline
-from ..uarch import MachineConfig, TimingMemo, run_compiled_many
+from ..uarch import MachineConfig, TimingMemo
 from ..workloads import Workload, load_suite, workload_by_name
 from .chaos import chaos_probe
 from .resilience import (
@@ -67,10 +67,11 @@ from .runner import (
     SharedWork,
     WorkloadEvaluation,
     _compute_evaluation,
+    _time,
     artifact_from_evaluation,
 )
 from .store import ResultStore, config_key, trace_key
-from .summary import EvaluationSummary, aggregate_trace, restore_vrp_stat_keys
+from .summary import EvaluationSummary, summarize_lanes
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from typing import Any, Iterator, Mapping
@@ -151,28 +152,6 @@ def _snapshot_key(config: ExperimentConfig, workload: Workload) -> str:
     )
 
 
-def _lane_summaries(
-    first: EvaluationSummary, timings: Sequence, energies: Sequence
-) -> list[EvaluationSummary]:
-    """``first`` followed by one summary per further lane.
-
-    Nothing in a summary but its timing and its energies depends on the
-    machine config, so a further lane is ``first`` with those two
-    replaced.
-    """
-    return [first] + [
-        replace(first, timing=timing, energies=energy)
-        for timing, energy in zip(timings, energies)
-    ]
-
-
-def _time(
-    trace, lanes: Sequence[Optional[MachineConfig]], memo: Optional[TimingMemo]
-) -> list:
-    """``trace`` timed under ``lanes``: through ``memo``, or walked without one."""
-    return run_compiled_many(trace, lanes) if memo is None else memo.time(trace, lanes)
-
-
 def _replay(
     workload: Workload,
     config: ExperimentConfig,
@@ -182,38 +161,16 @@ def _replay(
 ) -> list[EvaluationSummary]:
     """One summary per machine config of ``lanes``, rebuilt from a trace snapshot.
 
-    One multi-lane timing walk (:func:`~repro.uarch.run_compiled_many`,
-    through ``memo`` when given), one multi-policy accounting walk
-    branched per lane
-    (:meth:`~repro.power.MultiPolicyEnergyAccountant.account_many`) and
-    one distribution aggregation over the restored trace — the kernels a
-    live :meth:`WorkloadEvaluation.summarize` runs — but **zero**
-    simulator steps: the functional outputs (dynamic instruction count,
-    program output, VRP/VRS statistics) come from the artifact.  Every
-    lane's summary is bit-identical to a fresh one under its config.
+    One multi-lane timing walk (through ``memo`` when given), then the
+    summary builder a compute calls too
+    (:func:`~repro.experiments.summary.summarize_lanes`) — but **zero**
+    simulator steps.  Every lane's summary is bit-identical to a fresh
+    one under its config.
     """
-    trace = artifact.trace
-    timings = _time(trace, list(lanes), memo)
-    energies = MultiPolicyEnergyAccountant(gating.registry()).account_many(trace, timings)
-    width_distribution, counted_widths, result_sizes, operation_types = aggregate_trace(trace)
-    first = EvaluationSummary(
-        workload=workload.name,
-        mechanism=config.mechanism,
-        threshold_nj=config.threshold_nj,
-        conventional_vrp=config.conventional_vrp,
-        instructions=artifact.instructions,
-        output=list(artifact.output),
-        timing=timings[0],
-        energies=energies[0],
-        width_distribution=width_distribution,
-        counted_widths=counted_widths,
-        result_sizes=result_sizes,
-        operation_types=operation_types,
-        vrp=restore_vrp_stat_keys(artifact.vrp),
-        vrs=artifact.vrs,
-        runtime_specialization=artifact.runtime_specialization,
+    timings = _time(artifact.trace, list(lanes), memo)
+    return summarize_lanes(
+        workload, config.mechanism, config.threshold_nj, config.conventional_vrp, artifact, timings
     )
-    return _lane_summaries(first, timings[1:], energies[1:])
 
 
 def _replay_snapshot(
@@ -251,34 +208,6 @@ def _replay_snapshot(
         return None
 
 
-def _time_other_lanes(
-    evaluation: WorkloadEvaluation,
-    lanes: Sequence[MachineConfig],
-    memo: Optional[TimingMemo],
-) -> tuple[list, list]:
-    """Timings and per-policy energies of a live evaluation under ``lanes``.
-
-    A materialized trace is timed in one multi-lane walk, or through
-    ``memo`` when given, which the compute timed ``lanes`` into together
-    with its first lane (:func:`_compute_evaluation`).  A fused
-    evaluation has no trace, so each lane is one more fused run of its
-    program; the shape aggregate it carries stands in for the trace in
-    the accounting walk, because shapes come from the architectural
-    execution, not from the timing model.
-    """
-    if not lanes:
-        return [], []
-    if evaluation.pipeline == "fused":
-        machine = Machine(evaluation.program)
-        timings = [
-            machine.run(pipeline="fused", machine_config=lane).fused.timing for lane in lanes
-        ]
-    else:
-        timings = _time(evaluation.trace, list(lanes), memo)
-    accountant = MultiPolicyEnergyAccountant(gating.registry())
-    return timings, accountant.account_many(evaluation.trace, timings)
-
-
 def _resolve_miss(
     store: ResultStore,
     key: str,
@@ -299,9 +228,11 @@ def _resolve_miss(
     ``"shared"`` (a point whose entry was already published, possibly by
     a concurrent flight this call waited on), ``"replayed"`` (every lane
     rebuilt from the trace snapshot by :func:`_replay`, zero simulator
-    steps) or ``"computed"`` (the first lane simulated here, with
-    ``pipeline`` resolved by :func:`_resolve_pipeline`, and the other
-    lanes timed over the same trace).  Only a computed evaluation is live.
+    steps) or ``"computed"`` (simulated here, with ``pipeline`` resolved
+    by :func:`_resolve_pipeline`, and every lane timed over the one
+    trace).  Only a computed evaluation is live.  Both a compute and a
+    replay summarize through
+    :func:`~repro.experiments.summary.summarize_lanes`.
     Every materialized walk goes through the engine's timing ``memo``
     (pool workers have none, and walk), and a compute shares the work of
     its workload group through ``shared`` (:class:`SharedWork`; only
@@ -336,7 +267,7 @@ def _resolve_miss(
                     return _compute(
                         store, key, config, workload, pipeline, other_lanes, memo, shared
                     )
-        return WorkloadEvaluation.from_summary(workload, summaries[0]), summaries, "replayed"
+        return WorkloadEvaluation(workload, summaries), summaries, "replayed"
     with store.single_flight(key, precheck=precheck) as flight:
         if flight.summary is not None:
             summary = flight.summary
@@ -344,7 +275,7 @@ def _resolve_miss(
         summaries = replay()
         if summaries is not None:
             store.save(key, summaries[0])
-            return WorkloadEvaluation.from_summary(workload, summaries[0]), summaries, "replayed"
+            return WorkloadEvaluation(workload, summaries), summaries, "replayed"
         return _compute(store, key, config, workload, pipeline, other_lanes, memo, shared)
 
 
@@ -370,7 +301,6 @@ def _compute(
         shared=shared,
         other_lanes=other_lanes,
     )
-    first = evaluation.summarize()
     # A fused evaluation has no trace to snapshot — its ``trace`` slot
     # holds the streaming shape aggregate (see docs/fused.md) — and with
     # the snapshot layer off there is nothing to build one for.  The
@@ -378,9 +308,8 @@ def _compute(
     # finds the snapshot too.
     if evaluation.pipeline != "fused" and store.trace_enabled:
         store.save_trace(_snapshot_key(config, workload), artifact_from_evaluation(evaluation))
-    store.save(key, first)
-    summaries = _lane_summaries(first, *_time_other_lanes(evaluation, other_lanes, memo))
-    return evaluation, summaries, "computed"
+    store.save(key, evaluation.summary)
+    return evaluation, evaluation.summaries, "computed"
 
 
 #: A workload group's points in pipeline order: a VRS pipeline starts
@@ -415,11 +344,11 @@ def _compute_summary_for(
     parent's :meth:`ExperimentEngine.map` read the entry and missed
     before it queued the point, so the flight reads it only under the
     lock.
-    ``summarize()`` materializes the energy breakdowns of *all* gating
-    policies from one fused trace walk
-    (:class:`~repro.power.MultiPolicyEnergyAccountant`), so the
-    restored-outcome completeness costs one accounting pass per worker,
-    not one per policy.
+    The summary holds the energy breakdowns of *all* gating policies
+    from one multi-policy accounting pass
+    (:func:`~repro.experiments.summary.summarize_lanes`), so the
+    restored-outcome completeness costs one pass per point, not one per
+    policy.
     """
     chaos_probe("worker-task")
     workload = workload_by_name(config.workload)

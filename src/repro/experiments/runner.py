@@ -15,10 +15,11 @@ configurations out across worker processes.  A hand-built
 :class:`~repro.sim.Machine` → :class:`~repro.uarch.OutOfOrderModel` →
 :class:`~repro.power.EnergyAccountant`.
 
-A :class:`WorkloadEvaluation` therefore comes in two flavours: *live* (just
-simulated in this process; carries the program, trace and run) and
-*restored* (served from the store; carries only the persisted summary).
-Every accessor the figure functions use works identically on both.
+A :class:`WorkloadEvaluation` answers every query from its
+:class:`~repro.experiments.summary.EvaluationSummary`, built here for a
+computed point as the engine builds it for a replayed snapshot
+(:func:`~repro.experiments.summary.summarize_lanes`).  A *live* one also
+carries the program, trace and run; a *restored* one only its summaries.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .. import settings
 from ..core import VRPConfig, VRSConfig, VRSResult, apply_widths, run_vrp, run_vrs
@@ -35,14 +36,15 @@ from ..core.vrp import VRPResult
 from ..hardware import gating
 from ..ir import Program
 from ..isa import Width
-from ..power import EnergyBreakdown, MultiPolicyEnergyAccountant
+from ..power import EnergyBreakdown
 from ..sim import Machine, RunResult, Trace
-from ..uarch import MachineConfig, OutOfOrderModel, TimingMemo, TimingResult
+from ..sim.snapshot import SimulationArtifact
+from ..uarch import MachineConfig, TimingMemo, TimingResult, run_compiled_many
 from ..workloads import Workload
 from .summary import (
     EvaluationSummary,
-    aggregate_trace,
     runtime_specialization_fractions,
+    summarize_lanes,
     vrp_stats,
     vrs_stats,
 )
@@ -54,9 +56,6 @@ __all__ = [
     "WorkloadEvaluation",
     "artifact_from_evaluation",
 ]
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..sim.snapshot import SimulationArtifact
 
 
 @dataclass
@@ -79,32 +78,25 @@ class SimulationOutcome:
 
 @dataclass
 class WorkloadEvaluation:
-    """All simulated configurations of one workload.
+    """One evaluated point: its summaries, and what a live compute keeps.
 
-    The functional run and the timing model run once per (mechanism,
-    threshold); energy accounting under different gating policies reuses
-    the same trace and timing result.  A *restored* evaluation (served from
-    the persistent result store) has ``program``/``trace``/``run`` set to
-    ``None`` and answers every query from its :class:`EvaluationSummary`.
+    ``summaries`` holds one :class:`EvaluationSummary` per machine config
+    of the point's group, its own (:attr:`summary`) first, and every
+    accessor below answers from :attr:`summary`.  Only a *live*
+    evaluation (computed in this process) carries ``program``,
+    ``trace``, ``run`` and the analysis results; a *restored* one has
+    ``None`` there.
     """
 
     workload: Workload
-    program: Optional[Program]
-    #: Live evaluations carry either a full :class:`Trace` (materialized
-    #: pipeline) or a :class:`~repro.sim.fusedc.ShapeAggregate` (fused
-    #: pipeline) — every accessor below (energy accounting, the four
-    #: dynamic distributions) consumes both identically.  Restored
-    #: evaluations carry ``None``.
-    trace: Optional[Trace]
-    run: Optional[RunResult]
-    timing: TimingResult
+    summaries: list[EvaluationSummary]
+    program: Optional[Program] = None
+    #: A full :class:`Trace`, or a fused run's
+    #: :class:`~repro.sim.fusedc.ShapeAggregate`.
+    trace: Optional[Trace] = None
+    run: Optional[RunResult] = None
     vrp_result: Optional[VRPResult] = None
     vrs_result: Optional[VRSResult] = None
-    outcomes: dict[str, SimulationOutcome] = field(default_factory=dict)
-    mechanism: str = "none"
-    threshold_nj: float = 50.0
-    conventional_vrp: bool = False
-    summary: Optional[EvaluationSummary] = None
     #: True when this process ran the simulation (False: served from disk).
     freshly_computed: bool = False
     #: True when this evaluation was rebuilt by replaying a stored binary
@@ -115,7 +107,6 @@ class WorkloadEvaluation:
     #: pass, no trace; see ``docs/fused.md``).  Restored evaluations keep
     #: the default — no pipeline ran in this process.
     pipeline: str = "materialized"
-    _aggregates: Optional[tuple] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -123,17 +114,12 @@ class WorkloadEvaluation:
     @classmethod
     def from_summary(cls, workload: Workload, summary: EvaluationSummary) -> "WorkloadEvaluation":
         """Rebuild an evaluation from a persisted summary (no simulation)."""
-        return cls(
-            workload=workload,
-            program=None,
-            trace=None,
-            run=None,
-            timing=summary.timing,
-            mechanism=summary.mechanism,
-            threshold_nj=summary.threshold_nj,
-            conventional_vrp=summary.conventional_vrp,
-            summary=summary,
-        )
+        return cls(workload=workload, summaries=[summary])
+
+    @property
+    def summary(self) -> EvaluationSummary:
+        """The point's own summary (the first lane's)."""
+        return self.summaries[0]
 
     @property
     def is_restored(self) -> bool:
@@ -141,145 +127,88 @@ class WorkloadEvaluation:
         return self.trace is None
 
     @property
+    def mechanism(self) -> str:
+        return self.summary.mechanism
+
+    @property
+    def threshold_nj(self) -> float:
+        return self.summary.threshold_nj
+
+    @property
+    def conventional_vrp(self) -> bool:
+        return self.summary.conventional_vrp
+
+    @property
+    def timing(self) -> TimingResult:
+        """Timing result of the point's machine config."""
+        return self.summary.timing
+
+    @property
     def total_dynamic_instructions(self) -> int:
         """Dynamic instruction count of the functional run."""
-        if self.run is not None:
-            return self.run.instructions
         return self.summary.instructions
 
     # ------------------------------------------------------------------
     # Energy outcomes
     # ------------------------------------------------------------------
     def outcome(self, policy_name: str = "baseline") -> SimulationOutcome:
-        """Energy/timing outcome under the named gating policy (cached).
+        """Energy/timing outcome under the named gating policy.
 
-        On the live path, the first request accounts *all* stored policies
-        (:data:`POLICY_NAMES`) in one fused trace walk and caches every
-        sibling outcome for free — so a cold :meth:`summarize` performs
-        exactly one trace walk for energy accounting.
+        The summary holds the breakdown of every policy of
+        :data:`POLICY_NAMES`; any other name raises :class:`KeyError`.
         """
-        if policy_name not in self.outcomes:
-            if self.trace is not None:
-                # gating.get raises the improved KeyError for unknown
-                # names; every known policy is in POLICY_NAMES, so one
-                # fused walk fills every cache entry at once.
-                gating.get(policy_name)
-                accountant = MultiPolicyEnergyAccountant(gating.registry())
-                for name, energy in accountant.account(self.trace, self.timing).items():
-                    self.outcomes.setdefault(
-                        name,
-                        SimulationOutcome(
-                            policy=name, run=self.run, timing=self.timing, energy=energy
-                        ),
-                    )
-            else:
-                energy = self.summary.energies.get(policy_name)
-                if energy is None:
-                    raise KeyError(
-                        f"policy {policy_name!r} is not part of the stored summary for "
-                        f"workload {self.workload.name!r}; available: "
-                        f"{', '.join(sorted(self.summary.energies))}"
-                    )
-                self.outcomes[policy_name] = SimulationOutcome(
-                    policy=policy_name, run=self.run, timing=self.timing, energy=energy
-                )
-        return self.outcomes[policy_name]
+        energy = self.summary.energies.get(policy_name)
+        if energy is None:
+            raise KeyError(
+                f"policy {policy_name!r} is not part of the stored summary for "
+                f"workload {self.workload.name!r}; valid policies: "
+                f"{', '.join(sorted(self.summary.energies))}"
+            )
+        return SimulationOutcome(
+            policy=policy_name, run=self.run, timing=self.timing, energy=energy
+        )
 
     # ------------------------------------------------------------------
-    # Dynamic distributions (live: from the trace; restored: from summary)
+    # Dynamic distributions
     # ------------------------------------------------------------------
-    def _trace_aggregates(self) -> tuple:
-        """All four trace distributions, computed in one walk and cached."""
-        if self._aggregates is None:
-            self._aggregates = aggregate_trace(self.trace)
-        return self._aggregates
-
     def dynamic_width_distribution(self) -> dict[Width, int]:
         """Dynamic instruction counts per encoded (software) width."""
-        if self.trace is not None:
-            return dict(self._trace_aggregates()[0])
         return dict(self.summary.width_distribution)
 
     def counted_width_counts(self) -> dict[Width, int]:
         """Width counts over the integer-computation instruction kinds."""
-        if self.trace is not None:
-            return dict(self._trace_aggregates()[1])
         return dict(self.summary.counted_widths)
 
     def result_size_histogram(self) -> dict[int, int]:
         """Histogram of result-value significant-byte sizes (Figure 12)."""
-        if self.trace is not None:
-            return dict(self._trace_aggregates()[2])
         return dict(self.summary.result_sizes)
 
     def operation_type_width_counts(self) -> dict[str, dict[Width, int]]:
         """Per-operation-type dynamic width counts (Table 3)."""
-        if self.trace is not None:
-            per_type = self._trace_aggregates()[3]
-        else:
-            per_type = self.summary.operation_types
-        return {op_type: dict(widths) for op_type, widths in per_type.items()}
+        return {
+            op_type: dict(widths) for op_type, widths in self.summary.operation_types.items()
+        }
 
     # ------------------------------------------------------------------
     # Specialization statistics (Figures 4, 5, 6)
     # ------------------------------------------------------------------
     def vrp_statistics(self) -> Optional[dict]:
         """VRP summary statistics, or None when VRP did not run."""
-        if self.vrp_result is not None:
-            return vrp_stats(self.vrp_result)
-        return self.summary.vrp if self.summary is not None else None
+        return self.summary.vrp
 
     def vrs_statistics(self) -> Optional[dict]:
         """VRS point/static statistics, or None when VRS did not run."""
-        if self.vrs_result is not None:
-            return vrs_stats(self.vrs_result)
-        return self.summary.vrs if self.summary is not None else None
+        return self.summary.vrs
 
     def runtime_specialization(self) -> Optional[dict]:
         """Executed-instruction specialization fractions (Figure 6)."""
-        if self.vrs_result is not None and self.program is not None and self.run is not None:
-            return runtime_specialization_fractions(self.program, self.run, self.vrs_result)
-        return self.summary.runtime_specialization if self.summary is not None else None
+        return self.summary.runtime_specialization
 
     # ------------------------------------------------------------------
     # Summarization
     # ------------------------------------------------------------------
     def summarize(self) -> EvaluationSummary:
-        """Aggregate this evaluation into its persistable summary (cached).
-
-        Energy breakdowns for *every* gating policy are materialized so a
-        restored evaluation can answer any ``outcome()`` request without
-        the trace.  All of them come from a single fused trace walk
-        (:class:`~repro.power.MultiPolicyEnergyAccountant` via
-        :meth:`outcome`), not one walk per policy.
-        """
-        if self.summary is not None:
-            return self.summary
-        energies = {name: self.outcome(name).energy for name in POLICY_NAMES}
-        width_distribution, counted_widths, result_sizes, operation_types = (
-            self._trace_aggregates()
-        )
-        self.summary = EvaluationSummary(
-            workload=self.workload.name,
-            mechanism=self.mechanism,
-            threshold_nj=self.threshold_nj,
-            conventional_vrp=self.conventional_vrp,
-            instructions=self.run.instructions,
-            output=list(self.run.output),
-            timing=self.timing,
-            energies=energies,
-            width_distribution=width_distribution,
-            counted_widths=counted_widths,
-            result_sizes=result_sizes,
-            operation_types=operation_types,
-            vrp=vrp_stats(self.vrp_result) if self.vrp_result is not None else None,
-            vrs=vrs_stats(self.vrs_result) if self.vrs_result is not None else None,
-            runtime_specialization=(
-                runtime_specialization_fractions(self.program, self.run, self.vrs_result)
-                if self.vrs_result is not None
-                else None
-            ),
-        )
+        """This evaluation's persistable summary (:attr:`summary`)."""
         return self.summary
 
 
@@ -335,15 +264,15 @@ def _compute_evaluation(
     shared: Optional["SharedWork"] = None,
     other_lanes: Sequence[MachineConfig] = (),
 ) -> WorkloadEvaluation:
-    """Build, transform and simulate one workload configuration (uncached).
+    """Build, transform, simulate and summarize one workload configuration (uncached).
 
     This is the live pipeline behind :meth:`ExperimentEngine.compute`
-    and every cold compute of the engine's cache-miss resolver, which
-    passes its engine's timing ``memo``: a materialized trace is then
-    timed through it, and walked only when no timing-identical trace
-    was timed under ``machine_config`` before.  A sweep group's compute
-    also passes its group's ``other_lanes``, which the same memo call
-    times in the same walk, so timing them afterwards hits the memo.
+    and every cold compute of the engine's cache-miss resolver.  It
+    summarizes ``machine_config`` and each of a sweep group's
+    ``other_lanes`` (:func:`~repro.experiments.summary.summarize_lanes`,
+    after dropping the ``Machine``), timing a materialized trace under
+    all of them in one call: through the resolver's timing ``memo``, or
+    :func:`~repro.uarch.run_compiled_many` without one.
 
     ``shared`` is the work of ``workload``'s group (:class:`SharedWork`),
     which :meth:`ExperimentEngine.map`'s serial loop passes for every
@@ -357,9 +286,10 @@ def _compute_evaluation(
     ``"materialized"`` simulates with a full columnar trace and walks it
     for timing; ``"fused"`` simulates, times and aggregates accounting
     shapes in one streaming pass without ever materializing the trace
-    (``Machine.run(pipeline="fused")``; see ``docs/fused.md``).  Both are
-    bit-identical in every figure the evaluation can answer; only a fused
-    evaluation cannot feed the binary trace-snapshot store.
+    (``Machine.run(pipeline="fused")``; see ``docs/fused.md``), one
+    fused run per lane.  Both are bit-identical in every figure the
+    evaluation can answer; only a fused evaluation cannot feed the
+    binary trace-snapshot store.
 
     Note the per-mechanism ordering: the ``Machine`` is built only
     *after* the VRP/VRS transformation mutated the program, because
@@ -392,27 +322,46 @@ def _compute_evaluation(
     if pipeline == "fused":
         run = machine.run(pipeline="fused", machine_config=machine_config)
         trace = run.fused.shapes
-        timing = run.fused.timing
+        timings = [run.fused.timing] + [
+            machine.run(pipeline="fused", machine_config=lane).fused.timing
+            for lane in other_lanes
+        ]
     else:
         run = shared.traced_run(machine)
         trace = run.trace
-        if memo is None:
-            timing = OutOfOrderModel(machine_config).run(trace)
-        else:
-            timing = memo.time(trace, [machine_config, *other_lanes])[0]
+        timings = _time(trace, [machine_config, *other_lanes], memo)
+    del machine  # unreachable (its compiled programs too) before summarizing
+    artifact = SimulationArtifact(
+        trace=trace,
+        instructions=run.instructions,
+        output=list(run.output),
+        vrp=vrp_stats(vrp_result) if vrp_result is not None else None,
+        vrs=vrs_stats(vrs_result) if vrs_result is not None else None,
+        runtime_specialization=(
+            runtime_specialization_fractions(program, run, vrs_result)
+            if vrs_result is not None
+            else None
+        ),
+    )
     return WorkloadEvaluation(
         workload=workload,
+        summaries=summarize_lanes(
+            workload, mechanism, threshold_nj, conventional_vrp, artifact, timings
+        ),
         program=program,
         trace=trace,
         run=run,
-        timing=timing,
         vrp_result=vrp_result,
         vrs_result=vrs_result,
-        mechanism=mechanism,
-        threshold_nj=threshold_nj,
-        conventional_vrp=conventional_vrp,
         pipeline=pipeline,
     )
+
+
+def _time(
+    trace: Trace, lanes: Sequence[Optional[MachineConfig]], memo: Optional[TimingMemo]
+) -> list[TimingResult]:
+    """``trace`` timed under ``lanes``: through ``memo``, or walked without one."""
+    return run_compiled_many(trace, lanes) if memo is None else memo.time(trace, lanes)
 
 
 class SharedWork:
@@ -485,11 +434,9 @@ class SharedWork:
 # ----------------------------------------------------------------------
 # Trace snapshots (replayed by repro.experiments.engine._replay)
 # ----------------------------------------------------------------------
-def artifact_from_evaluation(evaluation: WorkloadEvaluation) -> "SimulationArtifact":
+def artifact_from_evaluation(evaluation: WorkloadEvaluation) -> SimulationArtifact:
     """Package a live evaluation's simulation outputs for the trace store."""
-    from ..sim.snapshot import SimulationArtifact
-
-    summary = evaluation.summarize()
+    summary = evaluation.summary
     return SimulationArtifact(
         trace=evaluation.trace,
         instructions=summary.instructions,

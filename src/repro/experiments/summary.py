@@ -5,18 +5,21 @@ The persistent result store (:mod:`repro.experiments.store`) keeps the
 width/size/operation distributions and the VRP/VRS statistics the figure
 functions consume — but never the raw trace, which is three orders of
 magnitude larger and cheap to regenerate when genuinely needed.  This module
-defines that summary record plus the trace-aggregation helpers shared by the
-live path (fresh simulation) and the figure modules.
+defines that summary record and its one builder, :func:`summarize_lanes`,
+which a computed point (``runner._compute_evaluation``) and a replayed
+trace snapshot (``engine._replay``) both call.  It lies outside the
+simulator fingerprint (``store._SIM_FILES``): editing it retires no snapshot.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING, Optional, Sequence
 
+from ..hardware import gating
 from ..isa import OpKind, Width
 from ..isa.opcodes import OPERATION_TYPE
-from ..power import EnergyBreakdown
+from ..power import EnergyBreakdown, MultiPolicyEnergyAccountant
 from ..uarch import TimingResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -24,17 +27,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..core.vrs import VRSResult
     from ..ir import Program
     from ..sim import RunResult, Trace
+    from ..sim.snapshot import SimulationArtifact
+    from ..workloads import Workload
 
 __all__ = [
     "COUNTED_KINDS",
     "EvaluationSummary",
     "SUMMARY_FORMAT_VERSION",
     "aggregate_trace",
-    "counted_width_counts",
-    "operation_type_width_counts",
     "restore_vrp_stat_keys",
-    "result_size_histogram",
     "runtime_specialization_fractions",
+    "summarize_lanes",
     "vrp_stats",
     "vrs_stats",
 ]
@@ -105,29 +108,6 @@ def aggregate_trace(
                 widths = per_type.setdefault(op_type, {w: 0 for w in Width.all_widths()})
                 widths[entry.width] += count
     return width_distribution, counted, sizes, per_type
-
-
-def counted_width_counts(trace: "Trace") -> dict[Width, int]:
-    """Dynamic width counts restricted to :data:`COUNTED_KINDS`.
-
-    Derived from :func:`aggregate_trace` so the counting semantics cannot
-    drift between the live accessors and the persisted summaries.
-    """
-    return aggregate_trace(trace)[1]
-
-
-def result_size_histogram(trace: "Trace") -> dict[int, int]:
-    """Histogram of result-value sizes in significant bytes (Figure 12)."""
-    return aggregate_trace(trace)[2]
-
-
-def operation_type_width_counts(trace: "Trace") -> dict[str, dict[Width, int]]:
-    """Dynamic per-operation-type width counts (Table 3).
-
-    Loads, stores and moves are excluded: the table lists computation
-    classes only.
-    """
-    return aggregate_trace(trace)[3]
 
 
 def runtime_specialization_fractions(
@@ -352,3 +332,50 @@ class EvaluationSummary:
 def _width_keys(mapping: dict) -> dict[Width, int]:
     """Rebuild ``Width`` keys from their JSON encoding (bit counts)."""
     return {Width(int(bits)): count for bits, count in mapping.items()}
+
+
+# ----------------------------------------------------------------------
+# The one summary builder
+# ----------------------------------------------------------------------
+def summarize_lanes(
+    workload: "Workload",
+    mechanism: str,
+    threshold_nj: float,
+    conventional_vrp: bool,
+    artifact: "SimulationArtifact",
+    timings: Sequence[TimingResult],
+) -> list[EvaluationSummary]:
+    """One summary per lane: ``artifact``'s trace under each of ``timings``.
+
+    The only constructor of a successful point's summary: one
+    multi-policy accounting pass branched per timing
+    (:meth:`~repro.power.MultiPolicyEnergyAccountant.account_many`) and
+    one :func:`aggregate_trace` serve every lane, and the functional
+    outputs come from the artifact.  Only timing and energies depend on
+    the machine config, so a further lane is the first lane's summary
+    with those two replaced.
+    """
+    trace = artifact.trace
+    energies = MultiPolicyEnergyAccountant(gating.registry()).account_many(trace, timings)
+    width_distribution, counted_widths, result_sizes, operation_types = aggregate_trace(trace)
+    first = EvaluationSummary(
+        workload=workload.name,
+        mechanism=mechanism,
+        threshold_nj=threshold_nj,
+        conventional_vrp=conventional_vrp,
+        instructions=artifact.instructions,
+        output=list(artifact.output),
+        timing=timings[0],
+        energies=energies[0],
+        width_distribution=width_distribution,
+        counted_widths=counted_widths,
+        result_sizes=result_sizes,
+        operation_types=operation_types,
+        vrp=restore_vrp_stat_keys(artifact.vrp),
+        vrs=artifact.vrs,
+        runtime_specialization=artifact.runtime_specialization,
+    )
+    return [first] + [
+        replace(first, timing=timing, energies=energy)
+        for timing, energy in zip(timings[1:], energies[1:])
+    ]

@@ -11,8 +11,9 @@ Three layers of defence around ``MultiPolicyEnergyAccountant``:
    original single-policy accountant, predating the fused core) that the
    fused results must match within floating-point reassociation tolerance.
 3. **Real workloads**: the same exact-equality differential over the
-   actual suite traces, plus a walk-count probe asserting that a cold
-   ``summarize()`` performs exactly one trace walk for energy accounting.
+   actual suite traces, plus a walk-count probe asserting that the one
+   summary builder (``summarize_lanes``) adds no record walk to the
+   one that ingested the trace.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import POLICY_NAMES, ExperimentConfig, default_engine
-from repro.experiments.runner import WorkloadEvaluation
+from repro.experiments.summary import summarize_lanes
 from repro.hardware import (
     CooperativeGating,
     GatingPolicy,
@@ -37,8 +38,9 @@ from repro.hardware import (
 from repro.isa import INT64_MAX, INT64_MIN, OpKind, Opcode, Width
 from repro.power import STRUCTURES, EnergyAccountant, MultiPolicyEnergyAccountant
 from repro.sim import Machine, Trace
+from repro.sim.snapshot import SimulationArtifact
 from repro.sim.trace import StaticEntry, StaticInfo, TraceRecord
-from repro.uarch import TimingResult
+from repro.uarch import MachineConfig, OutOfOrderModel, TimingResult
 from repro.workloads import SUITE_NAMES
 
 _MUL_ENERGY_FACTOR = 3.0
@@ -367,47 +369,47 @@ class _CountingRecords(list):
         return super().__iter__()
 
 
-def _probed_evaluation(evaluation) -> tuple[WorkloadEvaluation, _CountingRecords]:
+def _probed_artifact(evaluation) -> tuple[SimulationArtifact, _CountingRecords]:
     # The live trace keeps no values; the reference loop's trace of the
     # same program supplies the record stream.
     reference = Machine(evaluation.program).run_reference(collect_trace=True).trace
     records = _CountingRecords(reference.records)
     trace = Trace(records=records, static=reference.static)
-    fresh = WorkloadEvaluation(
-        workload=evaluation.workload,
-        program=evaluation.program,
-        trace=trace,
-        run=evaluation.run,
-        timing=evaluation.timing,
+    summary = evaluation.summary
+    artifact = SimulationArtifact(
+        trace=trace, instructions=summary.instructions, output=summary.output
     )
-    return fresh, records
+    return artifact, records
+
+
+def _summarize(evaluation, artifact, timings):
+    return summarize_lanes(evaluation.workload, "none", 50.0, False, artifact, timings)
 
 
 class TestWalkCounts:
-    def test_first_outcome_fills_all_siblings_without_record_walks(self, ijpeg_evaluation):
+    def test_summarizing_every_policy_adds_no_record_walk(self, ijpeg_evaluation):
         """The columnar accountant never re-reads the record stream: the
-        single walk is the one that ingested the records into columns."""
-        evaluation, records = _probed_evaluation(ijpeg_evaluation)
+        single walk is the one that ingested the records into columns,
+        and one summary holds every policy's breakdown."""
+        artifact, records = _probed_artifact(ijpeg_evaluation)
         assert records.walks == 1  # columnar ingestion
-        evaluation.outcome("hw-size")
-        assert records.walks == 1
-        for name in POLICY_NAMES:
-            evaluation.outcome(name)
-        assert records.walks == 1  # siblings were cached by the fused walk
-
-    def test_cold_summarize_performs_zero_record_walks(self, ijpeg_evaluation):
-        """Energy accounting *and* the four dynamic distributions run off
-        the columns (cached combo/uid aggregations), so a cold summarize
-        adds no walk beyond the ingestion one."""
-        evaluation, records = _probed_evaluation(ijpeg_evaluation)
-        summary = evaluation.summarize()
+        (summary,) = _summarize(ijpeg_evaluation, artifact, [ijpeg_evaluation.timing])
         assert records.walks == 1
         assert set(summary.energies) == set(POLICY_NAMES)
-        # Re-summarizing and re-querying outcomes is free.
-        evaluation.summarize()
-        for name in POLICY_NAMES:
-            evaluation.outcome(name)
+        # The value-bearing reference trace summarizes like the live one.
+        assert summary.to_json_dict() == ijpeg_evaluation.summary.to_json_dict()
+
+    def test_summarizing_more_lanes_adds_no_record_walk(self, ijpeg_evaluation):
+        """Energy accounting *and* the four dynamic distributions run off
+        the columns (cached shape/uid aggregations), once for all lanes."""
+        artifact, records = _probed_artifact(ijpeg_evaluation)
+        narrow = MachineConfig(fetch_width=2, issue_width=2)
+        timings = [ijpeg_evaluation.timing, OutOfOrderModel(narrow).run(artifact.trace)]
+        first, second = _summarize(ijpeg_evaluation, artifact, timings)
         assert records.walks == 1
+        assert second.timing.cycles != first.timing.cycles
+        assert second.counted_widths == first.counted_widths
+        assert set(second.energies) == set(POLICY_NAMES)
 
     def test_trace_level_aggregations_are_cached(self, ijpeg_evaluation):
         trace = ijpeg_evaluation.trace

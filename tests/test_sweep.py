@@ -192,6 +192,55 @@ class TestEngineSweep:
 
         assert [_payload(row) for row in warm.rows] == [_payload(row) for row in cold.rows]
 
+    @pytest.mark.parametrize("mechanism", ["none", "vrp", "vrs"])
+    def test_computed_and_replayed_lanes_summarize_alike(self, store, tmp_path, mechanism):
+        """A two-lane li group summarizes alike computed and replayed, with
+        the VRP, VRS and runtime-specialization statistics its mechanism
+        carries, and every lane equals a fresh-store evaluate of its point."""
+        from repro.experiments.engine import _resolve_miss
+        from repro.uarch import TimingMemo
+        from repro.workloads import workload_by_name
+
+        configs = [pair for pair in default_sweep_configs() if pair[0] in ("table2", "wide-8")]
+        spec = SweepSpec.cartesian(workloads=("li",), configs=configs, mechanism=mechanism)
+        cold = list(ExperimentEngine(store).sweep(spec))
+        replayed = list(ExperimentEngine(store).sweep(spec))
+        assert {row.source for row in cold} == {"computed"}
+        assert {row.source for row in replayed} == {"replayed"}
+
+        def payload(rows):
+            return [{**row.to_json_dict(), "source": None} for row in rows]
+
+        assert payload(replayed) == payload(cold)
+
+        li = workload_by_name("li")
+        points = [
+            ExperimentConfig(workload="li", mechanism=mechanism, machine_config=config)
+            for _, config in configs
+        ]
+
+        def group(root):
+            group_store = ResultStore(root)
+            key = ExperimentEngine(group_store).key_for(points[0], li)
+            _, summaries, provenance = _resolve_miss(
+                group_store, key, points[0], li, "auto", [configs[1][1]], memo=TimingMemo()
+            )
+            return summaries, provenance
+
+        summaries, provenance = group(tmp_path / "group")
+        assert provenance == "computed"
+        again, provenance = group(tmp_path / "group")
+        assert provenance == "replayed"
+        assert [s.to_json_dict() for s in again] == [s.to_json_dict() for s in summaries]
+        for index, (point, summary) in enumerate(zip(points, summaries)):
+            fresh = ExperimentEngine(ResultStore(tmp_path / f"fresh-{index}")).evaluate(point)
+            assert fresh.freshly_computed
+            assert summary.to_json_dict() == fresh.summarize().to_json_dict(), point
+        first = summaries[0]
+        assert (first.vrp is not None) == (mechanism != "none")
+        assert (first.vrs is not None) == (mechanism == "vrs")
+        assert (first.runtime_specialization is not None) == (mechanism == "vrs")
+
     def test_unreplayable_snapshot_is_quarantined_and_recomputed(self, store):
         """A snapshot that decodes but does not replay (an executed uid's
         static entry is gone) must not turn a group into error rows: the
@@ -412,11 +461,11 @@ LI_VRS_RECORDS = 32_727
 def walked(monkeypatch):
     """Records walked by the compiled timing kernel, one entry per walk.
 
-    Counts the batched entry point the memo walks through and the
-    single-config one ``compute()`` uses.
+    Counts the batched entry point where the memo walks through it and
+    where the memo-less ``compute()`` does.
     """
-    from repro.experiments import engine as engine_module
-    from repro.uarch import OutOfOrderModel, tkernel
+    from repro.experiments import runner as runner_module
+    from repro.uarch import tkernel
 
     records = []
     many = tkernel.run_compiled_many
@@ -426,16 +475,33 @@ def walked(monkeypatch):
         records.append(len(trace) * len(results))
         return results
 
-    run = OutOfOrderModel.run
-
-    def counted_run(self, trace):
-        records.append(len(trace))
-        return run(self, trace)
-
     monkeypatch.setattr(tkernel, "run_compiled_many", counted_many)
-    monkeypatch.setattr(engine_module, "run_compiled_many", counted_many)
-    monkeypatch.setattr(OutOfOrderModel, "run", counted_run)
+    monkeypatch.setattr(runner_module, "run_compiled_many", counted_many)
     return records
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Walk keys taken (``tkernel._walk_key``) and accounting passes run
+    (``MultiPolicyEnergyAccountant._account``)."""
+    from repro.power import MultiPolicyEnergyAccountant
+    from repro.uarch import tkernel
+
+    counts = {"walk_key": 0, "account": 0}
+    walk_key = tkernel._walk_key
+    account = MultiPolicyEnergyAccountant._account
+
+    def counted_walk_key(trace):
+        counts["walk_key"] += 1
+        return walk_key(trace)
+
+    def counted_account(self, trace, timings):
+        counts["account"] += 1
+        return account(self, trace, timings)
+
+    monkeypatch.setattr(tkernel, "_walk_key", counted_walk_key)
+    monkeypatch.setattr(MultiPolicyEnergyAccountant, "_account", counted_account)
+    return counts
 
 
 def _li_points() -> list[ExperimentConfig]:
@@ -496,6 +562,19 @@ class TestTimingMemo:
         for name, _ in configs:
             assert cycles["vrp", name] == cycles["none", name]
         assert cycles["none", "table2"] != cycles["none", "wide-8"]
+
+    def test_cold_group_keys_and_accounts_its_trace_once(self, store, passes):
+        """A cold 8-lane group times all of its lanes in one memo call and
+        summarizes them from one accounting pass."""
+        spec = SweepSpec.cartesian(workloads=("li",), policies=("baseline",))
+        rows = list(ExperimentEngine(store).sweep(spec))
+        assert [row.source for row in rows] == ["computed"] * len(default_sweep_configs())
+        assert passes == {"walk_key": 1, "account": 1}
+
+    def test_cold_point_keys_and_accounts_its_trace_once(self, store, passes):
+        evaluation = ExperimentEngine(store).evaluate(ExperimentConfig(workload="li"))
+        assert evaluation.freshly_computed
+        assert passes == {"walk_key": 1, "account": 1}
 
     @pytest.mark.slow
     def test_threads_sharing_one_engine_get_identical_results(self, monkeypatch):
