@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import POLICY_NAMES, ExperimentConfig, default_engine
+from repro.experiments import POLICY_NAMES, ExperimentConfig, WorkloadEvaluation, default_engine
 from repro.experiments.summary import summarize_lanes
 from repro.hardware import (
     CooperativeGating,
@@ -387,21 +387,28 @@ def _summarize(evaluation, artifact, timings):
 
 
 class TestWalkCounts:
-    def test_summarizing_every_policy_adds_no_record_walk(self, ijpeg_evaluation):
+    def test_first_outcome_fills_all_siblings_without_record_walks(self, ijpeg_evaluation):
         """The columnar accountant never re-reads the record stream: the
         single walk is the one that ingested the records into columns,
-        and one summary holds every policy's breakdown."""
+        and the one summary the builder makes holds every policy's
+        outcome, so asking for any of them adds no walk."""
         artifact, records = _probed_artifact(ijpeg_evaluation)
         assert records.walks == 1  # columnar ingestion
         (summary,) = _summarize(ijpeg_evaluation, artifact, [ijpeg_evaluation.timing])
         assert records.walks == 1
+        evaluation = WorkloadEvaluation(workload=ijpeg_evaluation.workload, summaries=[summary])
+        evaluation.outcome("hw-size")
+        for name in POLICY_NAMES:
+            evaluation.outcome(name)
+        assert records.walks == 1  # siblings came from the same pass
         assert set(summary.energies) == set(POLICY_NAMES)
         # The value-bearing reference trace summarizes like the live one.
         assert summary.to_json_dict() == ijpeg_evaluation.summary.to_json_dict()
 
-    def test_summarizing_more_lanes_adds_no_record_walk(self, ijpeg_evaluation):
+    def test_cold_summarize_performs_zero_record_walks(self, ijpeg_evaluation):
         """Energy accounting *and* the four dynamic distributions run off
-        the columns (cached shape/uid aggregations), once for all lanes."""
+        the columns (cached shape/uid aggregations), once for all lanes,
+        so a cold summarize adds no walk beyond the ingestion one."""
         artifact, records = _probed_artifact(ijpeg_evaluation)
         narrow = MachineConfig(fetch_width=2, issue_width=2)
         timings = [ijpeg_evaluation.timing, OutOfOrderModel(narrow).run(artifact.trace)]
@@ -410,6 +417,14 @@ class TestWalkCounts:
         assert second.timing.cycles != first.timing.cycles
         assert second.counted_widths == first.counted_widths
         assert set(second.energies) == set(POLICY_NAMES)
+        # Re-summarizing and re-querying outcomes is free.
+        evaluation = WorkloadEvaluation(
+            workload=ijpeg_evaluation.workload, summaries=[first, second]
+        )
+        evaluation.summarize()
+        for name in POLICY_NAMES:
+            evaluation.outcome(name)
+        assert records.walks == 1
 
     def test_trace_level_aggregations_are_cached(self, ijpeg_evaluation):
         trace = ijpeg_evaluation.trace
