@@ -134,6 +134,8 @@ class FunctionFacts:
     #: Instruction definition -> positions in ``visits`` of its readers.
     readers: dict[Definition, tuple[int, ...]]
     useful_bits: dict[Definition, int]
+    #: The call targets, whose return ranges the engine reads (sorted).
+    callees: tuple[str, ...]
 
     @classmethod
     def build(cls, function: Function, program: Program, config: VRPConfig) -> "FunctionFacts":
@@ -163,6 +165,7 @@ class FunctionFacts:
                 graph,
                 UsefulBitsConfig(through_arithmetic=config.useful_through_arithmetic),
             )
+        callees = {inst.target for inst in function.instructions() if inst.is_call}
         return cls(
             function=function,
             config=config,
@@ -173,6 +176,7 @@ class FunctionFacts:
             positions=positions,
             readers=readers,
             useful_bits=useful,
+            callees=tuple(sorted(callees)),
         )
 
 

@@ -12,7 +12,9 @@ never the program, so each function's range-independent facts are built
 once per run and shared by every round (:class:`FunctionFacts`): its
 dependence graph, dominator tree, loops and branch constraints, its
 instruction visit order with the readers of every definition, and its
-useful bits.
+useful bits.  A propagation is a function of those facts, the function's
+parameter ranges and its callees' return ranges, so a round re-runs a
+function only when one of those ranges changed since its last run.
 """
 
 from __future__ import annotations
@@ -88,18 +90,25 @@ def run_vrp(program: Program, config: Optional[VRPConfig] = None) -> VRPResult:
     }
     param_ranges: dict[str, dict[Reg, ValueRange]] = {name: {} for name in order}
     return_ranges: dict[str, ValueRange] = {}
+    # Per function, the inputs and result of its last propagation.
+    last: dict[str, tuple[tuple, FunctionAnalysis]] = {}
 
     rounds = config.global_iterations if config.interprocedural else 1
     for round_index in range(rounds):
         result.global_rounds = round_index + 1
         observed_args: dict[str, dict[Reg, ValueRange]] = {name: {} for name in order}
         for name in order:
-            engine = FunctionVRP(
-                facts[name],
-                param_ranges=param_ranges.get(name, {}),
-                return_ranges=return_ranges,
-            )
-            analysis = engine.run()
+            # All a propagation reads of what the rounds change: its
+            # parameter ranges and its callees' return ranges.
+            params = param_ranges.get(name, {})
+            inputs = (params, [return_ranges.get(callee) for callee in facts[name].callees])
+            previous = last.get(name)
+            if previous is not None and previous[0] == inputs:
+                analysis = previous[1]
+            else:
+                engine = FunctionVRP(facts[name], param_ranges=params, return_ranges=return_ranges)
+                analysis = engine.run()
+                last[name] = (inputs, analysis)
             result.analyses[name] = analysis
             return_ranges[name] = analysis.return_range
             if config.interprocedural:

@@ -36,8 +36,8 @@ through one builder (:func:`~repro.experiments.summary.summarize_lanes`):
 one timing call and one accounting pass per group.
 :meth:`ExperimentEngine.map`'s serial loop resolves its misses
 workload by workload, and a workload's points share one build, one VRP
-analysis per configuration and the previous traced run
-(:class:`~repro.experiments.runner.SharedWork`).  Workers return plain
+analysis per configuration and the traced runs a later point provably
+equals (:class:`~repro.experiments.runner.SharedWork`).  Workers return plain
 JSON-serializable summaries and the parent hands out *restored*
 :class:`WorkloadEvaluation` objects, so parallel and serial evaluation
 are observationally equivalent for every figure and table of the paper.
@@ -509,11 +509,13 @@ class ExperimentEngine:
         input order).  Each workload group shares one
         :class:`~repro.experiments.runner.SharedWork`: one build that
         every point copies, one VRP analysis per configuration (the
-        ``vrp`` point applies it and VRS starts from it) and the previous
-        traced run, which a program equal to the one it ran reuses.  The
-        group's shared work is dropped when the group ends, so the loop
-        holds one workload's build, analyses and extra trace at most.
-        Pool workers compute every point as a group of one.
+        ``vrp`` point applies it and VRS starts from it) and two traced
+        runs: the previous one, which a program equal to the one it ran
+        reuses, and the ``none`` point's, which a ``vrp`` point adopts
+        when that run shows every narrowed value fits.  The group's shared
+        work is dropped when the group ends, so the loop holds one
+        workload's build, analyses and held runs at most.  Pool workers
+        compute every point as a group of one.
 
         The fan-out runs under :func:`~repro.experiments.resilience.supervised_map`:
         transient worker failures are retried with backoff, hung workers

@@ -232,7 +232,7 @@ def _touch_sim_probe(workload: Workload, mechanism: str) -> None:
     smoke) count the files to assert "N identical submissions cost
     exactly one live compute" without trusting any in-process counter.
     The marker is dropped per compute, not per simulation: a compute
-    that reuses its workload group's previous traced run
+    that adopts a traced run its workload group holds
     (:class:`SharedWork`) drops one too.
     ``O_EXCL`` plus a pid/sequence name makes every marker unique even
     when many workers probe concurrently.  No-op unless the variable is
@@ -279,8 +279,9 @@ def _compute_evaluation(
     point of a workload; any other caller computes a group of one.  The
     program is a copy of the group's one build, VRP's analysis comes
     from the group (the ``vrp`` point applies it, ``run_vrs`` takes it
-    as its first analysis), and a materialized run equal to the group's
-    previous traced run reuses it instead of simulating.
+    as its first analysis), and a materialized run that provably equals
+    a traced run the group holds adopts it instead of simulating
+    (:meth:`SharedWork.traced_run`).
 
     ``pipeline`` selects how the simulation outputs are produced:
     ``"materialized"`` simulates with a full columnar trace and walks it
@@ -327,7 +328,7 @@ def _compute_evaluation(
             for lane in other_lanes
         ]
     else:
-        run = shared.traced_run(machine)
+        run = shared.traced_run(machine, mechanism)
         trace = run.trace
         timings = _time(trace, [machine_config, *other_lanes], memo)
     del machine  # unreachable (its compiled programs too) before summarizing
@@ -369,9 +370,10 @@ class SharedWork:
 
     The engine makes one per workload group of its serial loop and drops
     it when the group ends, so it holds at most one workload's build,
-    analyses and extra trace; every other compute (:meth:`evaluate`,
+    analyses and held runs; every other compute (:meth:`evaluate`,
     :meth:`compute`, pool workers, sweeps) is a group of one point,
-    which :func:`_compute_evaluation` makes itself.  It holds:
+    which :func:`_compute_evaluation` makes itself and which therefore
+    never adopts.  It holds:
 
     * one pristine :meth:`Workload.build`, which :meth:`program` copies
       for every point after the first, so the group's programs share
@@ -382,13 +384,20 @@ class SharedWork:
     * the previous traced run and its :meth:`Machine.traced_run_key`
       (:meth:`traced_run`), so a program equal to the previous one — a
       ``vrs`` build in which VRS specialized nothing equals its ``vrp``
-      build — reuses that run instead of simulating.
+      build — reuses that run instead of simulating;
+    * the ``none`` point's traced run, which a ``vrp`` point adopts when
+      that run shows every narrowed result fits its new width.
+
+    A point that simulates frees both runs first, so the group holds no
+    trace besides the one being built (an adopted trace shares the
+    held run's columns).
     """
 
     def __init__(self, workload: Workload) -> None:
         self.workload = workload
         self._build: Optional[bytes] = None
         self._analyses: dict[VRPConfig, VRPResult] = {}
+        self._base: Optional[tuple[tuple, RunResult]] = None
         self._run: Optional[tuple[tuple, RunResult]] = None
 
     def program(self) -> Program:
@@ -419,15 +428,35 @@ class SharedWork:
             self._analyses[config] = result
         return result
 
-    def traced_run(self, machine: Machine) -> RunResult:
-        """``machine.run(collect_trace=True)``, or the previous traced run
-        when its key equals ``machine``'s (:meth:`Machine.adopt_traced_run`)."""
+    def traced_run(self, machine: Machine, mechanism: str) -> RunResult:
+        """``machine.run(collect_trace=True)``, or a held run it equals.
+
+        ``mechanism`` says how ``machine``'s program derives from the
+        group's build with the ``ref`` input: ``none`` runs it as built,
+        ``vrp`` narrows it by ``apply_widths`` alone, ``vrs`` transforms
+        it further.  ``machine`` adopts (:meth:`Machine.adopt_traced_run`)
+        the previous traced run when their keys are equal, and a ``vrp``
+        machine the ``none`` run when their keys differ in the source
+        alone and that run shows every narrowed result fits
+        (:meth:`Machine.narrowing_holds`).  Otherwise the held runs are
+        freed and ``machine`` simulates.
+        """
         key = machine.traced_run_key()
         if self._run is not None and self._run[0] == key:
-            return machine.adopt_traced_run(self._run[1])
-        self._run = None  # free the previous trace before this run builds one
-        run = machine.run(collect_trace=True)
+            run = machine.adopt_traced_run(self._run[1])
+        elif (
+            mechanism == "vrp"
+            and self._base is not None
+            and self._base[0][1:] == key[1:]
+            and machine.narrowing_holds(self._base[1])
+        ):
+            run = machine.adopt_traced_run(self._base[1])
+        else:
+            self._base = self._run = None  # free the held traces before this run builds one
+            run = machine.run(collect_trace=True)
         self._run = (key, run)
+        if mechanism == "none":
+            self._base = self._run
         return run
 
 

@@ -56,7 +56,8 @@ whose nested unit functions close over those arguments — binding a run is
 pure function creation, no source generation and no ``compile()``.  The
 :class:`BlockProgram` (source, bind factory, constant pool, per-entry
 instruction counts) is cached on the :class:`Machine` and shared across
-runs.
+runs.  A program looks its code up when it is first bound, so one whose
+text is only hashed (``Machine.traced_run_key``) is never compiled.
 
 Nothing that differs between two builds of one program is baked into
 the source either: meta templates (which hold the uids), lookup tables
@@ -95,7 +96,7 @@ import hashlib
 import re
 import threading
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import CodeType
 from typing import TYPE_CHECKING, Callable
 
@@ -205,7 +206,7 @@ _REG_VALUE = re.compile(r"^r(\d+)$")
 class BlockProgram:
     """One compiled program: shareable across every run of a ``Machine``.
 
-    ``bind`` is the generated per-run factory, this program's own
+    :attr:`bind` is the generated per-run factory, this program's own
     function over the process-wide code object of ``source``; ``consts``
     the constant pool it unpacks (lookup helpers, :class:`Width` members,
     meta templates, an observer flavour's uid base); ``lengths`` maps
@@ -218,7 +219,6 @@ class BlockProgram:
     ``unit_specs`` and ``key_caches`` feed :func:`expand_signatures`.
     """
 
-    bind: Callable
     consts: tuple
     lengths: list[int]
     entry_points: tuple[int, ...]
@@ -228,6 +228,17 @@ class BlockProgram:
     counts_shapes: bool = False
     unit_specs: tuple = ()
     key_caches: tuple = ()
+    _bind: Callable | None = field(default=None, repr=False)
+
+    @property
+    def bind(self) -> Callable:
+        """The per-run factory, its code looked up (:func:`_code_for`) on
+        first use."""
+        if self._bind is None:
+            namespace: dict = {}
+            exec(_code_for(self.source), namespace)
+            self._bind = namespace["bind"]
+        return self._bind
 
     def bind_run(
         self,
@@ -711,7 +722,7 @@ def _gen_straightline(
 
 #: Process-wide compiled-code cache: SHA-256 of a generated source ->
 #: the code object ``compile()`` returned for it.  A pass over the 24
-#: paper points compiles 34 distinct programs (about 2 MiB of code
+#: paper points compiles 28 distinct programs (under 2 MiB of code
 #: objects), so the bound holds more than two passes' worth; past it
 #: the oldest entry goes.
 _CODE_CACHE: dict[str, CodeType] = {}
@@ -762,9 +773,12 @@ def compile_blocks(
     Pure function of the (flattened) program, ``collect_trace``,
     ``watched`` and ``values`` — no per-run state is consulted, so the
     result is cached on the machine and reused by every subsequent
-    :meth:`Machine.run`.  Every call generates the source; its code
-    object comes from the process-wide cache (:func:`_code_for`), so only
-    a source text this process has not compiled yet pays ``compile()``.
+    :meth:`Machine.run`.  Every call generates the source; the program
+    looks its code object up in the process-wide cache (:func:`_code_for`)
+    when it is first bound, so only a source text this process has not
+    compiled yet pays ``compile()``, and only once something runs it:
+    :meth:`Machine.traced_run_key` reads a traced program's text without
+    compiling a program whose run may be adopted instead.
 
     ``watched`` is the set of uids whose results the bound ``observe``
     callable receives (the value-observer flavour); the empty default
@@ -913,10 +927,7 @@ def compile_blocks(
     footer.append("    return _funcs")
     source = "\n".join(header + unit_lines + footer) + "\n"
 
-    namespace: dict = {}
-    exec(_code_for(source), namespace)
     return BlockProgram(
-        bind=namespace["bind"],
         consts=tuple(consts),
         lengths=lengths,
         entry_points=entry_points,

@@ -62,7 +62,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from .. import settings
 from ..isa import Imm, Instruction, Opcode, OpKind, Reg, Width, to_signed
@@ -103,6 +103,25 @@ _HALT_PC = -1
 #: one ``time.monotonic()`` call per stride and an unbudgeted run pays a
 #: single comparison per block.
 _BUDGET_CHECK_STRIDE = 8192
+
+
+#: The kinds whose semantics read ``inst.width``: the wrap of an
+#: ALU/MUL/LOGICAL/SHIFT result and of a CMOV's moved value.  Every other
+#: kind runs alike at any encoded width (see :meth:`Machine.narrowing_holds`).
+_WRAPPING_KINDS = frozenset((OpKind.ALU, OpKind.MUL, OpKind.LOGICAL, OpKind.SHIFT, OpKind.CMOV))
+
+
+def _index_decoder(total: int) -> Callable[[int], int]:
+    """:attr:`Machine.index_of_address` for a program of ``total``
+    instructions: a function of the length alone, holding no machine."""
+
+    def index_of_address(address: int) -> int:
+        index = (address - CODE_BASE_ADDRESS) // 4
+        if not 0 <= index <= total:
+            raise SimulationError(f"jump to invalid code address {address:#x}")
+        return index
+
+    return index_of_address
 
 
 def _resource_exhausted(message: str) -> Exception:
@@ -204,6 +223,12 @@ class Machine:
                 self._block_start[(function.name, block.label)] = len(self._flat)
                 for inst in block.instructions:
                     self._flat.append((function.name, block.label, inst))
+        #: Instruction index of a code address (an invalid one raises
+        #: :class:`SimulationError`).  Compiled programs bind it into their
+        #: constant pools and the machine caches them, so it holds no
+        #: reference to the machine: a bound method would make every
+        #: machine a cycle that only the cyclic collector frees.
+        self.index_of_address = _index_decoder(len(self._flat))
         self.static_info = StaticInfo.from_program(program)
         #: Instruction address per static uid; traces derive their address
         #: and next-address columns from this map instead of storing them.
@@ -220,12 +245,6 @@ class Machine:
     # ------------------------------------------------------------------
     def address_of_index(self, index: int) -> int:
         return CODE_BASE_ADDRESS + 4 * index
-
-    def index_of_address(self, address: int) -> int:
-        index = (address - CODE_BASE_ADDRESS) // 4
-        if not 0 <= index <= len(self._flat):
-            raise SimulationError(f"jump to invalid code address {address:#x}")
-        return index
 
     def _new_trace(self, values: bool = True) -> Trace:
         """An empty trace of this machine: value-bearing, or value-free
@@ -310,13 +329,15 @@ class Machine:
         """What ``run(collect_trace=True)`` of this machine depends on.
 
         The traced block program's source (its SHA-256) and constant pool
-        without the callables bound to this machine, the initial memory
+        without its callables (the address decoder), the initial memory
         image, the entry function and the machine's limits.  Source and
         pool spell out every instruction's semantics, uid and target, so
         two machines with equal keys run alike: the same output, counts,
         metas, memory column and shape counts.  Their traces differ only
         in the static side table and the address map, which
-        :meth:`adopt_traced_run` takes from the machine.
+        :meth:`adopt_traced_run` takes from the machine.  The key hashes
+        the generated text and compiles nothing: the machine's programs
+        look their code up only when a run first binds them.
         """
         program = self._block_program(True)
         memory = Memory()
@@ -348,6 +369,39 @@ class Machine:
             trace=run.trace.with_static(self.static_info, self.address_by_uid),
             call_counts=dict(run.call_counts),
         )
+
+    def narrowing_holds(self, run: RunResult) -> bool:
+        """True when ``run`` shows that this machine's narrowed widths kept
+        every value, so that it may adopt ``run`` (:meth:`adopt_traced_run`).
+
+        ``run`` is a traced run of a machine whose program this one's
+        equals but for the encoded widths of some instructions, and whose
+        :meth:`traced_run_key` differs from this one's in the source
+        digest alone.  Only the kinds of :data:`_WRAPPING_KINDS` read a
+        width as they run.  Where one of them fell from W to W′, the
+        run's shape counts must show that every result it recorded (for a
+        CMOV: every moved value, taken or not) has at most W′/8
+        significant bytes; a wider W′ than W fails.  Then wrapping to W′
+        returns what wrapping to W did at every step, and by induction
+        over the run both machines step through equal states (the proof
+        is in ``docs/simulator.md``).
+        """
+        donor = run.trace.static
+        limits: dict[int, tuple[int, bool]] = {}
+        for own in self.static_info:
+            other = donor.get(own.uid)
+            if other is None or other.opcode is not own.opcode:
+                return False
+            if own.width is other.width or own.kind not in _WRAPPING_KINDS:
+                continue
+            if own.width > other.width:
+                return False
+            limits[own.uid] = (own.width.bytes, own.kind is OpKind.CMOV)
+        for uid, sources, result in run.trace.shape_counts():
+            limit = limits.get(uid)
+            if limit is not None and (sources[1] if limit[1] else result) > limit[0]:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Resource budgets (wall time, trace bytes; see docs/resilience.md)
@@ -676,7 +730,8 @@ class Machine:
     def _block_program(
         self, collect_trace: bool, watched: frozenset[int] = frozenset()
     ) -> BlockProgram:
-        """The cached compiled program of one flavour, compiled on first use."""
+        """The cached program of one flavour, generated on first use and
+        compiled when a run first binds it."""
         key = (collect_trace, watched)
         program = self._block_programs.get(key)
         if program is None:

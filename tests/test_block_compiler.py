@@ -19,10 +19,12 @@ Three properties the differential harness cannot see:
 from __future__ import annotations
 
 import builtins
+import gc
 import hashlib
 import os
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 from repro.asm import assemble_program
@@ -214,6 +216,19 @@ class TestCodeCache:
             (uid - first_base, value) for uid, value in first_observer.stream
         ]
 
+    def test_traced_run_key_compiles_nothing(self, monkeypatch):
+        """The key hashes the traced program's text; its code is compiled
+        only when a run first binds it, so a machine that adopts another
+        run instead of running compiles nothing."""
+        monkeypatch.setattr(blockc, "_CODE_CACHE", {})
+        calls = _count_block_compiles(monkeypatch)
+        machine = _li_machine()
+        key = machine.traced_run_key()
+        assert calls == []
+        machine.run(collect_trace=True)
+        assert len(calls) == 1
+        assert machine.traced_run_key() == key
+
     def test_cache_is_bounded_and_evicts_oldest(self, monkeypatch):
         monkeypatch.setattr(blockc, "_CODE_CACHE", {})
         monkeypatch.setattr(blockc, "_CODE_CACHE_LIMIT", 3)
@@ -221,7 +236,9 @@ class TestCodeCache:
 
         def compile_variant(count):
             machine = Machine(assemble_program(_counting_asm(count)))
-            return compile_blocks(machine, collect_trace=True).source
+            program = compile_blocks(machine, collect_trace=True)
+            assert callable(program.bind)  # its code is looked up when first bound
+            return program.source
 
         sources = [compile_variant(count) for count in range(5)]
         assert len(calls) == 5
@@ -306,6 +323,23 @@ class TestCodeCache:
         calls = _count_block_compiles(monkeypatch)
         assert run_pass(tmp_path / "second") == first
         assert calls == []
+
+
+class TestMachineLifetime:
+    def test_a_machine_that_ran_is_freed_without_the_cyclic_collector(self):
+        """Its compiled programs hold no reference back to it (their
+        constant pools bind an address decoder of the program's length),
+        so dropping the last reference frees it at once."""
+        gc.disable()
+        try:
+            machine = _li_machine()
+            run = machine.run(collect_trace=True)
+            ref = weakref.ref(machine)
+            del machine
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert run.trace.shape_counts()
 
 
 class TestGeneratedSource:

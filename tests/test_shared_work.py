@@ -2,10 +2,12 @@
 
 The serial loop of ``map`` resolves cold points workload by workload, in
 pipeline order, and each group holds one build, one VRP analysis per
-configuration and its previous traced run
-(:class:`repro.experiments.runner.SharedWork`).  These tests pin the
+configuration, its ``none`` point's traced run and its previous traced
+run (:class:`repro.experiments.runner.SharedWork`).  These tests pin the
 premises that make sharing exact, what it saves, and the checks that keep
-a wrong analysis or a different program from being shared.
+a wrong analysis or a different program from being shared: a ``vrp``
+point adopts the ``none`` run only where that run shows every narrowed
+value fits.
 """
 
 import copy
@@ -15,14 +17,19 @@ from collections import Counter
 
 import pytest
 
+from repro.asm import assemble_program
 from repro.core import VRPConfig, VRSConfig, apply_widths, run_vrp, run_vrs
 from repro.core import vrs as vrs_module
 from repro.experiments import ExperimentConfig, ExperimentEngine, ResultStore, runner
 from repro.experiments import distributions, energy, timing
 from repro.experiments import engine as engine_module
-from repro.experiments.summary import vrp_stats, vrs_stats
-from repro.isa import Opcode, Width
+from repro.experiments.summary import summarize_lanes, vrp_stats, vrs_stats
+from repro.isa import Opcode, OpKind, Width
 from repro.sim import Machine
+from repro.sim.blockc import compile_blocks
+from repro.sim.machine import _WRAPPING_KINDS
+from repro.sim.snapshot import SimulationArtifact
+from repro.uarch import run_compiled_many
 from repro.workloads import SUITE_NAMES, Workload, workload_by_name
 
 
@@ -110,11 +117,14 @@ class TestGroupedMap:
     def test_cold_map_shares_work_and_matches_compute(self, tmp_path, counts):
         """A shuffled cold ``map`` of gcc and li under ``none``/``vrp``/``vrs``
         builds each workload once, analyses with VRP once per workload
-        plus VRS's own second analysis, and simulates gcc's ``vrs``
-        program — equal to its ``vrp`` program, since VRS specializes
-        nothing there — not at all.  Every summary equals the point's
-        ``compute()`` (a group of one); results arrive workload by
-        workload in pipeline order."""
+        plus VRS's own second analysis, and simulates only each
+        workload's ``none`` program and li's ``vrs`` program: both
+        ``vrp`` points adopt the ``none`` run, whose recorded values fit
+        every narrowed width, and gcc's ``vrs`` program — equal to its
+        ``vrp`` program, since VRS specializes nothing there — adopts
+        that run.
+        Every summary equals the point's ``compute()`` (a group of one);
+        results arrive workload by workload in pipeline order."""
         points = list(self.POINTS)
         random.Random(5).shuffle(points)
         arrived = []
@@ -123,7 +133,7 @@ class TestGroupedMap:
 
         assert counts["build"] == {"gcc": 1, "li": 1}
         assert counts["vrp"] == 4
-        assert counts["traced"] == {"gcc": 2, "li": 3}
+        assert counts["traced"] == {"gcc": 1, "li": 2}
         assert len(counts["shared"]) == 2
         assert all(evaluation.freshly_computed for evaluation in results)
 
@@ -344,3 +354,181 @@ class TestInjectedAnalysis:
         assert _positional_widths(injected.program, injected.vrp_after) == _positional_widths(
             own.program, own.vrp_after
         )
+
+
+def _run_contents(run) -> tuple:
+    """Everything a traced run records but its static side table."""
+    return (
+        run.instructions,
+        run.output,
+        run.halted,
+        run.block_counts,
+        run.call_counts,
+        list(run.trace.metas),
+        list(run.trace.mem_addresses),
+        run.trace.shape_counts(),
+    )
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """The machines that simulate (``Machine.run``) from now on."""
+    machines = []
+    run = Machine.run
+
+    def counted_run(self, *args, **kwargs):
+        machines.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", counted_run)
+    return machines
+
+
+@pytest.mark.suite
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_vrp_adopts_the_none_run_exactly_when_it_equals_it(name, tmp_path, simulations):
+    """In a workload group a ``vrp`` point adopts the ``none`` run when
+    that run shows every narrowed result fits.  The decision equals
+    whether the ``vrp`` program, simulated on its own, runs alike: it
+    adopts on six workloads and simulates compress and perl, where VRP
+    narrows by useful bits instructions whose values need more.  Either
+    way the summary is the point's ``compute()``."""
+    workload = workload_by_name(name)
+    shared = runner.SharedWork(workload)
+    none = runner._compute_evaluation(workload, "none", shared=shared)
+    simulated = len(simulations)
+    vrp = runner._compute_evaluation(workload, "vrp", shared=shared)
+    adopted = len(simulations) == simulated
+
+    program = shared.program()
+    workload.apply_input(program, "ref")
+    apply_widths(program, shared.vrp(VRPConfig()))
+    own = Machine(program).run(collect_trace=True)
+    assert adopted == (_run_contents(own) == _run_contents(none.run))
+    assert adopted == (name not in ("compress", "perl"))
+    assert _run_contents(vrp.run) == _run_contents(own)
+    engine = ExperimentEngine(ResultStore(tmp_path / "store"), jobs=1)
+    assert _summary(vrp) == _summary(engine.compute(ExperimentConfig(name, "vrp")))
+
+
+class TestCheckedAdoption:
+    """The narrowing rule on hand-narrowed programs (one ``SharedWork``
+    traced run each: ``none`` first, then the narrowed ``vrp`` one)."""
+
+    # Two iterations: the ADD yields 100, then 200; the CMOV moves 300
+    # in the first (taken) and keeps its value in the second.
+    LOOP = """
+.func main 0
+entry:
+    li r1, 0
+    li r2, 0
+    li r4, 300
+    li r5, 0
+loop:
+    add r2, r2, 100
+    add r1, r1, 1
+    cmplt r3, r1, 2
+    cmovne r5, r3, r4
+    bne r3, loop
+done:
+    print r2
+    print r5
+    halt
+.endfunc
+"""
+
+    # One executed instruction of every kind.
+    EVERY_KIND = """
+.data buf 8 64
+.func helper 1
+entry:
+    add v0, a0, a0
+    ret
+.endfunc
+.func main 0
+entry:
+    li r1, 5
+    li r2, =buf
+    mov r3, r1
+    lda r4, r2, 8
+    mul r6, r1, r1
+    and r7, r6, 255
+    sll r8, r1, 2
+    cmplt r9, r1, 10
+    cmoveq r10, r9, r1
+    mskb r11, r6
+    sextb r12, r6
+    stq r1, 0(r2)
+    ldq r13, 0(r2)
+    mov a0, r13
+    jsr helper
+    nop
+    beq r9, done
+skip:
+    br done
+done:
+    print v0
+    halt
+.endfunc
+"""
+
+    @staticmethod
+    def _summary_of(run) -> dict:
+        artifact = SimulationArtifact(
+            trace=run.trace, instructions=run.instructions, output=list(run.output)
+        )
+        (summary,) = summarize_lanes(
+            workload_by_name("li"),
+            "vrp",
+            50.0,
+            False,
+            artifact,
+            run_compiled_many(run.trace, [None]),
+        )
+        return summary.to_json_dict()
+
+    @pytest.mark.parametrize(
+        ("op", "width", "adopts"),
+        [
+            (Opcode.ADD, Width.BYTE, False),
+            (Opcode.ADD, Width.HALF, True),
+            (Opcode.CMOVNE, Width.BYTE, False),
+            (Opcode.CMOVNE, Width.HALF, True),
+        ],
+    )
+    def test_a_result_past_its_new_width_falls_back(self, op, width, adopts, simulations):
+        """An ADD whose result, or a CMOV whose moved value, exceeds its
+        new width in one execution makes the ``vrp`` machine simulate;
+        one that fits every execution lets it adopt.  Either way its run
+        and summary are a separate simulation's."""
+        program = assemble_program(self.LOOP)
+        narrowed = copy.deepcopy(program)
+        next(inst for inst in narrowed.instructions() if inst.op is op).width = width
+        shared = runner.SharedWork(workload_by_name("li"))
+        shared.traced_run(Machine(program), "none")
+        machine = Machine(narrowed)
+        run = shared.traced_run(machine, "vrp")
+        assert (machine not in simulations) == adopts
+        own = Machine(copy.deepcopy(narrowed)).run(collect_trace=True)
+        assert _run_contents(run) == _run_contents(own)
+        assert self._summary_of(run) == self._summary_of(own)
+
+    def test_only_wrapping_kinds_put_their_width_in_the_traced_source(self):
+        """Narrowing an executed instruction changes the traced block
+        source exactly for the kinds the rule checks (ALU, MUL, LOGICAL,
+        SHIFT, CMOV): a MOVE, LOAD, STORE, COMPARE, MASK/EXTEND or control
+        instruction runs alike at any width."""
+        program = assemble_program(self.EVERY_KIND)
+        executed = Machine(program).run().instruction_counts(program)
+        source = compile_blocks(Machine(program), True).source
+        kinds = set()
+        for inst in program.instructions():
+            if not executed.get(inst.uid) or inst.kind in kinds:
+                continue
+            kinds.add(inst.kind)
+            changed = copy.deepcopy(program)
+            target = next(other for other in changed.instructions() if other.uid == inst.uid)
+            target.width = Width.BYTE if target.width is not Width.BYTE else Width.HALF
+            changed_source = compile_blocks(Machine(changed), True).source
+            assert (changed_source != source) == (inst.kind in _WRAPPING_KINDS), inst
+        assert kinds == set(OpKind)

@@ -263,8 +263,8 @@ class TestEngine:
 
     def test_serial_map_frees_each_live_evaluation(self, store, monkeypatch):
         """The serial loop drops each point's live evaluation before the
-        next point builds, analyses and simulates; only the workload
-        group's previous traced run outlives it (see
+        next point builds, analyses and simulates; only the traced runs
+        its workload group holds outlive it (see
         ``tests/test_shared_work.py``)."""
         import weakref
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import VRPConfig, apply_widths, run_vrp
+from repro.core import vrp as vrp_module
 from repro.isa import Opcode, Width
 from repro.isa.instruction import _UID_COUNTER
 from repro.minic import compile_source
@@ -180,3 +181,32 @@ def test_run_vrp_draws_no_uids(name):
         start = next(_UID_COUNTER)
         run_vrp(program, config)
         assert next(_UID_COUNTER) == start + 1
+
+
+def test_a_round_reruns_only_propagations_whose_inputs_changed(monkeypatch):
+    """A global round re-runs a function's propagation only when the
+    function's parameter ranges or its callees' return ranges differ from
+    what its last propagation read: over the suite, 45 propagations where
+    running every function in every round takes 60.  The widths these
+    runs assign are pinned by ``tests/test_vrp_golden.py``."""
+    seen: dict[str, list] = {}
+
+    class Recorded(vrp_module.FunctionVRP):
+        def __init__(self, facts, param_ranges=None, return_ranges=None):
+            returns = return_ranges or {}
+            callees = {inst.target for inst in facts.function.instructions() if inst.is_call}
+            seen.setdefault(facts.function.name, []).append(
+                (dict(param_ranges or {}), {callee: returns.get(callee) for callee in callees})
+            )
+            super().__init__(facts, param_ranges, return_ranges)
+
+    monkeypatch.setattr(vrp_module, "FunctionVRP", Recorded)
+    runs = 0
+    for name in SUITE_NAMES:
+        seen.clear()
+        result = run_vrp(workload_by_name(name).build(), VRPConfig())
+        assert result.global_rounds == 2
+        for function, inputs in seen.items():
+            assert all(a != b for a, b in zip(inputs, inputs[1:])), (name, function)
+        runs += sum(map(len, seen.values()))
+    assert runs == 45
