@@ -8,7 +8,7 @@
   (:func:`run_vrs`).
 """
 
-from .candidates import Candidate, identify_candidates
+from .candidates import Candidate, eligible_instructions, identify_candidates
 from .constprop import FoldStats, fold_constants_in_region
 from .energy_model import (
     ALU_ENERGY_SAVINGS_NJ,
@@ -22,7 +22,7 @@ from .propagation import FunctionAnalysis, FunctionFacts, FunctionVRP, VRPConfig
 from .refinement import BranchConstraints, compute_branch_constraints
 from .specialize import SpecializationRecord, specialize_candidate
 from .transfer import forward_transfer
-from .vrs import CandidateOutcome, VRSConfig, VRSResult, run_vrs
+from .vrs import CandidateOutcome, VRSConfig, VRSResult, VRSTraining, run_vrs
 from .trip_count import LoopPins, analyze_loop_iterators
 from .useful import UsefulBitsConfig, compute_useful_bits
 from .value_range import FULL_RANGE, ValueRange, bits_needed_for_mask, range_for_width
@@ -31,6 +31,7 @@ from .width_assignment import NARROWABLE_KINDS, required_width, width_for_bits
 
 __all__ = [
     "Candidate",
+    "eligible_instructions",
     "identify_candidates",
     "FoldStats",
     "fold_constants_in_region",
@@ -47,6 +48,7 @@ __all__ = [
     "CandidateOutcome",
     "VRSConfig",
     "VRSResult",
+    "VRSTraining",
     "run_vrs",
     "FunctionAnalysis",
     "FunctionFacts",

@@ -11,6 +11,7 @@ instruction only if the estimated savings exceed that minimal cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..isa import Instruction, OpKind, Width
 from ..ir import Program
@@ -19,7 +20,7 @@ from .value_range import ValueRange
 from .vrp import VRPResult
 from .width_assignment import NARROWABLE_KINDS
 
-__all__ = ["Candidate", "identify_candidates"]
+__all__ = ["Candidate", "eligible_instructions", "identify_candidates"]
 
 #: Instruction kinds worth profiling: everything re-encodable plus loads,
 #: whose runtime values are invisible to the static analysis and therefore
@@ -38,6 +39,28 @@ class Candidate:
     preliminary_benefit_nj: float
 
 
+def eligible_instructions(
+    program: Program, vrp_result: VRPResult
+) -> Iterator[tuple[str, Instruction]]:
+    """The static half of the filter: ``(function name, instruction)`` for
+    every instruction the code alone admits as a profiling point, in
+    program order.
+
+    :func:`identify_candidates` keeps those that also pass the
+    execution-count and benefit tests, so its candidates are a subset:
+    VRS's training run watches this whole set, before any count is known.
+    """
+    for function in program.iter_functions():
+        if function.name == program.entry:
+            continue
+        analysis = vrp_result.analyses.get(function.name)
+        if analysis is None:
+            continue
+        for inst in function.instructions():
+            if _eligible(inst, vrp_result, analysis):
+                yield function.name, inst
+
+
 def identify_candidates(
     program: Program,
     vrp_result: VRPResult,
@@ -52,35 +75,30 @@ def identify_candidates(
     model = model or EnergyModel()
     candidates: list[Candidate] = []
     best_case = ValueRange.constant(0)
+    estimators: dict[str, SavingsEstimator] = {}
 
-    for function in program.iter_functions():
-        if function.name == program.entry:
+    for name, inst in eligible_instructions(program, vrp_result):
+        count = instruction_counts.get(inst.uid, 0)
+        if count < min_execution_count:
             continue
-        analysis = vrp_result.analyses.get(function.name)
-        if analysis is None:
-            continue
-        estimator = SavingsEstimator(
-            analysis, instruction_counts, vrp_result.widths, model=model
-        )
-        for inst in function.instructions():
-            if not _eligible(inst, vrp_result, analysis):
-                continue
-            count = instruction_counts.get(inst.uid, 0)
-            if count < min_execution_count:
-                continue
-            savings, _ = estimator.savings_nj(inst, best_case)
-            minimal_cost = count * model.guard.comparison_nj
-            benefit = savings - minimal_cost
-            if benefit > 0.0:
-                candidates.append(
-                    Candidate(
-                        function=function.name,
-                        uid=inst.uid,
-                        instruction=inst,
-                        execution_count=count,
-                        preliminary_benefit_nj=benefit,
-                    )
+        estimator = estimators.get(name)
+        if estimator is None:
+            estimator = estimators[name] = SavingsEstimator(
+                vrp_result.analyses[name], instruction_counts, vrp_result.widths, model=model
+            )
+        savings, _ = estimator.savings_nj(inst, best_case)
+        minimal_cost = count * model.guard.comparison_nj
+        benefit = savings - minimal_cost
+        if benefit > 0.0:
+            candidates.append(
+                Candidate(
+                    function=name,
+                    uid=inst.uid,
+                    instruction=inst,
+                    execution_count=count,
+                    preliminary_benefit_nj=benefit,
                 )
+            )
     candidates.sort(key=lambda c: c.preliminary_benefit_nj, reverse=True)
     return candidates
 

@@ -4,14 +4,31 @@ The driver ties together the pieces of the profile-guided technique:
 
 1. run VRP and re-encode the program (specialization savings are measured
    relative to what VRP alone achieves),
-2. run the program on its *train* input to collect basic-block execution
-   counts,
-3. identify candidates with the preliminary benefit filter,
-4. profile the candidates' values (Calder-style tables) on the train input,
+2. run the program once on its *train* input: the run collects the
+   basic-block execution counts and records, in execution order, the
+   values of every instruction the static filter admits
+   (:func:`~repro.core.candidates.eligible_instructions`),
+3. identify candidates with the preliminary benefit filter, which adds the
+   execution-count and benefit tests to that static filter,
+4. build each candidate's value profile (Calder-style table) by replaying
+   its recorded values in order,
 5. evaluate the energy cost/benefit of specializing each candidate for its
    observed dominant value or value range, keep the profitable ones,
 6. transform the program (guard + cloned region + constant propagation),
 7. re-run VRP so the narrowed ranges propagate inside the clones.
+
+Steps 2 and 4 are the paper's count run and profiling run folded into
+one.  The tables equal those a profiling run over the candidates alone
+would fill: a table reads only its own instruction's values, and a value
+observer sees every result of each watched instruction in program order,
+so watching a superset changes neither the run nor any one instruction's
+sequence.  The run's counts are the count run's, since observing changes
+nothing the program computes.
+
+Steps 2-4 read only the :data:`TRAINING_FIELDS` of the configuration.
+:func:`run_vrs` returns what they found as a :class:`VRSTraining` and
+accepts one back, so configurations that differ in anything else (the
+threshold, say) train once.
 
 The caller is responsible for putting the *train* input data into the
 program before calling :func:`run_vrs` and the *reference* input afterwards
@@ -20,19 +37,30 @@ program before calling :func:`run_vrs` and the *reference* input afterwards
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 from ..ir import Program, validate_program
-from ..sim import Machine, ValueProfiler
-from .candidates import Candidate, identify_candidates
+from ..isa import Width
+from ..sim import Machine, ValueTable
+from .candidates import Candidate, eligible_instructions, identify_candidates
 from .energy_model import EnergyModel, SavingsEstimator
 from .propagation import VRPConfig
 from .specialize import SpecializationRecord, specialize_candidate
 from .value_range import ValueRange
 from .vrp import VRPResult, _uid_widths, apply_widths, run_vrp
 
-__all__ = ["VRSConfig", "CandidateOutcome", "VRSResult", "run_vrs"]
+__all__ = [
+    "TRAINING_FIELDS",
+    "VRSConfig",
+    "VRSTraining",
+    "CandidateOutcome",
+    "VRSResult",
+    "run_vrs",
+]
 
 
 @dataclass(frozen=True)
@@ -59,6 +87,42 @@ class VRSConfig:
     apply_constant_propagation: bool = True
 
 
+#: The :class:`VRSConfig` fields the train run and candidate selection
+#: read: a :class:`VRSTraining` serves every configuration that agrees on
+#: them.
+TRAINING_FIELDS = ("vrp", "train_max_instructions", "min_execution_count", "profiler_capacity")
+
+
+def _training_fields(config: VRSConfig) -> tuple:
+    return tuple(getattr(config, name) for name in TRAINING_FIELDS)
+
+
+@dataclass(frozen=True)
+class VRSTraining:
+    """What one program's train run showed (steps 2-4).
+
+    ``instruction_counts`` are the run's executions per uid,
+    ``candidates`` the instructions the benefit filter kept (holding the
+    trained program's instructions) and ``tables`` the value table of
+    every candidate that ran.  ``fields``, ``widths`` and ``inputs``
+    record the :data:`TRAINING_FIELDS` values, the encoded width per uid
+    and the data objects' initial values the run saw, so that
+    :func:`run_vrs` refuses a training of another configuration, build or
+    input.
+    """
+
+    fields: tuple
+    widths: dict[int, Width]
+    inputs: dict[str, tuple[int, ...]]
+    instruction_counts: dict[int, int]
+    candidates: tuple[Candidate, ...]
+    tables: dict[int, ValueTable]
+
+    def serves(self, config: VRSConfig) -> bool:
+        """True when ``config`` trains exactly as this training's did."""
+        return self.fields == _training_fields(config)
+
+
 @dataclass
 class CandidateOutcome:
     """Fate of one profiled candidate (the categories of Figure 4)."""
@@ -81,6 +145,9 @@ class VRSResult:
     candidates: list[Candidate] = field(default_factory=list)
     outcomes: list[CandidateOutcome] = field(default_factory=list)
     records: list[SpecializationRecord] = field(default_factory=list)
+    #: Steps 2-4, which :func:`run_vrs` accepts back for this program's
+    #: copies under configurations it :meth:`~VRSTraining.serves`.
+    training: Optional[VRSTraining] = None
 
     # ------------------------------------------------------------------
     # Figure 4 statistics
@@ -140,6 +207,7 @@ def run_vrs(
     program: Program,
     config: Optional[VRSConfig] = None,
     vrp_before: Optional[VRPResult] = None,
+    training: Optional[VRSTraining] = None,
 ) -> VRSResult:
     """Run the complete VRS pipeline on ``program`` (modified in place).
 
@@ -152,6 +220,12 @@ def run_vrs(
     they are applied.  An analysis that fails these checks — another
     build's, another configuration's — raises ``ValueError``.  The
     experiment engine passes the analysis its ``vrp`` point applied.
+
+    ``training`` stands for steps 2-4 when the caller has them: the
+    :attr:`VRSResult.training` of an earlier call on a copy of this
+    program, with equal uids and the same input, under a configuration
+    with equal :data:`TRAINING_FIELDS`.  One that fails these checks
+    raises ``ValueError``.
     """
     config = config or VRSConfig()
     model = EnergyModel()
@@ -162,26 +236,21 @@ def run_vrs(
         _check_before(program, vrp_before, config.vrp)
     apply_widths(program, vrp_before)
 
-    machine = Machine(program, max_instructions=config.train_max_instructions)
-    train = machine.run()
-    instruction_counts = train.instruction_counts(program)
-
-    candidates = identify_candidates(
-        program,
-        vrp_before,
-        instruction_counts,
-        model=model,
-        min_execution_count=config.min_execution_count,
-    )
-
-    profiler = ValueProfiler(
-        {candidate.uid for candidate in candidates}, capacity=config.profiler_capacity
-    )
-    if candidates:
-        machine.run(value_observer=profiler)
+    if training is None:
+        training = _train(program, config, vrp_before, model)
+        candidates = list(training.candidates)
+    else:
+        _check_training(program, training, config)
+        # The candidates' instructions must be this program's, which VRS
+        # goes on to change, not the trained copy's.
+        instructions = {inst.uid: inst for inst in program.instructions()}
+        candidates = [
+            replace(candidate, instruction=instructions[candidate.uid])
+            for candidate in training.candidates
+        ]
 
     outcomes, plans = _evaluate_candidates(
-        program, config, model, vrp_before, instruction_counts, candidates, profiler
+        program, config, model, vrp_before, training, candidates
     )
 
     records = _apply_specializations(program, config, plans, outcomes)
@@ -198,6 +267,7 @@ def run_vrs(
         candidates=candidates,
         outcomes=outcomes,
         records=records,
+        training=training,
     )
 
 
@@ -223,6 +293,97 @@ def _check_before(program: Program, vrp_before: VRPResult, config: VRPConfig) ->
 
 
 # ----------------------------------------------------------------------
+# Training: steps 2-4 in one run
+# ----------------------------------------------------------------------
+#: Array typecodes a recording widens through: 1, 2, 4 and 8 bytes a value.
+_TYPECODES = "bhiq"
+
+
+class _ValueRecorder:
+    """Value observer that keeps each watched uid's results in execution
+    order, in the narrowest array that holds them."""
+
+    def __init__(self, watched_uids: set[int]) -> None:
+        self.watched_uids = watched_uids
+        self.values: dict[int, array] = defaultdict(partial(array, _TYPECODES[0]))
+        values = self.values
+
+        def observe(uid: int, value: int) -> None:
+            try:
+                values[uid].append(value)
+            except OverflowError:
+                values[uid] = _widened(values[uid], value)
+
+        self.observe = observe
+
+
+def _widened(recorded: array, value: int):
+    """``recorded`` followed by ``value``, in the narrowest wider typecode
+    that holds it; a list past 8 bytes (a ``mov``'s raw immediate may lie
+    outside the signed 64-bit range)."""
+    for typecode in _TYPECODES[_TYPECODES.index(recorded.typecode) + 1 :]:
+        widened = array(typecode, recorded)
+        try:
+            widened.append(value)
+        except OverflowError:
+            continue
+        return widened
+    return [*recorded, value]
+
+
+def _train(
+    program: Program, config: VRSConfig, vrp_before: VRPResult, model: EnergyModel
+) -> VRSTraining:
+    """Steps 2-4: one train run of ``program`` (narrowed by ``vrp_before``)."""
+    recorder = _ValueRecorder(
+        {inst.uid for _, inst in eligible_instructions(program, vrp_before)}
+    )
+    machine = Machine(program, max_instructions=config.train_max_instructions)
+    counts = machine.run(value_observer=recorder).instruction_counts(program)
+    candidates = identify_candidates(
+        program,
+        vrp_before,
+        counts,
+        model=model,
+        min_execution_count=config.min_execution_count,
+    )
+    tables: dict[int, ValueTable] = {}
+    for candidate in candidates:
+        recorded = recorder.values.get(candidate.uid)
+        if recorded:
+            table = tables[candidate.uid] = ValueTable(capacity=config.profiler_capacity)
+            table.observe_all(recorded)
+    return VRSTraining(
+        fields=_training_fields(config),
+        widths=_uid_widths(program),
+        inputs=_inputs(program),
+        instruction_counts=counts,
+        candidates=tuple(candidates),
+        tables=tables,
+    )
+
+
+def _inputs(program: Program) -> dict[str, tuple[int, ...]]:
+    return {name: obj.initial_values for name, obj in program.data_objects.items()}
+
+
+def _check_training(program: Program, training: VRSTraining, config: VRSConfig) -> None:
+    """Raise ``ValueError`` unless ``training`` may stand for steps 2-4 on
+    ``program``, narrowed by step 1 (see :func:`run_vrs`)."""
+    if not training.serves(config):
+        raise ValueError(
+            f"the training ran under {dict(zip(TRAINING_FIELDS, training.fields))!r}, "
+            f"not {dict(zip(TRAINING_FIELDS, _training_fields(config)))!r}"
+        )
+    if _uid_widths(program) != training.widths:
+        raise ValueError(
+            "the training ran another program: its uids or widths differ from this one's"
+        )
+    if _inputs(program) != training.inputs:
+        raise ValueError("the training ran on another input than the one installed")
+
+
+# ----------------------------------------------------------------------
 # Candidate evaluation
 # ----------------------------------------------------------------------
 @dataclass
@@ -237,16 +398,16 @@ def _evaluate_candidates(
     config: VRSConfig,
     model: EnergyModel,
     vrp_result: VRPResult,
-    instruction_counts: dict[int, int],
+    training: VRSTraining,
     candidates: list[Candidate],
-    profiler: ValueProfiler,
 ) -> tuple[list[CandidateOutcome], list[_Plan]]:
+    instruction_counts = training.instruction_counts
     outcomes: list[CandidateOutcome] = []
     plans: list[_Plan] = []
     estimators: dict[str, SavingsEstimator] = {}
 
     for candidate in candidates:
-        table = profiler.table(candidate.uid)
+        table = training.tables.get(candidate.uid)
         if table is None or table.total == 0:
             outcomes.append(
                 CandidateOutcome(candidate.function, candidate.uid, "not_executed")

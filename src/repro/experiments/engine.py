@@ -36,8 +36,8 @@ through one builder (:func:`~repro.experiments.summary.summarize_lanes`):
 one timing call and one accounting pass per group.
 :meth:`ExperimentEngine.map`'s serial loop resolves its misses
 workload by workload, and a workload's points share one build, one VRP
-analysis per configuration and the traced runs a later point provably
-equals (:class:`~repro.experiments.runner.SharedWork`).  Workers return plain
+analysis per configuration, one VRS training and the traced runs a
+later point provably equals (:class:`~repro.experiments.runner.SharedWork`).  Workers return plain
 JSON-serializable summaries and the parent hands out *restored*
 :class:`WorkloadEvaluation` objects, so parallel and serial evaluation
 are observationally equivalent for every figure and table of the paper.
@@ -509,7 +509,9 @@ class ExperimentEngine:
         input order).  Each workload group shares one
         :class:`~repro.experiments.runner.SharedWork`: one build that
         every point copies, one VRP analysis per configuration (the
-        ``vrp`` point applies it and VRS starts from it) and two traced
+        ``vrp`` point applies it and VRS starts from it), the first
+        ``vrs`` point's training (later ``vrs`` points at other
+        thresholds reuse it) and two traced
         runs: the previous one, which a program equal to the one it ran
         reuses, and the ``none`` point's, which a ``vrp`` point adopts
         when that run shows every narrowed value fits.  The group's shared

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .. import settings
-from ..core import VRPConfig, VRSConfig, VRSResult, apply_widths, run_vrp, run_vrs
+from ..core import VRPConfig, VRSConfig, VRSResult, VRSTraining, apply_widths, run_vrp, run_vrs
 from ..core.vrp import VRPResult
 from ..hardware import gating
 from ..ir import Program
@@ -279,8 +279,9 @@ def _compute_evaluation(
     point of a workload; any other caller computes a group of one.  The
     program is a copy of the group's one build, VRP's analysis comes
     from the group (the ``vrp`` point applies it, ``run_vrs`` takes it
-    as its first analysis), and a materialized run that provably equals
-    a traced run the group holds adopts it instead of simulating
+    as its first analysis), so does VRS's training
+    (:meth:`SharedWork.vrs`), and a materialized run that provably
+    equals a traced run the group holds adopts it instead of simulating
     (:meth:`SharedWork.traced_run`).
 
     ``pipeline`` selects how the simulation outputs are produced:
@@ -315,8 +316,7 @@ def _compute_evaluation(
         apply_widths(program, vrp_result)
     elif mechanism == "vrs":
         workload.apply_input(program, "train")
-        config = VRSConfig(threshold_nj=threshold_nj)
-        vrs_result = run_vrs(program, config, vrp_before=shared.vrp(config.vrp))
+        vrs_result = shared.vrs(program, VRSConfig(threshold_nj=threshold_nj))
         vrp_result = vrs_result.vrp_after
     workload.apply_input(program, "ref")
     machine = Machine(program)
@@ -381,6 +381,9 @@ class SharedWork:
       of ``copy.deepcopy``'s cost);
     * one VRP analysis per :class:`VRPConfig` (:meth:`vrp`), which reads
       code only, so points that install different inputs share it;
+    * the first ``vrs`` point's training (:meth:`vrs`), which later
+      ``vrs`` points whose configurations train alike (any threshold)
+      reuse instead of running the train input again;
     * the previous traced run and its :meth:`Machine.traced_run_key`
       (:meth:`traced_run`), so a program equal to the previous one — a
       ``vrs`` build in which VRS specialized nothing equals its ``vrp``
@@ -397,6 +400,7 @@ class SharedWork:
         self.workload = workload
         self._build: Optional[bytes] = None
         self._analyses: dict[VRPConfig, VRPResult] = {}
+        self._training: Optional[VRSTraining] = None
         self._base: Optional[tuple[tuple, RunResult]] = None
         self._run: Optional[tuple[tuple, RunResult]] = None
 
@@ -426,6 +430,23 @@ class SharedWork:
             result = run_vrp(program, config)
             apply_widths(program, result)
             self._analyses[config] = result
+        return result
+
+    def vrs(self, program: Program, config: VRSConfig) -> VRSResult:
+        """``run_vrs`` of ``program`` (a copy of the group's build with
+        the ``train`` input) under ``config``, starting from the group's
+        analysis and, when it :meth:`~VRSTraining.serves` ``config``,
+        the group's training, which the group's first ``vrs`` point
+        leaves."""
+        training = self._training
+        result = run_vrs(
+            program,
+            config,
+            vrp_before=self.vrp(config.vrp),
+            training=training if training is not None and training.serves(config) else None,
+        )
+        if training is None:
+            self._training = result.training
         return result
 
     def traced_run(self, machine: Machine, mechanism: str) -> RunResult:

@@ -13,6 +13,7 @@ The profiler plugs into :class:`repro.sim.machine.Machine` through the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 __all__ = ["ValueTable", "ValueProfiler"]
 
@@ -29,16 +30,30 @@ class ValueTable:
 
     def observe(self, value: int) -> None:
         """Record one observation of ``value``."""
-        self.total += 1
-        self._since_clean += 1
-        if value in self.entries:
-            self.entries[value] += 1
-        elif len(self.entries) < self.capacity:
-            self.entries[value] = 1
-        # When the table is full the value is ignored (per Calder's scheme);
-        # the periodic cleaning below makes room for new values.
-        if self._since_clean >= self.clean_interval:
-            self._clean()
+        self.observe_all((value,))
+
+    def observe_all(self, values: Iterable[int]) -> None:
+        """Record an observation of each of ``values``, in order."""
+        entries = self.entries
+        capacity = self.capacity
+        interval = self.clean_interval
+        total = self.total
+        since_clean = self._since_clean
+        for value in values:
+            total += 1
+            since_clean += 1
+            if value in entries:
+                entries[value] += 1
+            elif len(entries) < capacity:
+                entries[value] = 1
+            # When the table is full the value is ignored (per Calder's
+            # scheme); the periodic cleaning below makes room for new values.
+            if since_clean >= interval:
+                self._clean()
+                entries = self.entries
+                since_clean = 0
+        self.total = total
+        self._since_clean = since_clean
 
     def _clean(self) -> None:
         """Evict the least frequently used half of the table."""

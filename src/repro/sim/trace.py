@@ -414,6 +414,7 @@ class Trace:
         "_mem_prefix",
         "_uid_counts_cache",
         "_addr_cache",
+        "column_digest",
     )
 
     def __init__(
@@ -437,6 +438,10 @@ class Trace:
         self._mem_prefix = None
         self._uid_counts_cache = None
         self._addr_cache = None
+        #: ``(uid base, SHA-256)`` of the meta and memory columns, taken
+        #: and kept by the timing memo's key (``tkernel._column_digest``);
+        #: None until then.
+        self.column_digest: Optional[tuple[int, bytes]] = None
         if records is not None:
             self._ingest(records)
 
@@ -879,9 +884,10 @@ class Trace:
         """This finished trace's records under another static side table.
 
         The new trace shares this one's columns and shape counts (a
-        finished trace is never appended to) and starts with empty lazy
-        caches; ``static`` and ``addresses`` are those of the machine
-        whose run it stands for.
+        finished trace is never appended to), and with them their
+        :attr:`column_digest`; its other lazy caches start empty.
+        ``static`` and ``addresses`` are those of the machine whose run
+        it stands for.
         """
         trace = Trace(static=static, addresses=addresses, shapes=self._shapes)
         trace._rows = self._rows
@@ -890,6 +896,7 @@ class Trace:
         trace._addr = self._addr
         trace._next = self._next
         trace._big = self._big
+        trace.column_digest = self.column_digest
         return trace
 
     def width_distribution(self) -> dict[Width, int]:
@@ -923,6 +930,7 @@ class Trace:
         self._mem_prefix = None
         self._uid_counts_cache = None
         self._addr_cache = None
+        self.column_digest = None
         if self._arena is not None:
             self._shapes = None
 

@@ -76,8 +76,9 @@ model change is a change here only.
   SHA-256 over exactly what the walk reads (:func:`_walk_key`, uids
   relative to the table's base) and the config, so traces that time
   identically — a workload's ``none`` and ``vrp`` builds — share one
-  walk.  The experiment engine owns one; the entry points above walk on
-  every call.
+  walk.  A trace keeps the digest of its columns, and an adopted run's
+  trace inherits it.  The experiment engine owns one; the entry points
+  above walk on every call.
 
 Every counter (accesses, misses, lookups, mispredictions, loads,
 stores) and every cycle of every lane is bit-exact against the
@@ -370,29 +371,20 @@ def _static_of_for(static: StaticInfo, table: StaticTable, addr_map, line_bytes:
 _KEY_STEP = 1 << 14
 
 
-def _walk_key(trace: Trace) -> bytes:
-    """SHA-256 over exactly what a lane walk of ``trace`` reads.
+def _column_digest(trace: Trace, base: int) -> bytes:
+    """SHA-256 of ``trace``'s meta column, uids relative to ``base``, and
+    its memory column: the part of :func:`_walk_key` that grows with the
+    run.
 
-    Call it only on a trace whose uids :func:`_address_modes` validated.
-    Uids enter relative to the static table's ``uid_base``, so two builds
-    of one program key equal whatever uids they drew.  The key covers
-    the meta column (record order, uid position, flags), the sparse
-    memory column, each static position's hot word, packed sources and
-    whether it holds an entry, and the instruction addresses: per static
-    position for a derived-address trace, per record for an explicit one.
-    Traces with equal keys time identically under every machine config.
-    Operand gating changes widths, which no walk reads, so a workload's
-    ``none`` and ``vrp`` traces key equal, and so does its ``vrs`` trace
-    unless VRS specialized something.
+    The trace keeps it with ``base`` (:attr:`Trace.column_digest`), and
+    :meth:`Trace.with_static` hands it on with the columns, so a run
+    adopted under an equal base is not hashed again.
     """
-    static = trace.static
-    table = _table_for(static)
-    base = table.uid_base
-    derived = trace.has_derived_addresses and trace.address_map is not None
+    cached = trace.column_digest
+    if cached is not None and cached[0] == base:
+        return cached[1]
     mem = trace.mem_addresses
-    digest = hashlib.sha256(
-        repr((len(trace), len(mem), len(table.hot_word), table.num_regs, derived)).encode()
-    )
+    digest = hashlib.sha256(repr((len(trace), len(mem))).encode())
     shift = base << 8
     if base >= 0:
         # A big-int subtraction takes base << 8 from every 8-byte word of
@@ -411,6 +403,33 @@ def _walk_key(trace: Trace) -> bytes:
         # Negative uids (hand-built tables only) would borrow across words.
         digest.update(array("q", [meta - shift for meta in trace.metas]))
     digest.update(mem)
+    column_digest = digest.digest()
+    trace.column_digest = (base, column_digest)
+    return column_digest
+
+
+def _walk_key(trace: Trace) -> bytes:
+    """SHA-256 over exactly what a lane walk of ``trace`` reads.
+
+    Call it only on a trace whose uids :func:`_address_modes` validated.
+    Uids enter relative to the static table's ``uid_base``, so two builds
+    of one program key equal whatever uids they drew.  The key covers
+    the meta column (record order, uid position, flags) and the sparse
+    memory column through their :func:`_column_digest`, and each static
+    position's hot word, packed sources and whether it holds an entry,
+    and the instruction addresses: per static position for a
+    derived-address trace, per record for an explicit one.
+    Traces with equal keys time identically under every machine config.
+    Operand gating changes widths, which no walk reads, so a workload's
+    ``none`` and ``vrp`` traces key equal, and so does its ``vrs`` trace
+    unless VRS specialized something.
+    """
+    static = trace.static
+    table = _table_for(static)
+    base = table.uid_base
+    derived = trace.has_derived_addresses and trace.address_map is not None
+    digest = hashlib.sha256(_column_digest(trace, base))
+    digest.update(repr((len(table.hot_word), table.num_regs, derived)).encode())
     digest.update(table.hot_word)
     digest.update(table.src_packed)
     digest.update(bytes(entry is not None for entry in static.entries))

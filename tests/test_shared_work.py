@@ -149,6 +149,55 @@ class TestGroupedMap:
             assert _summary(evaluation) == _summary(engine.compute(point)), point
 
 
+class TestSharedTraining:
+    """VRS's training reads no threshold, so a group's ``vrs`` points at
+    several thresholds run the train input once (``SharedWork.vrs``)."""
+
+    @staticmethod
+    def _trainings(monkeypatch) -> list:
+        """The machines that run with a value observer from now on."""
+        machines = []
+        run = Machine.run
+
+        def counted_run(self, *args, **kwargs):
+            if kwargs.get("value_observer") is not None:
+                machines.append(self)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "run", counted_run)
+        return machines
+
+    def test_vrs_points_at_two_thresholds_train_once(self, tmp_path, monkeypatch):
+        points = [
+            ExperimentConfig(workload="li", mechanism="vrs", threshold_nj=threshold)
+            for threshold in (30.0, 110.0)
+        ]
+        trainings = self._trainings(monkeypatch)
+        engine = ExperimentEngine(ResultStore(tmp_path / "store"), jobs=1)
+        results = engine.map(points, jobs=1)
+        assert len(trainings) == 1
+        assert results[0].vrs_statistics() != results[1].vrs_statistics()
+        for point, evaluation in zip(points, results):
+            assert _summary(evaluation) == _summary(engine.compute(point)), point
+
+    def test_keeps_the_first_training_for_points_that_train_alike(self, monkeypatch):
+        workload = workload_by_name("li")
+        shared = runner.SharedWork(workload)
+
+        def vrs(config):
+            program = shared.program()
+            workload.apply_input(program, "train")
+            return shared.vrs(program, config).training
+
+        trainings = self._trainings(monkeypatch)
+        first = vrs(VRSConfig(threshold_nj=30.0))
+        assert vrs(VRSConfig(threshold_nj=110.0)) is first
+        other = vrs(VRSConfig(min_execution_count=8))
+        assert other is not first and not first.serves(VRSConfig(min_execution_count=8))
+        assert vrs(VRSConfig()) is first
+        assert len(trainings) == 2
+
+
 class TestSuiteVariants:
     """The figure modules map every configuration a figure combines in
     one ``map`` call (``ExperimentEngine.map_suites``), so a workload's

@@ -525,6 +525,35 @@ class TestTimingMemo:
             assert _scored(evaluation.summarize()) == _scored(live.summarize()), point
         assert len(walked) == 2 + 3  # compute() walks every time
 
+    @pytest.mark.parametrize(
+        ("name", "hashed"), [("li", 2), pytest.param("gcc", 1, marks=pytest.mark.suite)]
+    )
+    def test_an_adopted_run_keeps_its_column_digest(self, store, monkeypatch, name, hashed):
+        """The walk key hashes a trace's meta and memory columns once per
+        simulated run: an adopted run's trace shares the columns and
+        their digest.  li's ``vrp`` point adopts the ``none`` run and its
+        ``vrs`` point simulates; gcc's ``vrp`` and ``vrs`` points adopt."""
+        from repro.uarch import tkernel
+
+        hashes = []
+        column_digest = tkernel._column_digest
+
+        def counted_column_digest(trace, base):
+            kept = trace.column_digest
+            digest = column_digest(trace, base)
+            if trace.column_digest is not kept:
+                hashes.append(digest)
+            return digest
+
+        monkeypatch.setattr(tkernel, "_column_digest", counted_column_digest)
+        points = [ExperimentConfig(workload=name, mechanism=m) for m in ("none", "vrp", "vrs")]
+        engine = ExperimentEngine(store, jobs=1)
+        evaluations = engine.map(points, pipeline="materialized")
+        assert len(hashes) == hashed
+        for point, evaluation in zip(points, evaluations):
+            live = engine.compute(point)
+            assert _scored(evaluation.summarize()) == _scored(live.summarize()), point
+
     def test_evaluate_after_a_timing_identical_point_walks_nothing(self, store, walked):
         none, vrp, _ = _li_points()
         engine = ExperimentEngine(store)

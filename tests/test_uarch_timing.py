@@ -638,6 +638,21 @@ class TestWalkKey:
         metas[-2] ^= flag
         assert _key(_derived_copy(trace, metas=metas)) != _key(trace)
 
+    def test_a_rebound_trace_keeps_the_column_digest_and_rekeys_its_static_side(self):
+        """``Trace.with_static`` hands on the digest of the columns it
+        shares; the static side is keyed afresh, so a changed static fact
+        still changes the key."""
+        trace = _machine_trace(_DEAD_CODE_ASM)
+        key = _key(trace)
+        rebound = trace.with_static(_copied_static(trace.static), dict(trace.address_map))
+        assert rebound.column_digest is trace.column_digest is not None
+        assert _key(rebound) == key
+        entry = next(entry for entry in trace.static if entry.latency == 1)
+        slower = _copied_static(trace.static, {entry.uid: replace(entry, latency=2)})
+        changed = trace.with_static(slower, dict(trace.address_map))
+        assert _key(changed) != key
+        assert changed.column_digest is trace.column_digest
+
     def test_a_memory_address_changes_the_key(self):
         trace = _machine_trace(_DEAD_CODE_ASM)
         mem = array("q", trace.mem_addresses)

@@ -1,5 +1,8 @@
 """Tests for VRS: energy model, candidates, specialization transform, folding."""
 
+import copy
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -16,11 +19,12 @@ from repro.core import (
     run_vrs,
     specialize_candidate,
 )
+from repro.core import vrs as vrs_module
 from repro.ir import IRBuilder, Program, validate_function
 from repro.isa import Instruction, Opcode, Reg, Width
 from repro.experiments.summary import vrs_stats
 from repro.minic import compile_source
-from repro.sim import Machine, ValueProfiler, ValueTable, fusedc
+from repro.sim import Machine, SimulationLimitExceeded, ValueProfiler, ValueTable, fusedc
 from repro.workloads import SUITE_NAMES, workload_by_name
 
 
@@ -78,6 +82,20 @@ class TestValueProfiler:
         profiler.observe(42, 5)
         assert profiler.table(42).total == 1
         assert profiler.table(99) is None
+
+    def test_observe_all_equals_observing_one_by_one(self):
+        """A replay across several cleanings fills the table exactly as
+        the observations one at a time do, entry order included."""
+        values = [(index * 7919) % 23 if index % 3 else 5 for index in range(1000)]
+        one_by_one = ValueTable(capacity=4, clean_interval=64)
+        for value in values:
+            one_by_one.observe(value)
+        replayed = ValueTable(capacity=4, clean_interval=64)
+        replayed.observe_all(values[:100])
+        replayed.observe_all(values[100:])
+        assert replayed.total == one_by_one.total == 1000
+        assert list(replayed.entries.items()) == list(one_by_one.entries.items())
+        assert replayed._since_clean == one_by_one._since_clean
 
 
 def _straightline_function():
@@ -245,6 +263,178 @@ def test_candidate_value_profiles_match_reference_tier(name):
         }
     assert tables["block"] == tables["reference"]
     assert tables["block"]
+
+
+def _two_run_training(build, config):
+    """VRS's steps 2-4 as two train runs of a copy of ``build`` do them:
+    an untraced run counts, then a run watching only the candidates
+    fills their tables.  Returns ``(counts, candidates, tables)``."""
+    program = copy.deepcopy(build)
+    vrp = run_vrp(program, config.vrp)
+    apply_widths(program, vrp)
+    machine = Machine(program, max_instructions=config.train_max_instructions)
+    counts = machine.run().instruction_counts(program)
+    candidates = identify_candidates(
+        program, vrp, counts, min_execution_count=config.min_execution_count
+    )
+    profiler = ValueProfiler(
+        {candidate.uid for candidate in candidates}, capacity=config.profiler_capacity
+    )
+    if candidates:
+        machine.run(value_observer=profiler)
+    return counts, candidates, profiler.tables
+
+
+def _record_facts(record) -> tuple:
+    """A specialization record but the uids its guard and clones drew."""
+    return (
+        record.candidate_uid,
+        record.function,
+        record.value_range,
+        record.guard_label,
+        record.clone_entry_label,
+        record.original_region_labels,
+        record.cloned_labels,
+        len(record.guard_uids),
+        len(record.cloned_uids),
+        record.cloned_instructions,
+        record.fold_stats,
+    )
+
+
+@pytest.mark.suite
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_one_training_run_equals_a_count_run_and_a_profiling_run(name):
+    """``run_vrs`` trains in one run that watches every statically
+    eligible instruction.  Its counts, candidates and value tables equal
+    those of a counting run followed by a run watching only the
+    candidates, and VRS driven by those gives the same outcomes,
+    specializations and widths."""
+    workload = workload_by_name(name)
+    build = workload.build()
+    workload.apply_input(build, "train")
+    config = VRSConfig()
+    single_program = copy.deepcopy(build)
+    single = run_vrs(single_program, config)
+    counts, candidates, tables = _two_run_training(build, config)
+
+    assert single.training.instruction_counts == counts
+    assert [
+        (candidate.uid, candidate.execution_count, candidate.preliminary_benefit_nj)
+        for candidate in single.candidates
+    ] == [
+        (candidate.uid, candidate.execution_count, candidate.preliminary_benefit_nj)
+        for candidate in candidates
+    ]
+    assert {
+        uid: (list(table.entries.items()), table.total)
+        for uid, table in single.training.tables.items()
+    } == {uid: (list(table.entries.items()), table.total) for uid, table in tables.items()}
+
+    reference_program = copy.deepcopy(build)
+    reference = run_vrs(
+        reference_program,
+        config,
+        training=replace(
+            single.training,
+            instruction_counts=counts,
+            candidates=tuple(candidates),
+            tables=tables,
+        ),
+    )
+    assert single.outcomes == reference.outcomes
+    assert [_record_facts(record) for record in single.records] == [
+        _record_facts(record) for record in reference.records
+    ]
+    assert vrs_stats(single) == vrs_stats(reference)
+    assert [inst.width for inst in single_program.instructions()] == [
+        inst.width for inst in reference_program.instructions()
+    ]
+
+
+@pytest.fixture
+def machine_runs(monkeypatch):
+    """Every ``Machine.run`` call from now on, as its keyword arguments."""
+    calls = []
+    run = Machine.run
+
+    def counted_run(self, *args, **kwargs):
+        calls.append(kwargs)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", counted_run)
+    return calls
+
+
+def _li_train_build():
+    workload = workload_by_name("li")
+    program = workload.build()
+    workload.apply_input(program, "train")
+    return program
+
+
+class TestTraining:
+    def test_run_vrs_runs_the_train_input_once(self, machine_runs):
+        result = run_vrs(_li_train_build(), VRSConfig())
+        assert result.points_profiled > 0
+        assert len(machine_runs) == 1
+        assert machine_runs[0]["value_observer"] is not None
+
+    def test_the_recorder_keeps_every_value_in_order(self):
+        """A recording starts at one byte a value and widens as its values
+        need, past eight bytes to a list (a ``mov``'s raw immediate)."""
+        recorder = vrs_module._ValueRecorder({1, 2})
+        values = [1, -128, 300, -70_000, 1 << 40, 1 << 63, -5]
+        for value in values:
+            recorder.observe(1, value)
+            recorder.observe(2, value % 100)
+        assert list(recorder.values[1]) == values
+        assert list(recorder.values[2]) == [value % 100 for value in values]
+        assert recorder.values[2].itemsize == 1
+
+    def test_a_train_limit_below_the_run_raises(self):
+        with pytest.raises(SimulationLimitExceeded):
+            run_vrs(_li_train_build(), VRSConfig(train_max_instructions=1_000))
+
+    def test_a_training_serves_another_threshold(self, machine_runs):
+        """A training reused at another threshold gives what training
+        afresh there gives, and runs nothing."""
+        build = _li_train_build()
+        first = run_vrs(copy.deepcopy(build), VRSConfig(threshold_nj=30.0))
+        fresh = run_vrs(copy.deepcopy(build), VRSConfig(threshold_nj=110.0))
+        del machine_runs[:]
+        reused = run_vrs(
+            copy.deepcopy(build), VRSConfig(threshold_nj=110.0), training=first.training
+        )
+        assert machine_runs == []
+        assert reused.training is first.training
+        assert reused.outcomes == fresh.outcomes
+        assert vrs_stats(reused) == vrs_stats(fresh) != vrs_stats(first)
+
+    def test_rejects_another_training_configuration(self):
+        build = _li_train_build()
+        training = run_vrs(copy.deepcopy(build), VRSConfig()).training
+        for changed in (
+            VRSConfig(min_execution_count=8),
+            VRSConfig(profiler_capacity=8),
+            VRSConfig(train_max_instructions=10_000_000),
+        ):
+            assert not training.serves(changed)
+            with pytest.raises(ValueError, match="training ran under"):
+                run_vrs(copy.deepcopy(build), changed, training=training)
+
+    def test_rejects_another_builds_training(self):
+        training = run_vrs(_li_train_build(), VRSConfig()).training
+        with pytest.raises(ValueError, match="another program"):
+            run_vrs(_li_train_build(), VRSConfig(), training=training)
+
+    def test_rejects_a_training_on_another_input(self):
+        build = _li_train_build()
+        training = run_vrs(copy.deepcopy(build), VRSConfig()).training
+        program = copy.deepcopy(build)
+        workload_by_name("li").apply_input(program, "ref")
+        with pytest.raises(ValueError, match="another input"):
+            run_vrs(program, VRSConfig(), training=training)
 
 
 @pytest.mark.parametrize("name", ("li", "m88ksim"))
